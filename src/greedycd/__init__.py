@@ -23,9 +23,8 @@ from .harness import (
     reference_minimum,
     run_counterexamples,
     save_experiment,
-    verify_all,
 )
-from .linalg import IndexedMaxHeap, SparseMatrix, spmv_column_update
+from .linalg import IndexedMaxHeap, SparseMatrix
 from .nns import BallTreeIndex, dense_select
 from .problems import (
     BoxTerm,
@@ -77,6 +76,4 @@ __all__ = [
     "run",
     "run_counterexamples",
     "save_experiment",
-    "spmv_column_update",
-    "verify_all",
 ]

@@ -1,26 +1,15 @@
 """Inner-loop kernels shared by the heap, the trackers, and sparse updates.
 
-Each kernel is written once, as a plain Python function over flat numpy
-arrays, and is deliberately self-contained (no kernel calls another).  When
-numba is importable and the environment variable GREEDYCD_NUMBA is not "0",
-the public names are rebound to ``@njit(cache=True)`` builds of the same
-functions.  The interpreted originals stay reachable under a ``py_`` prefix
-so the benchmark can time both paths inside one process.
+The heap and graph kernels are plain Python loops over flat numpy arrays:
+each step depends on the one before (a sift walks one path of the heap), or
+touches too few entries (about a dozen edges per graph move) for a numpy
+call to pay off.  The sparse column and row updates are numpy expressions
+over whole CSC/CSR slices.
 
-Index arrays are int64 and value arrays float64 throughout, so every kernel
-compiles exactly once.
+Index arrays are int64 and value arrays float64 throughout.
 """
 
-import os
-
 import numpy as np
-
-try:
-    from numba import njit
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    njit = None
-
-NUMBA_ENABLED = njit is not None and os.environ.get("GREEDYCD_NUMBA", "1") != "0"
 
 
 def heap_build(keys, order, pos):
@@ -90,31 +79,28 @@ def heap_update(keys, order, pos, i, new_key):
 
 
 def col_axpy(start, end, rows, vals, delta, y):
-    """y += delta * (sparse column), the column given as rows/vals[start:end]."""
-    for t in range(start, end):
-        y[rows[t]] += delta * vals[t]
+    """y += delta * (sparse column), the column given as rows/vals[start:end].
+
+    The rows of a column are distinct, so one fancy-indexed add suffices.
+    """
+    y[rows[start:end]] += delta * vals[start:end]
 
 
-def scatter_row_deltas(rows, dg, row_indptr, row_cols, row_vals, target,
-                       stamp, gen, touched):
+def scatter_row_deltas(rows, dg, row_indptr, row_cols, row_vals, target):
     """target[c] += dg[r] * A[rows[r], c] for every stored entry of each row.
 
-    Collects the distinct columns hit into ``touched`` using the stamp/gen
-    trick (stamp[c] == gen means "already collected this call", so the caller
-    must bump ``gen`` between calls).  Returns the number of distinct columns.
+    The CSR slices of the touched rows are gathered with one index array, in
+    row order and then column order, and ``np.add.at`` adds them in that
+    order, so every entry of ``target`` is summed as a loop over the rows
+    would sum it.  Returns the distinct columns hit, sorted.
     """
-    ncols = 0
-    for r in range(rows.shape[0]):
-        row = rows[r]
-        d = dg[r]
-        for t in range(row_indptr[row], row_indptr[row + 1]):
-            c = row_cols[t]
-            target[c] += d * row_vals[t]
-            if stamp[c] != gen:
-                stamp[c] = gen
-                touched[ncols] = c
-                ncols += 1
-    return ncols
+    starts = row_indptr[rows]
+    lens = row_indptr[rows + 1] - starts
+    t = np.arange(int(lens.sum())) + np.repeat(starts - np.cumsum(lens) + lens,
+                                               lens)
+    cols = row_cols[t]
+    np.add.at(target, cols, np.repeat(dg, lens) * row_vals[t])
+    return np.unique(cols)
 
 
 def graph_coord_update(i, new_xi, x, indptr, nbr, w, rev, part, grad, q, b):
@@ -145,17 +131,3 @@ def graph_coord_update(i, new_xi, x, indptr, nbr, w, rev, part, grad, q, b):
         part[kr] = -pik
     grad[i] = s
     return dobj
-
-
-py_heap_build = heap_build
-py_heap_update = heap_update
-py_col_axpy = col_axpy
-py_scatter_row_deltas = scatter_row_deltas
-py_graph_coord_update = graph_coord_update
-
-if NUMBA_ENABLED:
-    heap_build = njit(cache=True)(heap_build)
-    heap_update = njit(cache=True)(heap_update)
-    col_axpy = njit(cache=True)(col_axpy)
-    scatter_row_deltas = njit(cache=True)(scatter_row_deltas)
-    graph_coord_update = njit(cache=True)(graph_coord_update)

@@ -10,7 +10,6 @@ Subcommands:
 * ``bounds``         contraction-factor table for a smooth quadratic problem
 * ``counterexample`` one proximal step of each greedy rule on the two
                      showcase problems
-* ``verify``         fast end-to-end self-checks
 
 Exit status: 0 on success, 1 on failure, 2 on usage errors.
 """
@@ -130,17 +129,6 @@ def cmd_counterexample(args):
     return 0
 
 
-def cmd_verify(args):
-    failed = 0
-    for name, ok, detail in harness.verify_all():
-        line = f"{'PASS' if ok else 'FAIL'}  {name}"
-        if detail:
-            line += f"  ({detail})"
-        print(line)
-        failed += not ok
-    return 1 if failed else 0
-
-
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="greedycd",
@@ -198,9 +186,6 @@ def _build_parser():
                        help="the two showcase problems for the greedy "
                             "proximal rules")
     p.set_defaults(func=cmd_counterexample)
-
-    p = sub.add_parser("verify", help="fast self-checks")
-    p.set_defaults(func=cmd_verify)
 
     for sp in sub.choices.values():
         sp.set_defaults(_parser=sp)

@@ -5,8 +5,10 @@ coordinate update per iteration, and records a trace row per iterate.  Two
 runtime guards watch every iteration: a divergence guard (any objective
 increase beyond 1e-6 aborts) and a sufficient-decrease certificate — the
 realised drop must cover the model decrease the step size promises, up to
-float slack.  Traces serialise to CSV with shortest-round-trip floats so a
-written file parses back bit-for-bit.
+float slack.  Both guards also trip on a NaN change, and a run refuses a
+starting point whose objective or gradient is not finite.  Traces
+serialise to CSV with shortest-round-trip floats so a written file parses
+back bit-for-bit.
 """
 
 import time
@@ -139,19 +141,20 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     x0 = np.asarray(x0, dtype=np.float64)
     if x0.shape != (n,):
         raise ValueError(f"x0 must have shape ({n},)")
+    if not np.isfinite(x0).all():
+        raise ValueError("x0 must be finite")
 
     if rng is None:
         rng = np.random.default_rng(seed)
     rule.prepare(problem, rng=rng)
     index = None
     if backend == "nns":
-        if rule.name not in ("gs", "gsl"):
-            raise ValueError("the nns backend serves the gs and gsl rules only")
+        if rule.name != "gsl":
+            raise ValueError("the nns backend serves the gsl rule only")
         if composite is not None or getattr(smooth, "tracker_kind", "") != "h1":
             raise ValueError("the nns backend needs a least-squares or "
                              "logistic problem without composite terms")
-        index = BallTreeIndex(smooth,
-                              mode="biased" if rule.name == "gs" else "gsl")
+        index = BallTreeIndex(smooth, mode="gsl")
         tracker = make_tracker(problem, x0, scorer=None, backend="scan",
                                refresh_every=refresh_every)
     else:
@@ -176,8 +179,11 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
         d = composite.prox_steps(tracker.x, tracker.gradient, L_safe)[0]
         return float(np.abs(d).max()) if n else 0.0
 
-    trace = RunTrace(rule=rule.name)
     resid = residual()
+    if not (np.isfinite(obj) and np.isfinite(resid)):
+        raise ValueError("objective or gradient at x0 is not finite; "
+                         "check the problem data for NaN or inf")
+    trace = RunTrace(rule=rule.name)
     trace.append(0, obj, -1, 0.0, resid, 0, 0, 0, 0)
     t0 = time.perf_counter_ns()
 
@@ -214,13 +220,13 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
         if composite is not None:
             delta += (term_value(composite.terms[i], xi_old + alpha)
                       - term_value(composite.terms[i], xi_old))
-        if delta > 1e-6:
+        if not (delta <= 1e-6):
             raise RuntimeError(
                 f"diverging: objective rose by {delta:.3e} at iteration "
                 f"{t + 1} (coordinate {i}, step {alpha:.3e})")
         if check_descent:
             slack = 1e-10 * max(1.0, abs(obj)) + 1e-14
-            if delta > promised + slack:
+            if not (delta <= promised + slack):
                 raise RuntimeError(
                     f"descent certificate violated at iteration {t + 1}: "
                     f"drop {delta:.6e} exceeds promised {promised:.6e} "

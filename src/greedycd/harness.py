@@ -374,80 +374,3 @@ def counterexample_text(cases):
             lines.append(f"  {rule:<5} -> coordinate {coord}, "
                          f"f1 = {f1:.6f}, ratio = {ratio:.6f}  [{flag}]")
     return "\n".join(lines)
-
-
-# --- quick self-checks (the `verify` subcommand) ----------------------------
-
-def verify_all():
-    """Fast end-to-end self-checks; returns [(name, ok, detail)]."""
-    from .analysis import mu1_brute, mu1_diag
-    from .nns import BallTreeIndex, dense_select  # noqa: F401 (import check)
-
-    results = []
-
-    def check(name, fn):
-        try:
-            fn()
-            results.append((name, True, ""))
-        except Exception as exc:  # report, don't crash the battery
-            results.append((name, False, f"{type(exc).__name__}: {exc}"))
-
-    def check_counterexamples():
-        cases = run_counterexamples()
-        expected = {
-            "nonnegative": {"gs-s": 0.875938, "gs-r": 0.124062, "gs-q": 0.124062},
-            "l1": {"gs-s": 0.164949, "gs-r": 0.835052, "gs-q": 0.164949},
-        }
-        for case in cases:
-            for rule, _, _, ratio in case.rows:
-                want = expected[case.name][rule]
-                if abs(ratio - want) > 0.02:
-                    raise AssertionError(
-                        f"{case.name}/{rule}: ratio {ratio:.6f} != {want:.6f}")
-                if rule == "gs-q" and ratio > case.rho + 1e-9:
-                    raise AssertionError("model-decrease rule broke its factor")
-            if abs(case.rho - 0.671141) > 0.005:
-                raise AssertionError("guaranteed factor drifted")
-
-    def check_constants():
-        rng = np.random.default_rng(0)
-        for _ in range(20):
-            n = int(rng.integers(2, 7))
-            d = rng.uniform(0.2, 5.0, size=n)
-            closed = mu1_diag(d)
-            if abs(mu1_brute(np.diag(d)) - closed) > 1e-9 * closed:
-                raise AssertionError("brute-force constant mismatch")
-
-    def check_backends():
-        exp = gen_experiment("sparse_ls", m=60, n=40, seed=1)
-        a = run(exp.problem, "gs", max_iters=80, backend="heap", tol=0.0)
-        b = run(exp.problem, "gs", max_iters=80, backend="scan", tol=0.0)
-        if a.coord != b.coord or a.objective != b.objective:
-            raise AssertionError("heap and scan backends disagree")
-
-    def check_tree():
-        exp = gen_experiment("dense_overdet_ls", m=60, n=30, seed=2)
-        a = run(exp.problem, "gsl", max_iters=80, backend="scan", tol=0.0)
-        b = run(exp.problem, "gsl", max_iters=80, backend="nns", tol=0.0)
-        if a.coord != b.coord:
-            raise AssertionError("tree selection diverged from dense scan")
-
-    def check_descent_guards():
-        exp = gen_experiment("sparse_ls", m=50, n=30, seed=3)
-        for rule in ("uniform", "cyclic", "lipschitz", "gs", "gsl"):
-            run(exp.problem, rule, max_iters=60, seed=4, tol=0.0)
-
-    def check_trace_round_trip():
-        from .descent import RunTrace
-        exp = gen_experiment("sparse_ls", m=40, n=25, seed=5)
-        trace = run(exp.problem, "lipschitz", max_iters=40, seed=6, tol=0.0)
-        if RunTrace.from_csv(trace.to_csv()) != trace:
-            raise AssertionError("trace CSV round-trip changed values")
-
-    check("counterexample-ratios", check_counterexamples)
-    check("constants-brute-vs-closed", check_constants)
-    check("backend-equivalence", check_backends)
-    check("tree-vs-dense-selection", check_tree)
-    check("descent-certificates", check_descent_guards)
-    check("trace-round-trip", check_trace_round_trip)
-    return results

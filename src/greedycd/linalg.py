@@ -5,8 +5,7 @@ view of the same matrix: the incremental gradient trackers walk columns (to
 update A x after a coordinate step) and rows (to push residual-gradient
 changes back into A^T grad).  Construction canonicalises through
 scipy.sparse, so duplicates are summed, explicit zeros dropped, and indices
-sorted; index arrays are int64 and values float64 so the compiled kernels
-see a single signature.
+sorted; index arrays are int64 and values float64, as the kernels expect.
 """
 
 import numpy as np
@@ -90,12 +89,6 @@ class SparseMatrix:
     @classmethod
     def load_mtx(cls, path):
         return cls(scipy.sparse.coo_matrix(scipy.io.mmread(str(path))))
-
-
-def spmv_column_update(A, j, delta, y):
-    """y += delta * A e_j in O(nnz of column j); y is modified in place."""
-    _kernels.col_axpy(A.col_indptr[j], A.col_indptr[j + 1],
-                      A.col_rows, A.col_vals, delta, y)
 
 
 def column_sq_norms(A):

@@ -157,9 +157,6 @@ class H1Tracker(_TrackerBase):
             raise ValueError("x0 has the wrong length")
         self.refresh_every = int(refresh_every)
         self._updates = 0
-        self._stamp = np.zeros(self.n, dtype=np.int64)
-        self._gen = 0
-        self._buf = np.empty(self.n, dtype=np.int64)
         self._rebuild_caches()
         self._init_scores(scorer, backend)
         self.last_obj_delta = 0.0
@@ -176,12 +173,7 @@ class H1Tracker(_TrackerBase):
 
     def refresh(self):
         self._rebuild_caches()
-        if self.scorer is not None:
-            vals = self.scorer.compute(self, np.arange(self.n))
-            if self.backend == "heap":
-                self.heap = IndexedMaxHeap(vals)
-            else:
-                self._scores = np.asarray(vals, dtype=np.float64).copy()
+        self._init_scores(self.scorer, self.backend)
 
     def objective(self):
         """Smooth objective at the current iterate, from the caches."""
@@ -208,15 +200,12 @@ class H1Tracker(_TrackerBase):
         self.row_g[rows] = new_g
         self.row_v[rows] = new_v
 
-        self._gen += 1
-        ncols = _kernels.scatter_row_deltas(
-            rows, dg, A.row_indptr, A.row_cols, A.row_vals, self.atg,
-            self._stamp, self._gen, self._buf)
+        cols = _kernels.scatter_row_deltas(
+            rows, dg, A.row_indptr, A.row_cols, A.row_vals, self.atg)
         touched_grads = int((A.row_indptr[rows + 1] - A.row_indptr[rows]).sum())
-        if self._stamp[i] != self._gen:
-            self._buf[ncols] = i
-            ncols += 1
-        cols = self._buf[:ncols]
+        if a == b:
+            # an empty column hits no row, but x[i] itself still moved
+            cols = np.array([i], dtype=np.int64)
         self.gradient[cols] = self.atg[cols] + lam * self.x[cols]
         heap_ops = self._rescore(cols)
 
@@ -251,12 +240,7 @@ class H2Tracker(_TrackerBase):
 
     def refresh(self):
         self._rebuild_caches()
-        if self.scorer is not None:
-            vals = self.scorer.compute(self, np.arange(self.n))
-            if self.backend == "heap":
-                self.heap = IndexedMaxHeap(vals)
-            else:
-                self._scores = np.asarray(vals, dtype=np.float64).copy()
+        self._init_scores(self.scorer, self.backend)
 
     def objective(self):
         return self._obj

@@ -133,13 +133,6 @@ def test_counterexample_command(capsys):
     assert "guaranteed factor" in out
 
 
-def test_verify_command(capsys):
-    assert main(["verify"]) == 0
-    lines = capsys.readouterr().out.strip().splitlines()
-    assert len(lines) >= 5
-    assert all(line.startswith("PASS") for line in lines)
-
-
 def test_console_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "greedycd.cli", "run", "--problem",

@@ -96,8 +96,9 @@ def test_step_formulas_match_their_definitions():
 
 def test_divergence_guard_aborts_on_ascent():
     prob = diag_ls([1.0, 1.0], [-3.0, -2.0])
-    with pytest.raises(RuntimeError, match="diverging"):
-        run(prob, FixedStepRule(0, 1.0), max_iters=3)
+    for alpha in (1.0, np.nan):
+        with pytest.raises(RuntimeError, match="diverging"):
+            run(prob, FixedStepRule(0, alpha), max_iters=3)
 
 
 def test_descent_certificate_catches_timid_steps():
@@ -230,6 +231,19 @@ def test_run_validates_inputs():
     comp = CompositeProblem(prob, BoxTerm(0.0, 1.0))
     with pytest.raises(ValueError, match="infeasible"):
         run(comp, "gs-q", x0=np.full(prob.n, 2.0))
+    x0 = np.zeros(prob.n)
+    x0[3] = np.nan
+    with pytest.raises(ValueError, match="x0 must be finite"):
+        run(prob, "gs", x0=x0)
+
+
+def test_run_rejects_an_inf_in_the_data():
+    A = np.arange(1.0, 16.0).reshape(5, 3)
+    A[0, 0] = np.inf
+    prob = LeastSquaresProblem(SparseMatrix.from_dense(A), np.ones(5))
+    for rule in ("uniform", "gs"):
+        with pytest.raises(ValueError, match="not finite"):
+            run(prob, rule, max_iters=50, seed=0)
 
 
 def test_race_budget_zero_gives_initial_rows():

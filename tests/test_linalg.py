@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from greedycd.linalg import (IndexedMaxHeap, SparseMatrix, column_sq_norms,
-                             load_dense_mtx, save_dense_mtx,
-                             spmv_column_update)
+                             load_dense_mtx, save_dense_mtx)
 from helpers import random_sparse, scan_argmax
 
 
@@ -124,14 +123,6 @@ class TestSparseMatrix:
         assert A.nnz == 6
         assert A.max_col_nnz == 3
         assert A.max_row_nnz == 3
-
-    def test_spmv_column_update_matches_dense(self):
-        rng = np.random.default_rng(3)
-        A, dense = random_sparse(rng, 15, 8)
-        y = rng.standard_normal(15)
-        expected = y + 0.7 * dense[:, 3]
-        spmv_column_update(A, 3, 0.7, y)
-        assert np.array_equal(y, expected)
 
     def test_column_sq_norms(self):
         rng = np.random.default_rng(4)

@@ -105,13 +105,15 @@ def test_run_with_nns_backend_replays_against_dense_scans():
     A = rng.normal(size=(40, 25))
     b = rng.normal(size=40)
     prob = LeastSquaresProblem(SparseMatrix.from_dense(A), b)
-    for name, mode in (("gs", "biased"), ("gsl", "gsl")):
-        trace = run(prob, name, backend="nns", max_iters=100, tol=0.0)
-        index = BallTreeIndex(prob, mode=mode)
-        tracker = make_tracker(prob, np.zeros(25))
-        for k in range(1, len(trace)):
-            assert dense_select(index, tracker.gradient) == trace.coord[k]
-            tracker.apply_update(trace.coord[k], trace.step[k])
+    trace = run(prob, "gsl", backend="nns", max_iters=100, tol=0.0)
+    index = BallTreeIndex(prob, mode="gsl")
+    tracker = make_tracker(prob, np.zeros(25))
+    for k in range(1, len(trace)):
+        assert dense_select(index, tracker.gradient) == trace.coord[k]
+        tracker.apply_update(trace.coord[k], trace.step[k])
+    # the biased index ranks |g_i| - ||a_i||^2/2, which is not GS
+    with pytest.raises(ValueError, match="gsl rule only"):
+        run(prob, "gs", backend="nns", max_iters=1)
 
 
 def test_gsl_nns_run_equals_the_dense_gsl_run():
@@ -142,12 +144,12 @@ def test_run_rejects_unsupported_nns_combinations():
     rng = np.random.default_rng(8)
     A = SparseMatrix.from_dense(rng.normal(size=(6, 4)))
     prob = LeastSquaresProblem(A, np.zeros(6))
-    with pytest.raises(ValueError, match="gs and gsl"):
+    with pytest.raises(ValueError, match="gsl rule only"):
         run(prob, "uniform", backend="nns", max_iters=1)
     comp = CompositeProblem(prob, L1Term(0.1))
     with pytest.raises(ValueError, match="composite"):
-        run(comp, "gs", backend="nns", max_iters=1)
+        run(comp, "gsl", backend="nns", max_iters=1)
     graph = GraphQuadraticProblem(3, [(0, 1), (1, 2)], np.ones(2),
                                   node_quad=np.ones(3))
     with pytest.raises(ValueError, match="least-squares or"):
-        run(graph, "gs", backend="nns", max_iters=1)
+        run(graph, "gsl", backend="nns", max_iters=1)

@@ -5,6 +5,7 @@ budgets."""
 import numpy as np
 import pytest
 
+from greedycd import _kernels
 from greedycd.linalg import SparseMatrix
 from greedycd.problems import (CompositeProblem, GraphQuadraticProblem,
                                L1Term, LeastSquaresProblem, LogisticProblem)
@@ -69,22 +70,35 @@ class TestH1Tracker:
 
     def test_random_updates_match_dense_oracle(self):
         rng = np.random.default_rng(2)
-        A, _ = random_sparse(rng, 25, 12, density=0.25)
-        p = LeastSquaresProblem(A, rng.standard_normal(25), l2_reg=0.2,
-                                scale=1.0 / 50)
-        tr = H1Tracker(p, rng.standard_normal(12), GradScorer(), backend="heap")
-        c, r = A.max_col_nnz, A.max_row_nnz
-        for _ in range(300):
-            i = int(rng.integers(12))
-            before = tr.objective()
-            stats = tr.apply_update(i, float(rng.standard_normal() * 0.3))
-            assert stats.touched_rows <= c
-            assert stats.touched_grads <= c * r
-            assert stats.heap_ops <= max(c * r, 1)
-            assert_tracker_matches(tr, p)
-            assert_peek_near_max(tr)
-            assert np.isclose(before + tr.last_obj_delta, tr.objective(),
-                              rtol=1e-12)
+        # (m, n, density, every column nonempty): the base case, then
+        # empty rows and columns, a single row, and a single column
+        shapes = [(25, 12, 0.25, True), (25, 12, 0.05, False),
+                  (1, 12, 0.5, True), (25, 1, 0.25, True)]
+        for m, n, density, nonempty in shapes:
+            A, _ = random_sparse(rng, m, n, density=density,
+                                 ensure_nonempty_cols=nonempty)
+            p = LeastSquaresProblem(A, rng.standard_normal(m), l2_reg=0.2,
+                                    scale=1.0 / (2 * m))
+            x0 = rng.standard_normal(n)
+            trs = [H1Tracker(p, x0, GradScorer(), backend=backend)
+                   for backend in ("heap", "scan")]
+            c, r = A.max_col_nnz, A.max_row_nnz
+            for _ in range(300):
+                i = int(rng.integers(n))
+                delta = float(rng.standard_normal() * 0.3)
+                for tr in trs:
+                    before = tr.objective()
+                    stats = tr.apply_update(i, delta)
+                    assert stats.touched_rows <= c
+                    assert stats.touched_grads <= c * r
+                    assert stats.heap_ops <= max(c * r, 1)
+                    assert_tracker_matches(tr, p)
+                    assert_peek_near_max(tr)
+                    assert np.isclose(before + tr.last_obj_delta,
+                                      tr.objective(), rtol=1e-12)
+                assert np.array_equal(trs[0].gradient, trs[1].gradient)
+                assert np.array_equal(trs[0].scores, trs[1].scores)
+                assert trs[0].peek() == trs[1].peek()
 
     def test_logistic_updates_match_dense_oracle(self):
         rng = np.random.default_rng(3)
@@ -159,6 +173,34 @@ class TestH1Tracker:
         tr = H1Tracker(p, np.zeros(2))
         with pytest.raises(ValueError):
             tr.peek()
+
+    def test_sparse_kernels_equal_per_entry_loops(self):
+        # the vectorized column and row updates must add in the loops' order
+        rng = np.random.default_rng(11)
+        A, _ = random_sparse(rng, 30, 20, density=0.1,
+                             ensure_nonempty_cols=False)
+        for j in range(20):
+            a, b = A.col_indptr[j], A.col_indptr[j + 1]
+            y = rng.standard_normal(30)
+            want = y.copy()
+            for t in range(a, b):
+                want[A.col_rows[t]] += 0.7 * A.col_vals[t]
+            _kernels.col_axpy(a, b, A.col_rows, A.col_vals, 0.7, y)
+            assert np.array_equal(y, want)
+        for rows in ([], [4], [0, 3, 4, 17, 29], list(range(30))):
+            rows = np.array(rows, dtype=np.int64)
+            dg = rng.standard_normal(rows.shape[0])
+            target = rng.standard_normal(20)
+            want = target.copy()
+            hit = set()
+            for r, d in zip(rows, dg):
+                for t in range(A.row_indptr[r], A.row_indptr[r + 1]):
+                    want[A.row_cols[t]] += d * A.row_vals[t]
+                    hit.add(int(A.row_cols[t]))
+            cols = _kernels.scatter_row_deltas(
+                rows, dg, A.row_indptr, A.row_cols, A.row_vals, target)
+            assert np.array_equal(target, want)
+            assert cols.tolist() == sorted(hit)
 
 
 class TestH2Tracker:

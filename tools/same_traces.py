@@ -1,0 +1,128 @@
+#!/usr/bin/env python3
+"""Check that two greedycd checkouts take bit-identical paths.
+
+    python3 tools/same_traces.py --baseline PATH/TO/OTHER/CHECKOUT
+
+Runs the same set of cases once with the sources of this checkout and once
+with the sources of the baseline checkout (each in its own process, with
+that checkout's ``src`` first on the path), then compares every pair of
+traces with ``RunTrace.same_path`` and their ``final_x`` with exact
+equality.  The cases are every rule, stream and instance that the
+benchmark's workloads run (``perfbench/workloads.py``, seed 0), each rule
+on both the heap and the scan backend (the ball tree where a workload uses
+it), plus ``gs`` and ``gsl`` on ``sparse_logistic`` and a few runs with a
+short refresh interval, so the rebuilt caches are compared too.
+
+Prints one line per case and a final count; exits 1 on any difference.
+"""
+
+import argparse
+import os
+import pickle
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+ROOT = os.path.dirname(HERE)
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+from workloads import WORKLOADS, rule_seed  # noqa: E402
+
+EXTRA = (
+    # (label, family, m, n, lam, rule, budget, refresh_every)
+    ("logistic", "sparse_logistic", 120, 80, 1.0, "gs", 300, 10000),
+    ("logistic", "sparse_logistic", 120, 80, 1.0, "gsl", 300, 10000),
+    ("logistic-refresh", "sparse_logistic", 120, 80, 1.0, "gs", 300, 37),
+    ("ls-refresh", "sparse_ls", 200, 200, 1.0, "uniform", 400, 53),
+    ("ls-refresh", "sparse_ls", 200, 200, 1.0, "gsl", 300, 41),
+    ("lasso-refresh", "l1_underdet_ls", 50, 500, 1.0, "gs-q", 200, 29),
+    ("graph-refresh", "two_moons", None, 300, 1.0, "gs", 400, 31),
+)
+
+
+def cases():
+    """(case name, family, m, n, lam, instance, rule, budget, seed,
+    backend, refresh_every) for every compared run."""
+    out = []
+    for w in WORKLOADS.values():
+        for j in range(w.instances):
+            for role in w.roles:
+                backends = ((role.backend,) if role.backend
+                            else ("heap", "scan"))
+                for stream in range(role.streams):
+                    seed = rule_seed(0, j, role.name, stream)
+                    for backend in backends:
+                        out.append((f"{w.name}/i{j}/{role.rule}/{backend}"
+                                    f"/s{stream}", w.family, w.m, w.n, w.lam,
+                                    j, role.rule, role.budget, seed, backend,
+                                    10000))
+    for label, family, m, n, lam, rule, budget, every in EXTRA:
+        for backend in ("heap", "scan"):
+            out.append((f"{label}/{rule}/{backend}", family, m, n, lam, 0,
+                        rule, budget, 1, backend, every))
+    return out
+
+
+def dump(src, path):
+    """Run every case with the greedycd found under ``src``; pickle
+    {case name: (trace columns, final_x)} to ``path``."""
+    sys.path.insert(0, src)
+    import greedycd
+    from greedycd import descent, harness
+
+    if not os.path.abspath(greedycd.__file__).startswith(os.path.abspath(src)):
+        raise SystemExit(f"imported greedycd from {greedycd.__file__}")
+    problems = {}
+    out = {}
+    for (name, family, m, n, lam, j, rule, budget, seed, backend,
+         every) in cases():
+        key = (family, m, n, lam, j)
+        if key not in problems:
+            problems[key] = harness.gen_experiment(
+                family, m=m, n=n, lam=lam, seed=j).problem
+        trace = descent.run(problems[key], rule, max_iters=budget, tol=0.0,
+                            seed=seed, backend=backend, refresh_every=every)
+        columns = (trace.k, trace.objective, trace.coord, trace.step,
+                   trace.resid_inf, trace.touched_rows, trace.touched_grads,
+                   trace.heap_ops)
+        out[name] = (columns, trace.final_x)
+    with open(path, "wb") as fh:
+        pickle.dump(out, fh)
+
+
+def run_tree(root, path):
+    subprocess.run([sys.executable, os.path.abspath(__file__),
+                    "--dump", path, "--src", os.path.join(root, "src")],
+                   check=True)
+    with open(path, "rb") as fh:
+        return pickle.load(fh)
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--baseline", help="root of the checkout to compare with")
+    ap.add_argument("--dump", help=argparse.SUPPRESS)
+    ap.add_argument("--src", help=argparse.SUPPRESS)
+    args = ap.parse_args(argv)
+    if args.dump:
+        dump(args.src, args.dump)
+        return 0
+    if not args.baseline:
+        ap.error("--baseline is required")
+    with tempfile.TemporaryDirectory() as tmp:
+        base = run_tree(args.baseline, os.path.join(tmp, "base.pkl"))
+        here = run_tree(ROOT, os.path.join(tmp, "here.pkl"))
+    differ = 0
+    for name, (cols, x) in here.items():
+        bcols, bx = base[name]
+        same = cols == bcols and x.tobytes() == bx.tobytes()
+        differ += not same
+        print(f"{'same' if same else 'DIFFERS'}  {name}  "
+              f"({len(cols[0]) - 1} iterations)")
+    print(f"{len(here) - differ} of {len(here)} cases bit-identical")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -92,7 +92,10 @@ def scatter_row_deltas(rows, dg, row_indptr, row_cols, row_vals, target):
     The CSR slices of the touched rows are gathered with one index array, in
     row order and then column order, and ``np.add.at`` adds them in that
     order, so every entry of ``target`` is summed as a loop over the rows
-    would sum it.  Returns the distinct columns hit, sorted.
+    would sum it.  Returns the distinct columns hit, sorted; they are read
+    off a boolean mask over all n columns, which costs O(n) like the argmax
+    and the residual an iteration already pays, where sorting the hits
+    costs several times more.
     """
     starts = row_indptr[rows]
     lens = row_indptr[rows + 1] - starts
@@ -100,7 +103,9 @@ def scatter_row_deltas(rows, dg, row_indptr, row_cols, row_vals, target):
                                                lens)
     cols = row_cols[t]
     np.add.at(target, cols, np.repeat(dg, lens) * row_vals[t])
-    return np.unique(cols)
+    hit = np.zeros(target.shape[0], dtype=bool)
+    hit[cols] = True
+    return np.flatnonzero(hit)
 
 
 def graph_coord_update(i, new_xi, x, indptr, nbr, w, rev, part, grad, q, b):

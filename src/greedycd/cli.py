@@ -26,6 +26,10 @@ from .linalg import load_dense_mtx
 from .rules import RULE_NAMES, make_rule
 
 BACKENDS = ("heap", "scan", "nns")
+BACKEND_HELP = ("score selection: scan (default; flat array and argmax), "
+                "heap (indexed max-heap; pays off only on large sparse "
+                "graphs, about n >= 2e5 on a chain), nns (ball tree, gsl "
+                "only)")
 
 
 def _add_problem_args(p):
@@ -151,7 +155,8 @@ def _build_parser():
     p.add_argument("--eps", type=float, default=0.0,
                    help="selection error for the inexact greedy rules")
     p.add_argument("--step", choices=STEP_MODES, default="auto")
-    p.add_argument("--backend", choices=BACKENDS, default="heap")
+    p.add_argument("--backend", choices=BACKENDS, default="scan",
+                   help=BACKEND_HELP)
     p.add_argument("--iters", type=int, help="default 50 n")
     p.add_argument("--tol", type=float, default=1e-8)
     p.add_argument("--rule-seed", type=int, default=0,
@@ -166,7 +171,8 @@ def _build_parser():
                    help="comma-separated rule names")
     p.add_argument("--eps", type=float, default=0.0)
     p.add_argument("--step", choices=STEP_MODES, default="auto")
-    p.add_argument("--backend", choices=BACKENDS, default="heap")
+    p.add_argument("--backend", choices=BACKENDS, default="scan",
+                   help=BACKEND_HELP)
     p.add_argument("--iters", type=int, required=True)
     p.add_argument("--tol", type=float, default=0.0)
     p.add_argument("--master-seed", type=int, default=0)

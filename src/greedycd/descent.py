@@ -114,7 +114,7 @@ def _resolve_step(composite, rule, step):
 
 
 def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
-        backend="heap", refresh_every=10000, rng=None, seed=None,
+        backend="scan", refresh_every=10000, rng=None, seed=None,
         check_descent=True):
     """Minimise ``problem`` with one-coordinate updates; returns a RunTrace.
 
@@ -123,9 +123,11 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     problems), "const-coord" uses L_i instead, "exact" minimises the
     coordinate function, and "auto" follows the rule (per-coordinate for the
     per-coordinate prox rules and plain smooth problems, global L
-    otherwise).  Stops when the residual (gradient sup-norm, or prox-step
-    sup-norm for composite problems) drops to ``tol``, or after
-    ``max_iters`` updates (default 50 n).
+    otherwise).  ``backend`` keeps the scores in a flat array ("scan", the
+    default), in an indexed max-heap ("heap", for large sparse graphs) or
+    answers ``gsl`` from a ball tree ("nns").  Stops when the residual
+    (gradient sup-norm, or prox-step sup-norm for composite problems) drops
+    to ``tol``, or after ``max_iters`` updates (default 50 n).
     """
     composite = problem if isinstance(problem, CompositeProblem) else None
     smooth = problem.smooth if composite is not None else problem
@@ -155,7 +157,7 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
             raise ValueError("the nns backend needs a least-squares or "
                              "logistic problem without composite terms")
         index = BallTreeIndex(smooth, mode="gsl")
-        tracker = make_tracker(problem, x0, scorer=None, backend="scan",
+        tracker = make_tracker(problem, x0, scorer=None,
                                refresh_every=refresh_every)
     else:
         tracker = make_tracker(problem, x0, scorer=rule.scorer(problem),

@@ -40,6 +40,9 @@ GENERATORS = ("sparse_ls", "sparse_logistic", "dense_overdet_ls",
 
 MANIFEST_KEYS = ("kind", "matrix", "rhs", "labels", "lambda", "scale",
                  "labeled_nodes", "x0")
+# keys that may be null in general but that build_problem reads for a kind
+KIND_KEYS = {"ls": ("rhs",), "l1_ls": ("rhs",), "logistic": ("labels",),
+             "graph": ("labels", "labeled_nodes")}
 
 
 @dataclass
@@ -220,6 +223,10 @@ def load_experiment(manifest_path):
     missing = [k for k in MANIFEST_KEYS if k not in manifest]
     if missing:
         raise ValueError(f"manifest is missing keys: {', '.join(missing)}")
+    for key in KIND_KEYS.get(manifest["kind"], ()):
+        if manifest[key] in (None, ""):
+            raise ValueError(f"a {manifest['kind']!r} manifest needs "
+                             f"{key!r}, which is empty")
     base = os.path.dirname(os.path.abspath(manifest_path))
 
     def _vec(key):

@@ -46,6 +46,8 @@ class SparseMatrix:
         self.nnz = int(self.col_vals.shape[0])
         self.max_col_nnz = int(np.diff(self.col_indptr).max(initial=0))
         self.max_row_nnz = int(np.diff(self.row_indptr).max(initial=0))
+        self._csc = scipy.sparse.csc_matrix(
+            (self.col_vals, self.col_rows, self.col_indptr), shape=self.shape)
 
     @classmethod
     def from_dense(cls, arr):
@@ -69,22 +71,21 @@ class SparseMatrix:
         return self.row_cols[a:b], self.row_vals[a:b]
 
     def to_scipy_csc(self):
-        m, n = self.shape
-        return scipy.sparse.csc_matrix(
-            (self.col_vals, self.col_rows, self.col_indptr), shape=(m, n))
+        """The scipy CSC view built once at construction; do not modify."""
+        return self._csc
 
     def to_dense(self):
-        return self.to_scipy_csc().toarray()
+        return self._csc.toarray()
 
     def matvec(self, x):
-        return self.to_scipy_csc() @ x
+        return self._csc @ x
 
     def rmatvec(self, y):
-        return self.to_scipy_csc().T @ y
+        return self._csc.T @ y
 
     def save_mtx(self, path):
         """Write as 1-based Matrix Market coordinate format."""
-        scipy.io.mmwrite(str(path), self.to_scipy_csc())
+        scipy.io.mmwrite(str(path), self._csc)
 
     @classmethod
     def load_mtx(cls, path):

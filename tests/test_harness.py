@@ -176,6 +176,22 @@ def test_manifest_missing_key_rejected(tmp_path):
         load_experiment(path)
 
 
+@pytest.mark.parametrize("name,key", [
+    ("sparse_ls", "rhs"),
+    ("l1_underdet_ls", "rhs"),
+    ("sparse_logistic", "labels"),
+    ("two_moons", "labels"),
+    ("two_moons", "labeled_nodes"),
+])
+def test_manifest_empty_kind_key_is_named(name, key, tmp_path):
+    path = save_experiment(small(name), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest[key] = None
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"manifest needs '{key}'"):
+        load_experiment(path)
+
+
 def test_x0_round_trip(tmp_path):
     exp = small("sparse_ls")
     exp.x0 = np.linspace(-1.0, 1.0, exp.problem.n)

@@ -4,6 +4,8 @@ budgets."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedycd import _kernels
 from greedycd.linalg import SparseMatrix
@@ -56,9 +58,11 @@ class TestH1Tracker:
 
     def test_identity_matrix_touches_one_of_everything(self):
         p = LeastSquaresProblem(np.eye(4), np.arange(4.0))
-        tr = H1Tracker(p, np.zeros(4), GradScorer())
-        stats = tr.apply_update(2, 0.5)
-        assert (stats.touched_rows, stats.touched_grads, stats.heap_ops) == (1, 1, 1)
+        for backend, heap_ops in (("heap", 1), ("scan", 0)):
+            tr = H1Tracker(p, np.zeros(4), GradScorer(), backend=backend)
+            stats = tr.apply_update(2, 0.5)
+            assert (stats.touched_rows, stats.touched_grads,
+                    stats.heap_ops) == (1, 1, heap_ops)
 
     def test_zero_delta_still_touches(self):
         rng = np.random.default_rng(1)
@@ -221,12 +225,13 @@ class TestH2Tracker:
     def test_chain_counts(self):
         p = GraphQuadraticProblem(3, [[0, 1], [1, 2]], [1.0, 1.0],
                                   node_quad=[0.5, 0.5, 0.5])
-        tr = H2Tracker(p, np.zeros(3), GradScorer())
-        stats = tr.apply_update(1, 1.0)
-        assert stats.touched_rows == 2 and stats.touched_grads == 2
-        assert stats.heap_ops == 3
-        stats = tr.apply_update(0, -0.5)
-        assert stats.touched_rows == 1 and stats.heap_ops == 2
+        for backend, heap_ops in (("heap", (3, 2)), ("scan", (0, 0))):
+            tr = H2Tracker(p, np.zeros(3), GradScorer(), backend=backend)
+            stats = tr.apply_update(1, 1.0)
+            assert stats.touched_rows == 2 and stats.touched_grads == 2
+            assert stats.heap_ops == heap_ops[0]
+            stats = tr.apply_update(0, -0.5)
+            assert stats.touched_rows == 1 and stats.heap_ops == heap_ops[1]
 
 
 class TestBackendEquivalence:
@@ -258,6 +263,60 @@ class TestBackendEquivalence:
         seq_s, x_s = self.run_greedy("scan", p, x0)
         assert seq_h == seq_s
         assert np.array_equal(x_h, x_s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_heap_and_scan_agree_on_random_problems(self, data):
+        # every number sits on a grid of halves (weights on powers of two),
+        # so gradients and scores are exact and ties are frequent; with
+        # ``zero`` the data and x0 are 0 and the first gradient is all zero
+        def grid(size, lo=-1, hi=1):
+            ks = data.draw(st.lists(st.integers(lo, hi), min_size=size,
+                                    max_size=size))
+            return 0.5 * np.array(ks, dtype=np.float64)
+
+        n = data.draw(st.integers(1, 7), label="n")
+        zero = data.draw(st.booleans(), label="zero")
+        if data.draw(st.booleans(), label="h1"):
+            m = data.draw(st.integers(1, 7), label="m")
+            A = grid(m * n).reshape(m, n)
+            b = np.zeros(m) if zero else grid(m)
+            lam = data.draw(st.sampled_from([0.0, 0.5]), label="l2_reg")
+            p = LeastSquaresProblem(A, b, l2_reg=lam, scale=0.5)
+        else:
+            pairs = [(a, c) for a in range(n) for c in range(a + 1, n)]
+            edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                              if pairs else st.just([]), label="edges")
+            w = 2.0 ** grid(len(edges), -1, 1)
+            lin = np.zeros(n) if zero else grid(n)
+            p = GraphQuadraticProblem(n, np.array(edges, dtype=np.int64)
+                                      .reshape(-1, 2), w,
+                                      node_quad=2.0 ** grid(n, -1, 0),
+                                      node_lin=lin)
+        x0 = np.zeros(n) if zero else grid(n)
+        weights = (2.0 ** grid(n, -1, 1)
+                   if data.draw(st.booleans(), label="weighted") else None)
+        every = data.draw(st.sampled_from([3, 10000]), label="refresh_every")
+        trs = [make_tracker(p, x0, GradScorer(weights), backend=backend,
+                            refresh_every=every)
+               for backend in ("heap", "scan")]
+        heap, scan = trs
+
+        def check():
+            assert np.array_equal(heap.gradient, scan.gradient)
+            assert np.array_equal(heap.scores, scan.scores)
+            assert heap.peek() == scan.peek() == scan_argmax(scan.scores)
+
+        if zero:
+            assert not scan.gradient.any()
+        check()
+        steps = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(-1, 1)),
+                                   max_size=12), label="steps")
+        for i, half in steps:
+            for tr in trs:
+                tr.apply_update(i, 0.5 * half)
+            check()
 
     def test_make_tracker_dispatch(self):
         rng = np.random.default_rng(9)

@@ -6,7 +6,8 @@ Subcommands:
 * ``run``            minimise with one rule, print a summary, optionally
                      write the trace CSV
 * ``race``           run several rules with independent PRNG streams and
-                     print a comparison table
+                     print a comparison table (iterations and seconds in
+                     the loop, final objective and residual)
 * ``bounds``         contraction-factor table for a smooth quadratic problem
 * ``counterexample`` one proximal step of each greedy rule on the two
                      showcase problems
@@ -101,10 +102,11 @@ def cmd_race(args):
         for trace in traces:
             trace.write_csv(os.path.join(args.out, f"trace_{trace.rule}.csv"))
     width = max(len(t.rule) for t in traces)
-    print(f"{'rule':<{width}}  {'iters':>6}  {'objective':>20}  "
-          f"{'resid_inf':>12}  converged")
+    print(f"{'rule':<{width}}  {'iters':>6}  {'seconds':>10}  "
+          f"{'objective':>20}  {'resid_inf':>12}  converged")
     for t in traces:
         print(f"{t.rule:<{width}}  {len(t) - 1:>6}  "
+              f"{t.elapsed_ns[-1] * 1e-9:>10.4g}  "
               f"{t.objective[-1]:>20.12g}  {t.resid_inf[-1]:>12.4g}  "
               f"{t.converged}")
     return 0

@@ -29,7 +29,12 @@ STEP_MODES = ("auto", "const", "const-coord", "exact")
 
 @dataclass
 class RunTrace:
-    """One row per iterate, k = 0 being the starting point (coord -1)."""
+    """One row per iterate, k = 0 being the starting point (coord -1).
+
+    ``resid_inf`` is measured after every update, except for rules that do
+    not read the gradient: they measure it once per epoch and repeat the
+    last value in between (see ``run``).
+    """
 
     k: list = field(default_factory=list)
     objective: list = field(default_factory=list)
@@ -128,6 +133,17 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     answers ``gsl`` from a ball tree ("nns").  Stops when the residual
     (gradient sup-norm, or prox-step sup-norm for composite problems) drops
     to ``tol``, or after ``max_iters`` updates (default 50 n).
+
+    A rule that never reads the gradient (``rule.reads_gradient`` false:
+    uniform, cyclic, lipschitz) pays only for its column, as the cost model
+    of random selection says.  Its h1 tracker is lean: it skips the row
+    scatter into A^T grad, reads the picked gradient entry off column i,
+    and records ``touched_grads == 0``.  Its stopping test runs once per
+    epoch: at x0, after every n updates and after the last one, each time
+    from one rebuilt full gradient (one ``prox_steps`` over all n for
+    composite problems).  A trace row between two tests repeats the last
+    measured ``resid_inf``, so such a run stops on an epoch boundary.
+    Every other rule tests after every update.
     """
     composite = problem if isinstance(problem, CompositeProblem) else None
     smooth = problem.smooth if composite is not None else problem
@@ -149,6 +165,7 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     if rng is None:
         rng = np.random.default_rng(seed)
     rule.prepare(problem, rng=rng)
+    lean = not rule.reads_gradient
     index = None
     if backend == "nns":
         if rule.name != "gsl":
@@ -161,7 +178,8 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
                                refresh_every=refresh_every)
     else:
         tracker = make_tracker(problem, x0, scorer=rule.scorer(problem),
-                               backend=backend, refresh_every=refresh_every)
+                               backend=backend, refresh_every=refresh_every,
+                               lean=lean)
 
     mode = _resolve_step(composite, rule, step)
     L_per = np.asarray(smooth.L_per_coord, dtype=np.float64)
@@ -178,8 +196,13 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     def residual():
         if composite is None:
             return tracker.grad_inf_norm()
-        d = composite.prox_steps(tracker.x, tracker.gradient, L_safe)[0]
+        g = tracker.full_gradient() if lean else tracker.gradient
+        d = composite.prox_steps(tracker.x, g, L_safe)[0]
         return float(np.abs(d).max()) if n else 0.0
+
+    # a lean tracker keeps no gradient array; the prox step of coordinate i
+    # reads entry i of this one
+    grad = np.zeros(n) if lean else None
 
     resid = residual()
     if not (np.isfinite(obj) and np.isfinite(resid)):
@@ -197,11 +220,15 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
             i, alpha = index.select(tracker), None
         else:
             i, alpha = rule.select(tracker, t)
-        g_i = float(tracker.gradient[i])
+        if lean:
+            g_i = grad[i] = tracker.grad_coord(i)
+        else:
+            grad = tracker.gradient
+            g_i = float(grad[i])
         xi_old = float(tracker.x[i])
         if composite is not None:
-            d1, V1, _ = composite.prox_steps(tracker.x, tracker.gradient,
-                                             L_safe, idx=np.array([i]))
+            d1, V1, _ = composite.prox_steps(tracker.x, grad, L_safe,
+                                             idx=np.array([i]))
             if alpha is None:
                 if mode == "exact":
                     alpha = composite.exact_coord_min(
@@ -234,7 +261,8 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
                     f"drop {delta:.6e} exceeds promised {promised:.6e} "
                     f"(coordinate {i}, step {alpha:.3e})")
         obj += delta
-        resid = residual()
+        if not lean or (t + 1) % n == 0 or t + 1 == max_iters:
+            resid = residual()
         trace.append(t + 1, obj, i, alpha, resid, time.perf_counter_ns() - t0,
                      stats.touched_rows, stats.touched_grads, stats.heap_ops)
     else:

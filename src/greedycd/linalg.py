@@ -6,6 +6,7 @@ update A x after a coordinate step) and rows (to push residual-gradient
 changes back into A^T grad).  Construction canonicalises through
 scipy.sparse, so duplicates are summed, explicit zeros dropped, and indices
 sorted; index arrays are int64 and values float64, as the kernels expect.
+A NaN or infinite entry is rejected there.
 """
 
 import numpy as np
@@ -30,6 +31,8 @@ class SparseMatrix:
 
     def __init__(self, scipy_matrix):
         coo = scipy.sparse.coo_matrix(scipy_matrix)
+        if not np.isfinite(coo.data).all():
+            raise ValueError("matrix entries must be finite")
         coo.sum_duplicates()
         coo.eliminate_zeros()
         csc = coo.tocsc()

@@ -7,7 +7,8 @@ gradients, and exact 1-D minimisation.  The two "linear composition" classes
 incremental tracker can maintain A x, grad of the row sum, and A^T grad.
 Composite problems add a separable term g_i per coordinate, one of
 lam*|x_i|, a box indicator, or zero, together with proximal steps, the
-model decrease V_i, and minimal subgradients.
+model decrease V_i, and minimal subgradients.  Constructors reject NaN and
+infinite data (a box may still end at -inf or +inf).
 """
 
 import numpy as np
@@ -31,6 +32,8 @@ class L1Term:
     kind = ABS
 
     def __init__(self, lam):
+        if not np.isfinite(lam):
+            raise ValueError("l1 weight must be finite")
         if lam < 0:
             raise ValueError("l1 weight must be nonnegative")
         self.p1 = float(lam)
@@ -38,10 +41,13 @@ class L1Term:
 
 
 class BoxTerm:
-    """g(x) = 0 on [lo, hi], +inf outside."""
+    """g(x) = 0 on [lo, hi], +inf outside; lo may be -inf and hi +inf."""
     kind = BOX
 
     def __init__(self, lo, hi):
+        if np.isnan(lo) or np.isnan(hi) or lo == np.inf or hi == -np.inf:
+            raise ValueError("box bounds must not be NaN, and only "
+                             "lo = -inf or hi = +inf may be infinite")
         if lo > hi:
             raise ValueError("empty box")
         self.p1 = float(lo)
@@ -109,6 +115,8 @@ class LeastSquaresProblem(SmoothProblem):
         b = np.asarray(b, dtype=np.float64)
         if b.shape != (A.shape[0],):
             raise ValueError("b must have one entry per row of A")
+        if not np.isfinite(b).all():
+            raise ValueError("b must be finite")
         if scale <= 0:
             raise ValueError("scale must be positive")
         if l2_reg < 0:
@@ -317,6 +325,8 @@ class GraphQuadraticProblem(SmoothProblem):
         keys = set(map(tuple, np.sort(edges, axis=1)))
         if len(keys) != edges.shape[0]:
             raise ValueError("duplicate edges are not allowed")
+        if not np.isfinite(weights).all():
+            raise ValueError("edge weights must be finite")
         if np.any(weights < 0):
             raise ValueError("edge weights must be nonnegative")
         self.n = int(n)
@@ -327,6 +337,10 @@ class GraphQuadraticProblem(SmoothProblem):
         self.node_lin = (np.zeros(n) if node_lin is None
                          else np.asarray(node_lin, dtype=np.float64).copy())
         self.const = float(const)
+        if not (np.isfinite(self.node_quad).all()
+                and np.isfinite(self.node_lin).all()
+                and np.isfinite(self.const)):
+            raise ValueError("node terms must be finite")
 
         # directed adjacency in CSR layout, plus the reverse-slot map
         heads = np.concatenate([edges[:, 0], edges[:, 1]])

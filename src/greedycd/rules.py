@@ -4,8 +4,10 @@ A rule is prepared once per run (binding it to the problem and, for the
 stochastic ones, to a PRNG stream) and then asked for a coordinate each
 iteration.  ``select`` returns ``(i, alpha)`` where alpha is None unless the
 rule itself determines the step (maximum improvement does).  Greedy rules
-read the tracker's maintained scores via ``peek``; the stochastic ones never
-touch the gradient.
+read the tracker's maintained scores via ``peek``; uniform, cyclic and
+Lipschitz selection never touch the gradient and say so with
+``reads_gradient = False``, which lets ``descent.run`` use a lean
+tracker and test for convergence once per epoch.
 
 Randomness: numpy's PCG64 (``default_rng``).  Discrete sampling uses the
 inverse CDF — a single uniform draw looked up in the cumulative probability
@@ -73,6 +75,7 @@ class Rule:
 
     name = ""
     is_stochastic = False
+    reads_gradient = True
 
     def prepare(self, problem, rng=None):
         pass
@@ -91,6 +94,7 @@ class Rule:
 class UniformRule(Rule):
     name = "uniform"
     is_stochastic = True
+    reads_gradient = False
 
     def prepare(self, problem, rng=None):
         self.n = problem.n
@@ -102,6 +106,7 @@ class UniformRule(Rule):
 
 class CyclicRule(Rule):
     name = "cyclic"
+    reads_gradient = False
 
     def prepare(self, problem, rng=None):
         self.n = problem.n
@@ -115,6 +120,7 @@ class LipschitzRule(Rule):
 
     name = "lipschitz"
     is_stochastic = True
+    reads_gradient = False
 
     def prepare(self, problem, rng=None):
         L = np.asarray(problem.L_per_coord, dtype=np.float64)

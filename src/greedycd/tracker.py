@@ -21,11 +21,22 @@ coordinates.  The default backend "scan" stores them in a flat array with
 one vectorised store per update and peeks by ``np.argmax``.  Backend "heap"
 keeps an IndexedMaxHeap instead (O(log n) per touched key, O(1) peek), but
 each key update is an interpreted sift.  On a degree-2 chain running
-``gs`` (tools/chain_backends.py, shared 2-vCPU Xeon) the heap costs about
-46 against 20 us per iteration at n = 2e3 and 95 against 60-75 us at
-n = 2e4, and wins only at n = 2e5 (260 against 320-375 us), so it is the
-option for large sparse graphs.  Both backends see identical score values,
-so they produce identical iterate sequences.
+``gs`` (tools/chain_backends.py, shared 2-vCPU Xeon, best of three) the
+heap costs about 44-54 against 18-24 us per iteration at n = 2e3 and
+63-85 against 31-64 us at n = 2e4, and wins at n = 2e5 (57-83 against
+105-181 us), so it is the option for large sparse graphs.  With plain
+greedy scores (|grad|), ``grad_inf_norm`` reads the stopping test's
+||grad||_inf off the top score, O(1) on the heap.  Both backends see
+identical score values, so they produce identical iterate sequences.
+
+A rule that never reads the gradient (uniform, cyclic and Lipschitz
+sampling) gets a lean h1 tracker (``lean=True``): it keeps A x, the row
+derivatives and values and the objective, and skips the row scatter into
+A^T grad_link, so an update costs O(c) and reports ``touched_grads == 0``.
+It keeps no ``gradient`` array: ``grad_coord(i)`` computes one entry from
+column i in O(c), and ``full_gradient()`` rebuilds all of it with one
+A^T product when a stopping test asks.  The h2 update already maintains the
+gradient in O(d), so h2 has no lean mode.
 
 Caches are rebuilt from scratch every ``refresh_every`` updates (default
 10000) to bound float drift.
@@ -46,8 +57,8 @@ class UpdateStats:
     touched_rows: rows of A hit by the column update (h1), or incident
         edges (h2).
     touched_grads: differential entry updates pushed into A^T grad (h1,
-        <= c*r) or into neighbour gradient entries (h2, <= d); the updated
-        coordinate's own recompute is not counted.
+        <= c*r; 0 on a lean tracker) or into neighbour gradient entries
+        (h2, <= d); the updated coordinate's own recompute is not counted.
     heap_ops: heap key updates performed (0 for backend "scan").
     """
     touched_rows: int
@@ -99,6 +110,8 @@ class ProxScorer:
 
 
 class _TrackerBase:
+    lean = False
+
     def _init_scores(self, scorer, backend):
         if backend not in ("heap", "scan"):
             raise ValueError(f"unknown tracker backend: {backend!r}")
@@ -106,6 +119,8 @@ class _TrackerBase:
         self.backend = backend
         self.heap = None
         self._scores = None
+        # plain greedy scores are |grad| itself, so the top one is ||grad||_inf
+        self._abs_scores = isinstance(scorer, GradScorer) and scorer.w is None
         if scorer is None:
             return
         vals = scorer.compute(self, np.arange(self.n))
@@ -139,8 +154,23 @@ class _TrackerBase:
         self._scores[idx] = vals
         return 0
 
+    def grad_coord(self, i):
+        """The gradient entry of coordinate i."""
+        return float(self.gradient[i])
+
+    def full_gradient(self):
+        """The whole gradient (a lean tracker rebuilds it)."""
+        return self.gradient
+
     def grad_inf_norm(self):
-        return float(np.abs(self.gradient).max()) if self.n else 0.0
+        """||grad||_inf: the top score when the scores are |grad| (O(1) on
+        the heap), otherwise a scan of the gradient."""
+        if not self.n:
+            return 0.0
+        if self._abs_scores:
+            return float(self.scores[self.peek()])
+        g = self.full_gradient() if self.lean else self.gradient
+        return float(np.abs(g).max())
 
     def _maybe_refresh(self):
         self._updates += 1
@@ -149,10 +179,17 @@ class _TrackerBase:
 
 
 class H1Tracker(_TrackerBase):
-    """Tracker for objectives of the form sum_j phi_j(a_j^T x) + l2/2 ||x||^2."""
+    """Tracker for objectives of the form sum_j phi_j(a_j^T x) + l2/2 ||x||^2.
+
+    With ``lean=True`` it maintains no gradient and no scores (see the
+    module docstring).
+    """
 
     def __init__(self, problem, x0, scorer=None, backend="scan",
-                 refresh_every=10000):
+                 refresh_every=10000, lean=False):
+        if lean and scorer is not None:
+            raise ValueError("a lean tracker keeps no scores")
+        self.lean = bool(lean)
         self.problem = problem
         self.A = problem.A
         self.n = problem.n
@@ -171,10 +208,26 @@ class H1Tracker(_TrackerBase):
         self.u = self.A.matvec(self.x)
         self.row_g = np.asarray(self.problem.row_grad(self.u, allrows), dtype=np.float64)
         self.row_v = np.asarray(self.problem.row_val(self.u, allrows), dtype=np.float64)
-        self.atg = self.A.rmatvec(self.row_g)
         lam = self.problem.l2_reg
-        self.gradient = self.atg + lam * self.x
+        if self.lean:
+            self.atg = self.gradient = None
+        else:
+            self.atg = self.A.rmatvec(self.row_g)
+            self.gradient = self.atg + lam * self.x
         self._obj = float(self.row_v.sum() + 0.5 * lam * self.x @ self.x)
+
+    def grad_coord(self, i):
+        if not self.lean:
+            return float(self.gradient[i])
+        A = self.A
+        a, b = A.col_indptr[i], A.col_indptr[i + 1]
+        return float(A.col_vals[a:b] @ self.row_g[A.col_rows[a:b]]
+                     + self.problem.l2_reg * self.x[i])
+
+    def full_gradient(self):
+        if not self.lean:
+            return self.gradient
+        return self.A.rmatvec(self.row_g) + self.problem.l2_reg * self.x
 
     def refresh(self):
         self._rebuild_caches()
@@ -204,6 +257,11 @@ class H1Tracker(_TrackerBase):
         dobj += 0.5 * lam * (new_xi * new_xi - old_xi * old_xi)
         self.row_g[rows] = new_g
         self.row_v[rows] = new_v
+        self._obj += dobj
+        self.last_obj_delta = dobj
+        if self.lean:
+            self._maybe_refresh()
+            return UpdateStats(int(rows.shape[0]), 0, 0)
 
         cols = _kernels.scatter_row_deltas(
             rows, dg, A.row_indptr, A.row_cols, A.row_vals, self.atg)
@@ -213,9 +271,6 @@ class H1Tracker(_TrackerBase):
             cols = np.array([i], dtype=np.int64)
         self.gradient[cols] = self.atg[cols] + lam * self.x[cols]
         heap_ops = self._rescore(cols)
-
-        self._obj += dobj
-        self.last_obj_delta = dobj
         self._maybe_refresh()
         return UpdateStats(int(rows.shape[0]), touched_grads, heap_ops)
 
@@ -270,12 +325,16 @@ class H2Tracker(_TrackerBase):
 
 
 def make_tracker(problem, x0, scorer=None, backend="scan",
-                 refresh_every=10000):
-    """Build the tracker matching the problem's structure (h1 or h2)."""
+                 refresh_every=10000, lean=False):
+    """Build the tracker matching the problem's structure (h1 or h2).
+
+    ``lean`` asks for an h1 tracker without a gradient, for rules that
+    never read it; h2 trackers ignore it (their update is O(d) anyway).
+    """
     smooth = getattr(problem, "smooth", problem)
     kind = getattr(smooth, "tracker_kind", None)
     if kind == "h1":
-        return H1Tracker(smooth, x0, scorer, backend, refresh_every)
+        return H1Tracker(smooth, x0, scorer, backend, refresh_every, lean)
     if kind == "h2":
         return H2Tracker(smooth, x0, scorer, backend, refresh_every)
     raise ValueError(f"no tracker for problem type {type(smooth).__name__}")

@@ -42,6 +42,15 @@ def test_gen_run_race_pipeline(tmp_path, capsys):
     # the greedy run from the summary table must also be the stored one
     stored = RunTrace.read_csv(race_dir / "trace_gs.csv")
     assert f"{stored.objective[-1]:.12g}" in out
+    # each row reports the loop's seconds next to its iterations
+    lines = out.splitlines()
+    assert lines[0].split()[:3] == ["rule", "iters", "seconds"]
+    for line in lines[1:]:
+        name, iters, seconds = line.split()[:3]
+        trace = RunTrace.read_csv(race_dir / f"trace_{name}.csv")
+        assert int(iters) == len(trace) - 1 == 30
+        assert seconds == f"{trace.elapsed_ns[-1] * 1e-9:.4g}"
+        assert float(seconds) > 0
 
 
 def test_run_on_generated_problem(capsys):

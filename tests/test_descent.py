@@ -14,7 +14,7 @@ from greedycd.problems import (
     LogisticProblem,
     quadratic_problem,
 )
-from greedycd.rules import Rule
+from greedycd.rules import Rule, make_rule
 
 from helpers import random_spd
 
@@ -186,6 +186,38 @@ def test_heap_and_scan_backends_take_identical_paths():
         assert np.array_equal(a.final_x, b.final_x)
 
 
+@pytest.mark.parametrize("name", ["uniform", "cyclic", "lipschitz"])
+def test_random_rules_keep_their_path_and_stop_per_epoch(name):
+    prob, _, _ = spd_problem(4, n=7)
+    comp = CompositeProblem(prob, L1Term(0.2))
+    for problem in (prob, comp):
+        n = problem.n
+        trace = run(problem, name, max_iters=200, seed=11, tol=0.0)
+        # the picks are the seeded stream itself, whatever the tracker holds
+        rule = make_rule(name)
+        rule.prepare(problem, rng=np.random.default_rng(11))
+        assert trace.coord[1:] == [rule.select(None, k)[0] for k in range(200)]
+        want = problem.eval(trace.final_x)
+        assert abs(trace.objective[-1] - want) <= 1e-12 * max(1.0, abs(want))
+        # lean tracker: one column per update, no A^T grad entries
+        assert set(trace.touched_grads) == {0}
+        # the residual is measured at x0, every n updates and at the end,
+        # and carried in between
+        for k in range(1, 200):
+            if k % n:
+                assert trace.resid_inf[k] == trace.resid_inf[k - k % n]
+        x = trace.final_x
+        g = prob.full_grad(x)
+        fresh = g if problem is prob else problem.prox_steps(x, g, prob.L)[0]
+        assert np.isclose(trace.resid_inf[-1], np.abs(fresh).max(),
+                          rtol=1e-9, atol=1e-12)
+
+        stopped = run(problem, name, seed=11, tol=1e-6)
+        assert stopped.converged and stopped.resid_inf[-1] <= 1e-6
+        assert (len(stopped) - 1) % n == 0
+        assert stopped.resid_inf[-1 - n] > 1e-6
+
+
 def test_seeded_runs_replay_exactly():
     prob, _, _ = spd_problem(5)
     a = run(prob, "uniform", max_iters=40, seed=5, tol=0.0)
@@ -240,10 +272,15 @@ def test_run_validates_inputs():
 def test_run_rejects_an_inf_in_the_data():
     A = np.arange(1.0, 16.0).reshape(5, 3)
     A[0, 0] = np.inf
-    prob = LeastSquaresProblem(SparseMatrix.from_dense(A), np.ones(5))
-    for rule in ("uniform", "gs"):
-        with pytest.raises(ValueError, match="not finite"):
-            run(prob, rule, max_iters=50, seed=0)
+    with pytest.raises(ValueError, match="finite"):
+        SparseMatrix.from_dense(A)
+    # finite data whose objective overflows at x0 still stops the run
+    A[0, 0] = 1e200
+    with np.errstate(over="ignore"):
+        prob = LeastSquaresProblem(SparseMatrix.from_dense(A), np.ones(5))
+        for rule in ("uniform", "gs"):
+            with pytest.raises(ValueError, match="not finite"):
+                run(prob, rule, x0=np.ones(3), max_iters=50, seed=0)
 
 
 def test_race_budget_zero_gives_initial_rows():

@@ -97,6 +97,14 @@ class TestSparseMatrix:
         assert A.nnz == 1
         assert A.to_dense()[0, 1] == 5.0
 
+    def test_rejects_non_finite_entries(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                SparseMatrix.from_dense([[1.0, 0.0], [bad, 2.0]])
+            # checked before duplicate triplets are summed
+            with pytest.raises(ValueError, match="finite"):
+                SparseMatrix.from_coo(2, 2, [0, 0], [1, 1], [bad, 1.0])
+
     def test_dual_index_consistency(self):
         rng = np.random.default_rng(2)
         for _ in range(10):

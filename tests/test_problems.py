@@ -39,6 +39,21 @@ class TestProx:
     def test_zero_identity(self):
         assert prox_coordinate(ZeroTerm(), 3.0, -2.5) == -2.5
 
+    def test_l1_term_rejects_non_finite_weight(self):
+        for lam in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                L1Term(lam)
+
+    def test_box_term_rejects_nan_and_inverted_infinite_bounds(self):
+        for lo, hi in ((np.nan, 1.0), (0.0, np.nan), (np.inf, np.inf),
+                       (-np.inf, -np.inf)):
+            with pytest.raises(ValueError, match="bounds"):
+                BoxTerm(lo, hi)
+        # half-lines and the whole line stay valid boxes
+        assert (BoxTerm(-np.inf, 0.0).p1, BoxTerm(0.0, np.inf).p2) == (
+            -np.inf, np.inf)
+        BoxTerm(-np.inf, np.inf)
+
     def test_bad_step_raises(self):
         with pytest.raises(ValueError):
             prox_coordinate(ZeroTerm(), 0.0, 1.0)
@@ -105,6 +120,13 @@ class TestLeastSquares:
             LeastSquaresProblem(self.A, self.b, scale=0.0)
         with pytest.raises(ValueError):
             LeastSquaresProblem(self.A, self.b, l2_reg=-1.0)
+
+    def test_rejects_non_finite_rhs(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            b = self.b.copy()
+            b[4] = bad
+            with pytest.raises(ValueError, match="b must be finite"):
+                LeastSquaresProblem(self.A, b)
 
 
 class TestQuadraticHelper:
@@ -244,6 +266,22 @@ class TestGraphQuadratic:
             GraphQuadraticProblem(3, [[0, 1], [1, 0]], [1.0, 1.0])
         with pytest.raises(ValueError):
             GraphQuadraticProblem(3, [[0, 5]], [1.0])
+
+    def test_rejects_non_finite_weights_and_node_terms(self):
+        edges = [[0, 1], [1, 2]]
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError, match="edge weights must be finite"):
+                GraphQuadraticProblem(3, edges, [1.0, bad])
+            for key in ("node_quad", "node_lin"):
+                terms = {key: [1.0, bad, 1.0]}
+                with pytest.raises(ValueError, match="node terms"):
+                    GraphQuadraticProblem(3, edges, [1.0, 1.0], **terms)
+            with pytest.raises(ValueError, match="node terms"):
+                GraphQuadraticProblem(3, edges, [1.0, 1.0], const=bad)
+        # a NaN label reaches the node terms through the labeled-graph fold
+        with pytest.raises(ValueError, match="node terms"):
+            GraphQuadraticProblem.from_labeled_graph(3, edges, [1.0, 1.0],
+                                                     {0: np.nan})
 
 
 class TestComposite:

@@ -234,6 +234,81 @@ class TestH2Tracker:
             assert stats.touched_rows == 1 and stats.heap_ops == heap_ops[1]
 
 
+class TestLeanTracker:
+    """A lean h1 tracker (no gradient, no scores) against an eager one fed
+    the same updates."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_lean_matches_eager_on_random_problems(self, data):
+        m = data.draw(st.integers(1, 6), label="m")
+        n = data.draw(st.integers(1, 6), label="n")
+        # triplets may repeat a position (summed), store an explicit zero,
+        # and leave rows and columns empty
+        value = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+        triplets = data.draw(st.lists(
+            st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), value),
+            max_size=2 * m * n), label="triplets")
+        t = np.array(triplets, dtype=np.float64).reshape(-1, 3)
+        A = SparseMatrix.from_coo(m, n, t[:, 0].astype(np.int64),
+                                  t[:, 1].astype(np.int64), t[:, 2])
+        lam = data.draw(st.sampled_from([0.0, 0.3]), label="l2_reg")
+        if data.draw(st.booleans(), label="logistic"):
+            y = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                            min_size=m, max_size=m)))
+            p = LogisticProblem(A, y, l2_reg=lam)
+        else:
+            b = np.array(data.draw(st.lists(st.floats(-2.0, 2.0),
+                                            min_size=m, max_size=m)))
+            p = LeastSquaresProblem(A, b, l2_reg=lam)
+        x0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                         max_size=n)))
+        every = data.draw(st.sampled_from([1, 3, 10000]), label="refresh_every")
+        eager = H1Tracker(p, x0, refresh_every=every)
+        lean = H1Tracker(p, x0, refresh_every=every, lean=True)
+        assert lean.gradient is None
+
+        def check():
+            assert lean.objective() == eager.objective()
+            assert np.array_equal(lean.x, eager.x)
+            g = eager.gradient
+            scale = max(1.0, float(np.abs(g).max()))
+            for i in range(n):
+                assert abs(lean.grad_coord(i) - g[i]) <= 1e-12 * scale
+            full = lean.full_gradient()
+            assert np.allclose(full, p.full_grad(lean.x), rtol=1e-12,
+                               atol=1e-12 * scale)
+            assert lean.grad_inf_norm() == float(np.abs(full).max())
+
+        check()
+        steps = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.floats(-1.0, 1.0)),
+                                   max_size=10), label="steps")
+        for i, delta in steps:
+            e = eager.apply_update(i, delta)
+            le = lean.apply_update(i, delta)
+            assert (le.touched_rows, le.touched_grads, le.heap_ops) == (
+                e.touched_rows, 0, 0)
+            assert lean.last_obj_delta == eager.last_obj_delta
+            check()
+
+    def test_lean_tracker_keeps_no_scores(self):
+        p = LeastSquaresProblem(np.eye(3), np.ones(3))
+        with pytest.raises(ValueError, match="lean"):
+            H1Tracker(p, np.zeros(3), GradScorer(), lean=True)
+        tr = make_tracker(p, np.zeros(3), lean=True)
+        assert tr.lean and tr.gradient is None
+        with pytest.raises(ValueError, match="without a score"):
+            tr.peek()
+        # the graph update maintains its gradient in O(d) anyway
+        g = GraphQuadraticProblem(3, [[0, 1]], [1.0], node_quad=[1, 1, 1],
+                                  node_lin=[1.0, 0.0, -1.0])
+        tr = make_tracker(g, np.zeros(3), lean=True)
+        assert isinstance(tr, H2Tracker) and not tr.lean
+        assert tr.grad_coord(2) == 1.0
+        assert tr.full_gradient() is tr.gradient
+
+
 class TestBackendEquivalence:
     def run_greedy(self, backend, problem, x0, steps=80):
         tr = make_tracker(problem, x0, GradScorer(), backend=backend,

@@ -25,8 +25,8 @@ from .analysis import hessian_constants, rate_table
 from .descent import STEP_MODES, race, run
 from .linalg import load_dense_mtx
 from .rules import RULE_NAMES, make_rule
+from .tracker import BACKENDS
 
-BACKENDS = ("heap", "scan", "nns")
 BACKEND_HELP = ("score selection: scan (default; flat array and argmax), "
                 "heap (indexed max-heap; pays off only on large sparse "
                 "graphs, about n >= 2e5 on a chain), nns (ball tree, gsl "

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .nns import BallTreeIndex
 from .problems import CompositeProblem, term_value
 from .rules import Rule, make_rule
 from .tracker import make_tracker
@@ -109,12 +108,16 @@ class RunTrace:
 
 
 def _resolve_step(composite, rule, step):
-    """Step mode plus the curvature vector steps and residuals use."""
+    """The step mode "auto" stands for, checked against the problem."""
     if step not in STEP_MODES:
         raise ValueError(f"unknown step mode {step!r}; expected one of {STEP_MODES}")
     if step == "auto":
         per_coord = getattr(rule, "per_coord", composite is None)
         step = "const-coord" if per_coord else "const"
+    if (step == "exact" and composite is not None
+            and not composite.smooth.is_quadratic):
+        raise ValueError("exact composite coordinate step needs a quadratic "
+                         "smooth part")
     return step
 
 
@@ -128,22 +131,24 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     problems), "const-coord" uses L_i instead, "exact" minimises the
     coordinate function, and "auto" follows the rule (per-coordinate for the
     per-coordinate prox rules and plain smooth problems, global L
-    otherwise).  ``backend`` keeps the scores in a flat array ("scan", the
-    default), in an indexed max-heap ("heap", for large sparse graphs) or
-    answers ``gsl`` from a ball tree ("nns").  Stops when the residual
-    (gradient sup-norm, or prox-step sup-norm for composite problems) drops
-    to ``tol``, or after ``max_iters`` updates (default 50 n).
+    otherwise).  A composite step is one scalar prox (``coord_step``); with
+    L_i = H_ii it is also the exact step, so "exact" on a composite problem
+    needs a quadratic smooth part and is refused up front otherwise.
+    ``backend`` is the tracker's: "scan" (the default), "heap" or "nns"
+    (``gsl`` only).  Stops when the residual (gradient sup-norm, or
+    prox-step sup-norm for composite problems) drops to ``tol``, which must
+    be finite, or after ``max_iters`` updates (default 50 n).
 
-    A rule that never reads the gradient (``rule.reads_gradient`` false:
-    uniform, cyclic, lipschitz) pays only for its column, as the cost model
-    of random selection says.  Its h1 tracker is lean: it skips the row
-    scatter into A^T grad, reads the picked gradient entry off column i,
-    and records ``touched_grads == 0``.  Its stopping test runs once per
-    epoch: at x0, after every n updates and after the last one, each time
-    from one rebuilt full gradient (one ``prox_steps`` over all n for
-    composite problems).  A trace row between two tests repeats the last
-    measured ``resid_inf``, so such a run stops on an epoch boundary.
-    Every other rule tests after every update.
+    The gradient is read only through the tracker.  A rule that never
+    reads it (``rule.reads_gradient`` false: uniform, cyclic, lipschitz)
+    pays only for its column, as the cost model of random selection says:
+    its h1 tracker is lean (no row scatter into A^T grad, ``touched_grads
+    == 0``), and it tests for convergence once per epoch: at x0, after
+    every n updates and after the last one, each time from one rebuilt full
+    gradient (one ``prox_steps`` over all n for composite problems).  A
+    trace row between two tests repeats the last measured ``resid_inf``,
+    so such a run stops on an epoch boundary.  Every other rule tests
+    after every update.
     """
     composite = problem if isinstance(problem, CompositeProblem) else None
     smooth = problem.smooth if composite is not None else problem
@@ -154,6 +159,8 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
         raise TypeError("rule must be a name or a Rule")
     if max_iters is None:
         max_iters = 50 * n
+    if not np.isfinite(tol):
+        raise ValueError("tol must be finite")
     if x0 is None:
         x0 = np.zeros(n)
     x0 = np.asarray(x0, dtype=np.float64)
@@ -161,30 +168,22 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
         raise ValueError(f"x0 must have shape ({n},)")
     if not np.isfinite(x0).all():
         raise ValueError("x0 must be finite")
+    mode = _resolve_step(composite, rule, step)
 
     if rng is None:
         rng = np.random.default_rng(seed)
     rule.prepare(problem, rng=rng)
+    if backend == "nns" and rule.name != "gsl":
+        raise ValueError("the nns backend serves the gsl rule only")
     lean = not rule.reads_gradient
-    index = None
-    if backend == "nns":
-        if rule.name != "gsl":
-            raise ValueError("the nns backend serves the gsl rule only")
-        if composite is not None or getattr(smooth, "tracker_kind", "") != "h1":
-            raise ValueError("the nns backend needs a least-squares or "
-                             "logistic problem without composite terms")
-        index = BallTreeIndex(smooth, mode="gsl")
-        tracker = make_tracker(problem, x0, scorer=None,
-                               refresh_every=refresh_every)
-    else:
-        tracker = make_tracker(problem, x0, scorer=rule.scorer(problem),
-                               backend=backend, refresh_every=refresh_every,
-                               lean=lean)
+    tracker = make_tracker(problem, x0, scorer=rule.scorer(problem),
+                           backend=backend, refresh_every=refresh_every,
+                           lean=lean)
 
-    mode = _resolve_step(composite, rule, step)
-    L_per = np.asarray(smooth.L_per_coord, dtype=np.float64)
-    L_vec = L_per if mode in ("const-coord", "exact") else np.full(n, smooth.L)
+    L_vec = (np.asarray(smooth.L_per_coord, dtype=np.float64)
+             if mode in ("const-coord", "exact") else np.full(n, smooth.L))
     L_safe = np.where(L_vec > 0, L_vec, 1.0)
+    L_step = L_safe.tolist()
 
     obj = tracker.objective()
     if composite is not None:
@@ -196,13 +195,8 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     def residual():
         if composite is None:
             return tracker.grad_inf_norm()
-        g = tracker.full_gradient() if lean else tracker.gradient
-        d = composite.prox_steps(tracker.x, g, L_safe)[0]
+        d = composite.prox_steps(tracker.x, tracker.full_gradient(), L_safe)[0]
         return float(np.abs(d).max()) if n else 0.0
-
-    # a lean tracker keeps no gradient array; the prox step of coordinate i
-    # reads entry i of this one
-    grad = np.zeros(n) if lean else None
 
     resid = residual()
     if not (np.isfinite(obj) and np.isfinite(resid)):
@@ -216,26 +210,13 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
         if resid <= tol:
             trace.converged = True
             break
-        if index is not None:
-            i, alpha = index.select(tracker), None
-        else:
-            i, alpha = rule.select(tracker, t)
-        if lean:
-            g_i = grad[i] = tracker.grad_coord(i)
-        else:
-            grad = tracker.gradient
-            g_i = float(grad[i])
+        i, alpha = rule.select(tracker, t)
+        g_i = tracker.grad_coord(i)
         xi_old = float(tracker.x[i])
         if composite is not None:
-            d1, V1, _ = composite.prox_steps(tracker.x, grad, L_safe,
-                                             idx=np.array([i]))
+            d, promised = composite.coord_step(i, xi_old, g_i, L_step[i])
             if alpha is None:
-                if mode == "exact":
-                    alpha = composite.exact_coord_min(
-                        tracker.x, i, grad_i=g_i) - xi_old
-                else:
-                    alpha = float(d1[0])
-            promised = float(V1[0])
+                alpha = d
         else:
             if alpha is None:
                 if mode == "exact":

@@ -12,7 +12,8 @@ ridge term, so the index refuses problems with l2_reg > 0.
 Queries descend a ball tree, collect every point within a 1e-9 relative
 band of the best distance found, and hand the folded candidate set to the
 same score comparator a dense scan would use — so tree and scan agree
-exactly, including on tie-breaks.
+exactly, including on tie-breaks.  The tracker's "nns" backend builds one
+index in "gsl" mode and answers ``peek()`` with it.
 """
 
 import numpy as np
@@ -126,6 +127,8 @@ class BallTreeIndex:
         return g - 0.5 * self.sqnorms[idx]
 
     def select(self, tracker):
+        """The pick for an h1 tracker's current iterate; ``peek()`` of a
+        tracker on the "nns" backend."""
         return self.query(tracker.row_g, tracker.gradient)
 
 

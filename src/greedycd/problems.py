@@ -63,16 +63,20 @@ def term_value(term, v):
     return 0.0
 
 
-def prox_coordinate(term, alpha, y):
-    """argmin_z  (1/(2*alpha)) (z - y)^2 + term(z), for one coordinate."""
-    if alpha <= 0:
-        raise ValueError("prox step size must be positive")
+def prox_coordinate(term, L, y):
+    """argmin_z  (L/2) (z - y)^2 + term(z), for one coordinate and a
+    curvature L > 0: the entry ``prox_steps`` computes, bit for bit (the l1
+    threshold is p1/L; the clamp keeps numpy's ``clip`` tie rules)."""
+    if not L > 0:
+        raise ValueError("prox curvature must be positive")
     if term.kind == ZERO:
         return y
     if term.kind == ABS:
-        t = alpha * term.p1
-        return np.sign(y) * max(abs(y) - t, 0.0)
-    return min(max(y, term.p1), term.p2)
+        m = max(abs(y) - term.p1 / L, 0.0)
+        # np.sign(y) * m: +0.0 at y = +-0, NaN at y = NaN
+        return m if y > 0 else -m if y < 0 else 0.0 * m
+    z = term.p1 if y <= term.p1 else y
+    return term.p2 if z >= term.p2 else z
 
 
 class SmoothProblem:
@@ -80,9 +84,9 @@ class SmoothProblem:
 
     Subclasses set ``n``, ``L_per_coord`` (positive where the coordinate
     matters), and ``is_quadratic``, and implement ``eval``, ``full_grad``,
-    ``grad_coord`` and ``exact_coord_min``.  ``L1``, the Lipschitz constant
-    of the gradient in the 1-norm, is only available for quadratics
-    (max |H_ij|) and is None otherwise.
+    ``grad_coord`` and, unless quadratic, ``exact_coord_min``.  ``L1``,
+    the Lipschitz constant of the gradient in the 1-norm, is only available
+    for quadratics (max |H_ij|) and is None otherwise.
     """
 
     is_quadratic = False
@@ -96,7 +100,12 @@ class SmoothProblem:
         return float(self.full_grad(x)[i])
 
     def exact_coord_min(self, x, i):
-        raise NotImplementedError
+        """Minimiser of a quadratic f along coordinate i: x_i - grad_i / H_ii
+        (H_ii = L_i); other objectives override it."""
+        h = self.L_per_coord[i]
+        if h == 0.0:
+            return float(x[i])
+        return float(x[i] - self.grad_coord(x, i) / h)
 
 
 class LeastSquaresProblem(SmoothProblem):
@@ -138,8 +147,8 @@ class LeastSquaresProblem(SmoothProblem):
         r = self.A.matvec(x) - self.b
         return 2.0 * self.scale * self.A.rmatvec(r) + self.l2_reg * x
 
-    def grad_coord(self, x, i, Ax=None):
-        u = self.A.matvec(x) if Ax is None else Ax
+    def grad_coord(self, x, i):
+        u = self.A.matvec(x)
         rows, vals = self.A.column(i)
         return float(2.0 * self.scale * ((u[rows] - self.b[rows]) @ vals)
                      + self.l2_reg * x[i])
@@ -163,13 +172,6 @@ class LeastSquaresProblem(SmoothProblem):
             data = G.tocoo().data
             self._L1 = float(np.abs(data).max()) if data.size else 0.0
         return self._L1
-
-    def exact_coord_min(self, x, i, Ax=None):
-        """Minimiser of f along coordinate i: x_i - grad_i / H_ii."""
-        h = self.L_per_coord[i]
-        if h == 0.0:
-            return float(x[i])
-        return float(x[i] - self.grad_coord(x, i, Ax=Ax) / h)
 
     # per-row link, used by the incremental tracker
     def row_val(self, u, rows):
@@ -435,13 +437,6 @@ class GraphQuadraticProblem(SmoothProblem):
     def L1(self):
         return self._L1
 
-    def exact_coord_min(self, x, i):
-        h = self.L_per_coord[i]
-        if h == 0.0:
-            return float(x[i])
-        return float(x[i] - self.grad_coord(x, i) / h)
-
-
 class CompositeProblem:
     """F(x) = smooth.eval(x) + sum_i g_i(x_i), g_i separable and convex.
 
@@ -508,8 +503,9 @@ class CompositeProblem:
         b = kind == BOX
         z[b] = np.clip(y[b], p1[b], p2[b])
         d = z - x
-        gx = np.where(a, p1 * np.abs(x), 0.0)
-        gz = np.where(a, p1 * np.abs(z), 0.0)
+        lam = np.where(a, p1, 0.0)
+        gx = lam * np.abs(x)
+        gz = lam * np.abs(z)
         V = grad * d + 0.5 * Ls * d * d + gz - gx
         s = -(grad + Ls * d)
         return d, V, s
@@ -538,16 +534,27 @@ class CompositeProblem:
         eta[at_lo & at_hi] = 0.0
         return eta
 
-    def exact_coord_min(self, x, i, grad_i=None):
+    def coord_step(self, i, x_i, g_i, L_i):
+        """Entry i of ``prox_steps`` on Python floats, bit for bit and at a
+        fraction of the cost: (d, V) with d = prox(x_i - g_i/L_i) - x_i and
+        V = g_i d + (L_i/2) d^2 + term_i(x_i + d) - term_i(x_i) <= 0.  With
+        L_i = H_ii under a quadratic smooth part, d is the exact step."""
+        term = self.terms[i]
+        z = prox_coordinate(term, L_i, x_i - g_i / L_i)
+        d = z - x_i
+        V = (g_i * d + 0.5 * L_i * d * d + term_value(term, z)
+             - term_value(term, x_i))
+        return d, V
+
+    def exact_coord_min(self, x, i):
         """Exact minimiser of F along coordinate i (quadratic smooth part)."""
         if not self.smooth.is_quadratic:
             raise ValueError("exact composite coordinate step needs a quadratic smooth part")
         h = self.smooth.L_per_coord[i]
-        if grad_i is None:
-            grad_i = self.smooth.grad_coord(x, i)
         if h == 0.0:
             h = 1.0
-        return prox_coordinate(self.terms[i], 1.0 / h, x[i] - grad_i / h)
+        return prox_coordinate(self.terms[i], h,
+                               x[i] - self.smooth.grad_coord(x, i) / h)
 
 
 def quadratic_problem(H, b):

@@ -16,26 +16,32 @@ only for the entries that can change:
 
 On top of the gradient sits an optional score (|grad| for greedy selection,
 |grad|/sqrt(L) for its Lipschitz-weighted variant, or proximal-candidate
-scores for composite problems).  Scores are recomputed only for touched
-coordinates.  The default backend "scan" stores them in a flat array with
-one vectorised store per update and peeks by ``np.argmax``.  Backend "heap"
-keeps an IndexedMaxHeap instead (O(log n) per touched key, O(1) peek), but
-each key update is an interpreted sift.  On a degree-2 chain running
-``gs`` (tools/chain_backends.py, shared 2-vCPU Xeon, best of three) the
-heap costs about 44-54 against 18-24 us per iteration at n = 2e3 and
-63-85 against 31-64 us at n = 2e4, and wins at n = 2e5 (57-83 against
-105-181 us), so it is the option for large sparse graphs.  With plain
-greedy scores (|grad|), ``grad_inf_norm`` reads the stopping test's
-||grad||_inf off the top score, O(1) on the heap.  Both backends see
-identical score values, so they produce identical iterate sequences.
+scores for composite problems), recomputed only for touched coordinates.
+``peek()`` answers from one of three backends, which rank identical score
+values with the same tie rule (smallest index) and so give identical
+iterate sequences:
+
+* "scan" (default): a flat array, one vectorised store per update, and
+  ``np.argmax``, remembered until the scores change.
+* "heap": an IndexedMaxHeap (O(log n) per touched key, O(1) peek); each
+  key update is an interpreted sift, so it ties scan only at about
+  n = 2e5 on a chain (tools/chain_backends.py).
+* "nns": no scores; a ball tree over the normalised columns of A
+  (``nns.BallTreeIndex``), built once and kept across refreshes, answers
+  ``gsl`` from the row derivatives.  It needs an h1 problem with
+  l2_reg = 0, no empty column and no composite terms.
+
+With plain greedy scores (|grad|), ``grad_inf_norm`` reads the stopping
+test's ||grad||_inf off the top score.
 
 A rule that never reads the gradient (uniform, cyclic and Lipschitz
 sampling) gets a lean h1 tracker (``lean=True``): it keeps A x, the row
 derivatives and values and the objective, and skips the row scatter into
 A^T grad_link, so an update costs O(c) and reports ``touched_grads == 0``.
-It keeps no ``gradient`` array: ``grad_coord(i)`` computes one entry from
-column i in O(c), and ``full_gradient()`` rebuilds all of it with one
-A^T product when a stopping test asks.  The h2 update already maintains the
+The driver reads the gradient only through ``grad_coord(i)`` and
+``full_gradient()``, so a lean tracker keeps no ``gradient`` array: the
+first computes one entry from column i in O(c), the second rebuilds all of
+it with one A^T product when a stopping test asks.  The h2 update already maintains the
 gradient in O(d), so h2 has no lean mode.
 
 Caches are rebuilt from scratch every ``refresh_every`` updates (default
@@ -48,6 +54,9 @@ import numpy as np
 
 from . import _kernels
 from .linalg import IndexedMaxHeap
+from .nns import BallTreeIndex
+
+BACKENDS = ("scan", "heap", "nns")
 
 
 @dataclass
@@ -70,8 +79,6 @@ class GradScorer:
     """score_i = w_i * |grad_i|; w = None means 1 (plain greedy), otherwise
     typically 1/sqrt(L_i)."""
 
-    needs_x = False
-
     def __init__(self, weights=None):
         self.w = None if weights is None else np.asarray(weights, dtype=np.float64)
 
@@ -91,8 +98,6 @@ class ProxScorer:
     per-coordinate).
     """
 
-    needs_x = True
-
     def __init__(self, composite, L_used, mode):
         if mode not in ("r", "q", "s"):
             raise ValueError(f"unknown prox score mode: {mode!r}")
@@ -110,49 +115,75 @@ class ProxScorer:
 
 
 class _TrackerBase:
+    """What the h1 and h2 trackers share; each supplies ``_rebuild_caches``,
+    ``refresh`` and ``apply_update``."""
+
     lean = False
 
-    def _init_scores(self, scorer, backend):
-        if backend not in ("heap", "scan"):
+    def __init__(self, problem, x0, scorer=None, backend="scan",
+                 refresh_every=10000):
+        if backend not in BACKENDS:
             raise ValueError(f"unknown tracker backend: {backend!r}")
+        self.problem = problem
+        self.n = problem.n
+        self.x = np.array(x0, dtype=np.float64, copy=True)
+        if self.x.shape != (self.n,):
+            raise ValueError("x0 has the wrong length")
+        self.refresh_every = int(refresh_every)
+        self._updates = 0
+        self.last_obj_delta = 0.0
         self.scorer = scorer
         self.backend = backend
-        self.heap = None
-        self._scores = None
+        # the tree depends on A alone, so it outlives every refresh
+        self.index = (BallTreeIndex(problem, mode="gsl") if backend == "nns"
+                      else None)
         # plain greedy scores are |grad| itself, so the top one is ||grad||_inf
-        self._abs_scores = isinstance(scorer, GradScorer) and scorer.w is None
-        if scorer is None:
+        self._abs_scores = (isinstance(scorer, GradScorer) and scorer.w is None
+                            and self.index is None)
+        self._rebuild_caches()
+        self._init_scores()
+
+    def _init_scores(self):
+        self.heap = self._scores = self._top = None
+        if self.scorer is None or self.index is not None:
             return
-        vals = scorer.compute(self, np.arange(self.n))
-        if backend == "heap":
+        vals = self.scorer.compute(self, np.arange(self.n))
+        if self.backend == "heap":
             self.heap = IndexedMaxHeap(vals)
         else:
             self._scores = np.asarray(vals, dtype=np.float64).copy()
 
     @property
     def scores(self):
-        if self.scorer is None:
-            raise ValueError("tracker was built without a score")
-        return self.heap.keys if self.backend == "heap" else self._scores
+        if self.heap is None and self._scores is None:
+            raise ValueError("this tracker keeps no scores")
+        return self._scores if self.heap is None else self.heap.keys
 
     def peek(self):
         """Coordinate with the top score (smallest index on exact ties)."""
-        if self.scorer is None:
-            raise ValueError("tracker was built without a score")
-        if self.backend == "heap":
+        if self._scores is not None:
+            if self._top is None:
+                self._top = int(np.argmax(self._scores))
+            return self._top
+        if self.heap is not None:
             return self.heap.peek()
-        return int(np.argmax(self._scores))
+        if self.index is not None:
+            return self.index.select(self)
+        raise ValueError("tracker was built without a score")
 
     def _rescore(self, idx):
-        if self.scorer is None:
-            return 0
-        vals = self.scorer.compute(self, idx)
-        if self.backend == "heap":
-            for j, v in zip(idx, vals):
+        if self.heap is not None:
+            for j, v in zip(idx, self.scorer.compute(self, idx)):
                 self.heap.update_key(int(j), float(v))
             return len(idx)
-        self._scores[idx] = vals
+        if self._scores is not None:
+            self._scores[idx] = self.scorer.compute(self, idx)
+            self._top = None
         return 0
+
+    def objective(self):
+        """Smooth objective at the current iterate, from the caches."""
+        return self._obj
 
     def grad_coord(self, i):
         """The gradient entry of coordinate i."""
@@ -164,13 +195,13 @@ class _TrackerBase:
 
     def grad_inf_norm(self):
         """||grad||_inf: the top score when the scores are |grad| (O(1) on
-        the heap), otherwise a scan of the gradient."""
+        the heap, the remembered argmax on scan), otherwise a pass over the
+        full gradient."""
         if not self.n:
             return 0.0
         if self._abs_scores:
             return float(self.scores[self.peek()])
-        g = self.full_gradient() if self.lean else self.gradient
-        return float(np.abs(g).max())
+        return float(np.abs(self.full_gradient()).max())
 
     def _maybe_refresh(self):
         self._updates += 1
@@ -187,21 +218,12 @@ class H1Tracker(_TrackerBase):
 
     def __init__(self, problem, x0, scorer=None, backend="scan",
                  refresh_every=10000, lean=False):
-        if lean and scorer is not None:
+        if lean and (scorer is not None or backend == "nns"):
             raise ValueError("a lean tracker keeps no scores")
         self.lean = bool(lean)
-        self.problem = problem
         self.A = problem.A
-        self.n = problem.n
         self.m = self.A.shape[0]
-        self.x = np.array(x0, dtype=np.float64, copy=True)
-        if self.x.shape != (self.n,):
-            raise ValueError("x0 has the wrong length")
-        self.refresh_every = int(refresh_every)
-        self._updates = 0
-        self._rebuild_caches()
-        self._init_scores(scorer, backend)
-        self.last_obj_delta = 0.0
+        super().__init__(problem, x0, scorer, backend, refresh_every)
 
     def _rebuild_caches(self):
         allrows = np.arange(self.m)
@@ -231,11 +253,7 @@ class H1Tracker(_TrackerBase):
 
     def refresh(self):
         self._rebuild_caches()
-        self._init_scores(self.scorer, self.backend)
-
-    def objective(self):
-        """Smooth objective at the current iterate, from the caches."""
-        return self._obj
+        self._init_scores()
 
     def apply_update(self, i, delta):
         """x[i] += delta; refresh every cache entry that can change."""
@@ -278,19 +296,6 @@ class H1Tracker(_TrackerBase):
 class H2Tracker(_TrackerBase):
     """Tracker for pairwise graph-structured quadratics."""
 
-    def __init__(self, problem, x0, scorer=None, backend="scan",
-                 refresh_every=10000):
-        self.problem = problem
-        self.n = problem.n
-        self.x = np.array(x0, dtype=np.float64, copy=True)
-        if self.x.shape != (self.n,):
-            raise ValueError("x0 has the wrong length")
-        self.refresh_every = int(refresh_every)
-        self._updates = 0
-        self._rebuild_caches()
-        self._init_scores(scorer, backend)
-        self.last_obj_delta = 0.0
-
     def _rebuild_caches(self):
         p = self.problem
         heads = np.repeat(np.arange(self.n), np.diff(p.adj_indptr))
@@ -300,10 +305,7 @@ class H2Tracker(_TrackerBase):
 
     def refresh(self):
         self._rebuild_caches()
-        self._init_scores(self.scorer, self.backend)
-
-    def objective(self):
-        return self._obj
+        self._init_scores()
 
     def apply_update(self, i, delta):
         if not 0 <= i < self.n:
@@ -328,11 +330,15 @@ def make_tracker(problem, x0, scorer=None, backend="scan",
                  refresh_every=10000, lean=False):
     """Build the tracker matching the problem's structure (h1 or h2).
 
+    ``backend`` is "scan", "heap" or "nns" (see the module docstring).
     ``lean`` asks for an h1 tracker without a gradient, for rules that
     never read it; h2 trackers ignore it (their update is O(d) anyway).
     """
     smooth = getattr(problem, "smooth", problem)
     kind = getattr(smooth, "tracker_kind", None)
+    if backend == "nns" and (smooth is not problem or kind != "h1"):
+        raise ValueError("the nns backend needs a least-squares or "
+                         "logistic problem without composite terms")
     if kind == "h1":
         return H1Tracker(smooth, x0, scorer, backend, refresh_every, lean)
     if kind == "h2":

@@ -15,6 +15,7 @@ from greedycd.problems import (
     quadratic_problem,
 )
 from greedycd.rules import Rule, make_rule
+from greedycd.tracker import H1Tracker
 
 from helpers import random_spd
 
@@ -267,6 +268,28 @@ def test_run_validates_inputs():
     x0[3] = np.nan
     with pytest.raises(ValueError, match="x0 must be finite"):
         run(prob, "gs", x0=x0)
+    # a NaN tol would never stop the run and an infinite one would stop it
+    # at x0 marked converged
+    for tol in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            run(prob, "gs", tol=tol)
+
+
+def test_exact_composite_step_needs_a_quadratic_smooth_part(monkeypatch):
+    rng = np.random.default_rng(3)
+    A = rng.normal(size=(20, 6))
+    labels = np.sign(A @ rng.normal(size=6))
+    comp = CompositeProblem(LogisticProblem(SparseMatrix.from_dense(A), labels),
+                            L1Term(0.1))
+    updates = []
+    monkeypatch.setattr(H1Tracker, "apply_update",
+                        lambda self, i, delta: updates.append(i))
+    with pytest.raises(ValueError, match="quadratic smooth part"):
+        run(comp, "gs-q", step="exact")
+    # refused before the loop, so even a run of no iterations is refused
+    with pytest.raises(ValueError, match="quadratic smooth part"):
+        run(comp, "gs-q", step="exact", max_iters=0)
+    assert updates == []
 
 
 def test_run_rejects_an_inf_in_the_data():

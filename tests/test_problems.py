@@ -4,6 +4,8 @@ oracles, and scipy 1-D minimisation."""
 import numpy as np
 import pytest
 import scipy.optimize
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedycd.problems import (BoxTerm, CompositeProblem,
                                GraphQuadraticProblem, L1Term,
@@ -27,17 +29,17 @@ class TestProx:
         assert prox_coordinate(t, 1.0, 2.0) == 1.0
         assert prox_coordinate(t, 1.0, 0.5) == 0.0
         assert prox_coordinate(t, 1.0, -2.0) == -1.0
-        assert prox_coordinate(t, 0.5, 2.0) == 1.5
+        assert prox_coordinate(t, 2.0, 2.0) == 1.5
 
     def test_box_clamp(self):
         t = BoxTerm(0.0, np.inf)
         assert prox_coordinate(t, 1.0, -3.0) == 0.0
-        assert prox_coordinate(t, 7.0, 5.0) == 5.0
+        assert prox_coordinate(t, 1.0 / 7.0, 5.0) == 5.0
         t = BoxTerm(-1.0, 1.0)
-        assert prox_coordinate(t, 2.0, 4.0) == 1.0
+        assert prox_coordinate(t, 0.5, 4.0) == 1.0
 
     def test_zero_identity(self):
-        assert prox_coordinate(ZeroTerm(), 3.0, -2.5) == -2.5
+        assert prox_coordinate(ZeroTerm(), 1.0 / 3.0, -2.5) == -2.5
 
     def test_l1_term_rejects_non_finite_weight(self):
         for lam in (np.nan, np.inf):
@@ -66,7 +68,7 @@ class TestProx:
             for _ in range(20):
                 y = float(rng.uniform(-3, 3))
                 a = float(rng.uniform(0.1, 2.0))
-                z = prox_coordinate(term, a, y)
+                z = prox_coordinate(term, 1.0 / a, y)
                 gv = np.abs(grid) * 0.7 if term.kind == 1 else np.zeros_like(grid)
                 if term.kind == 2:
                     gv = np.where((grid < term.p1) | (grid > term.p2), np.inf, 0.0)
@@ -309,7 +311,7 @@ class TestComposite:
             d, V, s = comp.prox_steps(self.x, grad, L_used)
             Lv = np.broadcast_to(np.asarray(L_used, float), (5,))
             for i in range(5):
-                zi = prox_coordinate(comp.terms[i], 1.0 / Lv[i],
+                zi = prox_coordinate(comp.terms[i], Lv[i],
                                      self.x[i] - grad[i] / Lv[i])
                 assert np.isclose(d[i], zi - self.x[i], rtol=1e-13, atol=1e-15)
             assert np.all(V <= 1e-15)
@@ -365,3 +367,95 @@ class TestComposite:
             xt = x.copy()
             xt[i] = new
             assert comp.eval(xt) <= min(vals) + 1e-10
+
+
+class TestCoordStep:
+    """The scalar composite step against the vectorised prox candidates."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_coord_step_equals_prox_steps_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        coord = st.floats(-1e3, 1e3)              # includes -0.0 and 0.0
+        magnitude = st.floats(1e-6, 1e6)
+        signed = st.one_of(st.just(0.0), magnitude, magnitude.map(lambda v: -v))
+        terms, x = [], []
+        for _ in range(n):
+            kind = data.draw(st.sampled_from(["zero", "l1", "box"]))
+            if kind == "zero":
+                terms.append(ZeroTerm())
+            elif kind == "l1":
+                terms.append(L1Term(data.draw(st.one_of(st.just(0.0),
+                                                        magnitude))))
+            else:
+                lo = data.draw(st.one_of(st.just(-np.inf), coord))
+                hi = data.draw(st.one_of(
+                    st.just(np.inf),
+                    st.floats(-1e3 if lo == -np.inf else lo, 1e3)))
+                terms.append(BoxTerm(lo, hi))
+            t = terms[-1]
+            if t.kind == 2:
+                x.append(data.draw(st.floats(max(t.p1, -1e3), min(t.p2, 1e3))))
+            else:
+                x.append(data.draw(coord))
+        x = np.array(x)
+        g = np.array(data.draw(st.lists(signed, min_size=n, max_size=n)))
+        L = np.array(data.draw(st.lists(magnitude, min_size=n, max_size=n)))
+        comp = CompositeProblem(LeastSquaresProblem(np.eye(n), np.zeros(n)),
+                                terms)
+        d_all, V_all, _ = comp.prox_steps(x, g, L)
+        for i, term in enumerate(terms):
+            xi, gi, Li = float(x[i]), float(g[i]), float(L[i])
+            d, V = comp.coord_step(i, xi, gi, Li)
+            assert type(d) is float and type(V) is float
+            assert np.array([d, V]).tobytes() == np.array(
+                [d_all[i], V_all[i]]).tobytes()
+            # V <= 0 and -(g + L d) lies in the subdifferential at x + d,
+            # up to the rounding of the step itself
+            w = xi + d
+            s = -(gi + Li * d)
+            lam = term.p1 if term.kind == 1 else 0.0
+            assert V <= 1e-12 * (abs(gi * d) + Li * d * d
+                                 + lam * (abs(xi) + abs(w)))
+            tol = 1e-12 * (abs(gi) + Li * (abs(xi) + abs(d)) + lam)
+            wtol = 1e-12 * (abs(xi) + abs(d))
+            if term.kind == 0:
+                assert abs(s) <= tol
+            elif term.kind == 1:
+                if abs(w) > wtol:
+                    assert abs(s - term.p1 * np.sign(w)) <= tol
+                else:
+                    assert abs(s) <= term.p1 + tol
+            else:
+                assert term.p1 - wtol <= w <= term.p2 + wtol
+                if w > term.p1 + wtol:
+                    assert s >= -tol
+                if w < term.p2 - wtol:
+                    assert s <= tol
+
+    def test_coord_step_keeps_a_nan_gradient(self):
+        # a NaN step must reach the run's guards, as it does from prox_steps
+        comp = CompositeProblem(LeastSquaresProblem(np.eye(3), np.zeros(3)),
+                                [ZeroTerm(), L1Term(0.5), BoxTerm(-1.0, 1.0)])
+        for i in range(3):
+            d, V = comp.coord_step(i, 0.0, np.nan, 2.0)
+            assert np.isnan(d) and np.isnan(V)
+        d_all, V_all, _ = comp.prox_steps(np.zeros(3), np.full(3, np.nan), 2.0)
+        assert np.isnan(d_all).all() and np.isnan(V_all).all()
+
+    def test_coord_step_is_the_exact_step_under_a_quadratic(self):
+        rng = np.random.default_rng(12)
+        smooth = quadratic_problem(random_spd(rng, 5), rng.standard_normal(5))
+        comp = CompositeProblem(smooth, [L1Term(0.4), BoxTerm(-0.2, 0.3),
+                                         ZeroTerm(), L1Term(2.0),
+                                         BoxTerm(0.0, np.inf)])
+        x = np.array([0.5, 0.1, -1.0, 0.0, 2.0])
+        # L_per_coord is H_ii, so the prox step is the exact step
+        assert np.allclose(smooth.L_per_coord, np.diag(smooth.hessian()),
+                           rtol=1e-14)
+        for i in range(5):
+            g = smooth.grad_coord(x, i)
+            d, V = comp.coord_step(i, float(x[i]), g,
+                                   float(smooth.L_per_coord[i]))
+            assert d == comp.exact_coord_min(x, i) - x[i]
+            assert V <= 0.0

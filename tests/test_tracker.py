@@ -8,9 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedycd import _kernels
+from greedycd.descent import run
 from greedycd.linalg import SparseMatrix
+from greedycd.nns import BallTreeIndex
 from greedycd.problems import (CompositeProblem, GraphQuadraticProblem,
                                L1Term, LeastSquaresProblem, LogisticProblem)
+from greedycd.rules import make_rule
 from greedycd.tracker import (GradScorer, H1Tracker, H2Tracker, ProxScorer,
                               make_tracker)
 from helpers import random_sparse, scan_argmax
@@ -392,6 +395,82 @@ class TestBackendEquivalence:
             for tr in trs:
                 tr.apply_update(i, 0.5 * half)
             check()
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_nns_and_scan_agree_under_gsl(self, data):
+        # the same grid of halves as above, on h1 problems the ball tree
+        # serves: l2_reg = 0 and no empty column
+        def grid(size, lo=-2, hi=2):
+            ks = data.draw(st.lists(st.integers(lo, hi), min_size=size,
+                                    max_size=size))
+            return 0.5 * np.array(ks, dtype=np.float64)
+
+        m = data.draw(st.integers(1, 7), label="m")
+        n = data.draw(st.integers(1, 7), label="n")
+        zero = data.draw(st.booleans(), label="zero")
+        A = grid(m * n).reshape(m, n)
+        for j in np.flatnonzero(~A.any(axis=0)):
+            A[j % m, j] = 0.5
+        b = np.zeros(m) if zero else grid(m)
+        p = LeastSquaresProblem(A, b, scale=0.5)
+        x0 = np.zeros(n) if zero else grid(n)
+        every = data.draw(st.sampled_from([3, 10000]), label="refresh_every")
+        scorer = make_rule("gsl").scorer(p)
+        scan = make_tracker(p, x0, scorer, backend="scan", refresh_every=every)
+        tree = make_tracker(p, x0, scorer, backend="nns", refresh_every=every)
+        index = tree.index
+
+        def check():
+            assert np.array_equal(tree.gradient, scan.gradient)
+            assert tree.peek() == scan.peek() == scan_argmax(scan.scores)
+            assert tree.index is index
+
+        if zero:
+            assert not scan.gradient.any()
+        check()
+        steps = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.integers(-2, 2)),
+                                   max_size=12), label="steps")
+        for i, half in steps:
+            for tr in (scan, tree):
+                tr.apply_update(i, 0.5 * half)
+            check()
+
+    def test_nns_builds_its_tree_once_per_tracker(self, monkeypatch):
+        builds = []
+        init = BallTreeIndex.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(BallTreeIndex, "__init__", counted)
+        rng = np.random.default_rng(13)
+        A = rng.normal(size=(12, 8))
+        p = LeastSquaresProblem(A, rng.standard_normal(12))
+        tr = make_tracker(p, np.zeros(8), backend="nns", refresh_every=4)
+        for _ in range(10):
+            tr.apply_update(tr.peek(), 0.1)
+        tr.refresh()
+        assert builds == [tr.index]
+        with pytest.raises(ValueError, match="keeps no scores"):
+            tr.scores
+        trace = run(p, "gsl", backend="nns", max_iters=30, tol=0.0,
+                    refresh_every=7)
+        assert len(builds) == 2 and len(trace) == 31
+
+    def test_nns_needs_a_plain_h1_problem(self):
+        rng = np.random.default_rng(14)
+        ls = LeastSquaresProblem(rng.normal(size=(6, 4)), np.zeros(6))
+        with pytest.raises(ValueError, match="composite"):
+            make_tracker(CompositeProblem(ls, L1Term(0.1)), np.zeros(4),
+                         backend="nns")
+        g = GraphQuadraticProblem(3, [[0, 1]], [1.0], node_quad=[1, 1, 1])
+        with pytest.raises(ValueError, match="least-squares or"):
+            make_tracker(g, np.zeros(3), backend="nns")
+        with pytest.raises(ValueError, match="lean"):
+            make_tracker(ls, np.zeros(4), backend="nns", lean=True)
 
     def test_make_tracker_dispatch(self):
         rng = np.random.default_rng(9)

@@ -18,7 +18,7 @@ import numpy as np
 
 from .problems import CompositeProblem, term_value
 from .rules import Rule, make_rule
-from .tracker import make_tracker
+from .tracker import ProxScorer, make_tracker
 
 TRACE_HEADER = ("k,objective,coord,step,resid_inf,elapsed_ns,"
                 "touched_rows,touched_grads,heap_ops")
@@ -148,7 +148,12 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     gradient (one ``prox_steps`` over all n for composite problems).  A
     trace row between two tests repeats the last measured ``resid_inf``,
     so such a run stops on an epoch boundary.  Every other rule tests
-    after every update.
+    after every update.  A composite greedy rule (a prox score: gs-s,
+    gs-r, gs-q, gsl-r, gsl-q) reads that test off the |d_i| keys its
+    tracker keeps under the step curvature and rewrites for the touched
+    coordinates, so it makes no ``prox_steps`` call over all n; only the
+    lean rules, and rules without a prox score run on a composite problem,
+    still do.
     """
     composite = problem if isinstance(problem, CompositeProblem) else None
     smooth = problem.smooth if composite is not None else problem
@@ -176,14 +181,15 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     if backend == "nns" and rule.name != "gsl":
         raise ValueError("the nns backend serves the gsl rule only")
     lean = not rule.reads_gradient
-    tracker = make_tracker(problem, x0, scorer=rule.scorer(problem),
-                           backend=backend, refresh_every=refresh_every,
-                           lean=lean)
-
     L_vec = (np.asarray(smooth.L_per_coord, dtype=np.float64)
              if mode in ("const-coord", "exact") else np.full(n, smooth.L))
     L_safe = np.where(L_vec > 0, L_vec, 1.0)
     L_step = L_safe.tolist()
+    scorer = rule.scorer(problem)
+    if isinstance(scorer, ProxScorer):
+        scorer.keep_keys(L_safe)
+    tracker = make_tracker(problem, x0, scorer=scorer, backend=backend,
+                           refresh_every=refresh_every, lean=lean)
 
     obj = tracker.objective()
     if composite is not None:
@@ -195,8 +201,12 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     def residual():
         if composite is None:
             return tracker.grad_inf_norm()
+        if not n:
+            return 0.0
+        if tracker.prox_keys is not None:
+            return float(tracker.prox_keys.max())
         d = composite.prox_steps(tracker.x, tracker.full_gradient(), L_safe)[0]
-        return float(np.abs(d).max()) if n else 0.0
+        return float(np.abs(d).max())
 
     resid = residual()
     if not (np.isfinite(obj) and np.isfinite(resid)):

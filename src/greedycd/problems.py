@@ -455,6 +455,15 @@ class CompositeProblem:
         self.p1 = np.array([t.p1 for t in self.terms])
         self.p2 = np.array([t.p2 for t in self.terms])
         self.n = n
+        # built once rather than on every prox or subgradient call: the
+        # term masks, the l1 weights and the smooth part's own L_i made safe
+        self._abs = self.gkind == ABS
+        self._box = self.gkind == BOX
+        self._all_abs = bool(self._abs.all())
+        self._l1w = np.where(self._abs, self.p1, 0.0)
+        L = np.asarray(smooth.L_per_coord, dtype=np.float64)
+        self._L_coord = smooth.L_per_coord
+        self._L_coord_safe = np.where(L > 0, L, 1.0)
 
     @property
     def L_per_coord(self):
@@ -466,10 +475,9 @@ class CompositeProblem:
 
     def g_values(self, x):
         out = np.zeros(self.n)
-        a = self.gkind == ABS
+        a = self._abs
         out[a] = self.p1[a] * np.abs(x[a])
-        b = self.gkind == BOX
-        bad = b & ((x < self.p1) | (x > self.p2))
+        bad = self._box & ((x < self.p1) | (x > self.p2))
         out[bad] = np.inf
         return out
 
@@ -484,26 +492,40 @@ class CompositeProblem:
         V_i = grad_i d_i + (L_i/2) d_i^2 + g_i(x_i+d_i) - g_i(x_i) <= 0, and
         the subgradient s_i = -(grad_i + L_i d_i), the element of
         dg_i(x_i + d_i) picked out by the prox optimality condition.
-        L_used may be scalar or per-coordinate.
+        L_used may be scalar or per-coordinate; an entry that is not
+        positive counts as 1.  Every output entry depends on its own
+        coordinate alone, so a call over ``idx`` returns, bit for bit, the
+        entries ``idx`` of the call over all coordinates.
         """
-        L = np.broadcast_to(np.asarray(L_used, dtype=np.float64), (self.n,))
         if idx is None:
             idx = slice(None)
+        if L_used is self._L_coord:
+            # the smooth part's L_i, which the per-coordinate prox rules
+            # score with; it is fixed once the problem is built
+            Ls = self._L_coord_safe[idx]
+        elif np.ndim(L_used) == 0:
+            # a scalar curvature stays scalar: the same bits as a vector
+            # of copies, without building one
+            Ls = float(L_used) if L_used > 0 else 1.0
+        else:
+            L = np.broadcast_to(np.asarray(L_used, dtype=np.float64),
+                                (self.n,))[idx]
+            Ls = np.where(L > 0, L, 1.0)
         x = x[idx]
         grad = grad[idx]
-        Ls = np.where(L[idx] > 0, L[idx], 1.0)
-        kind = self.gkind[idx]
-        p1 = self.p1[idx]
-        p2 = self.p2[idx]
+        lam = self._l1w[idx]
         y = x - grad / Ls
-        z = y.copy()
-        a = kind == ABS
-        t = p1[a] / Ls[a]
-        z[a] = np.sign(y[a]) * np.maximum(np.abs(y[a]) - t, 0.0)
-        b = kind == BOX
-        z[b] = np.clip(y[b], p1[b], p2[b])
+        if self._all_abs:
+            z = np.sign(y) * np.maximum(np.abs(y) - lam / Ls, 0.0)
+        else:
+            z = y.copy()
+            a = self._abs[idx]
+            t = (lam / Ls)[a]
+            z[a] = np.sign(y[a]) * np.maximum(np.abs(y[a]) - t, 0.0)
+            b = self._box[idx]
+            if b.any():
+                z[b] = np.clip(y[b], self.p1[idx][b], self.p2[idx][b])
         d = z - x
-        lam = np.where(a, p1, 0.0)
         gx = lam * np.abs(x)
         gz = lam * np.abs(z)
         V = grad * d + 0.5 * Ls * d * d + gz - gx
@@ -517,16 +539,15 @@ class CompositeProblem:
             idx = slice(None)
         x = x[idx]
         grad = grad[idx]
-        kind = self.gkind[idx]
         p1 = self.p1[idx]
         p2 = self.p2[idx]
         eta = grad.copy()
-        a = kind == ABS
+        a = self._abs[idx]
         nz = a & (x != 0)
         eta[nz] = grad[nz] + p1[nz] * np.sign(x[nz])
         z0 = a & (x == 0)
         eta[z0] = np.sign(grad[z0]) * np.maximum(np.abs(grad[z0]) - p1[z0], 0.0)
-        b = kind == BOX
+        b = self._box[idx]
         at_lo = b & (x <= p1)
         eta[at_lo] = np.minimum(grad[at_lo], 0.0)
         at_hi = b & (x >= p2)

@@ -32,7 +32,14 @@ iterate sequences:
   l2_reg = 0, no empty column and no composite terms.
 
 With plain greedy scores (|grad|), ``grad_inf_norm`` reads the stopping
-test's ||grad||_inf off the top score.
+test's ||grad||_inf off the top score.  With proximal scores the tracker
+can also keep the composite stopping test's keys |d_i|, the prox steps
+under the run's step curvature (``prox_keys``, see ``ProxScorer``).  A key
+changes only where x or the gradient does, so the update that rescores
+the touched coordinates rewrites their keys from the same ``prox_steps``
+call (or from a second one over the same coordinates when the step
+curvature differs from the score's), and ``max(prox_keys)`` replaces a
+prox call over all n.
 
 A rule that never reads the gradient (uniform, cyclic and Lipschitz
 sampling) gets a lean h1 tracker (``lean=True``): it keeps A x, the row
@@ -41,7 +48,9 @@ A^T grad_link, so an update costs O(c) and reports ``touched_grads == 0``.
 The driver reads the gradient only through ``grad_coord(i)`` and
 ``full_gradient()``, so a lean tracker keeps no ``gradient`` array: the
 first computes one entry from column i in O(c), the second rebuilds all of
-it with one A^T product when a stopping test asks.  The h2 update already maintains the
+it with one A^T product when a stopping test asks (for a composite
+problem, the once-per-epoch test then makes the one prox call over all n
+that a greedy rule no longer makes).  The h2 update already maintains the
 gradient in O(d), so h2 has no lean mode.
 
 Caches are rebuilt from scratch every ``refresh_every`` updates (default
@@ -79,6 +88,8 @@ class GradScorer:
     """score_i = w_i * |grad_i|; w = None means 1 (plain greedy), otherwise
     typically 1/sqrt(L_i)."""
 
+    keeps_keys = False
+
     def __init__(self, weights=None):
         self.w = None if weights is None else np.asarray(weights, dtype=np.float64)
 
@@ -96,7 +107,16 @@ class ProxScorer:
     decrease), mode "s": |eta_i| (smallest attainable first-order residual).
     L_used is the curvature the candidates are built with (scalar or
     per-coordinate).
+
+    After ``keep_keys(L_key)`` the tracker also keeps the residual key
+    |d_i| under the run's step curvature L_key, the quantity the composite
+    stopping test takes the maximum of.  When L_key equals L_used entry by
+    entry, the prox call that gives the score gives the key too; otherwise
+    (other step modes, and mode "s") a second ``prox_steps`` over the same
+    coordinates does.
     """
+
+    keeps_keys = False
 
     def __init__(self, composite, L_used, mode):
         if mode not in ("r", "q", "s"):
@@ -105,6 +125,15 @@ class ProxScorer:
         self.L_used = L_used
         self.mode = mode
 
+    def keep_keys(self, L_key):
+        """Have the tracker keep |d_i| under the safe per-coordinate
+        curvature L_key (positive everywhere)."""
+        L = np.asarray(self.L_used, dtype=np.float64)
+        same = self.mode != "s" and np.array_equal(
+            np.broadcast_to(np.where(L > 0, L, 1.0), L_key.shape), L_key)
+        self._key_L = None if same else L_key
+        self.keeps_keys = True
+
     def compute(self, tracker, idx):
         if self.mode == "s":
             eta = self.comp.min_subgradients(tracker.x, tracker.gradient, idx)
@@ -112,6 +141,16 @@ class ProxScorer:
         d, V, _ = self.comp.prox_steps(tracker.x, tracker.gradient,
                                        self.L_used, idx)
         return np.abs(d) if self.mode == "r" else -V
+
+    def compute_with_keys(self, tracker, idx):
+        """(scores, residual keys) at idx; needs ``keep_keys`` first."""
+        x, g = tracker.x, tracker.gradient
+        if self._key_L is None:
+            d, V, _ = self.comp.prox_steps(x, g, self.L_used, idx)
+            keys = np.abs(d)
+            return (keys if self.mode == "r" else -V), keys
+        d = self.comp.prox_steps(x, g, self._key_L, idx)[0]
+        return self.compute(tracker, idx), np.abs(d)
 
 
 class _TrackerBase:
@@ -144,14 +183,23 @@ class _TrackerBase:
         self._init_scores()
 
     def _init_scores(self):
-        self.heap = self._scores = self._top = None
+        self.heap = self._scores = self._top = self.prox_keys = None
         if self.scorer is None or self.index is not None:
             return
-        vals = self.scorer.compute(self, np.arange(self.n))
+        if self.scorer.keeps_keys:
+            self.prox_keys = np.empty(self.n)
+        vals = self._compute(np.arange(self.n))
         if self.backend == "heap":
             self.heap = IndexedMaxHeap(vals)
         else:
             self._scores = np.asarray(vals, dtype=np.float64).copy()
+
+    def _compute(self, idx):
+        """The scores at idx, storing the residual keys there if kept."""
+        if self.prox_keys is None:
+            return self.scorer.compute(self, idx)
+        vals, self.prox_keys[idx] = self.scorer.compute_with_keys(self, idx)
+        return vals
 
     @property
     def scores(self):
@@ -173,11 +221,11 @@ class _TrackerBase:
 
     def _rescore(self, idx):
         if self.heap is not None:
-            for j, v in zip(idx, self.scorer.compute(self, idx)):
+            for j, v in zip(idx, self._compute(idx)):
                 self.heap.update_key(int(j), float(v))
             return len(idx)
         if self._scores is not None:
-            self._scores[idx] = self.scorer.compute(self, idx)
+            self._scores[idx] = self._compute(idx)
             self._top = None
         return 0
 

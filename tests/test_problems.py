@@ -369,6 +369,41 @@ class TestComposite:
             assert comp.eval(xt) <= min(vals) + 1e-10
 
 
+class TestProxSubset:
+    """A prox call over ``idx`` returns the entries ``idx`` of the call over
+    every coordinate, bit for bit."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_subset_call_equals_full_call_entries(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        # empty columns give L_i = 0, which the prox treats as 1
+        A, _ = random_sparse(rng, 4, n, density=0.4,
+                             ensure_nonempty_cols=False)
+        kinds = data.draw(st.lists(st.sampled_from(["zero", "l1", "box"]),
+                                   min_size=n, max_size=n), label="kinds")
+        terms = [ZeroTerm() if k == "zero" else L1Term(rng.uniform(0, 2))
+                 if k == "l1" else BoxTerm(-np.inf if rng.random() < 0.3
+                                           else -1.0, 1.5) for k in kinds]
+        comp = CompositeProblem(LeastSquaresProblem(A, np.zeros(4)), terms)
+        x = rng.standard_normal(n)
+        g = rng.standard_normal(n)
+        x[rng.random(n) < 0.3] = 0.0
+        L_vec = rng.uniform(0.1, 3.0, n)
+        L_vec[rng.random(n) < 0.3] = 0.0
+        L = data.draw(st.sampled_from(
+            [comp.L, 0.0, 2.5, L_vec, comp.L_per_coord]), label="L")
+        idx = np.array(data.draw(st.lists(st.integers(0, n - 1),
+                                          max_size=2 * n), label="idx"),
+                       dtype=np.int64)
+        full = comp.prox_steps(x, g, L)
+        part = comp.prox_steps(x, g, L, idx)
+        for whole, sub in zip(full, part):
+            assert sub.shape == idx.shape
+            assert sub.tobytes() == whole[idx].tobytes()
+
+
 class TestCoordStep:
     """The scalar composite step against the vectorised prox candidates."""
 

@@ -8,11 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedycd import _kernels
-from greedycd.descent import run
+from greedycd.descent import _resolve_step, run
 from greedycd.linalg import SparseMatrix
 from greedycd.nns import BallTreeIndex
-from greedycd.problems import (CompositeProblem, GraphQuadraticProblem,
-                               L1Term, LeastSquaresProblem, LogisticProblem)
+from greedycd.problems import (BoxTerm, CompositeProblem,
+                               GraphQuadraticProblem, L1Term,
+                               LeastSquaresProblem, LogisticProblem, ZeroTerm)
 from greedycd.rules import make_rule
 from greedycd.tracker import (GradScorer, H1Tracker, H2Tracker, ProxScorer,
                               make_tracker)
@@ -310,6 +311,128 @@ class TestLeanTracker:
         assert isinstance(tr, H2Tracker) and not tr.lean
         assert tr.grad_coord(2) == 1.0
         assert tr.full_gradient() is tr.gradient
+
+
+class TestProxResidualKeys:
+    """The |d_i| keys a composite greedy tracker keeps for the stopping test,
+    against one fresh prox call over every coordinate."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(st.data())
+    def test_keys_match_a_fresh_prox_call(self, data):
+        m = data.draw(st.integers(1, 5), label="m")
+        n = data.draw(st.integers(1, 5), label="n")
+        # triplets may leave columns empty (L_i = 0) and store zeros
+        value = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+        triplets = data.draw(st.lists(
+            st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), value),
+            max_size=2 * m * n), label="triplets")
+        t = np.array(triplets, dtype=np.float64).reshape(-1, 3)
+        A = SparseMatrix.from_coo(m, n, t[:, 0].astype(np.int64),
+                                  t[:, 1].astype(np.int64), t[:, 2])
+        b = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m,
+                                        max_size=m), label="b"))
+        smooth = LeastSquaresProblem(
+            A, b, l2_reg=data.draw(st.sampled_from([0.0, 0.3]), label="l2"))
+        terms, x0 = [], []
+        for _ in range(n):
+            kind = data.draw(st.sampled_from(["zero", "l1", "box"]))
+            lo, hi = -1.0, 1.0
+            if kind == "zero":
+                terms.append(ZeroTerm())
+            elif kind == "l1":
+                terms.append(L1Term(data.draw(st.sampled_from([0.0, 0.5, 3.0]))))
+            else:
+                box = data.draw(st.sampled_from(
+                    [(-np.inf, np.inf), (-np.inf, 0.5), (-0.5, np.inf),
+                     (-1.0, 1.0), (0.0, 0.0)]))
+                terms.append(BoxTerm(*box))
+                lo, hi = max(lo, box[0]), min(hi, box[1])
+            x0.append(data.draw(st.floats(lo, hi)))
+        comp = CompositeProblem(smooth, terms)
+        rule = make_rule(data.draw(st.sampled_from(
+            ["gs-s", "gs-r", "gs-q", "gsl-r", "gsl-q"]), label="rule"))
+        mode = _resolve_step(comp, rule, data.draw(st.sampled_from(
+            ["auto", "const", "const-coord", "exact"]), label="step"))
+        # the curvature run() steps and stops with
+        L = (smooth.L_per_coord if mode in ("const-coord", "exact")
+             else np.full(n, smooth.L))
+        L_safe = np.where(L > 0, L, 1.0)
+        scorer = rule.scorer(comp)
+        scorer.keep_keys(L_safe)
+        tr = make_tracker(comp, np.array(x0), scorer,
+                          backend=data.draw(st.sampled_from(["scan", "heap"]),
+                                            label="backend"),
+                          refresh_every=data.draw(st.sampled_from(
+                              [1, 3, 10000]), label="refresh_every"))
+
+        def check():
+            d = comp.prox_steps(tr.x, tr.full_gradient(), L_safe)[0]
+            assert tr.prox_keys.tobytes() == np.abs(d).tobytes()
+            want, got = np.abs(d).max(), tr.prox_keys.max()
+            assert (np.isnan(want) and np.isnan(got)) or (
+                np.float64(want).tobytes() == np.float64(got).tobytes())
+
+        check()
+        steps = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.floats(-1.0, 1.0)),
+                                   max_size=8), label="steps")
+        for i, delta in steps:
+            tr.apply_update(i, delta)
+            check()
+        tr.refresh()
+        check()
+
+    def test_keys_share_the_score_call_only_under_the_same_curvature(
+            self, monkeypatch):
+        rng = np.random.default_rng(15)
+        A, _ = random_sparse(rng, 8, 6)
+        comp = CompositeProblem(LeastSquaresProblem(A, rng.standard_normal(8)),
+                                L1Term(0.3))
+        calls = []
+        prox = CompositeProblem.prox_steps
+
+        def counted(self, x, grad, L_used, idx=None):
+            calls.append(None if idx is None else len(idx))
+            return prox(self, x, grad, L_used, idx)
+
+        monkeypatch.setattr(CompositeProblem, "prox_steps", counted)
+        L_coord = np.where(comp.L_per_coord > 0, comp.L_per_coord, 1.0)
+        for rule, L_key, per_update in (
+                ("gs-q", np.full(6, comp.L), 1), ("gsl-q", L_coord, 1),
+                ("gsl-r", L_coord, 1), ("gs-q", L_coord, 2),
+                ("gs-s", np.full(6, comp.L), 1)):
+            scorer = make_rule(rule).scorer(comp)
+            scorer.keep_keys(L_key)
+            tr = make_tracker(comp, np.zeros(6), scorer)
+            calls.clear()
+            tr.apply_update(2, 0.5)
+            # one prox call per curvature, over the touched set only
+            assert len(calls) == per_update
+            assert all(c is not None and c <= 6 for c in calls)
+
+    def test_runs_read_the_keys_and_lean_runs_the_full_call(
+            self, monkeypatch):
+        rng = np.random.default_rng(16)
+        A, _ = random_sparse(rng, 8, 6)
+        comp = CompositeProblem(LeastSquaresProblem(A, rng.standard_normal(8)),
+                                L1Term(0.3))
+        full = []
+        prox = CompositeProblem.prox_steps
+
+        def counted(self, x, grad, L_used, idx=None):
+            if idx is None:
+                full.append(1)
+            return prox(self, x, grad, L_used, idx)
+
+        monkeypatch.setattr(CompositeProblem, "prox_steps", counted)
+        for rule in ("gs-s", "gs-r", "gs-q", "gsl-r", "gsl-q"):
+            for step in ("auto", "const", "const-coord", "exact"):
+                run(comp, rule, step=step, max_iters=10, tol=0.0)
+                assert full == []
+        # a lean run tests at x0, after every n = 6 updates and at the end
+        run(comp, "uniform", max_iters=10, tol=0.0, seed=0)
+        assert len(full) == 3
 
 
 class TestBackendEquivalence:

@@ -20,8 +20,11 @@ The cases are every rule, stream and instance that the benchmark's
 workloads run (``perfbench/workloads.py``, seed 0), each rule on both the
 heap and the scan backend (the ball tree where a workload uses it), plus
 ``gs`` and ``gsl`` on ``sparse_logistic``, ``cyclic`` and ``lipschitz`` on
-three families, and a few runs with a short refresh interval, so the
-rebuilt caches are compared too.
+three families, a few runs with a short refresh interval, so the rebuilt
+caches are compared too, and composite rules under a step mode whose
+curvature differs from the score's (``gs-q`` with L_i, ``gsl-q`` with L)
+or whose score is not a prox step (``gs-s``), so the stopping test's
+residual keys take their own prox call.
 
 Prints one line per case and a final count; exits 1 on any difference.
 """
@@ -42,24 +45,38 @@ sys.path.insert(0, os.path.join(ROOT, "perfbench"))
 from workloads import WORKLOADS, rule_seed  # noqa: E402
 
 EXTRA = (
-    # (label, family, m, n, lam, rule, budget, refresh_every)
-    ("logistic", "sparse_logistic", 120, 80, 1.0, "gs", 300, 10000),
-    ("logistic", "sparse_logistic", 120, 80, 1.0, "gsl", 300, 10000),
-    ("logistic-refresh", "sparse_logistic", 120, 80, 1.0, "gs", 300, 37),
-    ("ls-refresh", "sparse_ls", 200, 200, 1.0, "uniform", 400, 53),
-    ("ls-refresh", "sparse_ls", 200, 200, 1.0, "gsl", 300, 41),
-    ("lasso-refresh", "l1_underdet_ls", 50, 500, 1.0, "gs-q", 200, 29),
-    ("graph-refresh", "two_moons", None, 300, 1.0, "gs", 400, 31),
-    ("ls-refresh", "sparse_ls", 200, 200, 1.0, "cyclic", 400, 53),
-    ("lasso-refresh", "l1_underdet_ls", 50, 500, 1.0, "lipschitz", 600, 29),
-    ("graph-refresh", "two_moons", None, 300, 1.0, "cyclic", 400, 31),
-    ("logistic", "sparse_logistic", 120, 80, 1.0, "lipschitz", 300, 10000),
+    # (label, family, m, n, lam, rule, budget, refresh_every, step)
+    ("logistic", "sparse_logistic", 120, 80, 1.0, "gs", 300, 10000, "auto"),
+    ("logistic", "sparse_logistic", 120, 80, 1.0, "gsl", 300, 10000, "auto"),
+    ("logistic-refresh", "sparse_logistic", 120, 80, 1.0, "gs", 300, 37,
+     "auto"),
+    ("ls-refresh", "sparse_ls", 200, 200, 1.0, "uniform", 400, 53, "auto"),
+    ("ls-refresh", "sparse_ls", 200, 200, 1.0, "gsl", 300, 41, "auto"),
+    ("lasso-refresh", "l1_underdet_ls", 50, 500, 1.0, "gs-q", 200, 29,
+     "auto"),
+    ("graph-refresh", "two_moons", None, 300, 1.0, "gs", 400, 31, "auto"),
+    ("ls-refresh", "sparse_ls", 200, 200, 1.0, "cyclic", 400, 53, "auto"),
+    ("lasso-refresh", "l1_underdet_ls", 50, 500, 1.0, "lipschitz", 600, 29,
+     "auto"),
+    ("graph-refresh", "two_moons", None, 300, 1.0, "cyclic", 400, 31, "auto"),
+    ("logistic", "sparse_logistic", 120, 80, 1.0, "lipschitz", 300, 10000,
+     "auto"),
+    # composite rules whose stopping-test curvature differs from their
+    # score's, so the residual keys come from a second prox call
+    ("lasso", "l1_underdet_ls", 50, 500, 1.0, "gs-q", 200, 10000,
+     "const-coord"),
+    ("lasso", "l1_underdet_ls", 50, 500, 1.0, "gs-q", 200, 10000, "exact"),
+    ("lasso", "l1_underdet_ls", 50, 500, 1.0, "gs-s", 200, 10000, "auto"),
+    ("lasso", "l1_underdet_ls", 50, 500, 1.0, "gsl-r", 200, 10000, "auto"),
+    ("lasso", "l1_underdet_ls", 50, 500, 1.0, "gsl-q", 200, 10000, "const"),
+    ("lasso-refresh", "l1_underdet_ls", 50, 500, 1.0, "gsl-q", 200, 17,
+     "auto"),
 )
 
 
 def cases():
     """(case name, family, m, n, lam, instance, rule, budget, seed,
-    backend, refresh_every) for every compared run."""
+    backend, refresh_every, step) for every compared run."""
     out = []
     for w in WORKLOADS.values():
         for j in range(w.instances):
@@ -72,11 +89,12 @@ def cases():
                         out.append((f"{w.name}/i{j}/{role.rule}/{backend}"
                                     f"/s{stream}", w.family, w.m, w.n, w.lam,
                                     j, role.rule, role.budget, seed, backend,
-                                    10000))
-    for label, family, m, n, lam, rule, budget, every in EXTRA:
+                                    10000, "auto"))
+    for label, family, m, n, lam, rule, budget, every, step in EXTRA:
+        name = f"{label}/{rule}" + ("" if step == "auto" else f"/{step}")
         for backend in ("heap", "scan"):
-            out.append((f"{label}/{rule}/{backend}", family, m, n, lam, 0,
-                        rule, budget, 1, backend, every))
+            out.append((f"{name}/{backend}", family, m, n, lam, 0, rule,
+                        budget, 1, backend, every, step))
     return out
 
 
@@ -91,14 +109,15 @@ def dump(src, path):
         raise SystemExit(f"imported greedycd from {greedycd.__file__}")
     problems = {}
     out = {}
-    for (name, family, m, n, lam, j, rule, budget, seed, backend,
-         every) in cases():
+    for (name, family, m, n, lam, j, rule, budget, seed, backend, every,
+         step) in cases():
         key = (family, m, n, lam, j)
         if key not in problems:
             problems[key] = harness.gen_experiment(
                 family, m=m, n=n, lam=lam, seed=j).problem
-        trace = descent.run(problems[key], rule, max_iters=budget, tol=0.0,
-                            seed=seed, backend=backend, refresh_every=every)
+        trace = descent.run(problems[key], rule, step=step, max_iters=budget,
+                            tol=0.0, seed=seed, backend=backend,
+                            refresh_every=every)
         columns = (trace.k, trace.objective, trace.coord, trace.step,
                    trace.resid_inf, trace.touched_rows, trace.touched_grads,
                    trace.heap_ops)

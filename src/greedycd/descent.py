@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import CompositeProblem, term_value
+from .problems import CompositeProblem, safe_curvature, term_value
 from .rules import Rule, make_rule
-from .tracker import ProxScorer, make_tracker
+from .tracker import make_tracker
 
 TRACE_HEADER = ("k,objective,coord,step,resid_inf,elapsed_ns,"
                 "touched_rows,touched_grads,heap_ops")
@@ -183,13 +183,12 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     lean = not rule.reads_gradient
     L_vec = (np.asarray(smooth.L_per_coord, dtype=np.float64)
              if mode in ("const-coord", "exact") else np.full(n, smooth.L))
-    L_safe = np.where(L_vec > 0, L_vec, 1.0)
+    L_safe = safe_curvature(L_vec)
     L_step = L_safe.tolist()
-    scorer = rule.scorer(problem)
-    if isinstance(scorer, ProxScorer):
-        scorer.keep_keys(L_safe)
-    tracker = make_tracker(problem, x0, scorer=scorer, backend=backend,
-                           refresh_every=refresh_every, lean=lean)
+    tracker = make_tracker(problem, x0,
+                           scorer=rule.scorer(problem, L_step=L_safe),
+                           backend=backend, refresh_every=refresh_every,
+                           lean=lean)
 
     obj = tracker.objective()
     if composite is not None:

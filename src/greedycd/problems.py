@@ -63,6 +63,17 @@ def term_value(term, v):
     return 0.0
 
 
+def safe_curvature(L):
+    """The curvature a coordinate step divides by: L with every entry that
+    is not positive (the L_i = 0 of an empty column) read as 1.  A scalar
+    comes back as a float, anything else as a float array."""
+    L = np.asarray(L, dtype=np.float64)
+    if not L.ndim:
+        L = float(L)
+        return L if L > 0 else 1.0
+    return np.where(L > 0, L, 1.0)
+
+
 def prox_coordinate(term, L, y):
     """argmin_z  (L/2) (z - y)^2 + term(z), for one coordinate and a
     curvature L > 0: the entry ``prox_steps`` computes, bit for bit (the l1
@@ -456,14 +467,10 @@ class CompositeProblem:
         self.p2 = np.array([t.p2 for t in self.terms])
         self.n = n
         # built once rather than on every prox or subgradient call: the
-        # term masks, the l1 weights and the smooth part's own L_i made safe
+        # term masks and the l1 weights
         self._abs = self.gkind == ABS
         self._box = self.gkind == BOX
-        self._all_abs = bool(self._abs.all())
         self._l1w = np.where(self._abs, self.p1, 0.0)
-        L = np.asarray(smooth.L_per_coord, dtype=np.float64)
-        self._L_coord = smooth.L_per_coord
-        self._L_coord_safe = np.where(L > 0, L, 1.0)
 
     @property
     def L_per_coord(self):
@@ -492,39 +499,29 @@ class CompositeProblem:
         V_i = grad_i d_i + (L_i/2) d_i^2 + g_i(x_i+d_i) - g_i(x_i) <= 0, and
         the subgradient s_i = -(grad_i + L_i d_i), the element of
         dg_i(x_i + d_i) picked out by the prox optimality condition.
-        L_used may be scalar or per-coordinate; an entry that is not
-        positive counts as 1.  Every output entry depends on its own
-        coordinate alone, so a call over ``idx`` returns, bit for bit, the
-        entries ``idx`` of the call over all coordinates.
+        L_used may be scalar or length n; an entry that is not positive
+        counts as 1 (``safe_curvature``).  Every output entry depends on its
+        own coordinate alone, so a call over ``idx`` returns, bit for bit,
+        the entries ``idx`` of the call over all coordinates.
         """
         if idx is None:
             idx = slice(None)
-        if L_used is self._L_coord:
-            # the smooth part's L_i, which the per-coordinate prox rules
-            # score with; it is fixed once the problem is built
-            Ls = self._L_coord_safe[idx]
-        elif np.ndim(L_used) == 0:
-            # a scalar curvature stays scalar: the same bits as a vector
-            # of copies, without building one
-            Ls = float(L_used) if L_used > 0 else 1.0
-        else:
-            L = np.broadcast_to(np.asarray(L_used, dtype=np.float64),
-                                (self.n,))[idx]
-            Ls = np.where(L > 0, L, 1.0)
+        # a scalar curvature stays scalar: the same bits as a vector of
+        # copies, without building one
+        L = np.asarray(L_used, dtype=np.float64)
+        Ls = safe_curvature(L[idx] if L.ndim else L)
         x = x[idx]
         grad = grad[idx]
         lam = self._l1w[idx]
         y = x - grad / Ls
-        if self._all_abs:
-            z = np.sign(y) * np.maximum(np.abs(y) - lam / Ls, 0.0)
-        else:
-            z = y.copy()
-            a = self._abs[idx]
-            t = (lam / Ls)[a]
-            z[a] = np.sign(y[a]) * np.maximum(np.abs(y[a]) - t, 0.0)
-            b = self._box[idx]
-            if b.any():
-                z[b] = np.clip(y[b], self.p1[idx][b], self.p2[idx][b])
+        # soft-threshold on the l1 terms, y itself elsewhere (a box is
+        # clamped below); computing every entry and picking costs less than
+        # gathering and scattering the l1 ones
+        z = np.where(self._abs[idx],
+                     np.sign(y) * np.maximum(np.abs(y) - lam / Ls, 0.0), y)
+        b = self._box[idx]
+        if np.count_nonzero(b):
+            z[b] = np.clip(y[b], self.p1[idx][b], self.p2[idx][b])
         d = z - x
         gx = lam * np.abs(x)
         gz = lam * np.abs(z)

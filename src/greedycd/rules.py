@@ -16,7 +16,7 @@ vector — so a rule consumes exactly one draw per iteration.
 
 import numpy as np
 
-from .problems import CompositeProblem
+from .problems import CompositeProblem, safe_curvature
 from .tracker import GradScorer, ProxScorer
 
 
@@ -80,8 +80,10 @@ class Rule:
     def prepare(self, problem, rng=None):
         pass
 
-    def scorer(self, problem):
-        """Score the tracker must maintain for this rule (None if unused)."""
+    def scorer(self, problem, L_step=None):
+        """Score the tracker must maintain for this rule (None if unused).
+        L_step is the run's step curvature, which a proximal score's
+        residual keys use (default: the score's own curvature)."""
         return None
 
     def select(self, tracker, k):
@@ -142,10 +144,9 @@ class GreedyRule(Rule):
         self.weighted = weighted
         self.name = "gsl" if weighted else "gs"
 
-    def scorer(self, problem):
+    def scorer(self, problem, L_step=None):
         if self.weighted:
-            L = np.asarray(problem.L_per_coord, dtype=np.float64)
-            w = 1.0 / np.sqrt(np.where(L > 0, L, 1.0))
+            w = 1.0 / np.sqrt(safe_curvature(problem.L_per_coord))
             return GradScorer(weights=w)
         return GradScorer()
 
@@ -207,11 +208,11 @@ class ProxWorkRule(Rule):
         self.per_coord = per_coord
         self.name = ("gsl-" if per_coord else "gs-") + mode
 
-    def scorer(self, problem):
+    def scorer(self, problem, L_step=None):
         if not isinstance(problem, CompositeProblem):
             raise ValueError(f"rule {self.name} needs a composite problem")
         L_used = problem.L_per_coord if self.per_coord else problem.L
-        return ProxScorer(problem, L_used, self.mode)
+        return ProxScorer(problem, L_used, self.mode, L_step)
 
     def select(self, tracker, k):
         return tracker.peek(), None

@@ -33,7 +33,7 @@ iterate sequences:
 
 With plain greedy scores (|grad|), ``grad_inf_norm`` reads the stopping
 test's ||grad||_inf off the top score.  With proximal scores the tracker
-can also keep the composite stopping test's keys |d_i|, the prox steps
+also keeps the composite stopping test's keys |d_i|, the prox steps
 under the run's step curvature (``prox_keys``, see ``ProxScorer``).  A key
 changes only where x or the gradient does, so the update that rescores
 the touched coordinates rewrites their keys from the same ``prox_steps``
@@ -64,6 +64,7 @@ import numpy as np
 from . import _kernels
 from .linalg import IndexedMaxHeap
 from .nns import BallTreeIndex
+from .problems import safe_curvature
 
 BACKENDS = ("scan", "heap", "nns")
 
@@ -88,8 +89,6 @@ class GradScorer:
     """score_i = w_i * |grad_i|; w = None means 1 (plain greedy), otherwise
     typically 1/sqrt(L_i)."""
 
-    keeps_keys = False
-
     def __init__(self, weights=None):
         self.w = None if weights is None else np.asarray(weights, dtype=np.float64)
 
@@ -106,33 +105,27 @@ class ProxScorer:
     mode "r": |d_i| (longest prox step), mode "q": -V_i (largest model
     decrease), mode "s": |eta_i| (smallest attainable first-order residual).
     L_used is the curvature the candidates are built with (scalar or
-    per-coordinate).
+    per-coordinate), made safe once here (``safe_curvature``).
 
-    After ``keep_keys(L_key)`` the tracker also keeps the residual key
-    |d_i| under the run's step curvature L_key, the quantity the composite
-    stopping test takes the maximum of.  When L_key equals L_used entry by
+    The tracker also keeps the residual key |d_i|, the quantity the
+    composite stopping test takes the maximum of, under the run's step
+    curvature L_step (default: L_used).  When L_step equals L_used entry by
     entry, the prox call that gives the score gives the key too; otherwise
     (other step modes, and mode "s") a second ``prox_steps`` over the same
     coordinates does.
     """
 
-    keeps_keys = False
-
-    def __init__(self, composite, L_used, mode):
+    def __init__(self, composite, L_used, mode, L_step=None):
         if mode not in ("r", "q", "s"):
             raise ValueError(f"unknown prox score mode: {mode!r}")
         self.comp = composite
-        self.L_used = L_used
+        self.L_used = safe_curvature(L_used)
         self.mode = mode
-
-    def keep_keys(self, L_key):
-        """Have the tracker keep |d_i| under the safe per-coordinate
-        curvature L_key (positive everywhere)."""
-        L = np.asarray(self.L_used, dtype=np.float64)
-        same = self.mode != "s" and np.array_equal(
-            np.broadcast_to(np.where(L > 0, L, 1.0), L_key.shape), L_key)
-        self._key_L = None if same else L_key
-        self.keeps_keys = True
+        L_key = self.L_used if L_step is None else safe_curvature(L_step)
+        same = mode != "s" and np.array_equal(
+            np.broadcast_to(self.L_used, np.shape(L_key)), L_key)
+        # None: the score's own prox call gives the keys
+        self.L_key = None if same else L_key
 
     def compute(self, tracker, idx):
         if self.mode == "s":
@@ -143,13 +136,13 @@ class ProxScorer:
         return np.abs(d) if self.mode == "r" else -V
 
     def compute_with_keys(self, tracker, idx):
-        """(scores, residual keys) at idx; needs ``keep_keys`` first."""
+        """(scores, residual keys) at idx."""
         x, g = tracker.x, tracker.gradient
-        if self._key_L is None:
+        if self.L_key is None:
             d, V, _ = self.comp.prox_steps(x, g, self.L_used, idx)
             keys = np.abs(d)
             return (keys if self.mode == "r" else -V), keys
-        d = self.comp.prox_steps(x, g, self._key_L, idx)[0]
+        d = self.comp.prox_steps(x, g, self.L_key, idx)[0]
         return self.compute(tracker, idx), np.abs(d)
 
 
@@ -186,7 +179,7 @@ class _TrackerBase:
         self.heap = self._scores = self._top = self.prox_keys = None
         if self.scorer is None or self.index is not None:
             return
-        if self.scorer.keeps_keys:
+        if isinstance(self.scorer, ProxScorer):
             self.prox_keys = np.empty(self.n)
         vals = self._compute(np.arange(self.n))
         if self.backend == "heap":
@@ -195,7 +188,8 @@ class _TrackerBase:
             self._scores = np.asarray(vals, dtype=np.float64).copy()
 
     def _compute(self, idx):
-        """The scores at idx, storing the residual keys there if kept."""
+        """The scores at idx; a prox scorer also writes its residual keys
+        there into ``prox_keys``."""
         if self.prox_keys is None:
             return self.scorer.compute(self, idx)
         vals, self.prox_keys[idx] = self.scorer.compute_with_keys(self, idx)

@@ -358,9 +358,7 @@ class TestProxResidualKeys:
         L = (smooth.L_per_coord if mode in ("const-coord", "exact")
              else np.full(n, smooth.L))
         L_safe = np.where(L > 0, L, 1.0)
-        scorer = rule.scorer(comp)
-        scorer.keep_keys(L_safe)
-        tr = make_tracker(comp, np.array(x0), scorer,
+        tr = make_tracker(comp, np.array(x0), rule.scorer(comp, L_safe),
                           backend=data.draw(st.sampled_from(["scan", "heap"]),
                                             label="backend"),
                           refresh_every=data.draw(st.sampled_from(
@@ -398,13 +396,15 @@ class TestProxResidualKeys:
 
         monkeypatch.setattr(CompositeProblem, "prox_steps", counted)
         L_coord = np.where(comp.L_per_coord > 0, comp.L_per_coord, 1.0)
+        # L_key None: the keys use the score's own curvature
         for rule, L_key, per_update in (
                 ("gs-q", np.full(6, comp.L), 1), ("gsl-q", L_coord, 1),
                 ("gsl-r", L_coord, 1), ("gs-q", L_coord, 2),
-                ("gs-s", np.full(6, comp.L), 1)):
-            scorer = make_rule(rule).scorer(comp)
-            scorer.keep_keys(L_key)
-            tr = make_tracker(comp, np.zeros(6), scorer)
+                ("gs-s", np.full(6, comp.L), 1), ("gs-q", None, 1),
+                ("gsl-q", None, 1), ("gs-s", None, 1)):
+            tr = make_tracker(comp, np.zeros(6),
+                              make_rule(rule).scorer(comp, L_key))
+            assert tr.prox_keys is not None
             calls.clear()
             tr.apply_update(2, 0.5)
             # one prox call per curvature, over the touched set only

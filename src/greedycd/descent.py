@@ -8,7 +8,7 @@ realised drop must cover the model decrease the step size promises, up to
 float slack.  Both guards also trip on a NaN change, and a run refuses a
 starting point whose objective or gradient is not finite.  Traces
 serialise to CSV with shortest-round-trip floats so a written file parses
-back bit-for-bit.
+back bit-for-bit (a NaN keeps its sign, "-nan", but not its payload).
 """
 
 import time
@@ -24,6 +24,11 @@ TRACE_HEADER = ("k,objective,coord,step,resid_inf,elapsed_ns,"
                 "touched_rows,touched_grads,heap_ops")
 
 STEP_MODES = ("auto", "const", "const-coord", "exact")
+
+
+def _float_text(v):
+    """repr(v), but "-nan" for a NaN whose sign bit is set."""
+    return "-nan" if v != v and np.signbit(v) else repr(v)
 
 
 @dataclass
@@ -76,8 +81,9 @@ class RunTrace:
         lines = [TRACE_HEADER]
         for j in range(len(self.k)):
             lines.append(",".join((
-                str(self.k[j]), repr(self.objective[j]), str(self.coord[j]),
-                repr(self.step[j]), repr(self.resid_inf[j]),
+                str(self.k[j]), _float_text(self.objective[j]),
+                str(self.coord[j]), _float_text(self.step[j]),
+                _float_text(self.resid_inf[j]),
                 str(self.elapsed_ns[j]), str(self.touched_rows[j]),
                 str(self.touched_grads[j]), str(self.heap_ops[j]))))
         return "\n".join(lines) + "\n"
@@ -122,8 +128,7 @@ def _resolve_step(composite, rule, step):
 
 
 def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
-        backend="scan", refresh_every=10000, rng=None, seed=None,
-        check_descent=True):
+        backend="scan", refresh_every=10000, seed=None, check_descent=True):
     """Minimise ``problem`` with one-coordinate updates; returns a RunTrace.
 
     ``rule`` is a rule name or Rule instance.  ``step`` picks the update:
@@ -135,9 +140,11 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     L_i = H_ii it is also the exact step, so "exact" on a composite problem
     needs a quadratic smooth part and is refused up front otherwise.
     ``backend`` is the tracker's: "scan" (the default), "heap" or "nns"
-    (``gsl`` only).  Stops when the residual (gradient sup-norm, or
-    prox-step sup-norm for composite problems) drops to ``tol``, which must
-    be finite, or after ``max_iters`` updates (default 50 n).
+    (``gsl`` only).  ``seed`` seeds a stochastic rule's PRNG (anything
+    ``np.random.default_rng`` takes, such as a spawned SeedSequence).
+    Stops when the residual (gradient sup-norm, or prox-step sup-norm for
+    composite problems) drops to ``tol``, which must be finite, or after
+    ``max_iters`` updates (default 50 n).
 
     The gradient is read only through the tracker.  A rule that never
     reads it (``rule.reads_gradient`` false: uniform, cyclic, lipschitz)
@@ -175,9 +182,7 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
         raise ValueError("x0 must be finite")
     mode = _resolve_step(composite, rule, step)
 
-    if rng is None:
-        rng = np.random.default_rng(seed)
-    rule.prepare(problem, rng=rng)
+    rule.prepare(problem, rng=np.random.default_rng(seed))
     if backend == "nns" and rule.name != "gsl":
         raise ValueError("the nns backend serves the gsl rule only")
     lean = not rule.reads_gradient
@@ -273,6 +278,6 @@ def race(problem, rules, iters, master_seed=0, **run_kwargs):
     traces = []
     for spec, stream in zip(rules, streams):
         rule = make_rule(spec) if isinstance(spec, str) else spec
-        traces.append(run(problem, rule, max_iters=iters,
-                          rng=np.random.default_rng(stream), **run_kwargs))
+        traces.append(run(problem, rule, max_iters=iters, seed=stream,
+                          **run_kwargs))
     return traces

@@ -1,27 +1,30 @@
 """Experiment generation, manifests, reference minima, and showcase cases.
 
-Generators follow one recipe family: a standard-normal design shifted by +1
-(correlating the columns), per-column rescaling by |10 N(0,1)| (spreading
-the coordinate curvatures), and optionally a Bernoulli sparsity mask
-keeping ~10 ln(n)/n of the entries.  Labels for the classification variant
-are the noiseless signs with a 10% flip rate.  The graph experiment builds
-the classic two-interleaved-half-circles point cloud, connects symmetrised
-5-nearest-neighbour edges with unit weights, clamps a handful of labeled
-nodes, and folds them into node terms.
+The five experiment families are declared once, in ``FAMILIES``.  The
+design-matrix families share one recipe: a standard-normal design shifted
+by +1 (correlating the columns), per-column rescaling by |10 N(0,1)|
+(spreading the coordinate curvatures), and optionally a Bernoulli sparsity
+mask keeping ~10 ln(n)/n of the entries.  Labels for the classification
+family are the noiseless signs with a 10% flip rate.  The graph family
+builds two interleaved half-circles, joins symmetrised 5-nearest
+neighbours (one ``cKDTree`` query, no n x n distances) with unit weights,
+clamps a handful of labeled nodes, and folds them into node terms.
 
 Every experiment serialises to a directory holding Matrix Market files plus
 a manifest.json with the fixed key set {kind, matrix, rhs, labels, lambda,
 scale, labeled_nodes, x0}; loading a manifest rebuilds the identical
-problem.
+problem, and refuses a malformed one with a ValueError naming the key.
 """
 
 import json
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 import scipy.optimize
+from scipy.spatial import cKDTree
 
 from .descent import run
 from .linalg import SparseMatrix, load_dense_mtx, save_dense_mtx
@@ -35,8 +38,15 @@ from .problems import (
     LogisticProblem,
 )
 
-GENERATORS = ("sparse_ls", "sparse_logistic", "dense_overdet_ls",
-              "l1_underdet_ls", "two_moons")
+# name: (kind, default m, default n, default lambda, sparsified design)
+FAMILIES = {
+    "sparse_ls": ("ls", 1000, 1000, 1.0, True),
+    "sparse_logistic": ("logistic", 1000, 1000, 1.0, True),
+    "dense_overdet_ls": ("ls", 1000, 100, 0.0, False),
+    "l1_underdet_ls": ("l1_ls", 1000, 10000, 1.0, True),
+    "two_moons": ("graph", None, 500, 0.0, False),
+}
+GENERATORS = tuple(FAMILIES)
 
 MANIFEST_KEYS = ("kind", "matrix", "rhs", "labels", "lambda", "scale",
                  "labeled_nodes", "x0")
@@ -70,12 +80,6 @@ def _design_matrix(rng, m, n, sparsify):
     return A
 
 
-def _signal_rhs(rng, A):
-    m, n = A.shape
-    xhat = rng.standard_normal(n)
-    return A @ xhat + rng.standard_normal(m)
-
-
 def _two_moons_points(rng, n_pts, noise, radius=1.0, offset=0.5):
     n1 = n_pts // 2
     n2 = n_pts - n1
@@ -92,20 +96,15 @@ def _two_moons_points(rng, n_pts, noise, radius=1.0, offset=0.5):
 
 
 def _knn_edges(pts, k):
-    n = pts.shape[0]
-    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    nearest = np.argsort(d2, axis=1)[:, :k]
-    pairs = set()
-    for i in range(n):
-        for j in nearest[i]:
-            pairs.add((min(i, int(j)), max(i, int(j))))
-    edges = np.array(sorted(pairs), dtype=np.int64)
+    """Symmetrised k-nearest-neighbour edges (rows i < j, sorted) with unit
+    weights; each point's k + 1 nearest include itself, which is dropped."""
+    n = len(pts)
+    nearest = cKDTree(pts).query(pts, min(k + 1, n))[1].reshape(n, -1)
+    pairs = np.column_stack([np.repeat(np.arange(n), nearest.shape[1]),
+                             nearest.ravel()])
+    pairs = np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1)
+    edges = np.unique(pairs, axis=0)
     return edges, np.ones(len(edges))
-
-
-def _adjacency_matrix(n, edges, weights):
-    return SparseMatrix.from_coo(n, n, edges[:, 0], edges[:, 1], weights)
 
 
 def _edges_from_adjacency(adj):
@@ -133,58 +132,38 @@ def build_problem(kind, matrix, rhs, labels, lam, scale, labeled_nodes):
 
 
 def gen_experiment(name, m=None, n=None, lam=None, seed=0, noise=0.1):
-    """Build one of the named experiment families.
+    """Build one of the experiment families in ``FAMILIES``.
 
     m, n and lam default per family; pass smaller values for desk-scale
     runs.  The x0 of every experiment is the origin (left as None here and
     resolved by the driver).
     """
+    if name not in FAMILIES:
+        raise ValueError(
+            f"unknown experiment {name!r}; expected one of {', '.join(GENERATORS)}")
+    kind, m0, n0, lam0, sparsify = FAMILIES[name]
+    m = m0 if m is None else m
+    n = n0 if n is None else n
+    lam = lam0 if lam is None else lam
     rng = np.random.default_rng(seed)
-    if name == "sparse_ls":
-        m = 1000 if m is None else m
-        n = 1000 if n is None else n
-        lam = 1.0 if lam is None else lam
-        A = SparseMatrix.from_dense(_design_matrix(rng, m, n, sparsify=True))
-        b = _signal_rhs(rng, A.to_dense())
-        kind, rhs, labels, scale, nodes = "ls", b, None, 1.0 / (2 * m), None
-    elif name == "sparse_logistic":
-        m = 1000 if m is None else m
-        n = 1000 if n is None else n
-        lam = 1.0 if lam is None else lam
-        dense = _design_matrix(rng, m, n, sparsify=True)
-        A = SparseMatrix.from_dense(dense)
-        y = np.sign(dense @ rng.standard_normal(n))
-        y[y == 0] = 1.0
-        flips = rng.random(m) < 0.1
-        y[flips] *= -1.0
-        kind, rhs, labels, scale, nodes = "logistic", None, y, None, None
-    elif name == "dense_overdet_ls":
-        m = 1000 if m is None else m
-        n = 100 if n is None else n
-        lam = 0.0 if lam is None else lam
-        A = SparseMatrix.from_dense(_design_matrix(rng, m, n, sparsify=False))
-        b = _signal_rhs(rng, A.to_dense())
-        kind, rhs, labels, scale, nodes = "ls", b, None, 1.0 / (2 * m), None
-    elif name == "l1_underdet_ls":
-        m = 1000 if m is None else m
-        n = 10000 if n is None else n
-        lam = 1.0 if lam is None else lam
-        A = SparseMatrix.from_dense(_design_matrix(rng, m, n, sparsify=True))
-        b = _signal_rhs(rng, A.to_dense())
-        kind, rhs, labels, scale, nodes = "l1_ls", b, None, 0.5, None
-    elif name == "two_moons":
-        n = 500 if n is None else n
-        lam = 0.0 if lam is None else lam
+    rhs = labels = scale = nodes = None
+    if kind == "graph":
         pts, truth = _two_moons_points(rng, n, noise)
         edges, weights = _knn_edges(pts, 5)
-        A = _adjacency_matrix(n, edges, weights)
+        A = SparseMatrix.from_coo(n, n, edges[:, 0], edges[:, 1], weights)
         nodes = sorted(int(v) for v in rng.choice(n, size=5, replace=False))
         labels = np.zeros(n)
         labels[nodes] = truth[nodes]
-        kind, rhs, scale = "graph", None, None
     else:
-        raise ValueError(
-            f"unknown experiment {name!r}; expected one of {', '.join(GENERATORS)}")
+        dense = _design_matrix(rng, m, n, sparsify)
+        A = SparseMatrix.from_dense(dense)
+        if kind == "logistic":
+            labels = np.sign(dense @ rng.standard_normal(n))
+            labels[labels == 0] = 1.0
+            labels[rng.random(m) < 0.1] *= -1.0
+        else:
+            rhs = A.to_dense() @ rng.standard_normal(n) + rng.standard_normal(m)
+            scale = 0.5 if kind == "l1_ls" else 1.0 / (2 * m)
     problem, free = build_problem(kind, A, rhs, labels, lam, scale, nodes)
     return Experiment(kind=kind, matrix=A, rhs=rhs, labels=labels,
                       lam=float(lam), scale=scale, labeled_nodes=nodes,
@@ -217,16 +196,31 @@ def save_experiment(exp, outdir):
     return path
 
 
+def _manifest_number(manifest, key, positive=False):
+    """manifest[key], which must be a finite number (> 0 if ``positive``)."""
+    v = manifest[key]
+    if (type(v) not in (int, float) or not math.isfinite(v)
+            or (positive and v <= 0)):
+        raise ValueError(f"manifest key {key!r} must be a finite number"
+                         f"{' > 0' if positive else ''}, got {v!r}")
+    return float(v)
+
+
 def load_experiment(manifest_path):
+    """Rebuild a saved experiment; a ValueError names any malformed key."""
     with open(manifest_path) as fh:
         manifest = json.load(fh)
     missing = [k for k in MANIFEST_KEYS if k not in manifest]
     if missing:
         raise ValueError(f"manifest is missing keys: {', '.join(missing)}")
-    for key in KIND_KEYS.get(manifest["kind"], ()):
+    kind = manifest["kind"]
+    for key in KIND_KEYS.get(kind, ()):
         if manifest[key] in (None, ""):
-            raise ValueError(f"a {manifest['kind']!r} manifest needs "
-                             f"{key!r}, which is empty")
+            raise ValueError(f"a {kind!r} manifest needs {key!r}, "
+                             "which is empty")
+    lam = _manifest_number(manifest, "lambda")
+    scale = (_manifest_number(manifest, "scale", positive=True)
+             if kind in ("ls", "l1_ls") else manifest["scale"])
     base = os.path.dirname(os.path.abspath(manifest_path))
 
     def _vec(key):
@@ -235,12 +229,19 @@ def load_experiment(manifest_path):
 
     matrix = SparseMatrix.load_mtx(os.path.join(base, manifest["matrix"]))
     rhs, labels, x0 = _vec("rhs"), _vec("labels"), _vec("x0")
-    lam = float(manifest["lambda"])
-    scale = manifest["scale"]
     nodes = manifest["labeled_nodes"]
-    problem, free = build_problem(manifest["kind"], matrix, rhs, labels,
-                                  lam, scale, nodes)
-    return Experiment(kind=manifest["kind"], matrix=matrix, rhs=rhs,
+    if kind == "graph":
+        n = matrix.shape[0]
+        if not (isinstance(nodes, list) and all(
+                type(v) is int and 0 <= v < n for v in nodes)):
+            raise ValueError("manifest key 'labeled_nodes' must list "
+                             f"integers in [0, {n}), got {nodes!r}")
+        if labels.shape != (n,):
+            raise ValueError("manifest key 'labels' must hold one value "
+                             f"per node, shape ({n},), got {labels.shape}")
+    problem, free = build_problem(kind, matrix, rhs, labels, lam, scale,
+                                  nodes)
+    return Experiment(kind=kind, matrix=matrix, rhs=rhs,
                       labels=labels, lam=lam, scale=scale,
                       labeled_nodes=nodes, x0=x0, problem=problem,
                       free_nodes=free)

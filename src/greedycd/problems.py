@@ -107,9 +107,6 @@ class SmoothProblem:
     def L(self):
         return float(self.L_per_coord.max())
 
-    def grad_coord(self, x, i):
-        return float(self.full_grad(x)[i])
-
     def exact_coord_min(self, x, i):
         """Minimiser of a quadratic f along coordinate i: x_i - grad_i / H_ii
         (H_ii = L_i); other objectives override it."""
@@ -193,6 +190,10 @@ class LeastSquaresProblem(SmoothProblem):
         return 2.0 * self.scale * (u[rows] - self.b[rows])
 
 
+# LogisticProblem.exact_coord_min: 1-D Newton tolerance and iteration cap
+NEWTON_TOL, NEWTON_MAX_ITER = 1e-12, 50
+
+
 class LogisticProblem(SmoothProblem):
     """f(x) = (1/m) sum_j log(1 + exp(-y_j a_j^T x)) + (l2_reg / 2) ||x||^2."""
 
@@ -225,8 +226,8 @@ class LogisticProblem(SmoothProblem):
         s = -self.y * expit(-self.y * u) / self.m
         return self.A.rmatvec(s) + self.l2_reg * x
 
-    def grad_coord(self, x, i, Ax=None):
-        u = self.A.matvec(x) if Ax is None else Ax
+    def grad_coord(self, x, i):
+        u = self.A.matvec(x)
         rows, vals = self.A.column(i)
         s = -self.y[rows] * expit(-self.y[rows] * u[rows]) / self.m
         return float(s @ vals + self.l2_reg * x[i])
@@ -238,7 +239,7 @@ class LogisticProblem(SmoothProblem):
         yr = self.y[rows]
         return -yr * expit(-yr * u[rows]) / self.m
 
-    def exact_coord_min(self, x, i, Ax=None, tol=1e-12, max_iter=50):
+    def exact_coord_min(self, x, i):
         """Safeguarded 1-D Newton along coordinate i.
 
         Brackets a sign change of the directional derivative, runs Newton
@@ -246,7 +247,7 @@ class LogisticProblem(SmoothProblem):
         whichever of the Newton point and the plain 1/L_i step has the lower
         objective, so the standard per-step progress bound always holds.
         """
-        u = self.A.matvec(x) if Ax is None else Ax
+        u = self.A.matvec(x)
         rows, vals = self.A.column(i)
         yr = self.y[rows]
         ur = u[rows]
@@ -294,8 +295,8 @@ class LogisticProblem(SmoothProblem):
         a = 0.0
         g = g0
         converged = False
-        for _ in range(max_iter):
-            if abs(g) <= tol:
+        for _ in range(NEWTON_MAX_ITER):
+            if abs(g) <= NEWTON_TOL:
                 converged = True
                 break
             h = d2phi(a)
@@ -308,7 +309,7 @@ class LogisticProblem(SmoothProblem):
                 hi = a
             else:
                 lo = a
-        if not converged and abs(g) > tol:
+        if not converged and abs(g) > NEWTON_TOL:
             a = fallback if phi(fallback) <= phi(a) else a
         if phi(fallback) < phi(a):
             a = fallback

@@ -20,20 +20,17 @@ from .problems import CompositeProblem, safe_curvature
 from .tracker import GradScorer, ProxScorer
 
 
-def approx_gs_select(gradient, eps, regime, benign=False):
+def approx_gs_select(gradient, eps, regime):
     """Pick a coordinate admissible for inexact greedy selection.
 
     Admissible means |grad_i| >= ||grad||_inf * (1 - eps) (regime
-    "mult") or |grad_i| >= ||grad||_inf - eps (regime "add").  The benign
-    mode returns the exact greedy coordinate (always admissible); otherwise
-    this is an adversarial simulator returning the WORST admissible
-    coordinate — smallest |grad_i|, ties broken to the LARGEST index — to
-    stress convergence bounds from below.
+    "mult") or |grad_i| >= ||grad||_inf - eps (regime "add").  This is an
+    adversarial simulator returning the WORST admissible coordinate —
+    smallest |grad_i|, ties broken to the LARGEST index — to stress
+    convergence bounds from below (the exact greedy pick is rule "gs").
     """
     g = np.abs(gradient)
     top = g.max()
-    if benign:
-        return int(np.argmax(g))
     if regime == "mult":
         if not 0.0 <= eps < 1.0:
             raise ValueError("multiplicative error must lie in [0, 1)")
@@ -74,7 +71,6 @@ class Rule:
     """Base selection rule; subclasses override prepare/scorer/select."""
 
     name = ""
-    is_stochastic = False
     reads_gradient = True
 
     def prepare(self, problem, rng=None):
@@ -95,7 +91,6 @@ class Rule:
 
 class UniformRule(Rule):
     name = "uniform"
-    is_stochastic = True
     reads_gradient = False
 
     def prepare(self, problem, rng=None):
@@ -121,7 +116,6 @@ class LipschitzRule(Rule):
     """Sample i with probability L_i / sum(L)."""
 
     name = "lipschitz"
-    is_stochastic = True
     reads_gradient = False
 
     def prepare(self, problem, rng=None):
@@ -158,25 +152,23 @@ class ApproxGreedyRule(Rule):
     """Inexact greedy selection with a per-iteration error budget.
 
     ``eps`` is a constant or a callable k -> eps_k (k is 1-based, matching
-    the error sequence the accumulated bounds integrate).  Worst-admissible
-    by default; benign=True returns the exact greedy coordinate.
+    the error sequence the accumulated bounds integrate).  It picks the
+    worst admissible coordinate (``approx_gs_select``).
     """
 
-    def __init__(self, regime, eps, benign=False):
+    def __init__(self, regime, eps):
         if regime not in ("mult", "add"):
             raise ValueError(f"unknown approximation regime: {regime!r}")
         self.regime = regime
         self.eps = eps
-        self.benign = benign
         self.name = f"gs-approx-{regime}"
 
     def eps_at(self, k):
         return float(self.eps(k)) if callable(self.eps) else float(self.eps)
 
     def select(self, tracker, k):
-        i = approx_gs_select(tracker.gradient, self.eps_at(k + 1),
-                             self.regime, benign=self.benign)
-        return i, None
+        return approx_gs_select(tracker.gradient, self.eps_at(k + 1),
+                                self.regime), None
 
 
 class MaxImprovementRule(Rule):
@@ -186,8 +178,7 @@ class MaxImprovementRule(Rule):
         self.problem = problem
 
     def select(self, tracker, k):
-        i, alpha = max_improvement_select(tracker.x, self.problem)
-        return i, alpha
+        return max_improvement_select(tracker.x, self.problem)
 
 
 class ProxWorkRule(Rule):
@@ -235,12 +226,12 @@ _FACTORIES = {
 RULE_NAMES = tuple(_FACTORIES) + ("gs-approx-mult", "gs-approx-add")
 
 
-def make_rule(name, eps=0.0, benign=False):
+def make_rule(name, eps=0.0):
     """Rule object from its command-line name."""
     if name == "gs-approx-mult":
-        return ApproxGreedyRule("mult", eps, benign=benign)
+        return ApproxGreedyRule("mult", eps)
     if name == "gs-approx-add":
-        return ApproxGreedyRule("add", eps, benign=benign)
+        return ApproxGreedyRule("add", eps)
     try:
         return _FACTORIES[name]()
     except KeyError:

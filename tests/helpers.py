@@ -27,3 +27,17 @@ def random_spd(rng, n, lam_lo=0.3, lam_hi=2.0):
 def scan_argmax(keys):
     """First index attaining the maximum — the heap-peek oracle."""
     return int(np.argmax(keys))
+
+
+def brute_knn_edges(pts, k):
+    """Symmetrised k-nearest-neighbour edges from every pairwise distance:
+    the reference for ``harness._knn_edges`` (O(n^2) memory)."""
+    n = pts.shape[0]
+    d2 = ((pts[:, None, :] - pts[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    nearest = np.argsort(d2, axis=1)[:, :k]
+    pairs = set()
+    for i in range(n):
+        for j in nearest[i]:
+            pairs.add((min(i, int(j)), max(i, int(j))))
+    return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)

@@ -1,5 +1,6 @@
 """The command-line front end: exit codes, outputs, and file artifacts."""
 
+import json
 import subprocess
 import sys
 
@@ -77,6 +78,21 @@ def test_run_bad_eps_fails(capsys):
                  "--rule", "gs-approx-mult", "--eps", "1.5",
                  "--iters", "5"]) == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key,value", [("labeled_nodes", [400]),
+                                       ("labeled_nodes", 5),
+                                       ("lambda", None)])
+def test_run_malformed_manifest_fails_cleanly(key, value, tmp_path, capsys):
+    assert main(["gen", "--problem", "two_moons", "--n", "40",
+                 "--out", str(tmp_path)]) == 0
+    path = tmp_path / "manifest.json"
+    manifest = json.loads(path.read_text())
+    manifest[key] = value
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["run", "--manifest", str(path)]) == 1
+    assert f"error: manifest key '{key}' must" in capsys.readouterr().err
 
 
 def test_unknown_rule_is_a_usage_error(capsys):

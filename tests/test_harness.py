@@ -3,9 +3,12 @@ showcase-case report."""
 
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedycd import harness
 from greedycd.harness import (
@@ -22,6 +25,8 @@ from greedycd.problems import (
     LeastSquaresProblem,
     LogisticProblem,
 )
+
+from helpers import brute_knn_edges
 
 SMALL = {
     "sparse_ls": dict(m=40, n=30),
@@ -126,6 +131,49 @@ def test_two_moons_structure():
     assert not set(exp.labeled_nodes) & set(exp.free_nodes.tolist())
 
 
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 8), extra=st.integers(0, 150), dim=st.integers(1, 3),
+       seed=st.integers(0, 2**32 - 1))
+def test_knn_edges_match_brute_force(k, extra, dim, seed):
+    # uniform points are in general position (no tied distances), so the
+    # k nearest neighbours of every point are unique
+    pts = np.random.default_rng(seed).random((k + 1 + extra, dim))
+    edges, weights = harness._knn_edges(pts, k)
+    want = brute_knn_edges(pts, k)
+    assert edges.dtype == want.dtype and np.array_equal(edges, want)
+    assert np.array_equal(weights, np.ones(len(want)))
+
+
+def test_knn_edges_tiny_and_coincident_clouds():
+    rng = np.random.default_rng(3)
+    # at most k other points: everyone is everyone's neighbour, no self-loop
+    for n in range(1, 7):
+        edges, _ = harness._knn_edges(rng.random((n, 2)), 5)
+        want = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        assert edges.reshape(-1, 2).tolist() == [list(e) for e in want]
+    # a point listed after its duplicate is still dropped from its own list
+    pts = rng.random((50, 2))
+    pts[10:14] = pts[3]
+    edges, _ = harness._knn_edges(pts, 5)
+    assert np.all(edges[:, 0] < edges[:, 1])
+    deg = np.bincount(edges.ravel(), minlength=50)
+    assert deg.min() >= 5
+
+
+# (n, seed) of every two_moons experiment the acceptance test c11
+# (n = 300, seeds 0-9), the graph-lp benchmark workload and
+# tools/same_traces.py (n = 2000, seeds 0-2; n = 300, seed 0) generate
+@pytest.mark.parametrize("n,seed", [(300, s) for s in range(10)]
+                         + [(2000, s) for s in range(3)])
+def test_two_moons_edges_match_brute_force(n, seed):
+    exp = gen_experiment("two_moons", n=n, seed=seed)
+    pts, _ = harness._two_moons_points(np.random.default_rng(seed), n, 0.1)
+    edges, weights = harness._edges_from_adjacency(exp.matrix)
+    # the adjacency lists its entries column by column
+    assert np.array_equal(np.unique(edges, axis=0), brute_knn_edges(pts, 5))
+    assert np.all(weights == 1.0)
+
+
 def test_ls_objective_at_origin_matches_formula():
     exp = small("sparse_ls")
     want = exp.scale * float(exp.rhs @ exp.rhs)
@@ -190,6 +238,67 @@ def test_manifest_empty_kind_key_is_named(name, key, tmp_path):
     (tmp_path / "manifest.json").write_text(json.dumps(manifest))
     with pytest.raises(ValueError, match=f"manifest needs '{key}'"):
         load_experiment(path)
+
+
+@pytest.mark.parametrize("name,key,value", [
+    ("two_moons", "labeled_nodes", [-1]),
+    ("two_moons", "labeled_nodes", [1.5]),
+    ("two_moons", "labeled_nodes", [400]),
+    ("two_moons", "labeled_nodes", 5),
+    ("two_moons", "labeled_nodes", [True]),
+    ("sparse_ls", "scale", None),
+    ("l1_underdet_ls", "scale", None),
+    ("sparse_ls", "scale", 0.0),
+    ("dense_overdet_ls", "scale", float("nan")),
+    ("l1_underdet_ls", "scale", "0.5"),
+    ("sparse_ls", "lambda", None),
+    ("sparse_logistic", "lambda", "1.0"),
+    ("l1_underdet_ls", "lambda", float("inf")),
+    ("two_moons", "lambda", float("nan")),
+])
+def test_manifest_malformed_value_is_named(name, key, value, tmp_path):
+    path = save_experiment(small(name), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest[key] = value
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match=f"manifest key '{key}' must"):
+        load_experiment(path)
+
+
+def test_manifest_graph_labels_need_one_per_node(tmp_path):
+    path = save_experiment(small("two_moons"), tmp_path)
+    harness.save_dense_mtx(tmp_path / "labels.mtx", np.ones(39))
+    with pytest.raises(ValueError, match="manifest key 'labels' must"):
+        load_experiment(path)
+
+
+def _same_bytes(a, b):
+    return (a is None and b is None) or (
+        a is not None and b is not None and a.dtype == b.dtype
+        and a.shape == b.shape and a.tobytes() == b.tobytes())
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(harness.GENERATORS), m=st.integers(1, 40),
+       n=st.integers(6, 40),
+       lam=st.none() | st.floats(0.0, 10.0, allow_subnormal=False),
+       seed=st.integers(0, 2**32 - 1))
+def test_manifest_round_trip_is_bitwise(name, m, n, lam, seed):
+    exp = gen_experiment(name, m=m, n=n, lam=lam, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        loaded = load_experiment(save_experiment(exp, tmp))
+    for attr in ("col_indptr", "col_rows", "col_vals", "row_indptr",
+                 "row_cols", "row_vals"):
+        assert _same_bytes(getattr(loaded.matrix, attr),
+                           getattr(exp.matrix, attr)), attr
+    assert loaded.matrix.shape == exp.matrix.shape
+    assert _same_bytes(loaded.rhs, exp.rhs)
+    assert _same_bytes(loaded.labels, exp.labels)
+    assert _same_bytes(loaded.free_nodes, exp.free_nodes)
+    assert (loaded.kind, loaded.lam, loaded.scale, loaded.labeled_nodes) == (
+        exp.kind, exp.lam, exp.scale, exp.labeled_nodes)
+    x = np.random.default_rng(seed).standard_normal(exp.problem.n)
+    assert loaded.problem.eval(x) == exp.problem.eval(x)
 
 
 def test_x0_round_trip(tmp_path):

@@ -103,7 +103,6 @@ def test_approx_gs_multiplicative_picks_worst_admissible():
     g = np.array([3.0, 2.5, 1.0])
     assert approx_gs_select(g, 0.2, "mult") == 1  # threshold 2.4 admits {0, 1}
     assert approx_gs_select(g, 0.0, "mult") == 0  # exact greedy
-    assert approx_gs_select(g, 0.2, "mult", benign=True) == 0
 
 
 def test_approx_gs_additive_thresholds():

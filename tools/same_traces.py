@@ -26,7 +26,13 @@ curvature differs from the score's (``gs-q`` with L_i, ``gsl-q`` with L)
 or whose score is not a prox step (``gs-s``), so the stopping test's
 residual keys take their own prox call.
 
-Prints one line per case and a final count; exits 1 on any difference.
+Every experiment those cases run on, and every one the acceptance test
+c11 ranks the rules on (seeds 0-9), is also compared byte for byte: the
+CSC arrays, rhs, labels, labeled nodes, lambda and scale.  A generator
+change then gets its own verdict, even where no trace reaches it.
+
+Prints one line per experiment and per case and a final count for each;
+exits 1 on any difference.
 """
 
 import argparse
@@ -73,6 +79,15 @@ EXTRA = (
      "auto"),
 )
 
+# (family, m, n, lam) of the acceptance test c11, run there on seeds 0-9
+C11 = (
+    ("sparse_ls", 200, 200, None),
+    ("sparse_logistic", 200, 150, None),
+    ("dense_overdet_ls", 300, 60, None),
+    ("l1_underdet_ls", 60, 300, None),
+    ("two_moons", None, 300, 1e-3),
+)
+
 
 def cases():
     """(case name, family, m, n, lam, instance, rule, budget, seed,
@@ -98,9 +113,26 @@ def cases():
     return out
 
 
+def experiments():
+    """(family, m, n, lam, seed) of every compared experiment."""
+    keys = {case[1:6] for case in cases()}
+    keys |= {spec + (seed,) for spec in C11 for seed in range(10)}
+    return sorted(keys, key=repr)
+
+
+def experiment_bytes(exp):
+    """The generated data of ``exp``, as bytes and exact reprs."""
+    arrays = (exp.matrix.col_indptr, exp.matrix.col_rows,
+              exp.matrix.col_vals, exp.rhs, exp.labels)
+    return (tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes())
+                  for a in arrays),
+            repr(exp.labeled_nodes), repr(exp.lam), repr(exp.scale))
+
+
 def dump(src, path):
-    """Run every case with the greedycd found under ``src``; pickle
-    {case name: (trace columns, final_x)} to ``path``."""
+    """Generate every experiment and run every case with the greedycd found
+    under ``src``; pickle ({experiment key: experiment_bytes}, {case name:
+    (trace columns, final_x)}) to ``path``."""
     sys.path.insert(0, src)
     import greedycd
     from greedycd import descent, harness
@@ -108,22 +140,24 @@ def dump(src, path):
     if not os.path.abspath(greedycd.__file__).startswith(os.path.abspath(src)):
         raise SystemExit(f"imported greedycd from {greedycd.__file__}")
     problems = {}
+    exps = {}
+    for key in experiments():
+        family, m, n, lam, seed = key
+        exp = harness.gen_experiment(family, m=m, n=n, lam=lam, seed=seed)
+        exps[key] = experiment_bytes(exp)
+        problems[key] = exp.problem
     out = {}
     for (name, family, m, n, lam, j, rule, budget, seed, backend, every,
          step) in cases():
-        key = (family, m, n, lam, j)
-        if key not in problems:
-            problems[key] = harness.gen_experiment(
-                family, m=m, n=n, lam=lam, seed=j).problem
-        trace = descent.run(problems[key], rule, step=step, max_iters=budget,
-                            tol=0.0, seed=seed, backend=backend,
-                            refresh_every=every)
+        trace = descent.run(problems[family, m, n, lam, j], rule, step=step,
+                            max_iters=budget, tol=0.0, seed=seed,
+                            backend=backend, refresh_every=every)
         columns = (trace.k, trace.objective, trace.coord, trace.step,
                    trace.resid_inf, trace.touched_rows, trace.touched_grads,
                    trace.heap_ops)
         out[name] = (columns, trace.final_x)
     with open(path, "wb") as fh:
-        pickle.dump(out, fh)
+        pickle.dump((exps, out), fh)
 
 
 def close(a, b, rtol=1e-12):
@@ -166,11 +200,18 @@ def main(argv=None):
     if not args.baseline:
         ap.error("--baseline is required")
     with tempfile.TemporaryDirectory() as tmp:
-        base = run_tree(args.baseline, os.path.join(tmp, "base.pkl"))
-        here = run_tree(ROOT, os.path.join(tmp, "here.pkl"))
+        base_exps, base = run_tree(args.baseline,
+                                   os.path.join(tmp, "base.pkl"))
+        here_exps, here = run_tree(ROOT, os.path.join(tmp, "here.pkl"))
     sys.path.insert(0, os.path.join(ROOT, "src"))
     from greedycd.rules import make_rule
 
+    exp_verdicts = []
+    for key, data in here_exps.items():
+        exp_verdicts.append("same" if data == base_exps[key] else "DIFFERS")
+        family, m, n, lam, seed = key
+        print(f"{exp_verdicts[-1]}  experiment {family} m={m} n={n} "
+              f"lam={lam} seed={seed}")
     rule_of = {case[0]: case[6] for case in cases()}
     verdicts = []
     for name, (cols, x) in here.items():
@@ -181,7 +222,9 @@ def main(argv=None):
     print(f"{verdicts.count('same')} of {len(here)} cases bit-identical, "
           f"{verdicts.count('close')} lean-rule cases within 1e-12, "
           f"{verdicts.count('DIFFERS')} differ")
-    return 1 if "DIFFERS" in verdicts else 0
+    print(f"{exp_verdicts.count('same')} of {len(here_exps)} experiments "
+          f"byte-identical, {exp_verdicts.count('DIFFERS')} differ")
+    return 1 if "DIFFERS" in verdicts + exp_verdicts else 0
 
 
 if __name__ == "__main__":

@@ -100,11 +100,14 @@ def _knn_edges(pts, k):
     weights; each point's k + 1 nearest include itself, which is dropped."""
     n = len(pts)
     nearest = cKDTree(pts).query(pts, min(k + 1, n))[1].reshape(n, -1)
-    pairs = np.column_stack([np.repeat(np.arange(n), nearest.shape[1]),
-                             nearest.ravel()])
-    pairs = np.sort(pairs[pairs[:, 0] != pairs[:, 1]], axis=1)
-    edges = np.unique(pairs, axis=0)
-    return edges, np.ones(len(edges))
+    rows = np.repeat(np.arange(n), nearest.shape[1])
+    cols = nearest.ravel()
+    # one int64 code lo * n + hi per pair sorts as the rows (lo, hi) would;
+    # a sort and a diff dedupe it far faster than np.unique's hash table
+    code = np.sort((np.minimum(rows, cols) * n
+                    + np.maximum(rows, cols))[rows != cols])
+    code = code[np.diff(code, prepend=-1) != 0]
+    return np.column_stack([code // n, code % n]), np.ones(len(code))
 
 
 def _edges_from_adjacency(adj):
@@ -145,6 +148,11 @@ def gen_experiment(name, m=None, n=None, lam=None, seed=0, noise=0.1):
     m = m0 if m is None else m
     n = n0 if n is None else n
     lam = lam0 if lam is None else lam
+    if kind != "graph" and m < 1:
+        raise ValueError(f"{name} needs m >= 1, got m={m}")
+    n_min = 5 if kind == "graph" else 1  # the graph clamps 5 labeled nodes
+    if n < n_min:
+        raise ValueError(f"{name} needs n >= {n_min}, got n={n}")
     rng = np.random.default_rng(seed)
     rhs = labels = scale = nodes = None
     if kind == "graph":

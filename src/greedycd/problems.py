@@ -316,6 +316,18 @@ class LogisticProblem(SmoothProblem):
         return xi + a
 
 
+def _edge_arrays(n, edges, weights):
+    """(edges, weights) as int64 (E, 2) and float64 (E,), with one weight
+    per edge and every endpoint in [0, n)."""
+    edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    weights = np.asarray(weights, dtype=np.float64)
+    if weights.shape != (edges.shape[0],):
+        raise ValueError("one weight per edge required")
+    if edges.size and (edges.min() < 0 or edges.max() >= n):
+        raise ValueError("edge endpoint out of range")
+    return edges, weights
+
+
 class GraphQuadraticProblem(SmoothProblem):
     """f(x) = sum_i (q_i/2 x_i^2 - b_i x_i) + sum_(u,v) (w/2)(x_u - x_v)^2 + c0.
 
@@ -328,16 +340,11 @@ class GraphQuadraticProblem(SmoothProblem):
 
     def __init__(self, n, edges, weights, node_quad=None, node_lin=None,
                  const=0.0):
-        edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != (edges.shape[0],):
-            raise ValueError("one weight per edge required")
-        if edges.size and (edges.min() < 0 or edges.max() >= n):
-            raise ValueError("edge endpoint out of range")
+        edges, weights = _edge_arrays(n, edges, weights)
         if np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("self-loops are not allowed")
-        keys = set(map(tuple, np.sort(edges, axis=1)))
-        if len(keys) != edges.shape[0]:
+        pair = np.sort(edges, axis=1)
+        if np.any(np.diff(np.sort(pair[:, 0] * int(n) + pair[:, 1])) == 0):
             raise ValueError("duplicate edges are not allowed")
         if not np.isfinite(weights).all():
             raise ValueError("edge weights must be finite")
@@ -390,43 +397,40 @@ class GraphQuadraticProblem(SmoothProblem):
                            node_reg=0.0):
         """Label-propagation energy over the unlabeled nodes.
 
-        ``labeled`` maps node id -> clamped value.  Edges touching a labeled
-        node become quadratic pulls on the free endpoint; edges between two
-        labeled nodes only shift the constant.  Returns (problem, free_nodes)
-        where free_nodes[i] is the original id of variable i.
+        ``labeled`` maps node id in [0, n_nodes) -> clamped value.  Edges
+        touching a labeled node become quadratic pulls on the free endpoint;
+        edges between two labeled nodes only shift the constant.  Returns
+        (problem, free_nodes), free_nodes[i] the original id of variable i.
         """
-        labeled = dict(labeled)
-        free = [v for v in range(n_nodes) if v not in labeled]
-        var_of = {v: i for i, v in enumerate(free)}
-        nv = len(free)
-        reg = np.broadcast_to(np.asarray(node_reg, dtype=np.float64),
-                              (n_nodes,))
-        node_quad = np.array([reg[v] for v in free])
-        node_lin = np.zeros(nv)
-        const = 0.0
-        keep_edges, keep_w = [], []
-        for (a, b), w in zip(np.asarray(edges).reshape(-1, 2),
-                             np.asarray(weights, dtype=np.float64)):
-            a, b = int(a), int(b)
-            if a in labeled and b in labeled:
-                const += 0.5 * w * (labeled[a] - labeled[b]) ** 2
-            elif a in labeled:
-                i = var_of[b]
-                node_quad[i] += w
-                node_lin[i] += w * labeled[a]
-                const += 0.5 * w * labeled[a] ** 2
-            elif b in labeled:
-                i = var_of[a]
-                node_quad[i] += w
-                node_lin[i] += w * labeled[b]
-                const += 0.5 * w * labeled[b] ** 2
-            else:
-                keep_edges.append((var_of[a], var_of[b]))
-                keep_w.append(w)
-        prob = cls(nv, np.array(keep_edges, dtype=np.int64).reshape(-1, 2),
-                   np.array(keep_w), node_quad=node_quad, node_lin=node_lin,
-                   const=const)
-        return prob, np.array(free, dtype=np.int64)
+        n = int(n_nodes)
+        edges, w = _edge_arrays(n, edges, weights)
+        ids = np.array(list(labeled), dtype=np.int64)
+        if ids.size and (ids.min() < 0 or ids.max() >= n):
+            raise ValueError(f"labeled node out of range [0, {n})")
+        is_lab = np.zeros(n, dtype=bool)
+        is_lab[ids] = True
+        value = np.zeros(n)
+        value[ids] = list(labeled.values())
+        free = np.flatnonzero(~is_lab)
+        var_of = np.cumsum(~is_lab) - 1
+        a, b = edges.T
+        la, lb = is_lab[a], is_lab[b]
+        touch, pull = la | lb, la ^ lb
+        # sums run in edge order: a pull adds w to q and w * label to b at
+        # its free endpoint; each edge touching a label adds
+        # (w/2)(value_a - value_b)^2 to the constant (free nodes hold 0)
+        at = var_of[np.where(la, b, a)[pull]]
+        node_quad = np.broadcast_to(np.asarray(node_reg, dtype=np.float64),
+                                    (n,))[free]
+        node_lin = np.zeros(free.size)
+        np.add.at(node_quad, at, w[pull])
+        np.add.at(node_lin, at, (w * np.where(la, value[a], value[b]))[pull])
+        d = value[a] - value[b]
+        const = np.add.accumulate(
+            np.concatenate(([0.0], (0.5 * w * (d * d))[touch])))[-1]
+        prob = cls(free.size, var_of[edges[~touch]], w[~touch],
+                   node_quad=node_quad, node_lin=node_lin, const=const)
+        return prob, free
 
     def eval(self, x):
         quad = 0.5 * float(x @ (self._H @ x))

@@ -41,3 +41,39 @@ def brute_knn_edges(pts, k):
         for j in nearest[i]:
             pairs.add((min(i, int(j)), max(i, int(j))))
     return np.array(sorted(pairs), dtype=np.int64).reshape(-1, 2)
+
+
+def fold_labeled_graph_loop(n_nodes, edges, weights, labeled, node_reg=0.0):
+    """The per-edge loop ``GraphQuadraticProblem.from_labeled_graph`` once
+    ran, kept as its reference: (kept edges, kept weights, node_quad,
+    node_lin, const, free_nodes)."""
+    labeled = dict(labeled)
+    free = [v for v in range(n_nodes) if v not in labeled]
+    var_of = {v: i for i, v in enumerate(free)}
+    reg = np.broadcast_to(np.asarray(node_reg, dtype=np.float64),
+                          (n_nodes,))
+    node_quad = np.array([reg[v] for v in free])
+    node_lin = np.zeros(len(free))
+    const = 0.0
+    keep_edges, keep_w = [], []
+    for (a, b), w in zip(np.asarray(edges).reshape(-1, 2),
+                         np.asarray(weights, dtype=np.float64)):
+        a, b = int(a), int(b)
+        if a in labeled and b in labeled:
+            const += 0.5 * w * (labeled[a] - labeled[b]) ** 2
+        elif a in labeled:
+            i = var_of[b]
+            node_quad[i] += w
+            node_lin[i] += w * labeled[a]
+            const += 0.5 * w * labeled[a] ** 2
+        elif b in labeled:
+            i = var_of[a]
+            node_quad[i] += w
+            node_lin[i] += w * labeled[b]
+            const += 0.5 * w * labeled[b] ** 2
+        else:
+            keep_edges.append((var_of[a], var_of[b]))
+            keep_w.append(w)
+    return (np.array(keep_edges, dtype=np.int64).reshape(-1, 2),
+            np.array(keep_w), node_quad, node_lin,
+            float(const), np.array(free, dtype=np.int64))

@@ -80,6 +80,17 @@ def test_run_bad_eps_fails(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--problem", "sparse_logistic", "--m", "0", "--n", "5"],
+    ["run", "--problem", "sparse_ls", "--m", "5", "--n", "0"],
+    ["gen", "--problem", "two_moons", "--n", "3", "--out", "unused"],
+])
+def test_sizes_the_generator_cannot_build_fail_cleanly(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and " needs " in err
+
+
 @pytest.mark.parametrize("key,value", [("labeled_nodes", [400]),
                                        ("labeled_nodes", 5),
                                        ("lambda", None)])

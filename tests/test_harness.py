@@ -78,6 +78,22 @@ def test_gen_unknown_name():
         gen_experiment("nosuch")
 
 
+@pytest.mark.parametrize("name,m,n,message", [
+    ("sparse_logistic", 0, 5, "needs m >= 1, got m=0"),
+    ("sparse_ls", 5, 0, "needs n >= 1, got n=0"),
+    ("dense_overdet_ls", -2, 3, "needs m >= 1, got m=-2"),
+    ("l1_underdet_ls", 4, -1, "needs n >= 1, got n=-1"),
+    ("two_moons", None, 4, "needs n >= 5, got n=4"),
+    ("two_moons", None, 0, "needs n >= 5, got n=0"),
+])
+def test_gen_rejects_sizes_it_cannot_build(name, m, n, message):
+    with pytest.raises(ValueError, match=f"{name} {message}"):
+        gen_experiment(name, m=m, n=n)
+    # the smallest accepted size builds
+    gen_experiment(name, m=None if m is None else 1,
+                   n=5 if name == "two_moons" else 1)
+
+
 def test_gen_is_deterministic_in_the_seed():
     a = gen_experiment("sparse_ls", m=30, n=25, seed=9)
     b = gen_experiment("sparse_ls", m=30, n=25, seed=9)

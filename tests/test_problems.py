@@ -11,7 +11,7 @@ from greedycd.problems import (BoxTerm, CompositeProblem,
                                GraphQuadraticProblem, L1Term,
                                LeastSquaresProblem, LogisticProblem, ZeroTerm,
                                prox_coordinate, quadratic_problem)
-from helpers import random_sparse, random_spd
+from helpers import fold_labeled_graph_loop, random_sparse, random_spd
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -268,6 +268,72 @@ class TestGraphQuadratic:
             GraphQuadraticProblem(3, [[0, 1], [1, 0]], [1.0, 1.0])
         with pytest.raises(ValueError):
             GraphQuadraticProblem(3, [[0, 5]], [1.0])
+        # pair codes lo * n + hi: a reversed duplicate at large n is caught,
+        # and pairs sharing lo or hi are not mistaken for one
+        n = 10**6
+        with pytest.raises(ValueError, match="duplicate edges"):
+            GraphQuadraticProblem(n, [[7, n - 1], [1, 2], [n - 1, 7]],
+                                  [1.0] * 3)
+        p = GraphQuadraticProblem(n, [[n - 1, 0], [1, 0], [0, n - 2]],
+                                  [1.0] * 3)
+        assert p.max_degree == 3
+
+    @settings(max_examples=150, deadline=None)
+    @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
+           density=st.sampled_from([0.0, 0.3, 1.0]),
+           labels=st.sampled_from(["none", "some", "all"]),
+           per_node_reg=st.booleans(), dyadic=st.booleans())
+    def test_labeled_fold_matches_the_loop(self, n, seed, density, labels,
+                                           per_node_reg, dyadic):
+        rng = np.random.default_rng(seed)
+        lo, hi = np.triu_indices(n, 1)
+        pick = rng.random(lo.size) < density
+        edges = np.column_stack([lo[pick], hi[pick]])
+        flip = rng.random(len(edges)) < 0.5
+        edges[flip] = edges[flip, ::-1]
+        edges = edges[rng.permutation(len(edges))]
+        w = rng.uniform(0.0, 3.0, len(edges)) * (rng.random(len(edges)) < 0.8)
+        n_lab = {"none": 0, "some": int(rng.integers(1, n + 1)),
+                 "all": n}[labels]
+        ids = rng.permutation(n)[:n_lab]
+        # labels in eighths square and subtract exactly; any other double
+        # may square differently (below)
+        vals = (rng.integers(-32, 33, n_lab) / 8.0 if dyadic
+                else rng.standard_normal(n_lab))
+        labeled = dict(zip(ids.tolist(), vals.tolist()))
+        reg = rng.random(n) if per_node_reg else 0.25
+        prob, free = GraphQuadraticProblem.from_labeled_graph(
+            n, edges, w, labeled, node_reg=reg)
+        want = fold_labeled_graph_loop(n, edges, w, labeled, node_reg=reg)
+        got = (prob.edges, prob.weights, prob.node_quad, prob.node_lin,
+               prob.const, free)
+        for g, e in zip(got[:4] + got[5:], want[:4] + want[5:]):
+            assert g.dtype == e.dtype and g.shape == e.shape
+            assert g.tobytes() == e.tobytes()
+        # the fold squares as d * d, correctly rounded, where the loop's
+        # float ** 2 calls the C library's pow, which can be 1 ulp off; the
+        # terms add in the same order, so the constants differ by at most
+        # a few ulp per term
+        if dyadic:
+            assert repr(prob.const) == repr(want[4])
+        else:
+            eps = np.finfo(np.float64).eps
+            assert abs(prob.const - want[4]) <= 4 * eps * len(w) * want[4]
+
+    def test_labeled_fold_rejects_bad_labels_and_weight_counts(self):
+        edges = [[0, 1], [1, 2]]
+        for bad in (3, -1):
+            with pytest.raises(ValueError, match="labeled node out of range"):
+                GraphQuadraticProblem.from_labeled_graph(
+                    3, edges, [1.0, 1.0], {0: 1.0, bad: -1.0})
+        for w in ([1.0], [1.0, 1.0, 1.0]):
+            with pytest.raises(ValueError, match="one weight per edge"):
+                GraphQuadraticProblem.from_labeled_graph(3, edges, w,
+                                                         {0: 1.0})
+        for bad in ([[0, 3]], [[-1, 1]]):
+            with pytest.raises(ValueError, match="edge endpoint out of range"):
+                GraphQuadraticProblem.from_labeled_graph(3, bad, [1.0],
+                                                         {0: 1.0})
 
     def test_rejects_non_finite_weights_and_node_terms(self):
         edges = [[0, 1], [1, 2]]

@@ -28,8 +28,10 @@ residual keys take their own prox call.
 
 Every experiment those cases run on, and every one the acceptance test
 c11 ranks the rules on (seeds 0-9), is also compared byte for byte: the
-CSC arrays, rhs, labels, labeled nodes, lambda and scale.  A generator
-change then gets its own verdict, even where no trace reaches it.
+CSC arrays, rhs, labels, labeled nodes, lambda and scale, and for a graph
+the problem the labeled nodes fold into (node_quad, node_lin, the constant,
+the kept edges and weights, and the free nodes).  A change to a generator
+or to the fold then gets its own verdict, even where no trace reaches it.
 
 Prints one line per experiment and per case and a final count for each;
 exits 1 on any difference.
@@ -121,12 +123,18 @@ def experiments():
 
 
 def experiment_bytes(exp):
-    """The generated data of ``exp``, as bytes and exact reprs."""
-    arrays = (exp.matrix.col_indptr, exp.matrix.col_rows,
-              exp.matrix.col_vals, exp.rhs, exp.labels)
+    """The generated data of ``exp``, as bytes and exact reprs; for a graph
+    also the problem its labeled nodes fold into."""
+    arrays = [exp.matrix.col_indptr, exp.matrix.col_rows,
+              exp.matrix.col_vals, exp.rhs, exp.labels]
+    reprs = [exp.labeled_nodes, exp.lam, exp.scale]
+    if exp.kind == "graph":
+        p = exp.problem
+        arrays += [p.node_quad, p.node_lin, p.edges, p.weights,
+                   exp.free_nodes]
+        reprs.append(p.const)
     return (tuple(None if a is None else (a.dtype.str, a.shape, a.tobytes())
-                  for a in arrays),
-            repr(exp.labeled_nodes), repr(exp.lam), repr(exp.scale))
+                  for a in arrays), tuple(map(repr, reprs)))
 
 
 def dump(src, path):

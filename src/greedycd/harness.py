@@ -36,6 +36,7 @@ from .problems import (
     L1Term,
     LeastSquaresProblem,
     LogisticProblem,
+    sorted_pair_codes,
 )
 
 # name: (kind, default m, default n, default lambda, sparsified design)
@@ -102,10 +103,9 @@ def _knn_edges(pts, k):
     nearest = cKDTree(pts).query(pts, min(k + 1, n))[1].reshape(n, -1)
     rows = np.repeat(np.arange(n), nearest.shape[1])
     cols = nearest.ravel()
-    # one int64 code lo * n + hi per pair sorts as the rows (lo, hi) would;
-    # a sort and a diff dedupe it far faster than np.unique's hash table
-    code = np.sort((np.minimum(rows, cols) * n
-                    + np.maximum(rows, cols))[rows != cols])
+    # sort + diff dedupes far faster than np.unique's int64 hash table
+    keep = rows != cols
+    code = sorted_pair_codes(n, rows[keep], cols[keep])
     code = code[np.diff(code, prepend=-1) != 0]
     return np.column_stack([code // n, code % n]), np.ones(len(code))
 

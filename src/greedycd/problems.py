@@ -316,6 +316,12 @@ class LogisticProblem(SmoothProblem):
         return xi + a
 
 
+def sorted_pair_codes(n, a, b):
+    """Sorted int64 codes min * n + max of the pairs (a_k, b_k); they sort
+    as the rows (min, max) would."""
+    return np.sort(np.minimum(a, b) * int(n) + np.maximum(a, b))
+
+
 def _edge_arrays(n, edges, weights):
     """(edges, weights) as int64 (E, 2) and float64 (E,), with one weight
     per edge and every endpoint in [0, n)."""
@@ -343,8 +349,7 @@ class GraphQuadraticProblem(SmoothProblem):
         edges, weights = _edge_arrays(n, edges, weights)
         if np.any(edges[:, 0] == edges[:, 1]):
             raise ValueError("self-loops are not allowed")
-        pair = np.sort(edges, axis=1)
-        if np.any(np.diff(np.sort(pair[:, 0] * int(n) + pair[:, 1])) == 0):
+        if np.any(np.diff(sorted_pair_codes(n, *edges.T)) == 0):
             raise ValueError("duplicate edges are not allowed")
         if not np.isfinite(weights).all():
             raise ValueError("edge weights must be finite")

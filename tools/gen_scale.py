@@ -1,78 +1,62 @@
 #!/usr/bin/env python3
 """Time the graph family's set-up as n grows.
 
-    python3 tools/gen_scale.py [--sizes 2000,10000,100000] [--repeats 3]
+    python3 tools/gen_scale.py
 
-For each size, builds ``two_moons`` with ``harness.gen_experiment`` (seed 0)
-and round-trips it through a manifest (``save_experiment`` then
-``load_experiment``, in a temporary directory), as a run from a manifest
-would.  Each of the two builds folds the labeled nodes once, through
-``GraphQuadraticProblem.from_labeled_graph``; the script times those calls
-too and reports their share of the whole.  Every figure is the best of
-``--repeats`` repeats, taken from the repeat with the least total time.
+For each size in ``SIZES``, builds ``two_moons`` with
+``harness.gen_experiment`` (seed ``SEED``) and round-trips it through a
+manifest (``save_experiment`` then ``load_experiment``, in a temporary
+directory), as a run from a manifest would.  Each of the two builds folds
+the labeled nodes into the problem once, through ``harness.build_problem``;
+the script times one more such call on its own and reports the two folds'
+share of the whole.  Each time is the least of ``REPEATS`` repeats.
 
 Prints one JSON line: {"sizes": {n: {gen_s, manifest_s, fold_s,
 fold_share}}, "seed", "repeats"}.
 """
 
-import argparse
 import json
 import os
 import sys
 import tempfile
 import time
 
+import numpy as np
+
 HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 from greedycd import harness  # noqa: E402
-from greedycd.problems import GraphQuadraticProblem  # noqa: E402
 
+SIZES = (2000, 10000, 100000)
 SEED = 0
+REPEATS = 5
 
 
-def measure(n, repeats):
-    """{gen_s, manifest_s, fold_s, fold_share} of the fastest repeat."""
-    fold = GraphQuadraticProblem.from_labeled_graph
-    spent = []
-
-    def timed_fold(*args, **kwargs):
-        t0 = time.perf_counter()
-        try:
-            return fold(*args, **kwargs)
-        finally:
-            spent.append(time.perf_counter() - t0)
-
-    best = None
-    GraphQuadraticProblem.from_labeled_graph = timed_fold
-    try:
-        for _ in range(repeats):
-            spent.clear()
-            with tempfile.TemporaryDirectory() as tmp:
-                t0 = time.perf_counter()
-                exp = harness.gen_experiment("two_moons", n=n, seed=SEED)
-                t1 = time.perf_counter()
-                harness.load_experiment(harness.save_experiment(exp, tmp))
-                t2 = time.perf_counter()
-            row = {"gen_s": t1 - t0, "manifest_s": t2 - t1,
-                   "fold_s": sum(spent)}
-            row["fold_share"] = row["fold_s"] / (t2 - t0)
-            if best is None or t2 - t0 < best["gen_s"] + best["manifest_s"]:
-                best = row
-    finally:
-        GraphQuadraticProblem.from_labeled_graph = fold
-    return {k: round(v, 4) for k, v in best.items()}
+def measure(n):
+    """{gen_s, manifest_s, fold_s, fold_share}, each time the least of
+    ``REPEATS`` repeats."""
+    times = []
+    for _ in range(REPEATS):
+        with tempfile.TemporaryDirectory() as tmp:
+            t0 = time.perf_counter()
+            exp = harness.gen_experiment("two_moons", n=n, seed=SEED)
+            t1 = time.perf_counter()
+            harness.load_experiment(harness.save_experiment(exp, tmp))
+            t2 = time.perf_counter()
+        t3 = time.perf_counter()
+        harness.build_problem(exp.kind, exp.matrix, exp.rhs, exp.labels,
+                              exp.lam, exp.scale, exp.labeled_nodes)
+        times.append((t1 - t0, t2 - t1, time.perf_counter() - t3))
+    gen_s, manifest_s, fold_s = np.min(times, axis=0)
+    return {"gen_s": round(gen_s, 4), "manifest_s": round(manifest_s, 4),
+            "fold_s": round(fold_s, 4),
+            "fold_share": round(2 * fold_s / (gen_s + manifest_s), 4)}
 
 
-def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--sizes", default="2000,10000,100000",
-                    help="comma-separated node counts")
-    ap.add_argument("--repeats", type=int, default=3)
-    args = ap.parse_args(argv)
-    sizes = [int(s) for s in args.sizes.split(",")]
-    out = {"sizes": {n: measure(n, args.repeats) for n in sizes},
-           "seed": SEED, "repeats": args.repeats}
+def main():
+    out = {"sizes": {n: measure(n) for n in SIZES},
+           "seed": SEED, "repeats": REPEATS}
     print(json.dumps(out))
     return 0
 

@@ -3,13 +3,19 @@
 The heap and graph kernels are plain Python loops over flat numpy arrays:
 each step depends on the one before (a sift walks one path of the heap), or
 touches too few entries (about a dozen edges per graph move) for a numpy
-call to pay off.  The sparse column and row updates are numpy expressions
-over whole CSC/CSR slices.
+call to pay off.  The sparse column update is one numpy expression over a
+CSC slice.  The row scatter into A^T grad is two of scipy's compiled
+sparse kernels (``scipy.sparse._sparsetools``), which add in the same
+order as a loop over the rows, so its sums are bit-identical to that
+loop's; see ``scatter_row_deltas``.
 
-Index arrays are int64 and value arrays float64 throughout.
+Index arrays are int64 and value arrays float64 throughout.  The compiled
+kernels check neither the dtypes nor any index bound, so their arrays come
+from a ``SparseMatrix``, whose arrays are read-only after construction.
 """
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 
 def heap_build(keys, order, pos):
@@ -89,23 +95,38 @@ def col_axpy(start, end, rows, vals, delta, y):
 def scatter_row_deltas(rows, dg, row_indptr, row_cols, row_vals, target):
     """target[c] += dg[r] * A[rows[r], c] for every stored entry of each row.
 
-    The CSR slices of the touched rows are gathered with one index array, in
-    row order and then column order, and ``np.add.at`` adds them in that
-    order, so every entry of ``target`` is summed as a loop over the rows
-    would sum it.  Returns the distinct columns hit, sorted; they are read
-    off a boolean mask over all n columns, which costs O(n) like the argmax
-    and the residual an iteration already pays, where sorting the hits
-    costs several times more.
+    Two compiled calls from scipy's ``_sparsetools`` do the work.
+    ``csr_row_index`` copies the CSR slices of the touched rows, in row
+    order, into ``bj``/``bx``; read under the pointer array ``bp`` (the
+    cumulative row lengths), those are the columns of an n x len(rows) CSC
+    matrix, so ``csc_matvec`` adds ``bx[t] * dg[r]`` into ``target[bj[t]]``
+    row by row, and within a row in column order.  That is the order of a
+    loop over the rows and their entries, so every entry of ``target`` is
+    summed as that loop would sum it, bit for bit.
+
+    The kernels check neither bounds nor dtypes: ``rows``, ``row_indptr``
+    and ``row_cols`` must be int64 and ``dg``, ``row_vals`` and ``target``
+    float64 and C-contiguous, with the row arrays taken from a
+    ``SparseMatrix`` (whose arrays are read-only, so their indices stay in
+    range).
+
+    Returns (the distinct columns hit, sorted; the number of entries
+    gathered).  The columns are read off a boolean mask over all n columns,
+    which costs O(n) like the argmax and the residual an iteration already
+    pays, where sorting the hits costs several times more.
     """
-    starts = row_indptr[rows]
-    lens = row_indptr[rows + 1] - starts
-    t = np.arange(int(lens.sum())) + np.repeat(starts - np.cumsum(lens) + lens,
-                                               lens)
-    cols = row_cols[t]
-    np.add.at(target, cols, np.repeat(dg, lens) * row_vals[t])
+    k = rows.shape[0]
+    bp = np.zeros(k + 1, dtype=np.int64)
+    np.cumsum(row_indptr[rows + 1] - row_indptr[rows], out=bp[1:])
+    count = int(bp[-1])
+    bj = np.empty(count, dtype=np.int64)
+    bx = np.empty(count, dtype=np.float64)
+    _sparsetools.csr_row_index(k, rows, row_indptr, row_cols, row_vals,
+                               bj, bx)
+    _sparsetools.csc_matvec(target.shape[0], k, bp, bj, bx, dg, target)
     hit = np.zeros(target.shape[0], dtype=bool)
-    hit[cols] = True
-    return np.flatnonzero(hit)
+    hit[bj] = True
+    return np.flatnonzero(hit), count
 
 
 def graph_coord_update(i, new_xi, x, indptr, nbr, w, rev, part, grad, q, b):

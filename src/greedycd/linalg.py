@@ -6,7 +6,9 @@ update A x after a coordinate step) and rows (to push residual-gradient
 changes back into A^T grad).  Construction canonicalises through
 scipy.sparse, so duplicates are summed, explicit zeros dropped, and indices
 sorted; index arrays are int64 and values float64, as the kernels expect.
-A NaN or infinite entry is rejected there.
+A NaN or infinite entry is rejected there.  All six arrays are read-only
+once built: the compiled row scatter trusts their indices without a bounds
+check.
 """
 
 import numpy as np
@@ -27,7 +29,12 @@ class SparseMatrix:
     nnz : stored entries (z)
     max_col_nnz : densest column (c)
     max_row_nnz : densest row (r)
+
+    ``ARRAYS`` names the six CSC/CSR arrays, read-only once built.
     """
+
+    ARRAYS = ("col_indptr", "col_rows", "col_vals",
+              "row_indptr", "row_cols", "row_vals")
 
     def __init__(self, scipy_matrix):
         coo = scipy.sparse.coo_matrix(scipy_matrix)
@@ -46,6 +53,8 @@ class SparseMatrix:
         self.row_indptr = np.asarray(csr.indptr, dtype=np.int64)
         self.row_cols = np.asarray(csr.indices, dtype=np.int64)
         self.row_vals = np.asarray(csr.data, dtype=np.float64)
+        for name in self.ARRAYS:
+            getattr(self, name).flags.writeable = False
         self.nnz = int(self.col_vals.shape[0])
         self.max_col_nnz = int(np.diff(self.col_indptr).max(initial=0))
         self.max_row_nnz = int(np.diff(self.row_indptr).max(initial=0))

@@ -323,9 +323,8 @@ class H1Tracker(_TrackerBase):
             self._maybe_refresh()
             return UpdateStats(int(rows.shape[0]), 0, 0)
 
-        cols = _kernels.scatter_row_deltas(
+        cols, touched_grads = _kernels.scatter_row_deltas(
             rows, dg, A.row_indptr, A.row_cols, A.row_vals, self.atg)
-        touched_grads = int((A.row_indptr[rows + 1] - A.row_indptr[rows]).sum())
         if a == b:
             # an empty column hits no row, but x[i] itself still moved
             cols = np.array([i], dtype=np.int64)

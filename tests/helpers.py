@@ -1,8 +1,10 @@
 """Shared test utilities: random instance generators and small oracles."""
 
 import numpy as np
+from hypothesis import strategies as st
 
 from greedycd.linalg import SparseMatrix
+from greedycd.problems import LeastSquaresProblem, LogisticProblem
 
 
 def random_sparse(rng, m, n, density=0.3, ensure_nonempty_cols=True):
@@ -15,6 +17,46 @@ def random_sparse(rng, m, n, density=0.3, ensure_nonempty_cols=True):
                 mask[rng.integers(m), j] = True
     dense = np.where(mask, dense, 0.0)
     return SparseMatrix.from_dense(dense), dense
+
+
+def draw_triplet_matrix(data, m, n):
+    """An m x n SparseMatrix drawn as COO triplets that may repeat a position
+    (summed), store an explicit zero, and leave rows and columns empty."""
+    value = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
+    triplets = data.draw(st.lists(
+        st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), value),
+        max_size=2 * m * n), label="triplets")
+    t = np.array(triplets, dtype=np.float64).reshape(-1, 3)
+    return SparseMatrix.from_coo(m, n, t[:, 0].astype(np.int64),
+                                 t[:, 1].astype(np.int64), t[:, 2])
+
+
+def draw_h1_problem(data, A):
+    """A least-squares or logistic problem on A, with l2_reg 0 or 0.3."""
+    m = A.shape[0]
+    lam = data.draw(st.sampled_from([0.0, 0.3]), label="l2_reg")
+    if data.draw(st.booleans(), label="logistic"):
+        y = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
+                                        min_size=m, max_size=m)))
+        return LogisticProblem(A, y, l2_reg=lam)
+    b = np.array(data.draw(st.lists(st.floats(-2.0, 2.0),
+                                    min_size=m, max_size=m)))
+    return LeastSquaresProblem(A, b, l2_reg=lam)
+
+
+def scatter_rows_loop(A, rows, dg, target):
+    """The per-entry loop ``_kernels.scatter_row_deltas`` must equal bit for
+    bit: target[c] += dg[k] * A[rows[k], c] over the rows in order and each
+    row's entries in column order.  Returns (sorted distinct columns hit,
+    number of entries visited)."""
+    hit = set()
+    count = 0
+    for r, d in zip(rows, dg):
+        for t in range(A.row_indptr[r], A.row_indptr[r + 1]):
+            target[A.row_cols[t]] += d * A.row_vals[t]
+            hit.add(int(A.row_cols[t]))
+            count += 1
+    return sorted(hit), count
 
 
 def random_spd(rng, n, lam_lo=0.3, lam_hi=2.0):

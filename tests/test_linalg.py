@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from greedycd.harness import gen_experiment, load_experiment, save_experiment
 from greedycd.linalg import (IndexedMaxHeap, SparseMatrix, column_sq_norms,
                              load_dense_mtx, save_dense_mtx)
 from helpers import random_sparse, scan_argmax
@@ -148,6 +149,34 @@ class TestSparseMatrix:
         assert np.array_equal(B.to_dense(), dense)
         header = path.read_text().splitlines()[0]
         assert header.startswith("%%MatrixMarket matrix coordinate real")
+
+    def test_arrays_are_read_only_and_still_work(self, tmp_path):
+        rng = np.random.default_rng(7)
+        A, dense = random_sparse(rng, 9, 11)
+        for name in SparseMatrix.ARRAYS:
+            arr = getattr(A, name)
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 10 ** 9
+            with pytest.raises(ValueError, match="read-only"):
+                arr[:] += 1
+        x, y = rng.standard_normal(11), rng.standard_normal(9)
+        assert np.allclose(A.matvec(x), dense @ x, rtol=1e-14, atol=1e-14)
+        assert np.allclose(A.rmatvec(y), dense.T @ y, rtol=1e-14, atol=1e-14)
+        assert np.array_equal(A.to_dense(), dense)
+        A.save_mtx(tmp_path / "A.mtx")
+        B = SparseMatrix.load_mtx(tmp_path / "A.mtx")
+        assert np.array_equal(B.to_dense(), dense)
+        assert not any(getattr(B, name).flags.writeable
+                       for name in SparseMatrix.ARRAYS)
+        exp = gen_experiment("sparse_ls", m=20, n=15, seed=3)
+        loaded = load_experiment(save_experiment(exp, tmp_path / "exp"))
+        for name in SparseMatrix.ARRAYS:
+            got = getattr(loaded.matrix, name)
+            assert not got.flags.writeable
+            assert np.array_equal(got, getattr(exp.matrix, name))
+        z = rng.standard_normal(15)
+        assert loaded.problem.eval(z) == exp.problem.eval(z)
 
     def test_dense_vector_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)

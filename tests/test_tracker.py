@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from greedycd import _kernels
 from greedycd.descent import _resolve_step, run
-from greedycd.linalg import SparseMatrix
 from greedycd.nns import BallTreeIndex
 from greedycd.problems import (BoxTerm, CompositeProblem,
                                GraphQuadraticProblem, L1Term,
@@ -17,7 +16,8 @@ from greedycd.problems import (BoxTerm, CompositeProblem,
 from greedycd.rules import make_rule
 from greedycd.tracker import (GradScorer, H1Tracker, H2Tracker, ProxScorer,
                               make_tracker)
-from helpers import random_sparse, scan_argmax
+from helpers import (draw_h1_problem, draw_triplet_matrix, random_sparse,
+                     scan_argmax, scatter_rows_loop)
 
 
 def assert_tracker_matches(tr, problem, rtol=1e-9):
@@ -200,15 +200,52 @@ class TestH1Tracker:
             dg = rng.standard_normal(rows.shape[0])
             target = rng.standard_normal(20)
             want = target.copy()
-            hit = set()
-            for r, d in zip(rows, dg):
-                for t in range(A.row_indptr[r], A.row_indptr[r + 1]):
-                    want[A.row_cols[t]] += d * A.row_vals[t]
-                    hit.add(int(A.row_cols[t]))
-            cols = _kernels.scatter_row_deltas(
+            hit, count = scatter_rows_loop(A, rows, dg, want)
+            cols, got_count = _kernels.scatter_row_deltas(
                 rows, dg, A.row_indptr, A.row_cols, A.row_vals, target)
             assert np.array_equal(target, want)
-            assert cols.tolist() == sorted(hit)
+            assert cols.tolist() == hit
+            assert got_count == count
+
+
+# dg and target entries for the scatter property: signed zeros,
+# subnormals, magnitudes near 1e-300 and 1e300, and anything finite
+SCATTER_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(1e-301, 1e-299), st.floats(-1e-299, -1e-301),
+    st.floats(1e299, 1e301), st.floats(-1e301, -1e299),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
+class TestScatterKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_scatter_equals_the_per_entry_loop_bit_for_bit(self, data):
+        m = data.draw(st.integers(1, 7), label="m")
+        n = data.draw(st.integers(1, 7), label="n")
+        A = draw_triplet_matrix(data, m, n)
+        # a column's rows are distinct and sorted; the kernel takes any list
+        rows = data.draw(st.one_of(
+            st.just([]), st.just(list(range(m))),
+            st.lists(st.integers(0, m - 1), max_size=2 * m)), label="rows")
+        rows = np.array(rows, dtype=np.int64)
+        dg = np.array(data.draw(st.lists(
+            SCATTER_VALUES, min_size=len(rows), max_size=len(rows)),
+            label="dg"), dtype=np.float64)
+        target = np.array(data.draw(st.lists(
+            SCATTER_VALUES, min_size=n, max_size=n), label="target"))
+        want = target.copy()
+        # products of the extremes may overflow; both sides must agree anyway
+        with np.errstate(over="ignore", invalid="ignore"):
+            hit, count = scatter_rows_loop(A, rows, dg, want)
+            cols, got_count = _kernels.scatter_row_deltas(
+                rows, dg, A.row_indptr, A.row_cols, A.row_vals, target)
+        assert np.array_equal(target.view(np.int64), want.view(np.int64))
+        gathered = [c for r in rows for c in A.row(r)[0].tolist()]
+        assert cols.dtype == np.int64
+        assert cols.tolist() == hit == sorted(set(gathered))
+        assert got_count == count == len(gathered)
 
 
 class TestH2Tracker:
@@ -238,6 +275,60 @@ class TestH2Tracker:
             assert stats.touched_rows == 1 and stats.heap_ops == heap_ops[1]
 
 
+class TestEagerTracker:
+    """An eager h1 tracker against a dense recompute after every update."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_eager_matches_dense_recompute(self, data):
+        m = data.draw(st.integers(1, 6), label="m")
+        n = data.draw(st.integers(1, 6), label="n")
+        A = draw_triplet_matrix(data, m, n)
+        dense = A.to_dense()
+        p = draw_h1_problem(data, A)
+        lam = p.l2_reg
+        weights = None
+        if data.draw(st.booleans(), label="lipschitz weights"):
+            weights = 1 / np.sqrt(np.where(p.L_per_coord > 0,
+                                           p.L_per_coord, 1.0))
+        x0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                         max_size=n)))
+        tr = H1Tracker(p, x0, GradScorer(weights),
+                       backend=data.draw(st.sampled_from(["scan", "heap"]),
+                                         label="backend"),
+                       refresh_every=data.draw(st.sampled_from([1, 3, 10000]),
+                                               label="refresh_every"))
+        # |x| stays below 12 over at most 10 steps of size <= 1, which
+        # bounds every |u_j| and |b_j| and so every term the caches sum
+        scale = (1.0 + 12.0 * np.abs(dense).sum()) ** 2
+        allrows = np.arange(m)
+
+        def check():
+            u = dense @ tr.x
+            grad = dense.T @ p.row_grad(u, allrows) + lam * tr.x
+            obj = p.row_val(u, allrows).sum() + 0.5 * lam * tr.x @ tr.x
+            assert np.allclose(tr.gradient, grad, rtol=0, atol=1e-12 * scale)
+            assert abs(tr.objective() - obj) <= 1e-12 * scale
+            w = 1.0 if weights is None else weights
+            # the kept scores are the scorer's over the kept gradient, and
+            # the dense gradient's within the same bound
+            assert np.array_equal(tr.scores, w * np.abs(tr.gradient))
+            assert np.allclose(tr.scores, w * np.abs(grad), rtol=0,
+                               atol=1e-12 * scale)
+            assert tr.peek() == int(np.argmax(tr.scores))
+
+        check()
+        steps = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.floats(-1.0, 1.0)),
+                                   max_size=10), label="steps")
+        for i, delta in steps:
+            stats = tr.apply_update(i, delta)
+            hit = dense[:, i] != 0
+            assert stats.touched_rows == hit.sum()
+            assert stats.touched_grads == (dense[hit] != 0).sum()
+            check()
+
+
 class TestLeanTracker:
     """A lean h1 tracker (no gradient, no scores) against an eager one fed
     the same updates."""
@@ -247,24 +338,8 @@ class TestLeanTracker:
     def test_lean_matches_eager_on_random_problems(self, data):
         m = data.draw(st.integers(1, 6), label="m")
         n = data.draw(st.integers(1, 6), label="n")
-        # triplets may repeat a position (summed), store an explicit zero,
-        # and leave rows and columns empty
-        value = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
-        triplets = data.draw(st.lists(
-            st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), value),
-            max_size=2 * m * n), label="triplets")
-        t = np.array(triplets, dtype=np.float64).reshape(-1, 3)
-        A = SparseMatrix.from_coo(m, n, t[:, 0].astype(np.int64),
-                                  t[:, 1].astype(np.int64), t[:, 2])
-        lam = data.draw(st.sampled_from([0.0, 0.3]), label="l2_reg")
-        if data.draw(st.booleans(), label="logistic"):
-            y = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
-                                            min_size=m, max_size=m)))
-            p = LogisticProblem(A, y, l2_reg=lam)
-        else:
-            b = np.array(data.draw(st.lists(st.floats(-2.0, 2.0),
-                                            min_size=m, max_size=m)))
-            p = LeastSquaresProblem(A, b, l2_reg=lam)
+        A = draw_triplet_matrix(data, m, n)
+        p = draw_h1_problem(data, A)
         x0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
                                          max_size=n)))
         every = data.draw(st.sampled_from([1, 3, 10000]), label="refresh_every")
@@ -322,14 +397,8 @@ class TestProxResidualKeys:
     def test_keys_match_a_fresh_prox_call(self, data):
         m = data.draw(st.integers(1, 5), label="m")
         n = data.draw(st.integers(1, 5), label="n")
-        # triplets may leave columns empty (L_i = 0) and store zeros
-        value = st.one_of(st.just(0.0), st.floats(-2.0, 2.0))
-        triplets = data.draw(st.lists(
-            st.tuples(st.integers(0, m - 1), st.integers(0, n - 1), value),
-            max_size=2 * m * n), label="triplets")
-        t = np.array(triplets, dtype=np.float64).reshape(-1, 3)
-        A = SparseMatrix.from_coo(m, n, t[:, 0].astype(np.int64),
-                                  t[:, 1].astype(np.int64), t[:, 2])
+        # the triplets may leave columns empty (L_i = 0)
+        A = draw_triplet_matrix(data, m, n)
         b = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m,
                                         max_size=m), label="b"))
         smooth = LeastSquaresProblem(

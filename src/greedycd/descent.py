@@ -190,6 +190,7 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
              if mode in ("const-coord", "exact") else np.full(n, smooth.L))
     L_safe = safe_curvature(L_vec)
     L_step = L_safe.tolist()
+    L_pos = (L_vec > 0).tolist()
     tracker = make_tracker(problem, x0,
                            scorer=rule.scorer(problem, L_step=L_safe),
                            backend=backend, refresh_every=refresh_every,
@@ -226,7 +227,7 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
             break
         i, alpha = rule.select(tracker, t)
         g_i = tracker.grad_coord(i)
-        xi_old = float(tracker.x[i])
+        xi_old = tracker.x.item(i)
         if composite is not None:
             d, promised = composite.coord_step(i, xi_old, g_i, L_step[i])
             if alpha is None:
@@ -236,8 +237,8 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
                 if mode == "exact":
                     alpha = smooth.exact_coord_min(tracker.x, i) - xi_old
                 else:
-                    alpha = -g_i / L_safe[i] if L_vec[i] > 0 else 0.0
-            promised = -g_i * g_i / (2.0 * L_safe[i]) if L_vec[i] > 0 else 0.0
+                    alpha = -g_i / L_step[i] if L_pos[i] else 0.0
+            promised = -g_i * g_i / (2.0 * L_step[i]) if L_pos[i] else 0.0
 
         stats = tracker.apply_update(i, alpha)
         delta = tracker.last_obj_delta

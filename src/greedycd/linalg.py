@@ -7,15 +7,27 @@ changes back into A^T grad).  Construction canonicalises through
 scipy.sparse, so duplicates are summed, explicit zeros dropped, and indices
 sorted; index arrays are int64 and values float64, as the kernels expect.
 A NaN or infinite entry is rejected there.  All six arrays are read-only
-once built: the compiled row scatter trusts their indices without a bounds
-check.
+once built: the compiled row scatter and the products ``matvec`` and
+``rmatvec`` (scipy's ``csc_matvec``/``csr_matvec`` on the CSC arrays)
+trust their indices without a bounds check.
 """
 
 import numpy as np
 import scipy.io
 import scipy.sparse
+from scipy.sparse import _sparsetools
 
 from . import _kernels
+
+
+def _float_vector(v, size):
+    """v as a C-contiguous float64 vector of length ``size``; the compiled
+    kernels read exactly that many entries, so any other shape is refused."""
+    v = np.asarray(v, dtype=np.float64)
+    if v.shape != (size,):
+        raise ValueError(f"expected a vector of length {size}, "
+                         f"got shape {v.shape}")
+    return np.ascontiguousarray(v)
 
 
 class SparseMatrix:
@@ -90,10 +102,24 @@ class SparseMatrix:
         return self._csc.toarray()
 
     def matvec(self, x):
-        return self._csc @ x
+        """A x, from scipy's compiled ``csc_matvec`` on the stored arrays."""
+        m, n = self.shape
+        x = _float_vector(x, n)
+        out = np.zeros(m)
+        _sparsetools.csc_matvec(m, n, self.col_indptr, self.col_rows,
+                                self.col_vals, x, out)
+        return out
 
     def rmatvec(self, y):
-        return self._csc.T @ y
+        """A^T y: the CSC arrays read as the CSR arrays of A^T, through
+        ``csr_matvec``, the kernel ``A.T @ y`` ends in, without building
+        the transposed scipy matrix on every call."""
+        m, n = self.shape
+        y = _float_vector(y, m)
+        out = np.zeros(n)
+        _sparsetools.csr_matvec(n, m, self.col_indptr, self.col_rows,
+                                self.col_vals, y, out)
+        return out
 
     def save_mtx(self, path):
         """Write as 1-based Matrix Market coordinate format."""

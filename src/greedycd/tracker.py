@@ -229,7 +229,7 @@ class _TrackerBase:
 
     def grad_coord(self, i):
         """The gradient entry of coordinate i."""
-        return float(self.gradient[i])
+        return self.gradient.item(i)
 
     def full_gradient(self):
         """The whole gradient (a lean tracker rebuilds it)."""
@@ -282,11 +282,11 @@ class H1Tracker(_TrackerBase):
 
     def grad_coord(self, i):
         if not self.lean:
-            return float(self.gradient[i])
+            return self.gradient.item(i)
         A = self.A
-        a, b = A.col_indptr[i], A.col_indptr[i + 1]
+        a, b = A.col_indptr.item(i), A.col_indptr.item(i + 1)
         return float(A.col_vals[a:b] @ self.row_g[A.col_rows[a:b]]
-                     + self.problem.l2_reg * self.x[i])
+                     + self.problem.l2_reg * self.x.item(i))
 
     def full_gradient(self):
         if not self.lean:
@@ -302,18 +302,18 @@ class H1Tracker(_TrackerBase):
         if not 0 <= i < self.n:
             raise IndexError(f"coordinate {i} out of range")
         A = self.A
-        a, b = A.col_indptr[i], A.col_indptr[i + 1]
+        a, b = A.col_indptr.item(i), A.col_indptr.item(i + 1)
         rows = A.col_rows[a:b]
         _kernels.col_axpy(a, b, A.col_rows, A.col_vals, float(delta), self.u)
         lam = self.problem.l2_reg
-        old_xi = self.x[i]
+        old_xi = self.x.item(i)
         new_xi = old_xi + delta
         self.x[i] = new_xi
 
         new_g = np.asarray(self.problem.row_grad(self.u, rows), dtype=np.float64)
         new_v = self.problem.row_val(self.u, rows)
         dg = new_g - self.row_g[rows]
-        dobj = float(np.sum(new_v - self.row_v[rows]))
+        dobj = float((new_v - self.row_v[rows]).sum())
         dobj += 0.5 * lam * (new_xi * new_xi - old_xi * old_xi)
         self.row_g[rows] = new_g
         self.row_v[rows] = new_v
@@ -352,19 +352,22 @@ class H2Tracker(_TrackerBase):
         if not 0 <= i < self.n:
             raise IndexError(f"coordinate {i} out of range")
         p = self.problem
-        new_xi = self.x[i] + delta
         dobj = _kernels.graph_coord_update(
-            i, float(new_xi), self.x, p.adj_indptr, p.adj_nbr, p.adj_w,
-            p.adj_rev, self.part, self.gradient, p.node_quad, p.node_lin)
-        nbr = p.adj_nbr[p.adj_indptr[i]:p.adj_indptr[i + 1]]
-        cols = np.empty(nbr.shape[0] + 1, dtype=np.int64)
-        cols[0] = i
-        cols[1:] = nbr
-        heap_ops = self._rescore(cols)
+            i, float(self.x.item(i) + delta), self.x, p.adj_indptr,
+            p.adj_nbr, p.adj_w, p.adj_rev, self.part, self.gradient,
+            p.node_quad, p.node_lin)
+        start, stop = p.adj_indptr.item(i), p.adj_indptr.item(i + 1)
+        heap_ops = 0
+        if self.heap is not None or self._scores is not None:
+            # rescore i and its neighbours; a score-less tracker skips this
+            cols = np.empty(stop - start + 1, dtype=np.int64)
+            cols[0] = i
+            cols[1:] = p.adj_nbr[start:stop]
+            heap_ops = self._rescore(cols)
         self._obj += dobj
-        self.last_obj_delta = float(dobj)
+        self.last_obj_delta = dobj
         self._maybe_refresh()
-        return UpdateStats(int(nbr.shape[0]), int(nbr.shape[0]), heap_ops)
+        return UpdateStats(stop - start, stop - start, heap_ops)
 
 
 def make_tracker(problem, x0, scorer=None, backend="scan",

@@ -19,6 +19,16 @@ def random_sparse(rng, m, n, density=0.3, ensure_nonempty_cols=True):
     return SparseMatrix.from_dense(dense), dense
 
 
+# signed zeros, subnormals, magnitudes near 1e-300 and 1e300, and anything
+# finite: the values the bit-for-bit kernel properties draw
+EXTREME_FLOATS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
+    st.floats(1e-301, 1e-299), st.floats(-1e-299, -1e-301),
+    st.floats(1e299, 1e301), st.floats(-1e301, -1e299),
+    st.floats(allow_nan=False, allow_infinity=False))
+
+
 def draw_triplet_matrix(data, m, n):
     """An m x n SparseMatrix drawn as COO triplets that may repeat a position
     (summed), store an explicit zero, and leave rows and columns empty."""
@@ -57,6 +67,31 @@ def scatter_rows_loop(A, rows, dg, target):
             hit.add(int(A.row_cols[t]))
             count += 1
     return sorted(hit), count
+
+
+def graph_move_loop(i, new_xi, x, indptr, nbr, w, rev, part, grad, q, b):
+    """The loop ``_kernels.graph_coord_update`` must equal bit for bit,
+    written with numpy-scalar indexing and in-place adds: move x[i] to
+    new_xi, refresh the partials of the edges at i and the gradient entries
+    of i and its neighbours, and return the objective change."""
+    old = x[i]
+    x[i] = new_xi
+    dobj = 0.5 * q[i] * (new_xi * new_xi - old * old) - b[i] * (new_xi - old)
+    s = q[i] * new_xi - b[i]
+    for k in range(indptr[i], indptr[i + 1]):
+        j = nbr[k]
+        xj = x[j]
+        a_new = new_xi - xj
+        a_old = old - xj
+        dobj += 0.5 * w[k] * (a_new * a_new - a_old * a_old)
+        pik = w[k] * a_new
+        part[k] = pik
+        s += pik
+        kr = rev[k]
+        grad[j] += -pik - part[kr]
+        part[kr] = -pik
+    grad[i] = s
+    return dobj
 
 
 def random_spd(rng, n, lam_lo=0.3, lam_hi=2.0):

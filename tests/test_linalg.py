@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from greedycd.harness import gen_experiment, load_experiment, save_experiment
 from greedycd.linalg import (IndexedMaxHeap, SparseMatrix, column_sq_norms,
                              load_dense_mtx, save_dense_mtx)
-from helpers import random_sparse, scan_argmax
+from helpers import (EXTREME_FLOATS, draw_triplet_matrix, random_sparse,
+                     scan_argmax)
 
 
 def heap_is_valid(h):
@@ -177,6 +180,37 @@ class TestSparseMatrix:
             assert np.array_equal(got, getattr(exp.matrix, name))
         z = rng.standard_normal(15)
         assert loaded.problem.eval(z) == exp.problem.eval(z)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_products_equal_scipys_bit_for_bit(self, data):
+        m = data.draw(st.integers(1, 7), label="m")
+        n = data.draw(st.integers(1, 7), label="n")
+        A = draw_triplet_matrix(data, m, n)
+        values = st.one_of(st.floats(-2.0, 2.0), EXTREME_FLOATS)
+        x = np.array(data.draw(st.lists(values, min_size=n, max_size=n),
+                               label="x"))
+        y = np.array(data.draw(st.lists(values, min_size=m, max_size=m),
+                               label="y"))
+        csc = A.to_scipy_csc()
+        # the extremes overflow to inf and nan; both sides must agree anyway
+        with np.errstate(all="ignore"):
+            pairs = ((A.matvec(x), csc @ x), (A.rmatvec(y), csc.T @ y))
+        for got, want in pairs:
+            assert got.dtype == np.float64 and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_products_convert_and_check_their_input(self):
+        A = SparseMatrix.from_dense([[1.0, 0.0, 2.0], [0.0, 3.0, 0.0]])
+        assert A.matvec([1, 2, 3]).tolist() == [7.0, 6.0]
+        assert A.rmatvec(np.array([1, -1], dtype=np.int32)).tolist() == [
+            1.0, -3.0, 2.0]
+        assert A.rmatvec(np.arange(4.0)[::2]).tolist() == [0.0, 6.0, 0.0]
+        for bad in ([1.0, 2.0], np.ones(4), np.ones((3, 1)), 1.0):
+            with pytest.raises(ValueError, match="length 3"):
+                A.matvec(bad)
+        with pytest.raises(ValueError, match="length 2"):
+            A.rmatvec(np.ones(3))
 
     def test_dense_vector_round_trip(self, tmp_path):
         rng = np.random.default_rng(6)

@@ -15,9 +15,10 @@ from greedycd.problems import (BoxTerm, CompositeProblem,
                                LeastSquaresProblem, LogisticProblem, ZeroTerm)
 from greedycd.rules import make_rule
 from greedycd.tracker import (GradScorer, H1Tracker, H2Tracker, ProxScorer,
-                              make_tracker)
-from helpers import (draw_h1_problem, draw_triplet_matrix, random_sparse,
-                     scan_argmax, scatter_rows_loop)
+                              _TrackerBase, make_tracker)
+from helpers import (EXTREME_FLOATS, draw_h1_problem, draw_triplet_matrix,
+                     graph_move_loop, random_sparse, scan_argmax,
+                     scatter_rows_loop)
 
 
 def assert_tracker_matches(tr, problem, rtol=1e-9):
@@ -208,16 +209,6 @@ class TestH1Tracker:
             assert got_count == count
 
 
-# dg and target entries for the scatter property: signed zeros,
-# subnormals, magnitudes near 1e-300 and 1e300, and anything finite
-SCATTER_VALUES = st.one_of(
-    st.sampled_from([0.0, -0.0, 5e-324, -5e-324]),
-    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),
-    st.floats(1e-301, 1e-299), st.floats(-1e-299, -1e-301),
-    st.floats(1e299, 1e301), st.floats(-1e301, -1e299),
-    st.floats(allow_nan=False, allow_infinity=False))
-
-
 class TestScatterKernel:
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -231,10 +222,10 @@ class TestScatterKernel:
             st.lists(st.integers(0, m - 1), max_size=2 * m)), label="rows")
         rows = np.array(rows, dtype=np.int64)
         dg = np.array(data.draw(st.lists(
-            SCATTER_VALUES, min_size=len(rows), max_size=len(rows)),
+            EXTREME_FLOATS, min_size=len(rows), max_size=len(rows)),
             label="dg"), dtype=np.float64)
         target = np.array(data.draw(st.lists(
-            SCATTER_VALUES, min_size=n, max_size=n), label="target"))
+            EXTREME_FLOATS, min_size=n, max_size=n), label="target"))
         want = target.copy()
         # products of the extremes may overflow; both sides must agree anyway
         with np.errstate(over="ignore", invalid="ignore"):
@@ -246,6 +237,73 @@ class TestScatterKernel:
         assert cols.dtype == np.int64
         assert cols.tolist() == hit == sorted(set(gathered))
         assert got_count == count == len(gathered)
+
+
+def draw_graph(data, n, weight, node_term):
+    """A GraphQuadraticProblem on n nodes: distinct edges drawn as pairs
+    (so some nodes may stay isolated), weights from ``weight``, and node
+    terms that are all zero or drawn from ``node_term``."""
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                         st.integers(0, n - 1)),
+                               max_size=2 * n), label="pairs")
+    edges = sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})
+    w = data.draw(st.lists(weight, min_size=len(edges),
+                           max_size=len(edges)), label="weights")
+    node = {}
+    for name in ("node_quad", "node_lin"):
+        if data.draw(st.booleans(), label=f"zero {name}"):
+            node[name] = np.zeros(n)
+        else:
+            node[name] = np.array(data.draw(st.lists(
+                node_term, min_size=n, max_size=n), label=name))
+    return GraphQuadraticProblem(n, np.array(edges, dtype=np.int64)
+                                 .reshape(-1, 2), w, **node)
+
+
+# nonnegative edge weights: moderate ones, zeros of both signs, subnormals,
+# magnitudes near 1e-300 and 1e300, and anything finite
+EXTREME_WEIGHTS = st.one_of(
+    st.floats(0.0, 2.0), st.sampled_from([0.0, -0.0, 5e-324]),
+    st.floats(0.0, 2.2250738585072014e-308), st.floats(1e-301, 1e-299),
+    st.floats(1e299, 1e301), st.floats(0.0, allow_infinity=False))
+
+
+# values of one magnitude, whose sums round, and the extremes
+MOVE_VALUES = st.one_of(st.floats(-2.0, 2.0), EXTREME_FLOATS)
+
+
+class TestGraphMoveKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_graph_move_equals_the_loop_bit_for_bit(self, data):
+        n = data.draw(st.integers(1, 12), label="n")
+        with np.errstate(over="ignore"):  # L_per_coord may overflow
+            p = draw_graph(data, n, EXTREME_WEIGHTS, MOVE_VALUES)
+        nslots = p.adj_nbr.shape[0]
+
+        def floats(size, label):
+            return np.array(data.draw(st.lists(
+                MOVE_VALUES, min_size=size, max_size=size), label=label),
+                dtype=np.float64)
+
+        x, grad = floats(n, "x"), floats(n, "grad")
+        part = floats(nslots, "part")
+        i = data.draw(st.integers(0, n - 1), label="i")
+        new_xi = data.draw(MOVE_VALUES, label="new_xi")
+        want = [x.copy(), part.copy(), grad.copy()]
+        # the extremes overflow to inf and nan; both sides must agree anyway
+        with np.errstate(all="ignore"):
+            want_dobj = graph_move_loop(
+                i, new_xi, want[0], p.adj_indptr, p.adj_nbr, p.adj_w,
+                p.adj_rev, want[1], want[2], p.node_quad, p.node_lin)
+        dobj = _kernels.graph_coord_update(
+            i, new_xi, x, p.adj_indptr, p.adj_nbr, p.adj_w, p.adj_rev, part,
+            grad, p.node_quad, p.node_lin)
+        assert type(dobj) is float
+        assert (np.array([dobj]).view(np.int64)
+                == np.array([want_dobj]).view(np.int64)).all()
+        for got, exp in zip((x, part, grad), want):
+            assert np.array_equal(got.view(np.int64), exp.view(np.int64))
 
 
 class TestH2Tracker:
@@ -273,6 +331,84 @@ class TestH2Tracker:
             assert stats.heap_ops == heap_ops[0]
             stats = tr.apply_update(0, -0.5)
             assert stats.touched_rows == 1 and stats.heap_ops == heap_ops[1]
+
+
+class TestEagerGraphTracker:
+    """An h2 tracker against a dense recompute after every update."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_graph_tracker_matches_dense_recompute(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        p = draw_graph(data, n, st.floats(0.0, 2.0), st.floats(-2.0, 2.0))
+        H = p.hessian()
+        scorer = data.draw(st.sampled_from(["none", "plain", "weighted"]),
+                           label="scorer")
+        weights = (1 / np.sqrt(np.where(p.L_per_coord > 0,
+                                        p.L_per_coord, 1.0))
+                   if scorer == "weighted" else None)
+        backend = data.draw(st.sampled_from(["scan", "heap"]),
+                            label="backend")
+        x0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
+                                         max_size=n)))
+        tr = H2Tracker(p, x0,
+                       None if scorer == "none" else GradScorer(weights),
+                       backend=backend,
+                       refresh_every=data.draw(st.sampled_from([1, 3, 10000]),
+                                               label="refresh_every"))
+        # |x| stays below 12 over at most 10 steps of size <= 1, which
+        # bounds every term the caches sum
+        scale = (1.0 + 12.0 * (np.abs(H).sum()
+                               + np.abs(p.node_lin).sum())) ** 2
+        degree = np.diff(p.adj_indptr)
+
+        def check():
+            grad = H @ tr.x - p.node_lin
+            assert np.allclose(tr.gradient, grad, rtol=0, atol=1e-12 * scale)
+            assert abs(tr.objective() - p.eval(tr.x)) <= 1e-12 * scale
+            if scorer == "none":
+                with pytest.raises(ValueError):
+                    tr.scores
+                return
+            w = 1.0 if weights is None else weights
+            assert np.array_equal(tr.scores, w * np.abs(tr.gradient))
+            assert np.allclose(tr.scores, w * np.abs(grad), rtol=0,
+                               atol=1e-12 * scale)
+            assert tr.peek() == int(np.argmax(tr.scores))
+
+        check()
+        steps = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                             st.floats(-1.0, 1.0)),
+                                   max_size=10), label="steps")
+        for i, delta in steps:
+            stats = tr.apply_update(i, delta)
+            assert stats.touched_rows == stats.touched_grads == degree[i]
+            heaped = backend == "heap" and scorer != "none"
+            assert stats.heap_ops == (degree[i] + 1 if heaped else 0)
+            check()
+
+    def test_scoreless_update_skips_the_rescore(self, monkeypatch):
+        calls = []
+        rescore = _TrackerBase._rescore
+
+        def counting(self, idx):
+            calls.append(idx.tolist())
+            return rescore(self, idx)
+
+        monkeypatch.setattr(_TrackerBase, "_rescore", counting)
+        p = GraphQuadraticProblem(4, [[0, 1], [1, 2], [1, 3]], [1.0, 2.0, 0.5],
+                                  node_quad=[0.5, 0.5, 0.5, 0.5])
+        for backend in ("scan", "heap"):
+            tr = H2Tracker(p, np.zeros(4), backend=backend)
+            stats = tr.apply_update(1, 1.0)
+            assert calls == []
+            assert stats.touched_rows == stats.touched_grads == 3
+            assert stats.heap_ops == 0
+            assert_tracker_matches(tr, p)
+        # a scored tracker rescores i and then its neighbours in slot order
+        tr = H2Tracker(p, np.zeros(4), GradScorer())
+        tr.apply_update(1, 1.0)
+        assert calls == [[1, 2, 3, 0]]
 
 
 class TestEagerTracker:

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Time the incremental row scatter against one full compiled A^T product.
+"""Time the incremental row scatter against one full compiled A^T product,
+and one graph coordinate move.
 
     python3 tools/kernel_times.py
 
@@ -13,10 +14,15 @@ matrix A:
 * ``A.rmatvec(y)``, the full product A^T y a non-incremental tracker would
   compute instead.
 
+On ``two_moons`` with ``GRAPH_N`` nodes (seed ``SEED``) it also times one
+``_kernels.graph_coord_update``, the whole per-edge work of an H2 update,
+for the node of median degree, on the state of a fresh tracker.
+
 Each time is the least of ``REPEATS`` repeats of ``NUMBER`` calls, divided
 by ``NUMBER``.  Prints one JSON line: {"sizes": [{family, m, n, nnz,
-touched, scatter_us, rmatvec_us, ratio}], "seed", "repeats", "number"},
-where ratio is scatter_us / rmatvec_us.
+touched, scatter_us, rmatvec_us, ratio}], "graph_move": {family, n, node,
+degree, graph_move_us}, "seed", "repeats", "number"}, where ratio is
+scatter_us / rmatvec_us.
 """
 
 import json
@@ -30,10 +36,12 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 from greedycd import _kernels, harness  # noqa: E402
+from greedycd.tracker import H2Tracker  # noqa: E402
 
 SIZES = (("sparse_ls", 200, 200), ("sparse_ls", 2000, 2000),
          ("dense_overdet_ls", 60, 20), ("dense_overdet_ls", 300, 60),
          ("l1_underdet_ls", 50, 500), ("l1_underdet_ls", 500, 5000))
+GRAPH_N = 2000
 SEED = 0
 REPEATS = 200
 NUMBER = 10
@@ -62,8 +70,21 @@ def measure(family, m, n):
             "ratio": round(scatter_us / rmatvec_us, 2)}
 
 
+def measure_graph_move():
+    p = harness.gen_experiment("two_moons", n=GRAPH_N, seed=SEED).problem
+    degree = np.diff(p.adj_indptr)
+    i = int(np.argsort(degree, kind="stable")[p.n // 2])
+    tr = H2Tracker(p, np.zeros(p.n))
+    move_us = least_us(lambda: _kernels.graph_coord_update(
+        i, 0.5, tr.x, p.adj_indptr, p.adj_nbr, p.adj_w, p.adj_rev, tr.part,
+        tr.gradient, p.node_quad, p.node_lin))
+    return {"family": "two_moons", "n": p.n, "node": i,
+            "degree": int(degree[i]), "graph_move_us": round(move_us, 2)}
+
+
 def main():
-    out = {"sizes": [measure(*size) for size in SIZES], "seed": SEED,
+    out = {"sizes": [measure(*size) for size in SIZES],
+           "graph_move": measure_graph_move(), "seed": SEED,
            "repeats": REPEATS, "number": NUMBER}
     print(json.dumps(out))
     return 0

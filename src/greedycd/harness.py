@@ -306,7 +306,7 @@ def _composite_reference(comp, polish_passes=60):
         options={"ftol": 1e-18, "gtol": 1e-12, "maxiter": 50000,
                  "maxfun": 200000})
     trace = run(comp, "cyclic", step="exact", x0=to_x(res.x), tol=1e-13,
-                max_iters=polish_passes * n, check_descent=False)
+                max_iters=polish_passes * n)
     return comp.eval(trace.final_x), trace.final_x
 
 

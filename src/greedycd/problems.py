@@ -1,10 +1,11 @@
 """Objectives with coordinate-wise structure.
 
 Smooth problems expose the pieces coordinate descent needs: per-coordinate
-Lipschitz constants L_i (from curvature along each axis), cheap coordinate
-gradients, and exact 1-D minimisation.  The two "linear composition" classes
-(least squares, logistic) additionally expose per-row link derivatives so the
-incremental tracker can maintain A x, grad of the row sum, and A^T grad.
+Lipschitz constants L_i (from curvature along each axis), the objective and
+its full gradient; a run reads gradient entries off its tracker.  The two
+"linear composition" classes (least squares, logistic) additionally expose
+per-row link derivatives so the incremental tracker can maintain A x, grad
+of the row sum, and A^T grad.
 Composite problems add a separable term g_i per coordinate, one of
 lam*|x_i|, a box indicator, or zero, together with proximal steps, the
 model decrease V_i, and minimal subgradients.  Constructors reject NaN and
@@ -94,10 +95,11 @@ class SmoothProblem:
     """Interface shared by the smooth objectives.
 
     Subclasses set ``n``, ``L_per_coord`` (positive where the coordinate
-    matters), and ``is_quadratic``, and implement ``eval``, ``full_grad``,
-    ``grad_coord`` and, unless quadratic, ``exact_coord_min``.  ``L1``,
-    the Lipschitz constant of the gradient in the 1-norm, is only available
-    for quadratics (max |H_ij|) and is None otherwise.
+    matters), and ``is_quadratic``, and implement ``eval``, ``full_grad``
+    and, unless quadratic (L_i = H_ii makes the 1/L_i step exact),
+    ``exact_coord_min(x, i, u)`` from u = A x.  ``L1``, the Lipschitz
+    constant of the gradient in the 1-norm, is only available for
+    quadratics (max |H_ij|) and is None otherwise.
     """
 
     is_quadratic = False
@@ -106,14 +108,6 @@ class SmoothProblem:
     @property
     def L(self):
         return float(self.L_per_coord.max())
-
-    def exact_coord_min(self, x, i):
-        """Minimiser of a quadratic f along coordinate i: x_i - grad_i / H_ii
-        (H_ii = L_i); other objectives override it."""
-        h = self.L_per_coord[i]
-        if h == 0.0:
-            return float(x[i])
-        return float(x[i] - self.grad_coord(x, i) / h)
 
 
 class LeastSquaresProblem(SmoothProblem):
@@ -154,12 +148,6 @@ class LeastSquaresProblem(SmoothProblem):
     def full_grad(self, x):
         r = self.A.matvec(x) - self.b
         return 2.0 * self.scale * self.A.rmatvec(r) + self.l2_reg * x
-
-    def grad_coord(self, x, i):
-        u = self.A.matvec(x)
-        rows, vals = self.A.column(i)
-        return float(2.0 * self.scale * ((u[rows] - self.b[rows]) @ vals)
-                     + self.l2_reg * x[i])
 
     def hessian(self):
         """Dense Hessian 2*scale*A^T A + l2_reg*I (intended for small n)."""
@@ -226,12 +214,6 @@ class LogisticProblem(SmoothProblem):
         s = -self.y * expit(-self.y * u) / self.m
         return self.A.rmatvec(s) + self.l2_reg * x
 
-    def grad_coord(self, x, i):
-        u = self.A.matvec(x)
-        rows, vals = self.A.column(i)
-        s = -self.y[rows] * expit(-self.y[rows] * u[rows]) / self.m
-        return float(s @ vals + self.l2_reg * x[i])
-
     def row_val(self, u, rows):
         return np.logaddexp(0.0, -self.y[rows] * u[rows]) / self.m
 
@@ -239,15 +221,16 @@ class LogisticProblem(SmoothProblem):
         yr = self.y[rows]
         return -yr * expit(-yr * u[rows]) / self.m
 
-    def exact_coord_min(self, x, i):
-        """Safeguarded 1-D Newton along coordinate i.
+    def exact_coord_min(self, x, i, u):
+        """Safeguarded 1-D Newton along coordinate i, from u = A x (a run
+        passes its tracker's cached product).
 
-        Brackets a sign change of the directional derivative, runs Newton
-        clipped to the bracket with bisection as fallback, and finally keeps
-        whichever of the Newton point and the plain 1/L_i step has the lower
-        objective, so the standard per-step progress bound always holds.
+        Brackets a sign change of the directional derivative and runs Newton
+        clipped to the bracket with bisection as fallback.  A converged
+        Newton point minimises the coordinate; otherwise the plain 1/L_i
+        step is kept if its objective is no higher, so the standard
+        per-step progress bound always holds.
         """
-        u = self.A.matvec(x)
         rows, vals = self.A.column(i)
         yr = self.y[rows]
         ur = u[rows]
@@ -311,8 +294,6 @@ class LogisticProblem(SmoothProblem):
                 lo = a
         if not converged and abs(g) > NEWTON_TOL:
             a = fallback if phi(fallback) <= phi(a) else a
-        if phi(fallback) < phi(a):
-            a = fallback
         return xi + a
 
 
@@ -444,13 +425,6 @@ class GraphQuadraticProblem(SmoothProblem):
     def full_grad(self, x):
         return self._H @ x - self.node_lin
 
-    def grad_coord(self, x, i):
-        a, b = self.adj_indptr[i], self.adj_indptr[i + 1]
-        nbr = self.adj_nbr[a:b]
-        w = self.adj_w[a:b]
-        return float(self.node_quad[i] * x[i] - self.node_lin[i]
-                     + w @ (x[i] - x[nbr]))
-
     def hessian(self):
         return self._H.toarray()
 
@@ -573,16 +547,6 @@ class CompositeProblem:
         V = (g_i * d + 0.5 * L_i * d * d + term_value(term, z)
              - term_value(term, x_i))
         return d, V
-
-    def exact_coord_min(self, x, i):
-        """Exact minimiser of F along coordinate i (quadratic smooth part)."""
-        if not self.smooth.is_quadratic:
-            raise ValueError("exact composite coordinate step needs a quadratic smooth part")
-        h = self.smooth.L_per_coord[i]
-        if h == 0.0:
-            h = 1.0
-        return prox_coordinate(self.terms[i], h,
-                               x[i] - self.smooth.grad_coord(x, i) / h)
 
 
 def quadratic_problem(H, b):

@@ -49,21 +49,37 @@ def approx_gs_select(gradient, eps, regime):
 def max_improvement_select(x, problem):
     """(i, alpha) giving the largest exact single-coordinate decrease.
 
-    Evaluates exact_coord_min for every coordinate — O(n) full objective
-    evaluations — so this is a reference rule, not a fast one.  Ties go to
-    the smallest index; at a minimiser every step is ~0 and whichever
-    coordinate wins the (noise-level) comparison is returned.
+    Every coordinate's exact minimiser comes from one full gradient: the
+    1/L_i step on a quadratic (L_i = H_ii), the prox step under L_i on a
+    composite problem with a quadratic smooth part, and the safeguarded
+    Newton step from one A x on logistic.  Scoring them takes O(n) full
+    objective evaluations, so this is a reference rule, not a fast one.
+    Ties go to the smallest index; at a minimiser every step is ~0 and
+    whichever coordinate wins the (noise-level) comparison is returned.
     """
+    smooth = getattr(problem, "smooth", problem)
+    L = smooth.L_per_coord
+    if smooth.is_quadratic:
+        g = smooth.full_grad(x)
+        if isinstance(problem, CompositeProblem):
+            new = x + problem.prox_steps(x, g, L)[0]
+        else:
+            new = np.where(L > 0, x - g / safe_curvature(L), x)
+    elif isinstance(problem, CompositeProblem):
+        raise ValueError("exact composite coordinate step needs a quadratic "
+                         "smooth part")
+    else:
+        u = smooth.A.matvec(x)
+        new = [smooth.exact_coord_min(x, i, u) for i in range(problem.n)]
     f0 = problem.eval(x)
     best_i, best_alpha, best_dec = 0, 0.0, -np.inf
     xt = x.copy()
     for i in range(problem.n):
-        new = problem.exact_coord_min(x, i)
-        xt[i] = new
+        xt[i] = new[i]
         dec = f0 - problem.eval(xt)
         xt[i] = x[i]
         if dec > best_dec:
-            best_i, best_alpha, best_dec = i, new - x[i], dec
+            best_i, best_alpha, best_dec = i, new[i] - x[i], dec
     return best_i, best_alpha
 
 

@@ -162,6 +162,8 @@ class _TrackerBase:
         if self.x.shape != (self.n,):
             raise ValueError("x0 has the wrong length")
         self.refresh_every = int(refresh_every)
+        if self.refresh_every < 1:
+            raise ValueError("refresh_every must be at least 1")
         self._updates = 0
         self.last_obj_delta = 0.0
         self.scorer = scorer

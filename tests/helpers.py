@@ -3,8 +3,31 @@
 import numpy as np
 from hypothesis import strategies as st
 
+from greedycd.descent import run
 from greedycd.linalg import SparseMatrix
 from greedycd.problems import LeastSquaresProblem, LogisticProblem
+from greedycd.rules import Rule
+
+
+class FixedStepRule(Rule):
+    """Test-only rule that always proposes the same (coordinate, step); a
+    step of None leaves it to ``run``."""
+
+    name = "fixed"
+
+    def __init__(self, i, alpha):
+        self.i = i
+        self.alpha = alpha
+
+    def select(self, tracker, k):
+        return self.i, self.alpha
+
+
+def one_step(problem, x, i, step="exact"):
+    """The trace of one ``run`` iteration from x that moves coordinate i
+    with ``step``."""
+    return run(problem, FixedStepRule(i, None), step=step, x0=x,
+               max_iters=1, tol=0.0)
 
 
 def random_sparse(rng, m, n, density=0.3, ensure_nonempty_cols=True):

@@ -11,7 +11,7 @@ from greedycd.problems import (BoxTerm, CompositeProblem,
                                GraphQuadraticProblem, L1Term,
                                LeastSquaresProblem, LogisticProblem, ZeroTerm,
                                prox_coordinate, quadratic_problem)
-from helpers import fold_labeled_graph_loop, random_sparse, random_spd
+from helpers import fold_labeled_graph_loop, one_step, random_sparse, random_spd
 
 
 def numeric_grad(f, x, h=1e-6):
@@ -91,8 +91,6 @@ class TestLeastSquares:
                           0.5 * r @ r + 0.15 * self.x @ self.x, rtol=1e-13)
         g = p.full_grad(self.x)
         assert np.allclose(g, numeric_grad(p.eval, self.x), atol=1e-5)
-        for i in range(p.n):
-            assert np.isclose(p.grad_coord(self.x, i), g[i], rtol=1e-12)
 
     def test_lipschitz_matches_hessian_diag(self):
         for scale in (0.5, 1.0 / (2 * 12)):
@@ -104,15 +102,14 @@ class TestLeastSquares:
 
     def test_exact_coord_min_zeroes_gradient(self):
         p = LeastSquaresProblem(self.A, self.b, l2_reg=0.1)
-        x = self.x.copy()
-        x[3] = p.exact_coord_min(x, 3)
-        assert abs(p.grad_coord(x, 3)) < 1e-10
+        x = one_step(p, self.x, 3).final_x
+        assert abs(p.full_grad(x)[3]) < 1e-10
 
     def test_exact_coord_min_diagonal_case(self):
         # diag(1, 0.7), b = (-1, -3): along coordinate 1 the minimiser is
         # b_2 / a_22 = -3 / 0.7 regardless of the starting point
         p = LeastSquaresProblem(np.diag([1.0, 0.7]), [-1.0, -3.0], scale=0.5)
-        new = p.exact_coord_min(np.array([1.0, 0.1]), 1)
+        new = one_step(p, np.array([1.0, 0.1]), 1).final_x[1]
         assert np.isclose(new, -3.0 / 0.7, rtol=1e-14)
 
     def test_validation(self):
@@ -159,8 +156,6 @@ class TestLogistic:
         assert np.isclose(p.eval(self.x), expected, rtol=1e-12)
         g = p.full_grad(self.x)
         assert np.allclose(g, numeric_grad(p.eval, self.x), atol=1e-6)
-        for i in range(p.n):
-            assert np.isclose(p.grad_coord(self.x, i), g[i], rtol=1e-12)
 
     def test_eval_stable_for_large_margins(self):
         p = LogisticProblem(self.A, self.y)
@@ -184,13 +179,16 @@ class TestLogistic:
         for _ in range(25):
             x = rng.standard_normal(6)
             i = int(rng.integers(6))
-            new = p.exact_coord_min(x, i)
+            new = p.exact_coord_min(x, i, self.dense @ x)
             phi = lambda a: p.eval(np.concatenate([x[:i], [a], x[i + 1:]]))
             ref = scipy.optimize.minimize_scalar(phi, bracket=(x[i] - 5, x[i] + 5))
             assert phi(new) <= ref.fun + 1e-12
             xi = x.copy()
             xi[i] = new
-            assert abs(p.grad_coord(xi, i)) < 1e-10
+            assert abs(p.full_grad(xi)[i]) < 1e-10
+            # the run's exact step is this one, from the tracker's A x
+            assert np.isclose(one_step(p, x, i).final_x[i], new,
+                              rtol=1e-12, atol=1e-12)
 
     def test_progress_bound_holds(self):
         # exact step never does worse than the 1/L_i step (Eq-style bound)
@@ -199,8 +197,8 @@ class TestLogistic:
         for _ in range(25):
             x = rng.standard_normal(6)
             i = int(rng.integers(6))
-            g = p.grad_coord(x, i)
-            new = p.exact_coord_min(x, i)
+            g = p.full_grad(x)[i]
+            new = p.exact_coord_min(x, i, self.dense @ x)
             xi = x.copy()
             xi[i] = new
             assert p.eval(xi) <= p.eval(x) - g * g / (2 * p.L_per_coord[i]) + 1e-12
@@ -225,17 +223,14 @@ class TestGraphQuadratic:
         x = rng.standard_normal(p.n)
         assert np.isclose(p.eval(x), 0.5 * x @ H @ x - p.node_lin @ x, rtol=1e-12)
         assert np.allclose(p.full_grad(x), H @ x - p.node_lin, rtol=1e-12)
-        for i in range(p.n):
-            assert np.isclose(p.grad_coord(x, i), p.full_grad(x)[i], rtol=1e-12)
         assert np.allclose(p.L_per_coord, np.diag(H), rtol=1e-14)
         assert p.max_degree == 2
 
     def test_exact_coord_min(self):
         rng = np.random.default_rng(8)
         p = self.make_chain(rng)
-        x = rng.standard_normal(p.n)
-        x[2] = p.exact_coord_min(x, 2)
-        assert abs(p.grad_coord(x, 2)) < 1e-12
+        x = one_step(p, rng.standard_normal(p.n), 2).final_x
+        assert abs(p.full_grad(x)[2]) < 1e-12
 
     def test_labeled_graph_matches_full_energy(self):
         rng = np.random.default_rng(9)
@@ -423,7 +418,7 @@ class TestComposite:
         comp = CompositeProblem(self.smooth, L1Term(0.7))
         x = self.x.copy()
         for i in range(5):
-            new = comp.exact_coord_min(x, i)
+            new = one_step(comp, x, i).final_x[i]
             grid = new + np.linspace(-0.1, 0.1, 2001)
             vals = []
             for z in grid:
@@ -555,8 +550,8 @@ class TestCoordStep:
         assert np.allclose(smooth.L_per_coord, np.diag(smooth.hessian()),
                            rtol=1e-14)
         for i in range(5):
-            g = smooth.grad_coord(x, i)
+            g = float(smooth.full_grad(x)[i])
             d, V = comp.coord_step(i, float(x[i]), g,
                                    float(smooth.L_per_coord[i]))
-            assert d == comp.exact_coord_min(x, i) - x[i]
+            assert d == one_step(comp, x, i).step[1]
             assert V <= 0.0

@@ -177,6 +177,18 @@ class TestH1Tracker:
         with pytest.raises(IndexError):
             H1Tracker(p, np.zeros(2)).apply_update(5, 1.0)
 
+    def test_refresh_interval_must_be_positive(self):
+        # 0 once divided by zero on the first update, and -1 rebuilt every
+        # cache after every update
+        ls = LeastSquaresProblem(np.eye(3), np.ones(3))
+        graph = GraphQuadraticProblem(3, [(0, 1)], [1.0], node_quad=np.ones(3))
+        for every in (0, -1):
+            for p in (ls, graph):
+                with pytest.raises(ValueError, match="refresh_every"):
+                    make_tracker(p, np.zeros(3), refresh_every=every)
+            with pytest.raises(ValueError, match="refresh_every"):
+                run(ls, "gs", refresh_every=every)
+
     def test_scanless_tracker_peek_raises(self):
         p = LeastSquaresProblem(np.eye(2), np.zeros(2))
         tr = H1Tracker(p, np.zeros(2))

@@ -14,7 +14,10 @@ off its column, tests for convergence once per epoch and counts no A^T grad
 entries, so its ``step``, ``resid_inf`` and ``touched_grads`` may differ;
 it must pick the same coordinates with the same ``touched_rows`` and
 ``heap_ops``, and its objectives and ``final_x`` must agree within 1e-12
-relative to max(1, |value|).
+relative to max(1, |value|).  The same limits hold for the ``NEAR`` cases,
+exact steps on smooth problems and maximum improvement, whose steps a
+checkout may compute from the tracker's gradient or A x where another
+recomputes them from x; the largest difference of each is printed.
 
 The cases are every rule, stream and instance that the benchmark's
 workloads run (``perfbench/workloads.py``, seed 0), each rule on both the
@@ -81,6 +84,18 @@ EXTRA = (
      "auto"),
 )
 
+# exact steps on smooth problems and maximum improvement: the same steps
+# in another rounding order, compared within 1e-12
+NEAR = (
+    ("ls", "sparse_ls", 200, 200, 1.0, "gs", 300, 10000, "exact"),
+    ("dense", "dense_overdet_ls", 300, 60, None, "gsl", 300, 10000, "exact"),
+    ("graph", "two_moons", None, 300, 1.0, "gs", 300, 10000, "exact"),
+    ("logistic", "sparse_logistic", 120, 80, 1.0, "gs", 300, 10000, "exact"),
+    ("ls", "sparse_ls", 200, 200, 1.0, "mi", 60, 10000, "auto"),
+    ("logistic", "sparse_logistic", 120, 80, 1.0, "mi", 60, 10000, "auto"),
+    ("lasso", "l1_underdet_ls", 50, 500, 1.0, "mi", 60, 10000, "auto"),
+)
+
 # (family, m, n, lam) of the acceptance test c11, run there on seeds 0-9
 C11 = (
     ("sparse_ls", 200, 200, None),
@@ -89,6 +104,11 @@ C11 = (
     ("l1_underdet_ls", 60, 300, None),
     ("two_moons", None, 300, 1e-3),
 )
+
+
+def extra_name(label, rule, step, backend):
+    return (f"{label}/{rule}" + ("" if step == "auto" else f"/{step}")
+            + f"/{backend}")
 
 
 def cases():
@@ -107,11 +127,10 @@ def cases():
                                     f"/s{stream}", w.family, w.m, w.n, w.lam,
                                     j, role.rule, role.budget, seed, backend,
                                     10000, "auto"))
-    for label, family, m, n, lam, rule, budget, every, step in EXTRA:
-        name = f"{label}/{rule}" + ("" if step == "auto" else f"/{step}")
+    for label, family, m, n, lam, rule, budget, every, step in EXTRA + NEAR:
         for backend in ("heap", "scan"):
-            out.append((f"{name}/{backend}", family, m, n, lam, 0, rule,
-                        budget, 1, backend, every, step))
+            out.append((extra_name(label, rule, step, backend), family, m, n,
+                        lam, 0, rule, budget, 1, backend, every, step))
     return out
 
 
@@ -168,24 +187,27 @@ def dump(src, path):
         pickle.dump((exps, out), fh)
 
 
-def close(a, b, rtol=1e-12):
-    """Largest |a - b| / max(1, |a|) is within ``rtol``."""
+def rel_diff(a, b):
+    """Largest |a - b| / max(1, |a|); inf when the shapes differ."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
-    return a.shape == b.shape and bool(
-        np.all(np.abs(a - b) <= rtol * np.maximum(1.0, np.abs(a))))
+    if a.shape != b.shape:
+        return np.inf
+    return float((np.abs(a - b) / np.maximum(1.0, np.abs(a))).max(initial=0))
 
 
-def compare(cols, x, bcols, bx, lean):
-    """'same', 'close' (a lean rule within tolerance) or 'DIFFERS'."""
+def compare(cols, x, bcols, bx, loose):
+    """('same', 0), or ('close', largest objective or final_x difference)
+    for a case allowed to differ within 1e-12 (``loose``), or ('DIFFERS',
+    that difference)."""
     if cols == bcols and x.tobytes() == bx.tobytes():
-        return "same"
+        return "same", 0.0
     k, objective, coord, _, _, rows, _, heap_ops = cols
-    if (lean and (k, coord, rows, heap_ops)
-            == (bcols[0], bcols[2], bcols[5], bcols[7])
-            and close(bcols[1], objective) and close(bx, x)):
-        return "close"
-    return "DIFFERS"
+    diff = max(rel_diff(bcols[1], objective), rel_diff(bx, x))
+    if (loose and (k, coord, rows, heap_ops)
+            == (bcols[0], bcols[2], bcols[5], bcols[7]) and diff <= 1e-12):
+        return "close", diff
+    return "DIFFERS", diff
 
 
 def run_tree(root, path):
@@ -221,14 +243,18 @@ def main(argv=None):
         print(f"{exp_verdicts[-1]}  experiment {family} m={m} n={n} "
               f"lam={lam} seed={seed}")
     rule_of = {case[0]: case[6] for case in cases()}
+    near = {extra_name(c[0], c[5], c[8], backend)
+            for c in NEAR for backend in ("heap", "scan")}
     verdicts = []
     for name, (cols, x) in here.items():
         bcols, bx = base[name]
-        lean = not make_rule(rule_of[name]).reads_gradient
-        verdicts.append(compare(cols, x, bcols, bx, lean))
-        print(f"{verdicts[-1]}  {name}  ({len(cols[0]) - 1} iterations)")
+        loose = name in near or not make_rule(rule_of[name]).reads_gradient
+        verdict, diff = compare(cols, x, bcols, bx, loose)
+        verdicts.append(verdict)
+        print(f"{verdict}  {name}  ({len(cols[0]) - 1} iterations"
+              + (")" if verdict == "same" else f", largest {diff:.2e})"))
     print(f"{verdicts.count('same')} of {len(here)} cases bit-identical, "
-          f"{verdicts.count('close')} lean-rule cases within 1e-12, "
+          f"{verdicts.count('close')} within 1e-12, "
           f"{verdicts.count('DIFFERS')} differ")
     print(f"{exp_verdicts.count('same')} of {len(here_exps)} experiments "
           f"byte-identical, {exp_verdicts.count('DIFFERS')} differ")

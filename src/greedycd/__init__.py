@@ -1,5 +1,7 @@
 """Greedy coordinate descent: selection rules, incremental gradient
-trackers, nearest-neighbour accelerated selection, and rate analysis."""
+trackers that also keep the stopping test, a nearest-neighbour index that
+answers gsl (slower than a scan at every size measured so far), and rate
+analysis."""
 
 from .analysis import (
     ConvexityConstants,

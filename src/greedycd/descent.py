@@ -21,8 +21,12 @@ from .problems import CompositeProblem, safe_curvature, term_value
 from .rules import Rule, make_rule
 from .tracker import make_tracker
 
-TRACE_HEADER = ("k,objective,coord,step,resid_inf,elapsed_ns,"
-                "touched_rows,touched_grads,heap_ops")
+# (name, type) of every trace column, in file order
+TRACE_COLUMNS = (("k", int), ("objective", float), ("coord", int),
+                 ("step", float), ("resid_inf", float), ("elapsed_ns", int),
+                 ("touched_rows", int), ("touched_grads", int),
+                 ("heap_ops", int))
+TRACE_HEADER = ",".join(name for name, _ in TRACE_COLUMNS)
 
 STEP_MODES = ("auto", "const", "const-coord", "exact")
 
@@ -30,6 +34,9 @@ STEP_MODES = ("auto", "const", "const-coord", "exact")
 def _float_text(v):
     """repr(v), but "-nan" for a NaN whose sign bit is set."""
     return "-nan" if v != v and np.signbit(v) else repr(v)
+
+
+_TEXT = {int: str, float: _float_text}
 
 
 @dataclass
@@ -71,23 +78,13 @@ class RunTrace:
 
     def same_path(self, other):
         """Equality ignoring wall-clock times (for determinism checks)."""
-        return (self.k == other.k and self.objective == other.objective
-                and self.coord == other.coord and self.step == other.step
-                and self.resid_inf == other.resid_inf
-                and self.touched_rows == other.touched_rows
-                and self.touched_grads == other.touched_grads
-                and self.heap_ops == other.heap_ops)
+        return all(getattr(self, name) == getattr(other, name)
+                   for name, _ in TRACE_COLUMNS if name != "elapsed_ns")
 
     def to_csv(self):
-        lines = [TRACE_HEADER]
-        for j in range(len(self.k)):
-            lines.append(",".join((
-                str(self.k[j]), _float_text(self.objective[j]),
-                str(self.coord[j]), _float_text(self.step[j]),
-                _float_text(self.resid_inf[j]),
-                str(self.elapsed_ns[j]), str(self.touched_rows[j]),
-                str(self.touched_grads[j]), str(self.heap_ops[j]))))
-        return "\n".join(lines) + "\n"
+        columns = [map(_TEXT[kind], getattr(self, name))
+                   for name, kind in TRACE_COLUMNS]
+        return "\n".join([TRACE_HEADER, *map(",".join, zip(*columns))]) + "\n"
 
     def write_csv(self, path):
         with open(path, "w") as fh:
@@ -101,11 +98,9 @@ class RunTrace:
         trace = cls()
         for ln in lines[1:]:
             f = ln.split(",")
-            if len(f) != 9:
+            if len(f) != len(TRACE_COLUMNS):
                 raise ValueError(f"bad trace row: {ln!r}")
-            trace.append(int(f[0]), float(f[1]), int(f[2]), float(f[3]),
-                         float(f[4]), int(f[5]), int(f[6]), int(f[7]),
-                         int(f[8]))
+            trace.append(*(kind(v) for (_, kind), v in zip(TRACE_COLUMNS, f)))
         return trace
 
     @classmethod
@@ -153,21 +148,19 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     composite problems) drops to ``tol``, which must be finite, or after
     ``max_iters`` updates (default 50 n).
 
-    The gradient is read only through the tracker.  A rule that never
+    The gradient and the stopping test are read only through the tracker
+    (``grad_inf_norm``).  A non-lean tracker keeps the test's keys (|grad_i|,
+    or |d_i| under the step curvature) and rewrites them for the
+    coordinates each update touches, so every rule that reads the gradient
+    tests after every update without a pass over all n.  A rule that never
     reads it (``rule.reads_gradient`` false: uniform, cyclic, lipschitz)
     pays only for its column, as the cost model of random selection says:
-    its h1 tracker is lean (no row scatter into A^T grad, ``touched_grads
-    == 0``), and it tests for convergence once per epoch: at x0, after
-    every n updates and after the last one, each time from one rebuilt full
-    gradient (one ``prox_steps`` over all n for composite problems).  A
-    trace row between two tests repeats the last measured ``resid_inf``,
-    so such a run stops on an epoch boundary.  Every other rule tests
-    after every update.  A composite greedy rule (a prox score: gs-s,
-    gs-r, gs-q, gsl-r, gsl-q) reads that test off the |d_i| keys its
-    tracker keeps under the step curvature and rewrites for the touched
-    coordinates, so it makes no ``prox_steps`` call over all n; only the
-    lean rules, and rules without a prox score run on a composite problem,
-    still do.
+    its tracker is lean (no keys, no scores, and on h1 no row scatter into
+    A^T grad, ``touched_grads == 0``), and it tests for convergence once
+    per epoch: at x0, after every n updates and after the last one, each
+    time from one rebuilt full gradient (one ``prox_steps`` over all n for
+    composite problems).  A trace row between two tests repeats the last
+    measured ``resid_inf``, so such a run stops on an epoch boundary.
     """
     composite = problem if isinstance(problem, CompositeProblem) else None
     smooth = problem.smooth if composite is not None else problem
@@ -198,10 +191,9 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     L_safe = safe_curvature(L_vec)
     L_step = L_safe.tolist()
     L_pos = (L_vec > 0).tolist()
-    tracker = make_tracker(problem, x0,
-                           scorer=rule.scorer(problem, L_step=L_safe),
+    tracker = make_tracker(problem, x0, scorer=rule.scorer(problem),
                            backend=backend, refresh_every=refresh_every,
-                           lean=lean)
+                           lean=lean, L_step=L_safe)
 
     obj = tracker.objective()
     if composite is not None:
@@ -210,17 +202,7 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
             raise ValueError("x0 is infeasible for the composite terms")
         obj += g_sum
 
-    def residual():
-        if composite is None:
-            return tracker.grad_inf_norm()
-        if not n:
-            return 0.0
-        if tracker.prox_keys is not None:
-            return float(tracker.prox_keys.max())
-        d = composite.prox_steps(tracker.x, tracker.full_gradient(), L_safe)[0]
-        return float(np.abs(d).max())
-
-    resid = residual()
+    resid = tracker.grad_inf_norm()
     if not (np.isfinite(obj) and np.isfinite(resid)):
         raise ValueError("objective or gradient at x0 is not finite; "
                          "check the problem data for NaN or inf")
@@ -264,7 +246,7 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
                 f"(coordinate {i}, step {alpha:.3e})")
         obj += delta
         if not lean or (t + 1) % n == 0 or t + 1 == max_iters:
-            resid = residual()
+            resid = tracker.grad_inf_norm()
         trace.append(t + 1, obj, i, alpha, resid, time.perf_counter_ns() - t0,
                      stats.touched_rows, stats.touched_grads, stats.heap_ops)
     else:

@@ -52,9 +52,12 @@ def max_improvement_select(x, problem):
     Every coordinate's exact minimiser comes from one full gradient: the
     1/L_i step on a quadratic (L_i = H_ii), the prox step under L_i on a
     composite problem with a quadratic smooth part, and the safeguarded
-    Newton step from one A x on logistic.  Scoring them takes O(n) full
-    objective evaluations, so this is a reference rule, not a fast one.
-    Ties go to the smallest index; at a minimiser every step is ~0 and
+    Newton step from one A x on logistic.  On a quadratic the decrease is
+    read off the same gradient, g_i^2 / (2 L_i) (0 where L_i = 0), and on
+    a quadratic composite it is the model decrease -V_i, so a pick costs
+    O(nnz); logistic scores its candidates with n full objective
+    evaluations, so there this is a reference rule, not a fast one.  Ties
+    go to the smallest index; at a minimiser every step is ~0 and
     whichever coordinate wins the (noise-level) comparison is returned.
     """
     smooth = getattr(problem, "smooth", problem)
@@ -62,24 +65,27 @@ def max_improvement_select(x, problem):
     if smooth.is_quadratic:
         g = smooth.full_grad(x)
         if isinstance(problem, CompositeProblem):
-            new = x + problem.prox_steps(x, g, L)[0]
+            d, V, _ = problem.prox_steps(x, g, L)
+            new, dec = x + d, -V
         else:
-            new = np.where(L > 0, x - g / safe_curvature(L), x)
-    elif isinstance(problem, CompositeProblem):
+            L_safe = safe_curvature(L)
+            new = np.where(L > 0, x - g / L_safe, x)
+            dec = np.where(L > 0, g * g / (2.0 * L_safe), 0.0)
+        i = int(np.argmax(dec))
+        return i, new[i] - x[i]
+    if isinstance(problem, CompositeProblem):
         raise ValueError("exact composite coordinate step needs a quadratic "
                          "smooth part")
-    else:
-        u = smooth.A.matvec(x)
-        new = [smooth.exact_coord_min(x, i, u) for i in range(problem.n)]
+    u = smooth.A.matvec(x)
     f0 = problem.eval(x)
     best_i, best_alpha, best_dec = 0, 0.0, -np.inf
     xt = x.copy()
     for i in range(problem.n):
-        xt[i] = new[i]
+        xt[i] = new = smooth.exact_coord_min(x, i, u)
         dec = f0 - problem.eval(xt)
         xt[i] = x[i]
         if dec > best_dec:
-            best_i, best_alpha, best_dec = i, new[i] - x[i], dec
+            best_i, best_alpha, best_dec = i, new - x[i], dec
     return best_i, best_alpha
 
 
@@ -92,10 +98,8 @@ class Rule:
     def prepare(self, problem, rng=None):
         pass
 
-    def scorer(self, problem, L_step=None):
-        """Score the tracker must maintain for this rule (None if unused).
-        L_step is the run's step curvature, which a proximal score's
-        residual keys use (default: the score's own curvature)."""
+    def scorer(self, problem):
+        """Score the tracker must maintain for this rule (None if unused)."""
         return None
 
     def select(self, tracker, k):
@@ -154,7 +158,7 @@ class GreedyRule(Rule):
         self.weighted = weighted
         self.name = "gsl" if weighted else "gs"
 
-    def scorer(self, problem, L_step=None):
+    def scorer(self, problem):
         if self.weighted:
             w = 1.0 / np.sqrt(safe_curvature(problem.L_per_coord))
             return GradScorer(weights=w)
@@ -215,11 +219,11 @@ class ProxWorkRule(Rule):
         self.per_coord = per_coord
         self.name = ("gsl-" if per_coord else "gs-") + mode
 
-    def scorer(self, problem, L_step=None):
+    def scorer(self, problem):
         if not isinstance(problem, CompositeProblem):
             raise ValueError(f"rule {self.name} needs a composite problem")
         L_used = problem.L_per_coord if self.per_coord else problem.L
-        return ProxScorer(problem, L_used, self.mode, L_step)
+        return ProxScorer(problem, L_used, self.mode)
 
     def select(self, tracker, k):
         return tracker.peek(), None

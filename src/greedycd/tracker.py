@@ -31,27 +31,30 @@ iterate sequences:
   ``gsl`` from the row derivatives.  It needs an h1 problem with
   l2_reg = 0, no empty column and no composite terms.
 
-With plain greedy scores (|grad|), ``grad_inf_norm`` reads the stopping
-test's ||grad||_inf off the top score.  With proximal scores the tracker
-also keeps the composite stopping test's keys |d_i|, the prox steps
-under the run's step curvature (``prox_keys``, see ``ProxScorer``).  A key
-changes only where x or the gradient does, so the update that rescores
-the touched coordinates rewrites their keys from the same ``prox_steps``
-call (or from a second one over the same coordinates when the step
-curvature differs from the score's), and ``max(prox_keys)`` replaces a
-prox call over all n.
+The tracker also owns the stopping test.  It keeps one array ``keys``, the
+residual entries whose maximum the test reads: |grad_i| on a smooth
+problem, and |d_i| on a composite one, d being the prox steps under the
+run's step curvature ``L_step``.  A key changes only where x or the
+gradient does, so the update that rescores the touched coordinates
+rewrites their keys too.  Where the score computes the keys anyway, it
+hands them back: for ``gs`` the keys are the score array itself, for
+``gsl`` they are |grad| before weighting, and for the prox scores "r" and
+"q" under the step curvature they come from the same ``prox_steps`` call.
+Otherwise the tracker computes them over the touched set.
+``grad_inf_norm()`` then reads the test off the top score (keys that are
+the scores) or takes the maximum of the keys: one pass over n floats, but
+no update pays for |grad| over all n entries or a prox call over all n.
 
 A rule that never reads the gradient (uniform, cyclic and Lipschitz
-sampling) gets a lean h1 tracker (``lean=True``): it keeps A x, the row
-derivatives and values and the objective, and skips the row scatter into
-A^T grad_link, so an update costs O(c) and reports ``touched_grads == 0``.
-The driver reads the gradient only through ``grad_coord(i)`` and
-``full_gradient()``, so a lean tracker keeps no ``gradient`` array: the
-first computes one entry from column i in O(c), the second rebuilds all of
-it with one A^T product when a stopping test asks (for a composite
-problem, the once-per-epoch test then makes the one prox call over all n
-that a greedy rule no longer makes).  The h2 update already maintains the
-gradient in O(d), so h2 has no lean mode.
+sampling) gets a lean tracker (``lean=True``): it keeps no scores and no
+keys.  On h1 it keeps A x, the row derivatives and values and the
+objective, and skips the row scatter into A^T grad_link, so an update
+costs O(c) and reports ``touched_grads == 0``; it keeps no ``gradient``
+array either, and computes one entry from column i in O(c)
+(``grad_coord``) or all of it with one A^T product (``full_gradient``).
+The h2 update maintains the gradient in O(d) anyway, so a lean h2
+tracker keeps it.  ``grad_inf_norm()`` on a lean tracker rebuilds the keys
+from the full gradient, which the driver asks for once per epoch.
 
 Caches are rebuilt from scratch every ``refresh_every`` updates (default
 10000) to bound float drift.
@@ -93,10 +96,9 @@ class GradScorer:
         self.w = None if weights is None else np.asarray(weights, dtype=np.float64)
 
     def compute(self, tracker, idx):
-        s = np.abs(tracker.gradient[idx])
-        if self.w is not None:
-            s = s * self.w[idx]
-        return s
+        """(scores, |grad|) at idx; one array for both when w is None."""
+        keys = np.abs(tracker.gradient[idx])
+        return (keys if self.w is None else keys * self.w[idx]), keys
 
 
 class ProxScorer:
@@ -106,58 +108,43 @@ class ProxScorer:
     decrease), mode "s": |eta_i| (smallest attainable first-order residual).
     L_used is the curvature the candidates are built with (scalar or
     per-coordinate), made safe once here (``safe_curvature``).
-
-    The tracker also keeps the residual key |d_i|, the quantity the
-    composite stopping test takes the maximum of, under the run's step
-    curvature L_step (default: L_used).  When L_step equals L_used entry by
-    entry, the prox call that gives the score gives the key too; otherwise
-    (other step modes, and mode "s") a second ``prox_steps`` over the same
-    coordinates does.
     """
 
-    def __init__(self, composite, L_used, mode, L_step=None):
+    def __init__(self, composite, L_used, mode):
         if mode not in ("r", "q", "s"):
             raise ValueError(f"unknown prox score mode: {mode!r}")
         self.comp = composite
         self.L_used = safe_curvature(L_used)
         self.mode = mode
-        L_key = self.L_used if L_step is None else safe_curvature(L_step)
-        same = mode != "s" and np.array_equal(
-            np.broadcast_to(self.L_used, np.shape(L_key)), L_key)
-        # None: the score's own prox call gives the keys
-        self.L_key = None if same else L_key
 
     def compute(self, tracker, idx):
+        """(scores, |d| under L_used) at idx; mode "s" computes no d and
+        gives None."""
         if self.mode == "s":
             eta = self.comp.min_subgradients(tracker.x, tracker.gradient, idx)
-            return np.abs(eta)
+            return np.abs(eta), None
         d, V, _ = self.comp.prox_steps(tracker.x, tracker.gradient,
                                        self.L_used, idx)
-        return np.abs(d) if self.mode == "r" else -V
-
-    def compute_with_keys(self, tracker, idx):
-        """(scores, residual keys) at idx."""
-        x, g = tracker.x, tracker.gradient
-        if self.L_key is None:
-            d, V, _ = self.comp.prox_steps(x, g, self.L_used, idx)
-            keys = np.abs(d)
-            return (keys if self.mode == "r" else -V), keys
-        d = self.comp.prox_steps(x, g, self.L_key, idx)[0]
-        return self.compute(tracker, idx), np.abs(d)
+        keys = np.abs(d)
+        return (keys if self.mode == "r" else -V), keys
 
 
 class _TrackerBase:
     """What the h1 and h2 trackers share; each supplies ``_rebuild_caches``,
-    ``refresh`` and ``apply_update``."""
-
-    lean = False
+    ``refresh`` and ``apply_update``.  ``problem`` is the smooth problem or
+    a composite one; ``L_step`` (default: the scorer's curvature, else L)
+    is the curvature of a composite problem's keys."""
 
     def __init__(self, problem, x0, scorer=None, backend="scan",
-                 refresh_every=10000):
+                 refresh_every=10000, lean=False, L_step=None):
         if backend not in BACKENDS:
             raise ValueError(f"unknown tracker backend: {backend!r}")
-        self.problem = problem
-        self.n = problem.n
+        if lean and (scorer is not None or backend == "nns"):
+            raise ValueError("a lean tracker keeps no scores")
+        smooth = getattr(problem, "smooth", problem)
+        self.composite = None if smooth is problem else problem
+        self.problem = smooth
+        self.n = smooth.n
         self.x = np.array(x0, dtype=np.float64, copy=True)
         if self.x.shape != (self.n,):
             raise ValueError("x0 has the wrong length")
@@ -166,36 +153,55 @@ class _TrackerBase:
             raise ValueError("refresh_every must be at least 1")
         self._updates = 0
         self.last_obj_delta = 0.0
-        self.scorer = scorer
+        self.lean = bool(lean)
         self.backend = backend
-        # the tree depends on A alone, so it outlives every refresh
-        self.index = (BallTreeIndex(problem, mode="gsl") if backend == "nns"
+        # the tree depends on A alone, so it outlives every refresh; it
+        # replaces the scores
+        self.index = (BallTreeIndex(smooth, mode="gsl") if backend == "nns"
                       else None)
-        # plain greedy scores are |grad| itself, so the top one is ||grad||_inf
-        self._abs_scores = (isinstance(scorer, GradScorer) and scorer.w is None
-                            and self.index is None)
+        self.scorer = s = None if self.index is not None else scorer
+        # the scorer's own keys are the stopping test's when they are |grad|
+        # on a smooth problem, or |d| under the step curvature on a
+        # composite one
+        self._shared_keys = isinstance(s, GradScorer)
+        if self.composite is not None:
+            self.L_step = safe_curvature(
+                getattr(s, "L_used", smooth.L) if L_step is None else L_step)
+            self._shared_keys = (
+                isinstance(s, ProxScorer) and s.mode != "s"
+                and np.array_equal(*np.broadcast_arrays(s.L_used,
+                                                        self.L_step)))
         self._rebuild_caches()
         self._init_scores()
 
     def _init_scores(self):
-        self.heap = self._scores = self._top = self.prox_keys = None
-        if self.scorer is None or self.index is not None:
+        """Score and key every coordinate (nothing on a lean tracker)."""
+        self.heap = self._scores = self._top = self.keys = None
+        self._keys_are_scores = False
+        if self.lean:
             return
-        if isinstance(self.scorer, ProxScorer):
-            self.prox_keys = np.empty(self.n)
-        vals = self._compute(np.arange(self.n))
-        if self.backend == "heap":
+        vals, keys = self._compute(np.arange(self.n))
+        if vals is not None and self.backend == "heap":
             self.heap = IndexedMaxHeap(vals)
-        else:
-            self._scores = np.asarray(vals, dtype=np.float64).copy()
+        elif vals is not None:
+            self._scores = np.array(vals, dtype=np.float64)
+        # a scorer whose scores are its keys hands back one array for both
+        self._keys_are_scores = keys is vals
+        self.keys = self.scores if self._keys_are_scores else keys
+
+    def _fresh_keys(self, g, idx=None):
+        """The keys at idx (every coordinate if None) from the gradient g."""
+        if self.composite is None:
+            return np.abs(g if idx is None else g[idx])
+        return np.abs(self.composite.prox_steps(self.x, g, self.L_step,
+                                                idx)[0])
 
     def _compute(self, idx):
-        """The scores at idx; a prox scorer also writes its residual keys
-        there into ``prox_keys``."""
-        if self.prox_keys is None:
+        """(scores or None, keys) at idx."""
+        if self._shared_keys:
             return self.scorer.compute(self, idx)
-        vals, self.prox_keys[idx] = self.scorer.compute_with_keys(self, idx)
-        return vals
+        vals = None if self.scorer is None else self.scorer.compute(self, idx)[0]
+        return vals, self._fresh_keys(self.gradient, idx)
 
     @property
     def scores(self):
@@ -216,12 +222,16 @@ class _TrackerBase:
         raise ValueError("tracker was built without a score")
 
     def _rescore(self, idx):
+        """Rewrite the keys and scores at idx; returns the heap key updates."""
+        vals, keys = self._compute(idx)
+        if not self._keys_are_scores:
+            self.keys[idx] = keys
         if self.heap is not None:
-            for j, v in zip(idx, self._compute(idx)):
+            for j, v in zip(idx, vals):
                 self.heap.update_key(int(j), float(v))
             return len(idx)
         if self._scores is not None:
-            self._scores[idx] = self._compute(idx)
+            self._scores[idx] = vals
             self._top = None
         return 0
 
@@ -234,18 +244,21 @@ class _TrackerBase:
         return self.gradient.item(i)
 
     def full_gradient(self):
-        """The whole gradient (a lean tracker rebuilds it)."""
+        """The whole gradient (a lean h1 tracker rebuilds it)."""
         return self.gradient
 
     def grad_inf_norm(self):
-        """||grad||_inf: the top score when the scores are |grad| (O(1) on
-        the heap, the remembered argmax on scan), otherwise a pass over the
-        full gradient."""
+        """The stopping test's residual, the largest key: ||grad||_inf on a
+        smooth problem, max|d_i| on a composite one.  The top score when
+        the keys are the scores (O(1) on the heap, the remembered argmax on
+        scan); a lean tracker rebuilds the keys from its full gradient."""
         if not self.n:
             return 0.0
-        if self._abs_scores:
-            return float(self.scores[self.peek()])
-        return float(np.abs(self.full_gradient()).max())
+        if self._keys_are_scores:
+            return float(self.keys[self.peek()])
+        if self.lean:
+            return float(self._fresh_keys(self.full_gradient()).max())
+        return float(self.keys.max())
 
     def _maybe_refresh(self):
         self._updates += 1
@@ -256,29 +269,20 @@ class _TrackerBase:
 class H1Tracker(_TrackerBase):
     """Tracker for objectives of the form sum_j phi_j(a_j^T x) + l2/2 ||x||^2.
 
-    With ``lean=True`` it maintains no gradient and no scores (see the
-    module docstring).
+    With ``lean=True`` it maintains no gradient (see the module docstring).
     """
 
-    def __init__(self, problem, x0, scorer=None, backend="scan",
-                 refresh_every=10000, lean=False):
-        if lean and (scorer is not None or backend == "nns"):
-            raise ValueError("a lean tracker keeps no scores")
-        self.lean = bool(lean)
-        self.A = problem.A
-        self.m = self.A.shape[0]
-        super().__init__(problem, x0, scorer, backend, refresh_every)
-
     def _rebuild_caches(self):
-        allrows = np.arange(self.m)
-        self.u = self.A.matvec(self.x)
+        A = self.A = self.problem.A
+        allrows = np.arange(A.shape[0])
+        self.u = A.matvec(self.x)
         self.row_g = np.asarray(self.problem.row_grad(self.u, allrows), dtype=np.float64)
         self.row_v = np.asarray(self.problem.row_val(self.u, allrows), dtype=np.float64)
         lam = self.problem.l2_reg
         if self.lean:
             self.atg = self.gradient = None
         else:
-            self.atg = self.A.rmatvec(self.row_g)
+            self.atg = A.rmatvec(self.row_g)
             self.gradient = self.atg + lam * self.x
         self._obj = float(self.row_v.sum() + 0.5 * lam * self.x @ self.x)
 
@@ -360,8 +364,8 @@ class H2Tracker(_TrackerBase):
             p.node_quad, p.node_lin)
         start, stop = p.adj_indptr.item(i), p.adj_indptr.item(i + 1)
         heap_ops = 0
-        if self.heap is not None or self._scores is not None:
-            # rescore i and its neighbours; a score-less tracker skips this
+        if not self.lean:
+            # rekey and rescore i and its neighbours
             cols = np.empty(stop - start + 1, dtype=np.int64)
             cols[0] = i
             cols[1:] = p.adj_nbr[start:stop]
@@ -373,20 +377,20 @@ class H2Tracker(_TrackerBase):
 
 
 def make_tracker(problem, x0, scorer=None, backend="scan",
-                 refresh_every=10000, lean=False):
+                 refresh_every=10000, lean=False, L_step=None):
     """Build the tracker matching the problem's structure (h1 or h2).
 
     ``backend`` is "scan", "heap" or "nns" (see the module docstring).
-    ``lean`` asks for an h1 tracker without a gradient, for rules that
-    never read it; h2 trackers ignore it (their update is O(d) anyway).
+    ``lean`` asks for a tracker without scores or keys, for rules that
+    never read the gradient.  ``L_step`` is the step curvature of a
+    composite problem's stopping test (scalar or per coordinate).
     """
     smooth = getattr(problem, "smooth", problem)
     kind = getattr(smooth, "tracker_kind", None)
     if backend == "nns" and (smooth is not problem or kind != "h1"):
         raise ValueError("the nns backend needs a least-squares or "
                          "logistic problem without composite terms")
-    if kind == "h1":
-        return H1Tracker(smooth, x0, scorer, backend, refresh_every, lean)
-    if kind == "h2":
-        return H2Tracker(smooth, x0, scorer, backend, refresh_every)
-    raise ValueError(f"no tracker for problem type {type(smooth).__name__}")
+    if kind not in ("h1", "h2"):
+        raise ValueError(f"no tracker for problem type {type(smooth).__name__}")
+    cls = H1Tracker if kind == "h1" else H2Tracker
+    return cls(problem, x0, scorer, backend, refresh_every, lean, L_step)

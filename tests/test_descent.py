@@ -1,13 +1,15 @@
 """The run driver: stepping, stopping, guards, traces, and races."""
 
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from greedycd.descent import TRACE_HEADER, RunTrace, race, run
+from greedycd.descent import (TRACE_COLUMNS, TRACE_HEADER, RunTrace, race,
+                              run)
 from greedycd.linalg import SparseMatrix
 from greedycd.problems import (
     BoxTerm,
@@ -335,6 +337,22 @@ def test_csv_round_trips_arbitrary_floats(rows):
     for name in ("k", "coord", "elapsed_ns", "touched_rows",
                  "touched_grads", "heap_ops"):
         assert getattr(back, name) == getattr(trace, name)
+
+
+def test_csv_keeps_the_format_of_earlier_files():
+    # the column table drives the header, the writer, the reader and
+    # ``same_path``; a file written before it reads and writes unchanged
+    text = ("k,objective,coord,step,resid_inf,elapsed_ns,touched_rows,"
+            "touched_grads,heap_ops\n"
+            "0,1.5,-1,0.0,2.0,0,0,0,0\n"
+            "1,0.1,3,-0.25,-nan,1234,2,5,1\n")
+    trace = RunTrace.from_csv(text)
+    assert trace.coord == [-1, 3] and trace.elapsed_ns == [0, 1234]
+    assert trace.step == [0.0, -0.25] and np.signbit(trace.resid_inf[1])
+    assert trace.heap_ops == [0, 1]
+    assert trace.to_csv() == text
+    assert [f.name for f in fields(RunTrace)][:len(TRACE_COLUMNS)] == [
+        name for name, _ in TRACE_COLUMNS]
 
 
 def test_csv_rejects_garbage():

@@ -160,6 +160,23 @@ def test_max_improvement_matches_curvature_weighted_square_on_quadratics():
         assert np.isclose(alpha, -grad[i] / H[i, i], rtol=1e-12, atol=1e-12)
 
 
+def test_max_improvement_reads_composite_decreases_off_the_model():
+    # under a quadratic smooth part with L_i = H_ii the model decrease -V_i
+    # is the exact one, so the pick matches a brute-force evaluation
+    rng = np.random.default_rng(32)
+    for _ in range(20):
+        H = random_spd(rng, 6, lam_lo=0.4, lam_hi=3.0)
+        prob = CompositeProblem(quadratic_problem(H, rng.normal(size=6)),
+                                L1Term(0.5))
+        x = rng.normal(size=6)
+        d = prob.prox_steps(x, prob.smooth.full_grad(x), prob.L_per_coord)[0]
+        f0 = prob.eval(x)
+        dec = [f0 - prob.eval(x + d[j] * np.eye(6)[j]) for j in range(6)]
+        i, alpha = max_improvement_select(x, prob)
+        assert dec[i] >= max(dec) - 1e-12 * max(1.0, abs(f0))
+        assert alpha == (x + d)[i] - x[i]
+
+
 def test_max_improvement_at_minimum_takes_zero_step():
     rng = np.random.default_rng(5)
     H = random_spd(rng, 4)

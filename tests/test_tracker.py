@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from greedycd import _kernels
-from greedycd.descent import _resolve_step, run
+from greedycd.descent import STEP_MODES, _resolve_step, run
 from greedycd.nns import BallTreeIndex
 from greedycd.problems import (BoxTerm, CompositeProblem,
                                GraphQuadraticProblem, L1Term,
                                LeastSquaresProblem, LogisticProblem, ZeroTerm)
-from greedycd.rules import make_rule
+from greedycd.rules import RULE_NAMES, ProxWorkRule, make_rule
 from greedycd.tracker import (GradScorer, H1Tracker, H2Tracker, ProxScorer,
                               _TrackerBase, make_tracker)
 from helpers import (EXTREME_FLOATS, draw_h1_problem, draw_triplet_matrix,
@@ -27,7 +27,7 @@ def assert_tracker_matches(tr, problem, rtol=1e-9):
 
 
 def assert_peek_near_max(tr):
-    fresh = tr.scorer.compute(tr, np.arange(tr.n))
+    fresh = tr.scorer.compute(tr, np.arange(tr.n))[0]
     top = fresh.max()
     assert fresh[tr.peek()] >= top - 1e-12 * max(1.0, abs(top))
 
@@ -410,17 +410,24 @@ class TestEagerGraphTracker:
         monkeypatch.setattr(_TrackerBase, "_rescore", counting)
         p = GraphQuadraticProblem(4, [[0, 1], [1, 2], [1, 3]], [1.0, 2.0, 0.5],
                                   node_quad=[0.5, 0.5, 0.5, 0.5])
+        # a lean tracker keeps neither scores nor keys, so it skips the
+        # rescore and keeps only the gradient
         for backend in ("scan", "heap"):
-            tr = H2Tracker(p, np.zeros(4), backend=backend)
+            tr = H2Tracker(p, np.zeros(4), backend=backend, lean=True)
             stats = tr.apply_update(1, 1.0)
             assert calls == []
             assert stats.touched_rows == stats.touched_grads == 3
             assert stats.heap_ops == 0
             assert_tracker_matches(tr, p)
-        # a scored tracker rescores i and then its neighbours in slot order
-        tr = H2Tracker(p, np.zeros(4), GradScorer())
-        tr.apply_update(1, 1.0)
-        assert calls == [[1, 2, 3, 0]]
+            assert tr.grad_inf_norm() == np.abs(p.full_grad(tr.x)).max()
+        # a scoreless tracker that is not lean rekeys i and then its
+        # neighbours in slot order, as a scored one rescores them
+        for scorer in (None, GradScorer()):
+            calls.clear()
+            tr = H2Tracker(p, np.zeros(4), scorer)
+            assert tr.apply_update(1, 1.0).heap_ops == 0
+            assert calls == [[1, 2, 3, 0]]
+            assert tr.keys.tobytes() == np.abs(tr.gradient).tobytes()
 
 
 class TestEagerTracker:
@@ -527,33 +534,40 @@ class TestLeanTracker:
         assert tr.lean and tr.gradient is None
         with pytest.raises(ValueError, match="without a score"):
             tr.peek()
-        # the graph update maintains its gradient in O(d) anyway
+        # a lean graph tracker keeps its gradient, which its update
+        # maintains in O(d) anyway, but no scores and no keys
         g = GraphQuadraticProblem(3, [[0, 1]], [1.0], node_quad=[1, 1, 1],
                                   node_lin=[1.0, 0.0, -1.0])
         tr = make_tracker(g, np.zeros(3), lean=True)
-        assert isinstance(tr, H2Tracker) and not tr.lean
+        assert isinstance(tr, H2Tracker) and tr.lean and tr.keys is None
         assert tr.grad_coord(2) == 1.0
         assert tr.full_gradient() is tr.gradient
+        with pytest.raises(ValueError, match="lean"):
+            make_tracker(g, np.zeros(3), GradScorer(), lean=True)
 
 
-class TestProxResidualKeys:
-    """The |d_i| keys a composite greedy tracker keeps for the stopping test,
-    against one fresh prox call over every coordinate."""
+class TestResidualKeys:
+    """The stopping test a tracker keeps (``grad_inf_norm``), against one
+    fresh computation over every coordinate."""
 
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=200, deadline=None)
     @given(st.data())
-    def test_keys_match_a_fresh_prox_call(self, data):
-        m = data.draw(st.integers(1, 5), label="m")
+    def test_residual_matches_a_full_recompute(self, data):
         n = data.draw(st.integers(1, 5), label="n")
-        # the triplets may leave columns empty (L_i = 0)
-        A = draw_triplet_matrix(data, m, n)
-        b = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m,
-                                        max_size=m), label="b"))
-        smooth = LeastSquaresProblem(
-            A, b, l2_reg=data.draw(st.sampled_from([0.0, 0.3]), label="l2"))
-        terms, x0 = [], []
+        if data.draw(st.booleans(), label="h1"):
+            # the triplets may leave columns empty (L_i = 0)
+            A = draw_triplet_matrix(data, data.draw(st.integers(1, 5),
+                                                    label="m"), n)
+            smooth = draw_h1_problem(data, A)
+        else:
+            smooth = draw_graph(data, n, st.floats(0.0, 2.0),
+                                st.floats(-2.0, 2.0))
+        problem, x0 = smooth, []
+        composite = data.draw(st.booleans(), label="composite")
+        terms = []
         for _ in range(n):
-            kind = data.draw(st.sampled_from(["zero", "l1", "box"]))
+            kind = data.draw(st.sampled_from(["zero", "l1", "box"])
+                             if composite else st.just("zero"))
             lo, hi = -1.0, 1.0
             if kind == "zero":
                 terms.append(ZeroTerm())
@@ -566,27 +580,39 @@ class TestProxResidualKeys:
                 terms.append(BoxTerm(*box))
                 lo, hi = max(lo, box[0]), min(hi, box[1])
             x0.append(data.draw(st.floats(lo, hi)))
-        comp = CompositeProblem(smooth, terms)
-        rule = make_rule(data.draw(st.sampled_from(
-            ["gs-s", "gs-r", "gs-q", "gsl-r", "gsl-q"]), label="rule"))
-        mode = _resolve_step(comp, rule, data.draw(st.sampled_from(
-            ["auto", "const", "const-coord", "exact"]), label="step"))
+        if composite:
+            problem = CompositeProblem(smooth, terms)
+        names = [r for r in RULE_NAMES
+                 if composite or not isinstance(make_rule(r), ProxWorkRule)]
+        rule = make_rule(data.draw(st.sampled_from(names), label="rule"))
+        backends = ["scan", "heap"]
+        if (rule.name == "gsl" and not composite and smooth.tracker_kind
+                == "h1" and smooth.l2_reg == 0 and np.diff(
+                    smooth.A.col_indptr).all()):
+            backends.append("nns")
+        backend = data.draw(st.sampled_from(backends), label="backend")
+        step = data.draw(st.sampled_from(list(STEP_MODES)), label="step")
+        if step == "exact" and composite and not smooth.is_quadratic:
+            step = "const"
+        mode = _resolve_step(problem, rule, step)
         # the curvature run() steps and stops with
         L = (smooth.L_per_coord if mode in ("const-coord", "exact")
              else np.full(n, smooth.L))
         L_safe = np.where(L > 0, L, 1.0)
-        tr = make_tracker(comp, np.array(x0), rule.scorer(comp, L_safe),
-                          backend=data.draw(st.sampled_from(["scan", "heap"]),
-                                            label="backend"),
+        lean = not rule.reads_gradient
+        tr = make_tracker(problem, np.array(x0), rule.scorer(problem),
+                          backend=backend, lean=lean, L_step=L_safe,
                           refresh_every=data.draw(st.sampled_from(
                               [1, 3, 10000]), label="refresh_every"))
 
         def check():
-            d = comp.prox_steps(tr.x, tr.full_gradient(), L_safe)[0]
-            assert tr.prox_keys.tobytes() == np.abs(d).tobytes()
-            want, got = np.abs(d).max(), tr.prox_keys.max()
-            assert (np.isnan(want) and np.isnan(got)) or (
-                np.float64(want).tobytes() == np.float64(got).tobytes())
+            g = tr.full_gradient()
+            keys = (np.abs(problem.prox_steps(tr.x, g, L_safe)[0])
+                    if composite else np.abs(g))
+            assert (np.float64(tr.grad_inf_norm()).tobytes()
+                    == np.float64(keys.max()).tobytes())
+            if not lean:
+                assert tr.keys.tobytes() == keys.tobytes()
 
         check()
         steps = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
@@ -597,6 +623,10 @@ class TestProxResidualKeys:
             check()
         tr.refresh()
         check()
+
+
+class TestProxResidualKeys:
+    """How many prox calls the composite stopping test costs."""
 
     def test_keys_share_the_score_call_only_under_the_same_curvature(
             self, monkeypatch):
@@ -613,15 +643,17 @@ class TestProxResidualKeys:
 
         monkeypatch.setattr(CompositeProblem, "prox_steps", counted)
         L_coord = np.where(comp.L_per_coord > 0, comp.L_per_coord, 1.0)
-        # L_key None: the keys use the score's own curvature
-        for rule, L_key, per_update in (
+        # L_step None: the keys use the score's own curvature, or L
+        # without a prox score
+        for rule, L_step, per_update in (
                 ("gs-q", np.full(6, comp.L), 1), ("gsl-q", L_coord, 1),
                 ("gsl-r", L_coord, 1), ("gs-q", L_coord, 2),
                 ("gs-s", np.full(6, comp.L), 1), ("gs-q", None, 1),
-                ("gsl-q", None, 1), ("gs-s", None, 1)):
-            tr = make_tracker(comp, np.zeros(6),
-                              make_rule(rule).scorer(comp, L_key))
-            assert tr.prox_keys is not None
+                ("gsl-q", None, 1), ("gs-s", None, 1), ("gs", None, 1),
+                ("gsl", L_coord, 1), ("mi", None, 1)):
+            tr = make_tracker(comp, np.zeros(6), make_rule(rule).scorer(comp),
+                              L_step=L_step)
+            assert tr.keys is not None
             calls.clear()
             tr.apply_update(2, 0.5)
             # one prox call per curvature, over the touched set only
@@ -643,7 +675,8 @@ class TestProxResidualKeys:
             return prox(self, x, grad, L_used, idx)
 
         monkeypatch.setattr(CompositeProblem, "prox_steps", counted)
-        for rule in ("gs-s", "gs-r", "gs-q", "gsl-r", "gsl-q"):
+        for rule in ("gs-s", "gs-r", "gs-q", "gsl-r", "gsl-q", "gs", "gsl",
+                     "gs-approx-mult", "gs-approx-add"):
             for step in ("auto", "const", "const-coord", "exact"):
                 run(comp, rule, step=step, max_iters=10, tol=0.0)
                 assert full == []

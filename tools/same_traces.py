@@ -27,7 +27,10 @@ three families, a few runs with a short refresh interval, so the rebuilt
 caches are compared too, and composite rules under a step mode whose
 curvature differs from the score's (``gs-q`` with L_i, ``gsl-q`` with L)
 or whose score is not a prox step (``gs-s``), so the stopping test's
-residual keys take their own prox call.
+residual keys take their own prox call.  ``gs`` and ``gsl`` on the l1
+family take that call too, and the rules without a score
+(``gs-approx-mult`` and ``gs-approx-add`` on ``sparse_ls`` and
+``two_moons``, ``mi`` on ``two_moons``) read their keys off the gradient.
 
 Every experiment those cases run on, and every one the acceptance test
 c11 ranks the rules on (seeds 0-9), is also compared byte for byte: the
@@ -82,6 +85,21 @@ EXTRA = (
     ("lasso", "l1_underdet_ls", 50, 500, 1.0, "gsl-q", 200, 10000, "const"),
     ("lasso-refresh", "l1_underdet_ls", 50, 500, 1.0, "gsl-q", 200, 17,
      "auto"),
+    # rules without a prox score on a composite problem, whose residual
+    # keys take their own prox call over the touched set
+    ("lasso", "l1_underdet_ls", 50, 500, 1.0, "gs", 200, 10000, "auto"),
+    ("lasso", "l1_underdet_ls", 50, 500, 1.0, "gsl", 200, 10000, "auto"),
+    ("lasso-refresh", "l1_underdet_ls", 50, 500, 1.0, "gs", 200, 29, "auto"),
+    ("lasso-refresh", "l1_underdet_ls", 50, 500, 1.0, "gsl", 200, 29,
+     "auto"),
+    # rules without a score, whose residual keys come from the gradient
+    ("ls", "sparse_ls", 200, 200, 1.0, "gs-approx-mult", 300, 10000, "auto"),
+    ("ls", "sparse_ls", 200, 200, 1.0, "gs-approx-add", 300, 10000, "auto"),
+    ("graph", "two_moons", None, 300, 1.0, "gs-approx-mult", 300, 10000,
+     "auto"),
+    ("graph", "two_moons", None, 300, 1.0, "gs-approx-add", 300, 10000,
+     "auto"),
+    ("graph", "two_moons", None, 300, 1.0, "mi", 60, 10000, "auto"),
 )
 
 # exact steps on smooth problems and maximum improvement: the same steps

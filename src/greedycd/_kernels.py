@@ -7,7 +7,10 @@ call to pay off.  The sparse column update is one numpy expression over a
 CSC slice.  The row scatter into A^T grad is two of scipy's compiled
 sparse kernels (``scipy.sparse._sparsetools``), which add in the same
 order as a loop over the rows, so its sums are bit-identical to that
-loop's; see ``scatter_row_deltas``.
+loop's; see ``scatter_row_deltas``.  The full product A^T y is scipy's
+compiled ``csr_matvec`` (``transpose_product``), shared by
+``SparseMatrix.rmatvec`` and the tracker update that rebuilds A^T grad
+whole.
 
 The graph move reads every scalar through ``ndarray.item()``, which gives
 a Python int or float.  Indexing (``x[j]``) boxes a numpy scalar instead,
@@ -139,6 +142,17 @@ def scatter_row_deltas(rows, dg, row_indptr, row_cols, row_vals, target):
     hit = np.zeros(target.shape[0], dtype=bool)
     hit[bj] = True
     return np.flatnonzero(hit), count
+
+
+def transpose_product(col_indptr, col_rows, col_vals, y, out):
+    """out = A^T y, overwriting ``out``, for the A whose CSC arrays are
+    given: they are the CSR arrays of A^T, so scipy's compiled
+    ``csr_matvec`` (the kernel ``A.T @ y`` ends in) sums each entry of
+    ``out`` over its column of A in stored order.  Same dtype and bound
+    rules as ``scatter_row_deltas``; ``out`` has one entry per column."""
+    out.fill(0.0)
+    _sparsetools.csr_matvec(out.shape[0], y.shape[0], col_indptr, col_rows,
+                            col_vals, y, out)
 
 
 def graph_coord_update(i, new_xi, x, indptr, nbr, w, rev, part, grad, q, b):

@@ -161,6 +161,11 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     time from one rebuilt full gradient (one ``prox_steps`` over all n for
     composite problems).  A trace row between two tests repeats the last
     measured ``resid_inf``, so such a run stops on an epoch boundary.
+
+    The trace objective adds each update's change to the last value, and
+    restarts from the tracker's rebuilt objective (plus the composite
+    terms at x) after every update that ended in a cache refresh, so the
+    rounding of the sum does not outlive one ``refresh_every`` interval.
     """
     composite = problem if isinstance(problem, CompositeProblem) else None
     smooth = problem.smooth if composite is not None else problem
@@ -245,6 +250,12 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
                 f"drop {delta:.6e} exceeds promised {promised:.6e} "
                 f"(coordinate {i}, step {alpha:.3e})")
         obj += delta
+        if tracker.refreshed:
+            # the rebuilt caches hold the objective afresh; a running sum
+            # would keep the rounding of every delta since x0
+            obj = tracker.objective()
+            if composite is not None:
+                obj += float(composite.g_values(tracker.x).sum())
         if not lean or (t + 1) % n == 0 or t + 1 == max_iters:
             resid = tracker.grad_inf_norm()
         trace.append(t + 1, obj, i, alpha, resid, time.perf_counter_ns() - t0,

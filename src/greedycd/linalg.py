@@ -41,6 +41,9 @@ class SparseMatrix:
     nnz : stored entries (z)
     max_col_nnz : densest column (c)
     max_row_nnz : densest row (r)
+    col_gather : per column j, the entries the rows of column j hold, which
+        the row scatter of one update of x_j gathers (read-only)
+    mean_gather : col_gather averaged over the columns, sum_rows r_i^2 / n
 
     ``ARRAYS`` names the six CSC/CSR arrays, read-only once built.
     """
@@ -69,7 +72,16 @@ class SparseMatrix:
             getattr(self, name).flags.writeable = False
         self.nnz = int(self.col_vals.shape[0])
         self.max_col_nnz = int(np.diff(self.col_indptr).max(initial=0))
-        self.max_row_nnz = int(np.diff(self.row_indptr).max(initial=0))
+        row_len = np.diff(self.row_indptr)
+        self.max_row_nnz = int(row_len.max(initial=0))
+        # entries the row scatter of one update of column j gathers: the
+        # lengths of the rows of column j, summed
+        ends = np.zeros(self.nnz + 1, dtype=np.int64)
+        np.cumsum(row_len[self.col_rows], out=ends[1:])
+        self.col_gather = ends[self.col_indptr[1:]] - ends[self.col_indptr[:-1]]
+        self.col_gather.flags.writeable = False
+        self.mean_gather = (float(row_len @ row_len) / self.shape[1]
+                            if self.shape[1] else 0.0)
         self._csc = scipy.sparse.csc_matrix(
             (self.col_vals, self.col_rows, self.col_indptr), shape=self.shape)
 
@@ -111,14 +123,12 @@ class SparseMatrix:
         return out
 
     def rmatvec(self, y):
-        """A^T y: the CSC arrays read as the CSR arrays of A^T, through
-        ``csr_matvec``, the kernel ``A.T @ y`` ends in, without building
-        the transposed scipy matrix on every call."""
+        """A^T y, through ``_kernels.transpose_product`` on the CSC arrays,
+        without building the transposed scipy matrix on every call."""
         m, n = self.shape
-        y = _float_vector(y, m)
-        out = np.zeros(n)
-        _sparsetools.csr_matvec(n, m, self.col_indptr, self.col_rows,
-                                self.col_vals, y, out)
+        out = np.empty(n)
+        _kernels.transpose_product(self.col_indptr, self.col_rows,
+                                   self.col_vals, _float_vector(y, m), out)
         return out
 
     def save_mtx(self, path):

@@ -7,8 +7,14 @@ only for the entries that can change:
 * h1 ("linear composition" objectives, f(x) = sum_j phi_j(a_j^T x) + node
   terms): caches A x, the per-row link derivatives and values, and
   A^T grad_link.  A coordinate update touches the <= c rows of one column,
-  and pushing the changed row derivatives back through those rows touches
-  <= c*r entries of A^T grad_link.
+  then renews A^T grad_link in one of two ways, chosen once per matrix
+  (``takes_product``).  The row scatter pushes the changed row derivatives
+  back through those rows, gathering <= c*r entries (``col_gather`` of
+  the column) and rescoring the columns they hit.  One compiled product
+  rebuilds A^T grad_link whole for nnz entries, and every coordinate is
+  rescored.  The product is taken when the mean gather, sum_rows r_i^2 /
+  n, exceeds nnz / KAPPA, so an update pays about min(c*r, nnz); the
+  ``touched_grads`` counter reports the column's gather on either path.
 
 * h2 (pairwise graph objectives): caches the directed per-edge partial
   derivatives.  A coordinate update recomputes grad[i] from its incident
@@ -71,6 +77,21 @@ from .problems import safe_curvature
 
 BACKENDS = ("scan", "heap", "nns")
 
+# An h1 update rebuilds A^T grad_link with one compiled product, instead of
+# scattering the changed rows into it, when the scatter would gather more
+# than nnz / KAPPA entries per update on average (``takes_product``).
+# tools/kernel_times.py times both updates: the scatter wins up to a gather
+# of 7% of nnz (sparse_ls 1000^2), the product from 13% (l1_underdet_ls
+# 50 x 500), and 1/KAPPA sits near the geometric middle of the two.
+KAPPA = 10
+
+
+def takes_product(A):
+    """Whether an h1 tracker over A updates A^T grad_link by the full
+    product: the mean entries one update's scatter gathers,
+    sum_rows r_i^2 / n, exceed nnz / KAPPA."""
+    return A.mean_gather * KAPPA > A.nnz
+
 
 @dataclass
 class UpdateStats:
@@ -78,10 +99,13 @@ class UpdateStats:
 
     touched_rows: rows of A hit by the column update (h1), or incident
         edges (h2).
-    touched_grads: differential entry updates pushed into A^T grad (h1,
-        <= c*r; 0 on a lean tracker) or into neighbour gradient entries
-        (h2, <= d); the updated coordinate's own recompute is not counted.
-    heap_ops: heap key updates performed (0 for backend "scan").
+    touched_grads: h1: the entries of A the row scatter into A^T grad
+        gathers for this column (<= c*r), also when the update rebuilt
+        A^T grad by the full product instead; 0 on a lean tracker.  h2:
+        the differential updates of neighbour gradient entries (<= d).
+        The updated coordinate's own recompute is not counted.
+    heap_ops: heap key updates performed (0 for backend "scan"): the
+        coordinates rescored, n after a full product.
     """
     touched_rows: int
     touched_grads: int
@@ -152,6 +176,8 @@ class _TrackerBase:
         if self.refresh_every < 1:
             raise ValueError("refresh_every must be at least 1")
         self._updates = 0
+        # whether the last update ended in a refresh
+        self.refreshed = False
         self.last_obj_delta = 0.0
         self.lean = bool(lean)
         self.backend = backend
@@ -262,7 +288,8 @@ class _TrackerBase:
 
     def _maybe_refresh(self):
         self._updates += 1
-        if self._updates % self.refresh_every == 0:
+        self.refreshed = self._updates % self.refresh_every == 0
+        if self.refreshed:
             self.refresh()
 
 
@@ -279,6 +306,9 @@ class H1Tracker(_TrackerBase):
         self.row_g = np.asarray(self.problem.row_grad(self.u, allrows), dtype=np.float64)
         self.row_v = np.asarray(self.problem.row_val(self.u, allrows), dtype=np.float64)
         lam = self.problem.l2_reg
+        self.product = not self.lean and takes_product(A)
+        # what the product path rescores: every coordinate
+        self._every = None if self.lean else np.arange(self.n)
         if self.lean:
             self.atg = self.gradient = None
         else:
@@ -318,7 +348,7 @@ class H1Tracker(_TrackerBase):
 
         new_g = np.asarray(self.problem.row_grad(self.u, rows), dtype=np.float64)
         new_v = self.problem.row_val(self.u, rows)
-        dg = new_g - self.row_g[rows]
+        dg = None if self.product else new_g - self.row_g[rows]
         dobj = float((new_v - self.row_v[rows]).sum())
         dobj += 0.5 * lam * (new_xi * new_xi - old_xi * old_xi)
         self.row_g[rows] = new_g
@@ -329,13 +359,24 @@ class H1Tracker(_TrackerBase):
             self._maybe_refresh()
             return UpdateStats(int(rows.shape[0]), 0, 0)
 
-        cols, touched_grads = _kernels.scatter_row_deltas(
-            rows, dg, A.row_indptr, A.row_cols, A.row_vals, self.atg)
-        if a == b:
-            # an empty column hits no row, but x[i] itself still moved
-            cols = np.array([i], dtype=np.int64)
-        self.gradient[cols] = self.atg[cols] + lam * self.x[cols]
-        heap_ops = self._rescore(cols)
+        if self.product:
+            # the refresh's own product, into the tracker's buffer; the
+            # counter reports the entries the scatter would have gathered
+            _kernels.transpose_product(A.col_indptr, A.col_rows, A.col_vals,
+                                       self.row_g, self.atg)
+            g = self.gradient
+            np.multiply(self.x, lam, out=g)
+            np.add(g, self.atg, out=g)
+            heap_ops = self._rescore(self._every)
+            touched_grads = A.col_gather.item(i)
+        else:
+            cols, touched_grads = _kernels.scatter_row_deltas(
+                rows, dg, A.row_indptr, A.row_cols, A.row_vals, self.atg)
+            if a == b:
+                # an empty column hits no row, but x[i] itself still moved
+                cols = np.array([i], dtype=np.int64)
+            self.gradient[cols] = self.atg[cols] + lam * self.x[cols]
+            heap_ops = self._rescore(cols)
         self._maybe_refresh()
         return UpdateStats(int(rows.shape[0]), touched_grads, heap_ops)
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from greedycd.descent import (TRACE_COLUMNS, TRACE_HEADER, RunTrace, race,
                               run)
+from greedycd.harness import gen_experiment
 from greedycd.linalg import SparseMatrix
 from greedycd.problems import (
     BoxTerm,
@@ -279,6 +280,22 @@ def test_random_rules_keep_their_path_and_stop_per_epoch(name):
         assert stopped.converged and stopped.resid_inf[-1] <= 1e-6
         assert (len(stopped) - 1) % n == 0
         assert stopped.resid_inf[-1 - n] > 1e-6
+
+
+@pytest.mark.parametrize("family, m, n, rule", [
+    ("dense_overdet_ls", 300, 60, "gsl"), ("l1_underdet_ls", 50, 500, "gs-q")])
+def test_objective_resyncs_from_the_tracker_at_each_refresh(family, m, n,
+                                                            rule):
+    p = gen_experiment(family, m=m, n=n, seed=0).problem
+    trace = run(p, rule, max_iters=3000, tol=0.0, refresh_every=50)
+    # f falls by four orders of magnitude, so a running sum of the deltas
+    # would keep about 1e-12 of f(x0) in f(x_final)
+    want = p.eval(trace.final_x)
+    assert abs(trace.objective[-1] - want) <= 1e-14 * abs(want)
+    # before the first refresh the trace is the running sum's, bit for bit
+    plain = run(p, rule, max_iters=60, tol=0.0)
+    assert trace.objective[:50] == plain.objective[:50]
+    assert trace.coord[:50] == plain.coord[:50]
 
 
 def test_seeded_runs_replay_exactly():

@@ -4,18 +4,19 @@ budgets."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from greedycd import _kernels
 from greedycd.descent import STEP_MODES, _resolve_step, run
+from greedycd.linalg import SparseMatrix, column_sq_norms
 from greedycd.nns import BallTreeIndex
 from greedycd.problems import (BoxTerm, CompositeProblem,
                                GraphQuadraticProblem, L1Term,
                                LeastSquaresProblem, LogisticProblem, ZeroTerm)
 from greedycd.rules import RULE_NAMES, ProxWorkRule, make_rule
-from greedycd.tracker import (GradScorer, H1Tracker, H2Tracker, ProxScorer,
-                              _TrackerBase, make_tracker)
+from greedycd.tracker import (KAPPA, GradScorer, H1Tracker, H2Tracker,
+                              ProxScorer, _TrackerBase, make_tracker)
 from helpers import (EXTREME_FLOATS, draw_h1_problem, draw_triplet_matrix,
                      graph_move_loop, random_sparse, scan_argmax,
                      scatter_rows_loop)
@@ -62,12 +63,26 @@ class TestH1Tracker:
         assert tr.peek() == scan_argmax(np.abs(tr.gradient))
 
     def test_identity_matrix_touches_one_of_everything(self):
-        p = LeastSquaresProblem(np.eye(4), np.arange(4.0))
+        # one update gathers 1 entry of nnz = 16 > KAPPA: the scatter
+        p = LeastSquaresProblem(np.eye(16), np.arange(16.0))
         for backend, heap_ops in (("heap", 1), ("scan", 0)):
-            tr = H1Tracker(p, np.zeros(4), GradScorer(), backend=backend)
+            tr = H1Tracker(p, np.zeros(16), GradScorer(), backend=backend)
+            assert not tr.product
             stats = tr.apply_update(2, 0.5)
             assert (stats.touched_rows, stats.touched_grads,
                     stats.heap_ops) == (1, 1, heap_ops)
+
+    def test_small_identity_takes_the_product_and_counts_the_gather(self):
+        # one update gathers 1 entry of nnz = 4 < KAPPA: the product, which
+        # rekeys all 4 coordinates but reports the scatter's one entry
+        p = LeastSquaresProblem(np.eye(4), np.arange(4.0))
+        for backend, heap_ops in (("heap", 4), ("scan", 0)):
+            tr = H1Tracker(p, np.zeros(4), GradScorer(), backend=backend)
+            assert tr.product
+            stats = tr.apply_update(2, 0.5)
+            assert (stats.touched_rows, stats.touched_grads,
+                    stats.heap_ops) == (1, 1, heap_ops)
+            assert_tracker_matches(tr, p, rtol=1e-15)
 
     def test_zero_delta_still_touches(self):
         rng = np.random.default_rng(1)
@@ -100,7 +115,10 @@ class TestH1Tracker:
                     stats = tr.apply_update(i, delta)
                     assert stats.touched_rows <= c
                     assert stats.touched_grads <= c * r
-                    assert stats.heap_ops <= max(c * r, 1)
+                    # the product path rekeys all n, the scatter the
+                    # columns it hits
+                    assert stats.heap_ops <= (n if tr.product
+                                              else max(c * r, 1))
                     assert_tracker_matches(tr, p)
                     assert_peek_near_max(tr)
                     assert np.isclose(before + tr.last_obj_delta,
@@ -484,6 +502,72 @@ class TestEagerTracker:
             check()
 
 
+class TestUpdatePath:
+    """The two ways an eager h1 update renews A^T grad: one full product or
+    the row scatter, chosen once from the matrix.  Matrices are drawn on
+    both sides of the rule, and every update is checked against a dense
+    recompute."""
+
+    @pytest.mark.parametrize("product", [True, False])
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_either_path_matches_dense_recompute(self, product, data):
+        # dense-ish matrices gather most of nnz per update; long, sparse
+        # rows gather little of it
+        if product:
+            m, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
+            density = data.draw(st.floats(0.15, 1.0), label="density")
+        else:
+            m, n = data.draw(st.integers(1, 12)), data.draw(st.integers(30, 60))
+            density = data.draw(st.floats(0.005, 0.05), label="density")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        dense = np.where(rng.random((m, n)) < density,
+                         rng.standard_normal((m, n)), 0.0)
+        nz = dense != 0
+        # the rule, from the dense pattern: mean gather sum_i r_i^2 / n
+        # against nnz / KAPPA
+        rule = KAPPA * int((nz.sum(axis=1) ** 2).sum()) > n * int(nz.sum())
+        assume(rule == product)
+        A = SparseMatrix.from_dense(dense)
+        p = draw_h1_problem(data, A)
+        weights = None
+        if data.draw(st.booleans(), label="lipschitz weights"):
+            weights = 1 / np.sqrt(np.where(p.L_per_coord > 0,
+                                           p.L_per_coord, 1.0))
+        backend = data.draw(st.sampled_from(["scan", "heap"]), label="backend")
+        tr = H1Tracker(p, rng.uniform(-1.0, 1.0, n), GradScorer(weights),
+                       backend=backend)
+        assert tr.product == rule
+        w = 1.0 if weights is None else weights
+        allrows = np.arange(m)
+
+        def check():
+            u = dense @ tr.x
+            row_g = p.row_grad(u, allrows)
+            grad = dense.T @ row_g + p.l2_reg * tr.x
+            # each sum's rounding is bounded by the sum of its |terms|, and
+            # u's by |A| |x| (+ |b| <= 2, or a logistic row_g <= 1)
+            size = 1.0 + np.abs(dense).T @ (np.abs(dense) @ np.abs(tr.x) + 2.0)
+            assert np.all(np.abs(tr.gradient - grad) <= 1e-12 * size)
+            assert np.array_equal(tr.scores, w * np.abs(tr.gradient))
+            assert tr.peek() == int(np.argmax(tr.scores))
+
+        check()
+        for _ in range(data.draw(st.integers(1, 8), label="updates")):
+            i = int(rng.integers(n))
+            stats = tr.apply_update(i, float(rng.uniform(-1.0, 1.0)))
+            hit = nz[:, i]
+            assert stats.touched_rows == hit.sum()
+            assert stats.touched_grads == nz[hit].sum()
+            if backend == "scan":
+                assert stats.heap_ops == 0
+            elif product:
+                assert stats.heap_ops == n
+            else:
+                assert stats.heap_ops == max(nz[hit].any(axis=0).sum(), 1)
+            check()
+
+
 class TestLeanTracker:
     """A lean h1 tracker (no gradient, no scores) against an eager one fed
     the same updates."""
@@ -586,9 +670,11 @@ class TestResidualKeys:
                  if composite or not isinstance(make_rule(r), ProxWorkRule)]
         rule = make_rule(data.draw(st.sampled_from(names), label="rule"))
         backends = ["scan", "heap"]
+        # the ball tree normalises every column, so each needs a squared
+        # norm that does not underflow to 0 (an entry of 1e-195 does)
         if (rule.name == "gsl" and not composite and smooth.tracker_kind
-                == "h1" and smooth.l2_reg == 0 and np.diff(
-                    smooth.A.col_indptr).all()):
+                == "h1" and smooth.l2_reg == 0
+                and column_sq_norms(smooth.A).all()):
             backends.append("nns")
         backend = data.draw(st.sampled_from(backends), label="backend")
         step = data.draw(st.sampled_from(list(STEP_MODES)), label="step")

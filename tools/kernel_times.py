@@ -1,28 +1,39 @@
 #!/usr/bin/env python3
-"""Time the incremental row scatter against one full compiled A^T product,
-and one graph coordinate move.
+"""Time the two ways an h1 tracker renews A^T grad, the row scatter and one
+full compiled product, and one graph coordinate move.
 
     python3 tools/kernel_times.py
 
 For each (family, m, n) in ``SIZES``, builds the experiment with
-``harness.gen_experiment`` (seed ``SEED``) and times two calls on its
-matrix A:
+``harness.gen_experiment`` (seed ``SEED``) and, on its matrix A, reports:
 
-* ``_kernels.scatter_row_deltas`` for the median column: the column whose
-  rows hold the median number of stored entries, which is the work one
-  greedy update's scatter does (``touched`` below);
-* ``A.rmatvec(y)``, the full product A^T y a non-incremental tracker would
-  compute instead.
+* ``gather_frac``: the mean number of entries one update's row scatter
+  gathers (``A.mean_gather``, sum_rows r_i^2 / n) over nnz, and ``path``,
+  the update the tracker takes there (``tracker.takes_product``: the
+  product when gather_frac exceeds 1 / ``tracker.KAPPA``);
+* two kernel calls: ``_kernels.scatter_row_deltas`` for the median column,
+  the column whose rows hold the median number of stored entries
+  (``touched``), and ``A.rmatvec(y)``, the full product;
+* two whole updates, ``H1Tracker.apply_update`` of that column under
+  ``gsl`` scores on the smooth part, once with the tracker's ``product``
+  flag set (``product_update_us``) and once cleared
+  (``scatter_update_us``), whatever the rule picks.
+
+The ``crossover`` entry reads KAPPA off those updates: the largest gather
+fraction where the scatter update is faster and the smallest where the
+product update is, so 1 / KAPPA should lie between them.
 
 On ``two_moons`` with ``GRAPH_N`` nodes (seed ``SEED``) it also times one
 ``_kernels.graph_coord_update``, the whole per-edge work of an H2 update,
 for the node of median degree, on the state of a fresh tracker.
 
 Each time is the least of ``REPEATS`` repeats of ``NUMBER`` calls, divided
-by ``NUMBER``.  Prints one JSON line: {"sizes": [{family, m, n, nnz,
-touched, scatter_us, rmatvec_us, ratio}], "graph_move": {family, n, node,
-degree, graph_move_us}, "seed", "repeats", "number"}, where ratio is
-scatter_us / rmatvec_us.
+by ``NUMBER`` (an update pair, +d then -d, counts as two calls).  Prints
+one JSON line: {"kappa", "sizes": [{family, m, n, nnz, gather_frac, path,
+touched, scatter_us, rmatvec_us, ratio, scatter_update_us,
+product_update_us}], "crossover": {scatter_wins_to, product_wins_from},
+"graph_move": {family, n, node, degree, graph_move_us}, "seed",
+"repeats", "number"}, where ratio is scatter_us / rmatvec_us.
 """
 
 import json
@@ -36,9 +47,12 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
 from greedycd import _kernels, harness  # noqa: E402
-from greedycd.tracker import H2Tracker  # noqa: E402
+from greedycd.rules import make_rule  # noqa: E402
+from greedycd.tracker import (KAPPA, H1Tracker, H2Tracker,  # noqa: E402
+                              takes_product)
 
-SIZES = (("sparse_ls", 200, 200), ("sparse_ls", 2000, 2000),
+SIZES = (("sparse_ls", 200, 200), ("sparse_ls", 1000, 1000),
+         ("sparse_ls", 2000, 2000),
          ("dense_overdet_ls", 60, 20), ("dense_overdet_ls", 300, 60),
          ("l1_underdet_ls", 50, 500), ("l1_underdet_ls", 500, 5000))
 GRAPH_N = 2000
@@ -51,10 +65,22 @@ def least_us(fn):
     return min(timeit.repeat(fn, number=NUMBER, repeat=REPEATS)) / NUMBER * 1e6
 
 
+def update_us(problem, j, product):
+    """One ``apply_update`` of column j on the given path, under gsl."""
+    tr = H1Tracker(problem, np.zeros(problem.n),
+                   make_rule("gsl").scorer(problem), refresh_every=10**9)
+    tr.product = product
+
+    def pair():
+        tr.apply_update(j, 1e-3)
+        tr.apply_update(j, -1e-3)
+    return least_us(pair) / 2
+
+
 def measure(family, m, n):
-    A = harness.gen_experiment(family, m=m, n=n, seed=SEED).matrix
-    row_len = np.diff(A.row_indptr)
-    touched = np.array([row_len[A.column(j)[0]].sum() for j in range(n)])
+    exp = harness.gen_experiment(family, m=m, n=n, seed=SEED)
+    A = exp.matrix
+    touched = A.col_gather
     j = int(np.argsort(touched, kind="stable")[n // 2])
     rows = A.column(j)[0]
     rng = np.random.default_rng(SEED)
@@ -64,10 +90,26 @@ def measure(family, m, n):
     scatter_us = least_us(lambda: _kernels.scatter_row_deltas(
         rows, dg, A.row_indptr, A.row_cols, A.row_vals, target))
     rmatvec_us = least_us(lambda: A.rmatvec(y))
+    smooth = getattr(exp.problem, "smooth", exp.problem)
     return {"family": family, "m": m, "n": n, "nnz": A.nnz,
+            "gather_frac": round(A.mean_gather / A.nnz, 4),
+            "path": "product" if takes_product(A) else "scatter",
             "touched": int(touched[j]), "scatter_us": round(scatter_us, 1),
             "rmatvec_us": round(rmatvec_us, 1),
-            "ratio": round(scatter_us / rmatvec_us, 2)}
+            "ratio": round(scatter_us / rmatvec_us, 2),
+            "scatter_update_us": round(update_us(smooth, j, False), 1),
+            "product_update_us": round(update_us(smooth, j, True), 1)}
+
+
+def crossover(sizes):
+    """The largest gather fraction where the scatter update wins and the
+    smallest where the product update wins."""
+    wins = [s["product_update_us"] < s["scatter_update_us"] for s in sizes]
+    fracs = [s["gather_frac"] for s in sizes]
+    return {"scatter_wins_to": max((f for f, w in zip(fracs, wins) if not w),
+                                   default=None),
+            "product_wins_from": min((f for f, w in zip(fracs, wins) if w),
+                                     default=None)}
 
 
 def measure_graph_move():
@@ -83,7 +125,8 @@ def measure_graph_move():
 
 
 def main():
-    out = {"sizes": [measure(*size) for size in SIZES],
+    sizes = [measure(*size) for size in SIZES]
+    out = {"kappa": KAPPA, "sizes": sizes, "crossover": crossover(sizes),
            "graph_move": measure_graph_move(), "seed": SEED,
            "repeats": REPEATS, "number": NUMBER}
     print(json.dumps(out))

@@ -39,8 +39,15 @@ the problem the labeled nodes fold into (node_quad, node_lin, the constant,
 the kept edges and weights, and the free nodes).  A change to a generator
 or to the fold then gets its own verdict, even where no trace reaches it.
 
-Prints one line per experiment and per case and a final count for each;
-exits 1 on any difference.
+Two cases, ``sparse_ls`` 2000^2 ``gsl`` and ``l1_underdet_ls`` 500 x 5000
+``gs-q``, run on matrices whose updates renew A^T grad by the row scatter;
+every workload matrix is dense enough for the full product
+(``tracker.takes_product``).
+
+Prints one line per experiment and per case and a final count for each; a
+case that is not bit-identical also gets its largest relative difference
+and the number of iterations whose picked coordinate differs.  Exits 1 on
+any difference.
 """
 
 import argparse
@@ -100,6 +107,11 @@ EXTRA = (
     ("graph", "two_moons", None, 300, 1.0, "gs-approx-add", 300, 10000,
      "auto"),
     ("graph", "two_moons", None, 300, 1.0, "mi", 60, 10000, "auto"),
+    # matrices whose updates gather a small share of nnz, so the tracker
+    # renews A^T grad by the row scatter rather than the full product
+    ("ls-large", "sparse_ls", 2000, 2000, None, "gsl", 300, 10000, "auto"),
+    ("lasso-large", "l1_underdet_ls", 500, 5000, None, "gs-q", 300, 10000,
+     "auto"),
 )
 
 # exact steps on smooth problems and maximum improvement: the same steps
@@ -269,8 +281,10 @@ def main(argv=None):
         loose = name in near or not make_rule(rule_of[name]).reads_gradient
         verdict, diff = compare(cols, x, bcols, bx, loose)
         verdicts.append(verdict)
+        picks = sum(a != b for a, b in zip(cols[2], bcols[2]))
         print(f"{verdict}  {name}  ({len(cols[0]) - 1} iterations"
-              + (")" if verdict == "same" else f", largest {diff:.2e})"))
+              + (")" if verdict == "same" else
+                 f", largest {diff:.2e}, {picks} picks changed)"))
     print(f"{verdicts.count('same')} of {len(here)} cases bit-identical, "
           f"{verdicts.count('close')} within 1e-12, "
           f"{verdicts.count('DIFFERS')} differ")

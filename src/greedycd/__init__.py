@@ -1,7 +1,7 @@
 """Greedy coordinate descent: selection rules, incremental gradient
-trackers that also keep the stopping test, a nearest-neighbour index that
-answers gsl (slower than a scan at every size measured so far), and rate
-analysis."""
+trackers that also keep the stopping test, a brute-force nearest-neighbour
+index that answers gsl (one dense product per query, still slower than a
+scan), and rate analysis."""
 
 from .analysis import (
     ConvexityConstants,

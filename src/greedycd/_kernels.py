@@ -1,10 +1,11 @@
 """Inner-loop kernels shared by the heap, the trackers, and sparse updates.
 
-The heap and graph kernels are plain Python loops over flat numpy arrays:
-each step depends on the one before (a sift walks one path of the heap), or
-touches too few entries (about a dozen edges per graph move) for a numpy
-call to pay off.  The sparse column update is one numpy expression over a
-CSC slice.  The row scatter into A^T grad is two of scipy's compiled
+The heap key update and the graph move are plain Python loops over flat
+numpy arrays: each step depends on the one before (a sift walks one path
+of the heap), or touches too few entries (about a dozen edges per graph
+move) for a numpy call to pay off.  The heap itself is built by one sort
+(``IndexedMaxHeap``), not here.  The sparse column update is one numpy
+expression over a CSC slice.  The row scatter into A^T grad is two of scipy's compiled
 sparse kernels (``scipy.sparse._sparsetools``), which add in the same
 order as a loop over the rows, so its sums are bit-identical to that
 loop's; see ``scatter_row_deltas``.  The full product A^T y is scipy's
@@ -31,38 +32,6 @@ from a ``SparseMatrix``, whose arrays are read-only after construction.
 
 import numpy as np
 from scipy.sparse import _sparsetools
-
-
-def heap_build(keys, order, pos):
-    """Heapify ``order``/``pos`` in place for a max-heap over (keys[i], -i).
-
-    ``order[k]`` is the element stored at heap slot k and ``pos[i]`` the slot
-    of element i; the caller passes both filled with 0..n-1.  Key ties favour
-    the smaller element index, so slot 0 always agrees with the first argmax
-    of a fresh linear scan.
-    """
-    n = order.shape[0]
-    for root in range(n // 2 - 1, -1, -1):
-        k = root
-        i = order[k]
-        while True:
-            c = 2 * k + 1
-            if c >= n:
-                break
-            j = order[c]
-            if c + 1 < n:
-                j2 = order[c + 1]
-                if (keys[j2] > keys[j]) or (keys[j2] == keys[j] and j2 < j):
-                    c += 1
-                    j = j2
-            if (keys[j] > keys[i]) or (keys[j] == keys[i] and j < i):
-                order[k] = j
-                pos[j] = k
-                k = c
-            else:
-                break
-        order[k] = i
-        pos[i] = k
 
 
 def heap_update(keys, order, pos, i, new_key):

@@ -28,9 +28,10 @@ from .rules import RULE_NAMES, make_rule
 from .tracker import BACKENDS
 
 BACKEND_HELP = ("score selection: scan (default; flat array and argmax), "
-                "heap (indexed max-heap; pays off only on large sparse "
-                "graphs, about n >= 2e5 on a chain), nns (ball tree, gsl "
-                "only)")
+                "heap (indexed max-heap built by one sort; pays off only on "
+                "large sparse graphs, about n >= 2e5 on a chain), nns "
+                "(brute-force nearest-neighbour search over the normalised "
+                "columns, gsl only)")
 
 
 def _add_problem_args(p):

@@ -166,8 +166,9 @@ class IndexedMaxHeap:
     """Max-heap over n float keys addressable by element index.
 
     Supports O(1) peek of the argmax, O(log n) key updates for arbitrary
-    elements, and O(n) construction.  Ties on key resolve to the smallest
-    element index, exactly matching the first argmax of a linear scan.
+    elements, and construction by one sort.  Ties on key resolve to the
+    smallest element index, exactly matching the first argmax of a linear
+    scan.
     """
 
     def __init__(self, keys):
@@ -175,9 +176,11 @@ class IndexedMaxHeap:
         if self.keys.ndim != 1:
             raise ValueError("keys must be 1-D")
         self.n = self.keys.shape[0]
-        self.order = np.arange(self.n, dtype=np.int64)
-        self.pos = np.arange(self.n, dtype=np.int64)
-        _kernels.heap_build(self.keys, self.order, self.pos)
+        # sorted by (key descending, index ascending), every slot outranks
+        # its children 2k+1 and 2k+2, so the sorted order is a heap
+        self.order = np.lexsort((np.arange(self.n), -self.keys))
+        self.pos = np.empty(self.n, dtype=np.int64)
+        self.pos[self.order] = np.arange(self.n)
 
     def __len__(self):
         return self.n

@@ -9,11 +9,15 @@ signed columns it maximises |a_i^T q| / ||a_i||, which is exactly the
 Lipschitz-weighted greedy rule ("gsl" mode).  Both identities need a zero
 ridge term, so the index refuses problems with l2_reg > 0.
 
-Queries descend a ball tree, collect every point within a 1e-9 relative
-band of the best distance found, and hand the folded candidate set to the
-same score comparator a dense scan would use — so tree and scan agree
-exactly, including on tie-breaks.  The tracker's "nns" backend builds one
-index in "gsl" mode and answers ``peek()`` with it.
+A query is a brute-force search: one dense product P q over the stored
+points p_i (the columns of A, normalised in "gsl" mode).  The sign folds
+analytically, since the nearer of +-p_i lies at squared distance
+||p_i||^2 - 2 |p_i^T q| + ||q||^2, and ||q||^2 is the same for every point.
+Every point whose distance lies within a rounding band of the best one (a
+1e-9 relative band on the terms of that sum) goes to the same score
+comparator a dense scan would use, so search and scan agree exactly,
+including on tie-breaks.  The tracker's "nns" backend builds one index in
+"gsl" mode and answers ``peek()`` with it.
 """
 
 import numpy as np
@@ -23,22 +27,16 @@ from .linalg import column_sq_norms
 REL_BAND = 1e-9
 
 
-class _Ball:
-    __slots__ = ("lo", "hi", "center", "radius", "left", "right")
-
-    def __init__(self, lo, hi, center, radius):
-        self.lo = lo
-        self.hi = hi
-        self.center = center
-        self.radius = radius
-        self.left = None
-        self.right = None
-
-
 class BallTreeIndex:
-    """Ball tree over the signed (optionally normalised) columns of A."""
+    """Nearest-neighbour index over the signed (optionally normalised)
+    columns of A, searched by brute force.
 
-    def __init__(self, problem, mode="biased", leaf_size=16):
+    The name is that of the ball tree this class used to hold; the
+    benchmark and the acceptance tests import it under that name.  The tree
+    lost to the one product a query now takes at every size measured.
+    """
+
+    def __init__(self, problem, mode="biased"):
         if mode not in ("biased", "gsl"):
             raise ValueError(f"unknown index mode: {mode!r}")
         if not hasattr(problem, "A"):
@@ -46,71 +44,35 @@ class BallTreeIndex:
         if problem.l2_reg != 0.0:
             raise ValueError("nearest-neighbour selection needs l2_reg = 0")
         self.mode = mode
-        self.n = problem.A.shape[1]
-        self.sqnorms = column_sq_norms(problem.A)
-        cols = problem.A.to_dense().T.copy()
+        self.sqnorms = sq = column_sq_norms(problem.A)
         if mode == "gsl":
-            if (self.sqnorms == 0.0).any():
-                raise ValueError("cannot normalise an empty column")
+            zero = np.flatnonzero(sq == 0.0)
+            if zero.size:
+                raise ValueError(
+                    f"cannot normalise column {zero[0]}: its squared norm is "
+                    "0, because it is an empty column or its entries "
+                    "underflow when squared")
             self.weights = 1.0 / np.sqrt(problem.L_per_coord)
-            pts = cols / np.sqrt(self.sqnorms)[:, None]
+            self.points = problem.A.to_dense().T / np.sqrt(sq)[:, None]
+            self._half_sq, self._norms = 0.5, 1.0
         else:
             self.weights = None
-            pts = cols
-        self.points = np.vstack([pts, -pts])
-        self.perm = np.arange(2 * self.n)
-        self.leaf_size = int(leaf_size)
-        self.root = self._build(0, 2 * self.n)
-
-    def _build(self, lo, hi):
-        pts = self.points[self.perm[lo:hi]]
-        center = pts.mean(axis=0)
-        dist = np.sqrt(((pts - center) ** 2).sum(axis=1))
-        node = _Ball(lo, hi, center, float(dist.max()))
-        if hi - lo > self.leaf_size:
-            j = int(np.argmax(pts.max(axis=0) - pts.min(axis=0)))
-            order = np.argsort(pts[:, j], kind="stable")
-            self.perm[lo:hi] = self.perm[lo:hi][order]
-            mid = (lo + hi) // 2
-            node.left = self._build(lo, mid)
-            node.right = self._build(mid, hi)
-        return node
+            self.points = problem.A.to_dense().T
+            self._half_sq, self._norms = 0.5 * sq, np.sqrt(sq)
 
     def query(self, q, gradient):
-        """Folded column index of the greedy pick for row weights q.
+        """Column index of the greedy pick for row weights q.
 
         ``gradient`` supplies the score values the final comparison uses,
         so the answer is bit-identical to a dense scan of the same scores.
         """
         q = np.asarray(q, dtype=np.float64)
-        best = np.inf
-        hits = []
-
-        def visit(node):
-            nonlocal best
-            gap = float(np.sqrt(((q - node.center) ** 2).sum())) - node.radius
-            if gap > best * (1.0 + REL_BAND):
-                return
-            if node.left is None:
-                ids = self.perm[node.lo:node.hi]
-                d = np.sqrt(((self.points[ids] - q) ** 2).sum(axis=1))
-                lo = float(d.min())
-                if lo < best:
-                    best = lo
-                hits.append((ids, d))
-                return
-            d_left = ((q - node.left.center) ** 2).sum()
-            first, second = node.left, node.right
-            if ((q - node.right.center) ** 2).sum() < d_left:
-                first, second = second, first
-            visit(first)
-            visit(second)
-
-        visit(self.root)
-        cut = best * (1.0 + REL_BAND)
-        cands = np.concatenate([ids[d <= cut] for ids, d in hits])
-        folded = np.unique(np.where(cands >= self.n, cands - self.n, cands))
-        return self._compare(folded, gradient)
+        # (||p_i||^2 + ||q||^2 - d_i^2) / 2, d_i the distance from q to the
+        # nearer of +-p_i: the largest is the nearest neighbour
+        near = np.abs(self.points @ q) - self._half_sq
+        band = REL_BAND * (self._half_sq + self._norms * np.sqrt(q @ q))
+        idx = np.flatnonzero(near + band >= (near - band).max())
+        return self._compare(idx, gradient)
 
     def _compare(self, idx, gradient):
         scores = self.scores(gradient, idx)

@@ -29,13 +29,15 @@ iterate sequences:
 
 * "scan" (default): a flat array, one vectorised store per update, and
   ``np.argmax``, remembered until the scores change.
-* "heap": an IndexedMaxHeap (O(log n) per touched key, O(1) peek); each
-  key update is an interpreted sift, so it ties scan only at about
-  n = 2e5 on a chain (tools/chain_backends.py).
-* "nns": no scores; a ball tree over the normalised columns of A
-  (``nns.BallTreeIndex``), built once and kept across refreshes, answers
-  ``gsl`` from the row derivatives.  It needs an h1 problem with
-  l2_reg = 0, no empty column and no composite terms.
+* "heap": an IndexedMaxHeap, built by one sort at every build and
+  refresh (O(log n) per touched key, O(1) peek); each key update is an
+  interpreted sift, so it ties scan only at about n = 2e5 on a chain
+  (tools/chain_backends.py).
+* "nns": no scores; a brute-force nearest-neighbour search over the
+  normalised columns of A (``nns.BallTreeIndex``, one dense product per
+  query), built once and kept across refreshes, answers ``gsl`` from the
+  row derivatives.  It needs an h1 problem with l2_reg = 0, no column of
+  squared norm 0 and no composite terms.
 
 The tracker also owns the stopping test.  It keeps one array ``keys``, the
 residual entries whose maximum the test reads: |grad_i| on a smooth
@@ -181,7 +183,7 @@ class _TrackerBase:
         self.last_obj_delta = 0.0
         self.lean = bool(lean)
         self.backend = backend
-        # the tree depends on A alone, so it outlives every refresh; it
+        # the index depends on A alone, so it outlives every refresh; it
         # replaces the scores
         self.index = (BallTreeIndex(smooth, mode="gsl") if backend == "nns"
                       else None)

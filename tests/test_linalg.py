@@ -88,6 +88,30 @@ class TestIndexedMaxHeap:
             assert h.peek_key() == keys.max()
         assert heap_is_valid(h)
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_sorted_build_is_a_heap_under_heavy_ties(self, data):
+        # a small alphabet, so most keys tie, plus signed zeros and
+        # infinities; the build must order ties by index
+        alphabet = st.sampled_from([-1.0, 0.0, -0.0, 1.0, 2.0,
+                                    np.inf, -np.inf])
+        n = data.draw(st.integers(0, 300), label="n")
+        keys = np.array(data.draw(st.lists(alphabet, min_size=n, max_size=n),
+                                  label="keys"), dtype=np.float64)
+        h = IndexedMaxHeap(keys)
+        assert heap_is_valid(h)
+        if n == 0:
+            return
+        assert h.peek() == scan_argmax(keys)
+        updates = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                               alphabet), max_size=40),
+                            label="updates")
+        for i, k in updates:
+            keys[i] = k
+            h.update_key(i, k)
+            assert h.peek() == scan_argmax(keys)
+        assert heap_is_valid(h)
+
     def test_copies_input_keys(self):
         keys = np.array([1.0, 2.0])
         h = IndexedMaxHeap(keys)

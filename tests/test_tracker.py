@@ -670,8 +670,9 @@ class TestResidualKeys:
                  if composite or not isinstance(make_rule(r), ProxWorkRule)]
         rule = make_rule(data.draw(st.sampled_from(names), label="rule"))
         backends = ["scan", "heap"]
-        # the ball tree normalises every column, so each needs a squared
-        # norm that does not underflow to 0 (an entry of 1e-195 does)
+        # the nearest-neighbour index normalises every column, so each
+        # needs a squared norm that does not underflow to 0 (an entry of
+        # 1e-195 does)
         if (rule.name == "gsl" and not composite and smooth.tracker_kind
                 == "h1" and smooth.l2_reg == 0
                 and column_sq_norms(smooth.A).all()):

@@ -27,7 +27,7 @@ from .harness import (
     save_experiment,
 )
 from .linalg import IndexedMaxHeap, SparseMatrix
-from .nns import BallTreeIndex, dense_select
+from .nns import BallTreeIndex
 from .problems import (
     BoxTerm,
     CompositeProblem,
@@ -58,7 +58,6 @@ __all__ = [
     "ZeroTerm",
     "additive_gap_bound",
     "chain_rate_factors",
-    "dense_select",
     "gen_experiment",
     "gsq_certificate",
     "hessian_constants",

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problems import CompositeProblem, safe_curvature, term_value
+from .problems import CompositeProblem, safe_curvature
 from .rules import Rule, make_rule
 from .tracker import make_tracker
 
@@ -162,10 +162,11 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     composite problems).  A trace row between two tests repeats the last
     measured ``resid_inf``, so such a run stops on an epoch boundary.
 
-    The trace objective adds each update's change to the last value, and
-    restarts from the tracker's rebuilt objective (plus the composite
-    terms at x) after every update that ended in a cache refresh, so the
-    rounding of the sum does not outlive one ``refresh_every`` interval.
+    The tracker also owns the objective, F = f + sum_i g_i on a composite
+    problem, and refuses an x0 that is not finite or infeasible for the
+    terms.  The trace's objective is ``tracker.objective()`` after each
+    update, and the descent certificate checks the update's change,
+    ``tracker.last_obj_delta``.
     """
     composite = problem if isinstance(problem, CompositeProblem) else None
     smooth = problem.smooth if composite is not None else problem
@@ -180,11 +181,6 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
         raise ValueError("tol must be finite")
     if x0 is None:
         x0 = np.zeros(n)
-    x0 = np.asarray(x0, dtype=np.float64)
-    if x0.shape != (n,):
-        raise ValueError(f"x0 must have shape ({n},)")
-    if not np.isfinite(x0).all():
-        raise ValueError("x0 must be finite")
     mode = _resolve_step(problem, rule, step)
 
     rule.prepare(problem, rng=np.random.default_rng(seed))
@@ -201,12 +197,6 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
                            lean=lean, L_step=L_safe)
 
     obj = tracker.objective()
-    if composite is not None:
-        g_sum = float(composite.g_values(tracker.x).sum())
-        if not np.isfinite(g_sum):
-            raise ValueError("x0 is infeasible for the composite terms")
-        obj += g_sum
-
     resid = tracker.grad_inf_norm()
     if not (np.isfinite(obj) and np.isfinite(resid)):
         raise ValueError("objective or gradient at x0 is not finite; "
@@ -237,9 +227,6 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
 
         stats = tracker.apply_update(i, alpha)
         delta = tracker.last_obj_delta
-        if composite is not None:
-            delta += (term_value(composite.terms[i], xi_old + alpha)
-                      - term_value(composite.terms[i], xi_old))
         if not (delta <= promised + 1e-10 * max(1.0, abs(obj)) + 1e-14):
             if not delta <= 0:
                 raise RuntimeError(
@@ -249,13 +236,7 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
                 f"descent certificate violated at iteration {t + 1}: "
                 f"drop {delta:.6e} exceeds promised {promised:.6e} "
                 f"(coordinate {i}, step {alpha:.3e})")
-        obj += delta
-        if tracker.refreshed:
-            # the rebuilt caches hold the objective afresh; a running sum
-            # would keep the rounding of every delta since x0
-            obj = tracker.objective()
-            if composite is not None:
-                obj += float(composite.g_values(tracker.x).sum())
+        obj = tracker.objective()
         if not lean or (t + 1) % n == 0 or t + 1 == max_iters:
             resid = tracker.grad_inf_norm()
         trace.append(t + 1, obj, i, alpha, resid, time.perf_counter_ns() - t0,

@@ -92,8 +92,3 @@ class BallTreeIndex:
         """The pick for an h1 tracker's current iterate; ``peek()`` of a
         tracker on the "nns" backend."""
         return self.query(tracker.row_g, tracker.gradient)
-
-
-def dense_select(index, gradient):
-    """Linear-scan twin of ``index.query`` (for verification)."""
-    return int(np.argmax(index.scores(gradient)))

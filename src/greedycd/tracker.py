@@ -64,8 +64,15 @@ The h2 update maintains the gradient in O(d) anyway, so a lean h2
 tracker keeps it.  ``grad_inf_norm()`` on a lean tracker rebuilds the keys
 from the full gradient, which the driver asks for once per epoch.
 
-Caches are rebuilt from scratch every ``refresh_every`` updates (default
-10000) to bound float drift.
+The tracker owns the objective too.  ``objective()`` is F at x: the smooth
+objective, plus on a composite problem the terms' sum, kept as one running
+sum.  Every update adds its change, with the moved coordinate's term change
+(``last_obj_delta``, which the driver's descent certificate reads).  The
+tracker refuses a starting point that is not finite or at which a term is
+infinite.
+
+Caches, the objective included, are rebuilt from scratch every
+``refresh_every`` updates (default 10000) to bound float drift.
 """
 
 from dataclasses import dataclass
@@ -75,7 +82,7 @@ import numpy as np
 from . import _kernels
 from .linalg import IndexedMaxHeap
 from .nns import BallTreeIndex
-from .problems import safe_curvature
+from .problems import safe_curvature, term_value
 
 BACKENDS = ("scan", "heap", "nns")
 
@@ -156,10 +163,12 @@ class ProxScorer:
 
 
 class _TrackerBase:
-    """What the h1 and h2 trackers share; each supplies ``_rebuild_caches``,
-    ``refresh`` and ``apply_update``.  ``problem`` is the smooth problem or
-    a composite one; ``L_step`` (default: the scorer's curvature, else L)
-    is the curvature of a composite problem's keys."""
+    """What the h1 and h2 trackers share; each supplies ``_rebuild_caches``
+    (which sets the smooth objective), ``refresh`` (which calls
+    ``_rebuild``) and ``apply_update`` (which ends in ``_finish_update``).
+    ``problem`` is the smooth problem or a composite one; ``L_step``
+    (default: the scorer's curvature, else L) is the curvature of a
+    composite problem's keys."""
 
     def __init__(self, problem, x0, scorer=None, backend="scan",
                  refresh_every=10000, lean=False, L_step=None):
@@ -173,13 +182,13 @@ class _TrackerBase:
         self.n = smooth.n
         self.x = np.array(x0, dtype=np.float64, copy=True)
         if self.x.shape != (self.n,):
-            raise ValueError("x0 has the wrong length")
+            raise ValueError(f"x0 must have shape ({self.n},)")
+        if not np.isfinite(self.x).all():
+            raise ValueError("x0 must be finite")
         self.refresh_every = int(refresh_every)
         if self.refresh_every < 1:
             raise ValueError("refresh_every must be at least 1")
         self._updates = 0
-        # whether the last update ended in a refresh
-        self.refreshed = False
         self.last_obj_delta = 0.0
         self.lean = bool(lean)
         self.backend = backend
@@ -199,8 +208,20 @@ class _TrackerBase:
                 isinstance(s, ProxScorer) and s.mode != "s"
                 and np.array_equal(*np.broadcast_arrays(s.L_used,
                                                         self.L_step)))
+        if not np.isfinite(self._rebuild()):
+            raise ValueError("x0 is infeasible for the composite terms")
+
+    def _rebuild(self):
+        """Rebuild the caches, scores and keys from x.  The objective is
+        F's: on a composite problem the terms' sum at x, which this returns
+        (0 on a smooth one), joins the smooth part's."""
         self._rebuild_caches()
+        g_sum = 0.0
+        if self.composite is not None:
+            g_sum = float(self.composite.g_values(self.x).sum())
+            self._obj += g_sum
         self._init_scores()
+        return g_sum
 
     def _init_scores(self):
         """Score and key every coordinate (nothing on a lean tracker)."""
@@ -264,7 +285,11 @@ class _TrackerBase:
         return 0
 
     def objective(self):
-        """Smooth objective at the current iterate, from the caches."""
+        """F at the current iterate: the smooth objective plus, on a
+        composite problem, the terms' sum.  Each update adds its change
+        (``last_obj_delta``) and every refresh restarts the sum from the
+        rebuilt caches, so its rounding lasts one ``refresh_every``
+        interval at most."""
         return self._obj
 
     def grad_coord(self, i):
@@ -288,10 +313,18 @@ class _TrackerBase:
             return float(self._fresh_keys(self.full_gradient()).max())
         return float(self.keys.max())
 
-    def _maybe_refresh(self):
+    def _finish_update(self, i, old_xi, dobj):
+        """The tail of every update: the smooth objective's change dobj,
+        plus coordinate i's term change on a composite problem, goes into
+        the objective and ``last_obj_delta``, and every ``refresh_every``-th
+        update rebuilds the caches."""
+        if self.composite is not None:
+            term = self.composite.terms[i]
+            dobj += term_value(term, self.x.item(i)) - term_value(term, old_xi)
+        self._obj += dobj
+        self.last_obj_delta = dobj
         self._updates += 1
-        self.refreshed = self._updates % self.refresh_every == 0
-        if self.refreshed:
+        if self._updates % self.refresh_every == 0:
             self.refresh()
 
 
@@ -332,8 +365,8 @@ class H1Tracker(_TrackerBase):
         return self.A.rmatvec(self.row_g) + self.problem.l2_reg * self.x
 
     def refresh(self):
-        self._rebuild_caches()
-        self._init_scores()
+        """Rebuild every cache from x (``_rebuild``)."""
+        self._rebuild()
 
     def apply_update(self, i, delta):
         """x[i] += delta; refresh every cache entry that can change."""
@@ -355,12 +388,7 @@ class H1Tracker(_TrackerBase):
         dobj += 0.5 * lam * (new_xi * new_xi - old_xi * old_xi)
         self.row_g[rows] = new_g
         self.row_v[rows] = new_v
-        self._obj += dobj
-        self.last_obj_delta = dobj
-        if self.lean:
-            self._maybe_refresh()
-            return UpdateStats(int(rows.shape[0]), 0, 0)
-
+        touched_grads = heap_ops = 0
         if self.product:
             # the refresh's own product, into the tracker's buffer; the
             # counter reports the entries the scatter would have gathered
@@ -371,7 +399,7 @@ class H1Tracker(_TrackerBase):
             np.add(g, self.atg, out=g)
             heap_ops = self._rescore(self._every)
             touched_grads = A.col_gather.item(i)
-        else:
+        elif not self.lean:
             cols, touched_grads = _kernels.scatter_row_deltas(
                 rows, dg, A.row_indptr, A.row_cols, A.row_vals, self.atg)
             if a == b:
@@ -379,7 +407,7 @@ class H1Tracker(_TrackerBase):
                 cols = np.array([i], dtype=np.int64)
             self.gradient[cols] = self.atg[cols] + lam * self.x[cols]
             heap_ops = self._rescore(cols)
-        self._maybe_refresh()
+        self._finish_update(i, old_xi, dobj)
         return UpdateStats(int(rows.shape[0]), touched_grads, heap_ops)
 
 
@@ -394,15 +422,16 @@ class H2Tracker(_TrackerBase):
         self._obj = float(p.eval(self.x))
 
     def refresh(self):
-        self._rebuild_caches()
-        self._init_scores()
+        """Rebuild every cache from x (``_rebuild``)."""
+        self._rebuild()
 
     def apply_update(self, i, delta):
         if not 0 <= i < self.n:
             raise IndexError(f"coordinate {i} out of range")
         p = self.problem
+        old_xi = self.x.item(i)
         dobj = _kernels.graph_coord_update(
-            i, float(self.x.item(i) + delta), self.x, p.adj_indptr,
+            i, float(old_xi + delta), self.x, p.adj_indptr,
             p.adj_nbr, p.adj_w, p.adj_rev, self.part, self.gradient,
             p.node_quad, p.node_lin)
         start, stop = p.adj_indptr.item(i), p.adj_indptr.item(i + 1)
@@ -413,9 +442,7 @@ class H2Tracker(_TrackerBase):
             cols[0] = i
             cols[1:] = p.adj_nbr[start:stop]
             heap_ops = self._rescore(cols)
-        self._obj += dobj
-        self.last_obj_delta = dobj
-        self._maybe_refresh()
+        self._finish_update(i, old_xi, dobj)
         return UpdateStats(stop - start, stop - start, heap_ops)
 
 

@@ -124,6 +124,12 @@ def random_spd(rng, n, lam_lo=0.3, lam_hi=2.0):
     return (q * lam) @ q.T
 
 
+def dense_select(index, gradient):
+    """The pick ``index.query`` must return: the first maximum of the
+    scores a dense scan of the index's mode ranks."""
+    return int(np.argmax(index.scores(gradient)))
+
+
 def scan_argmax(keys):
     """First index attaining the maximum — the heap-peek oracle."""
     return int(np.argmax(keys))

@@ -25,7 +25,7 @@ from greedycd.analysis import (
 from greedycd.descent import race, run
 from greedycd.harness import gen_experiment, reference_minimum, run_counterexamples
 from greedycd.linalg import IndexedMaxHeap, SparseMatrix
-from greedycd.nns import BallTreeIndex, dense_select
+from greedycd.nns import BallTreeIndex
 from greedycd.problems import (
     BoxTerm,
     CompositeProblem,
@@ -39,7 +39,7 @@ from greedycd.problems import (
 from greedycd.rules import make_rule, max_improvement_select
 from greedycd.tracker import GradScorer, make_tracker
 
-from helpers import random_sparse, random_spd
+from helpers import dense_select, random_sparse, random_spd
 
 
 def _report(num, name, detail=""):

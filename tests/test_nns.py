@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from greedycd.descent import run
 from greedycd.linalg import SparseMatrix
-from greedycd.nns import BallTreeIndex, dense_select
+from greedycd.nns import BallTreeIndex
 from greedycd.problems import (
     CompositeProblem,
     GraphQuadraticProblem,
@@ -16,6 +16,8 @@ from greedycd.problems import (
     LogisticProblem,
 )
 from greedycd.tracker import H1Tracker, make_tracker
+
+from helpers import dense_select
 
 
 def ls_problem(rng, m, n, scale=0.5):

@@ -630,6 +630,69 @@ class TestLeanTracker:
             make_tracker(g, np.zeros(3), GradScorer(), lean=True)
 
 
+def draw_run_tracker(data):
+    """A problem and the tracker ``run`` would build on it for a drawn
+    rule, backend, step mode and refresh interval: an h1 or h2 smooth part
+    on at most 5 coordinates, alone or under drawn l1, box and zero terms,
+    and a feasible x0 in [-1, 1]^n.  Returns (problem, tracker, L_safe,
+    bounds), L_safe being the curvature ``run`` steps and stops with and
+    bounds[i] the (lo, hi) interval of [-1, 1] that is feasible for x_i."""
+    n = data.draw(st.integers(1, 5), label="n")
+    if data.draw(st.booleans(), label="h1"):
+        # the triplets may leave columns empty (L_i = 0)
+        A = draw_triplet_matrix(data, data.draw(st.integers(1, 5),
+                                                label="m"), n)
+        smooth = draw_h1_problem(data, A)
+    else:
+        smooth = draw_graph(data, n, st.floats(0.0, 2.0),
+                            st.floats(-2.0, 2.0))
+    problem, x0, bounds = smooth, [], []
+    composite = data.draw(st.booleans(), label="composite")
+    terms = []
+    for _ in range(n):
+        kind = data.draw(st.sampled_from(["zero", "l1", "box"])
+                         if composite else st.just("zero"))
+        lo, hi = -1.0, 1.0
+        if kind == "zero":
+            terms.append(ZeroTerm())
+        elif kind == "l1":
+            terms.append(L1Term(data.draw(st.sampled_from([0.0, 0.5, 3.0]))))
+        else:
+            box = data.draw(st.sampled_from(
+                [(-np.inf, np.inf), (-np.inf, 0.5), (-0.5, np.inf),
+                 (-1.0, 1.0), (0.0, 0.0)]))
+            terms.append(BoxTerm(*box))
+            lo, hi = max(lo, box[0]), min(hi, box[1])
+        bounds.append((lo, hi))
+        x0.append(data.draw(st.floats(lo, hi)))
+    if composite:
+        problem = CompositeProblem(smooth, terms)
+    names = [r for r in RULE_NAMES
+             if composite or not isinstance(make_rule(r), ProxWorkRule)]
+    rule = make_rule(data.draw(st.sampled_from(names), label="rule"))
+    backends = ["scan", "heap"]
+    # the nearest-neighbour index normalises every column, so each needs a
+    # squared norm that does not underflow to 0 (an entry of 1e-195 does)
+    if (rule.name == "gsl" and not composite and smooth.tracker_kind == "h1"
+            and smooth.l2_reg == 0 and column_sq_norms(smooth.A).all()):
+        backends.append("nns")
+    backend = data.draw(st.sampled_from(backends), label="backend")
+    step = data.draw(st.sampled_from(list(STEP_MODES)), label="step")
+    if step == "exact" and composite and not smooth.is_quadratic:
+        step = "const"
+    mode = _resolve_step(problem, rule, step)
+    # the curvature run() steps and stops with
+    L = (smooth.L_per_coord if mode in ("const-coord", "exact")
+         else np.full(n, smooth.L))
+    L_safe = np.where(L > 0, L, 1.0)
+    tr = make_tracker(problem, np.array(x0), rule.scorer(problem),
+                      backend=backend, lean=not rule.reads_gradient,
+                      L_step=L_safe,
+                      refresh_every=data.draw(st.sampled_from(
+                          [1, 3, 10000]), label="refresh_every"))
+    return problem, tr, L_safe, bounds
+
+
 class TestResidualKeys:
     """The stopping test a tracker keeps (``grad_inf_norm``), against one
     fresh computation over every coordinate."""
@@ -637,60 +700,8 @@ class TestResidualKeys:
     @settings(max_examples=200, deadline=None)
     @given(st.data())
     def test_residual_matches_a_full_recompute(self, data):
-        n = data.draw(st.integers(1, 5), label="n")
-        if data.draw(st.booleans(), label="h1"):
-            # the triplets may leave columns empty (L_i = 0)
-            A = draw_triplet_matrix(data, data.draw(st.integers(1, 5),
-                                                    label="m"), n)
-            smooth = draw_h1_problem(data, A)
-        else:
-            smooth = draw_graph(data, n, st.floats(0.0, 2.0),
-                                st.floats(-2.0, 2.0))
-        problem, x0 = smooth, []
-        composite = data.draw(st.booleans(), label="composite")
-        terms = []
-        for _ in range(n):
-            kind = data.draw(st.sampled_from(["zero", "l1", "box"])
-                             if composite else st.just("zero"))
-            lo, hi = -1.0, 1.0
-            if kind == "zero":
-                terms.append(ZeroTerm())
-            elif kind == "l1":
-                terms.append(L1Term(data.draw(st.sampled_from([0.0, 0.5, 3.0]))))
-            else:
-                box = data.draw(st.sampled_from(
-                    [(-np.inf, np.inf), (-np.inf, 0.5), (-0.5, np.inf),
-                     (-1.0, 1.0), (0.0, 0.0)]))
-                terms.append(BoxTerm(*box))
-                lo, hi = max(lo, box[0]), min(hi, box[1])
-            x0.append(data.draw(st.floats(lo, hi)))
-        if composite:
-            problem = CompositeProblem(smooth, terms)
-        names = [r for r in RULE_NAMES
-                 if composite or not isinstance(make_rule(r), ProxWorkRule)]
-        rule = make_rule(data.draw(st.sampled_from(names), label="rule"))
-        backends = ["scan", "heap"]
-        # the nearest-neighbour index normalises every column, so each
-        # needs a squared norm that does not underflow to 0 (an entry of
-        # 1e-195 does)
-        if (rule.name == "gsl" and not composite and smooth.tracker_kind
-                == "h1" and smooth.l2_reg == 0
-                and column_sq_norms(smooth.A).all()):
-            backends.append("nns")
-        backend = data.draw(st.sampled_from(backends), label="backend")
-        step = data.draw(st.sampled_from(list(STEP_MODES)), label="step")
-        if step == "exact" and composite and not smooth.is_quadratic:
-            step = "const"
-        mode = _resolve_step(problem, rule, step)
-        # the curvature run() steps and stops with
-        L = (smooth.L_per_coord if mode in ("const-coord", "exact")
-             else np.full(n, smooth.L))
-        L_safe = np.where(L > 0, L, 1.0)
-        lean = not rule.reads_gradient
-        tr = make_tracker(problem, np.array(x0), rule.scorer(problem),
-                          backend=backend, lean=lean, L_step=L_safe,
-                          refresh_every=data.draw(st.sampled_from(
-                              [1, 3, 10000]), label="refresh_every"))
+        problem, tr, L_safe, _ = draw_run_tracker(data)
+        composite = tr.composite is not None
 
         def check():
             g = tr.full_gradient()
@@ -698,11 +709,11 @@ class TestResidualKeys:
                     if composite else np.abs(g))
             assert (np.float64(tr.grad_inf_norm()).tobytes()
                     == np.float64(keys.max()).tobytes())
-            if not lean:
+            if not tr.lean:
                 assert tr.keys.tobytes() == keys.tobytes()
 
         check()
-        steps = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+        steps = data.draw(st.lists(st.tuples(st.integers(0, tr.n - 1),
                                              st.floats(-1.0, 1.0)),
                                    max_size=8), label="steps")
         for i, delta in steps:
@@ -710,6 +721,72 @@ class TestResidualKeys:
             check()
         tr.refresh()
         check()
+
+
+class TestTrackedObjective:
+    """``objective()`` is F = f + sum_i g_i at the tracker's iterate, one
+    running sum across updates and refreshes, against the problem's own
+    evaluation."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_objective_matches_the_problem(self, data):
+        problem, tr, _, bounds = draw_run_tracker(data)
+        smooth = tr.problem
+        n = tr.n
+        # every move stays in [-1, 1]^n, which bounds each term the sums
+        # add: |u_j| <= |A_j|_1 and |b_j| <= 2 on h1, |H| and |node_lin|
+        # on h2, l2_reg <= 0.3 and l1 weights <= 3
+        if smooth.tracker_kind == "h1":
+            size = (1.0 + 2.0 * smooth.A.shape[0]
+                    + np.abs(smooth.A.to_dense()).sum()) ** 2 + n
+        else:
+            size = (1.0 + np.abs(smooth.hessian()).sum()
+                    + np.abs(smooth.node_lin).sum())
+        size += 3.0 * n
+
+        def check():
+            assert abs(tr.objective() - problem.eval(tr.x)) <= 1e-12 * size
+
+        check()
+        for _ in range(data.draw(st.integers(0, 8), label="moves")):
+            i = data.draw(st.integers(0, n - 1), label="i")
+            lo, hi = bounds[i]
+            xi = tr.x.item(i)
+            delta = data.draw(st.floats(lo, hi), label="target") - xi
+            # a move whose rounded end leaves its box would make F infinite
+            if not lo <= xi + delta <= hi:
+                delta = 0.0
+            before = tr.objective()
+            tr.apply_update(i, delta)
+            check()
+            # the change the descent certificate reads is F's too, also
+            # where a refresh rebuilt the objective
+            assert (abs(before + tr.last_obj_delta - tr.objective())
+                    <= 1e-12 * size)
+        tr.refresh()
+        check()
+
+    def test_make_tracker_refuses_a_bad_start(self):
+        ls = LeastSquaresProblem(np.eye(3), np.ones(3))
+        graph = GraphQuadraticProblem(3, [[0, 1]], [1.0], node_quad=[1, 1, 1])
+        for smooth in (ls, graph):
+            for lean in (False, True):
+                for bad in (np.nan, np.inf, -np.inf):
+                    x0 = np.zeros(3)
+                    x0[1] = bad
+                    with pytest.raises(ValueError, match="x0 must be finite"):
+                        make_tracker(smooth, x0, lean=lean)
+                with pytest.raises(ValueError, match="shape"):
+                    make_tracker(smooth, np.zeros(4), lean=lean)
+                box = CompositeProblem(smooth, BoxTerm(0.0, 1.0))
+                with pytest.raises(ValueError, match="infeasible"):
+                    make_tracker(box, np.array([0.5, 2.0, 0.5]), lean=lean)
+                # F adds the terms' sum, 2 (|0| + |1| + |-0.5|) = 3
+                tr = make_tracker(CompositeProblem(smooth, L1Term(2.0)),
+                                  np.array([0.0, 1.0, -0.5]), lean=lean)
+                assert tr.objective() == pytest.approx(
+                    smooth.eval(tr.x) + 3.0, rel=1e-15)
 
 
 class TestProxResidualKeys:

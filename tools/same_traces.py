@@ -24,7 +24,9 @@ workloads run (``perfbench/workloads.py``, seed 0), each rule on both the
 heap and the scan backend (the ball tree where a workload uses it), plus
 ``gs`` and ``gsl`` on ``sparse_logistic``, ``cyclic`` and ``lipschitz`` on
 three families, a few runs with a short refresh interval, so the rebuilt
-caches are compared too, and composite rules under a step mode whose
+caches are compared too (among them lean ``uniform`` and ``lipschitz`` runs
+on the l1 family, whose objectives carry the terms across refreshes), and
+composite rules under a step mode whose
 curvature differs from the score's (``gs-q`` with L_i, ``gsl-q`` with L)
 or whose score is not a prox step (``gs-s``), so the stopping test's
 residual keys take their own prox call.  ``gs`` and ``gsl`` on the l1
@@ -80,6 +82,12 @@ EXTRA = (
     ("lasso-refresh", "l1_underdet_ls", 50, 500, 1.0, "lipschitz", 600, 29,
      "auto"),
     ("graph-refresh", "two_moons", None, 300, 1.0, "cyclic", 400, 31, "auto"),
+    # lean composite runs whose term bookkeeping crosses refreshes, under
+    # both step curvatures (lipschitz/auto above steps with L)
+    ("lasso-refresh", "l1_underdet_ls", 50, 500, 1.0, "uniform", 600, 29,
+     "auto"),
+    ("lasso-refresh", "l1_underdet_ls", 50, 500, 1.0, "lipschitz", 600, 29,
+     "const-coord"),
     ("logistic", "sparse_logistic", 120, 80, 1.0, "lipschitz", 300, 10000,
      "auto"),
     # composite rules whose stopping-test curvature differs from their

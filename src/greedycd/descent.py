@@ -158,7 +158,7 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     its tracker is lean (no keys, no scores, and on h1 no row scatter into
     A^T grad, ``touched_grads == 0``), and it tests for convergence once
     per epoch: at x0, after every n updates and after the last one, each
-    time from one rebuilt full gradient (one ``prox_steps`` over all n for
+    time from one rebuilt full gradient (one prox pass over all n for
     composite problems).  A trace row between two tests repeats the last
     measured ``resid_inf``, so such a run stops on an epoch boundary.
 

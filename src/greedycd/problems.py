@@ -451,10 +451,13 @@ class CompositeProblem:
         self.p2 = np.array([t.p2 for t in self.terms])
         self.n = n
         # built once rather than on every prox or subgradient call: the
-        # term masks and the l1 weights
+        # term masks, the l1 weights and whether every term is l1 or any
+        # is a box
         self._abs = self.gkind == ABS
         self._box = self.gkind == BOX
         self._l1w = np.where(self._abs, self.p1, 0.0)
+        self._all_l1 = bool(self._abs.all())
+        self._any_box = bool(self._box.any())
 
     @property
     def L_per_coord(self):
@@ -486,32 +489,16 @@ class CompositeProblem:
         L_used may be scalar or length n; an entry that is not positive
         counts as 1 (``safe_curvature``).  Every output entry depends on its
         own coordinate alone, so a call over ``idx`` returns, bit for bit,
-        the entries ``idx`` of the call over all coordinates.
+        the entries ``idx`` of the call over all coordinates.  d and V come
+        from a one-off ``ProxPass``, which a caller that needs them over
+        every coordinate at many points keeps instead.
         """
-        if idx is None:
-            idx = slice(None)
-        # a scalar curvature stays scalar: the same bits as a vector of
-        # copies, without building one
-        L = np.asarray(L_used, dtype=np.float64)
-        Ls = safe_curvature(L[idx] if L.ndim else L)
-        x = x[idx]
-        grad = grad[idx]
-        lam = self._l1w[idx]
-        y = x - grad / Ls
-        # soft-threshold on the l1 terms, y itself elsewhere (a box is
-        # clamped below); computing every entry and picking costs less than
-        # gathering and scattering the l1 ones
-        z = np.where(self._abs[idx],
-                     np.sign(y) * np.maximum(np.abs(y) - lam / Ls, 0.0), y)
-        b = self._box[idx]
-        if np.count_nonzero(b):
-            z[b] = np.clip(y[b], self.p1[idx][b], self.p2[idx][b])
-        d = z - x
-        gx = lam * np.abs(x)
-        gz = lam * np.abs(z)
-        V = grad * d + 0.5 * Ls * d * d + gz - gx
-        s = -(grad + Ls * d)
-        return d, V, s
+        step = ProxPass(self, L_used, idx)
+        if idx is not None:
+            x = x[idx]
+            grad = grad[idx]
+        d, V = step(x, grad)
+        return d, V, -(grad + step.L * d)
 
     def min_subgradients(self, x, grad, idx=None):
         """eta_i = argmin_{s in dg_i(x_i)} |grad_i + s|, the first-order
@@ -546,6 +533,77 @@ class CompositeProblem:
         d = z - x_i
         V = (g_i * d + 0.5 * L_i * d * d + term_value(term, z)
              - term_value(term, x_i))
+        return d, V
+
+
+class ProxPass:
+    """d and V of ``CompositeProblem.prox_steps`` over a fixed set of
+    coordinates (``idx``, or every one) under one curvature: the one place
+    the prox formula is written.
+
+    What depends on the terms and the curvature alone is computed once,
+    here: the safe curvature, L/2 and the l1 thresholds lam/L, each as an
+    array (numpy converts a Python scalar operand on every call, which
+    costs more than reading an array), which coordinates are not l1 (none
+    when every term is: then no pick between the soft-threshold and y) and
+    where the boxes are (no clamp without one).  A call pays for the
+    formula's arithmetic only, written into buffers the pass owns, so it
+    overwrites the arrays the previous call returned.
+    """
+
+    def __init__(self, composite, L_used, idx=None):
+        at = slice(None) if idx is None else idx
+        self.lam = composite._l1w[at]
+        k = self.lam.shape[0]
+        # a scalar curvature is spread over the coordinates: the same bits
+        # as a vector of copies
+        L = np.asarray(L_used, dtype=np.float64)
+        self.L = (safe_curvature(L[at]) if L.ndim
+                  else np.full(k, safe_curvature(L)))
+        self.half = 0.5 * self.L
+        self.thr = self.lam / self.L
+        self.zero = np.zeros(k)
+        self.keep = None if composite._all_l1 else ~composite._abs[at]
+        self.box = None
+        if composite._any_box:
+            box = composite._box[at]
+            if np.count_nonzero(box):
+                self.box = np.flatnonzero(box)
+                self.lo = composite.p1[at][box]
+                self.hi = composite.p2[at][box]
+        self._buf = np.empty((4, k))
+
+    def __call__(self, x, grad):
+        """(d, V) at x and grad, both already restricted to the pass's
+        coordinates."""
+        d, V, z, t = self._buf
+        # y = x - grad/L, held in d's buffer until d replaces it
+        y = np.divide(grad, self.L, out=d)
+        np.subtract(x, y, out=y)
+        # soft-threshold on the l1 terms, y itself elsewhere (a box is
+        # clamped below); computing every entry and picking costs less than
+        # gathering and scattering the l1 ones
+        np.abs(y, out=t)
+        np.subtract(t, self.thr, out=t)
+        np.maximum(t, self.zero, out=t)
+        np.sign(y, out=z)
+        np.multiply(z, t, out=z)
+        if self.keep is not None:
+            np.copyto(z, y, where=self.keep)
+        if self.box is not None:
+            z[self.box] = np.clip(y[self.box], self.lo, self.hi)
+        np.subtract(z, x, out=d)
+        # V = ((grad d + (L/2) d d) + lam |z|) - lam |x|, in this order
+        np.multiply(self.half, d, out=V)
+        np.multiply(V, d, out=V)
+        np.multiply(grad, d, out=t)
+        np.add(t, V, out=V)
+        np.abs(z, out=z)
+        np.multiply(self.lam, z, out=z)
+        np.add(V, z, out=V)
+        np.abs(x, out=t)
+        np.multiply(self.lam, t, out=t)
+        np.subtract(V, t, out=V)
         return d, V
 
 

@@ -2,6 +2,8 @@
 dense recompute after each update, and work counters against the structural
 budgets."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -11,12 +13,14 @@ from greedycd import _kernels
 from greedycd.descent import STEP_MODES, _resolve_step, run
 from greedycd.linalg import SparseMatrix, column_sq_norms
 from greedycd.nns import BallTreeIndex
-from greedycd.problems import (BoxTerm, CompositeProblem,
+from greedycd.problems import (BOX, BoxTerm, CompositeProblem,
                                GraphQuadraticProblem, L1Term,
-                               LeastSquaresProblem, LogisticProblem, ZeroTerm)
+                               LeastSquaresProblem, LogisticProblem,
+                               ProxPass, ZeroTerm)
 from greedycd.rules import RULE_NAMES, ProxWorkRule, make_rule
 from greedycd.tracker import (KAPPA, GradScorer, H1Tracker, H2Tracker,
-                              ProxScorer, _TrackerBase, make_tracker)
+                              ProxScorer, _TrackerBase, make_tracker,
+                              takes_product)
 from helpers import (EXTREME_FLOATS, draw_h1_problem, draw_triplet_matrix,
                      graph_move_loop, random_sparse, scan_argmax,
                      scatter_rows_loop)
@@ -630,6 +634,19 @@ class TestLeanTracker:
             make_tracker(g, np.zeros(3), GradScorer(), lean=True)
 
 
+def draw_term(data):
+    """A zero, l1 or box term; the boxes include half-infinite, infinite
+    and one-point ones."""
+    kind = data.draw(st.sampled_from(["zero", "l1", "box"]), label="term")
+    if kind == "zero":
+        return ZeroTerm()
+    if kind == "l1":
+        return L1Term(data.draw(st.sampled_from([0.0, 0.5, 3.0])))
+    return BoxTerm(*data.draw(st.sampled_from(
+        [(-np.inf, np.inf), (-np.inf, 0.5), (-0.5, np.inf), (-1.0, 1.0),
+         (0.0, 0.0)])))
+
+
 def draw_run_tracker(data):
     """A problem and the tracker ``run`` would build on it for a drawn
     rule, backend, step mode and refresh interval: an h1 or h2 smooth part
@@ -648,21 +665,11 @@ def draw_run_tracker(data):
                             st.floats(-2.0, 2.0))
     problem, x0, bounds = smooth, [], []
     composite = data.draw(st.booleans(), label="composite")
-    terms = []
-    for _ in range(n):
-        kind = data.draw(st.sampled_from(["zero", "l1", "box"])
-                         if composite else st.just("zero"))
+    terms = [draw_term(data) if composite else ZeroTerm() for _ in range(n)]
+    for term in terms:
         lo, hi = -1.0, 1.0
-        if kind == "zero":
-            terms.append(ZeroTerm())
-        elif kind == "l1":
-            terms.append(L1Term(data.draw(st.sampled_from([0.0, 0.5, 3.0]))))
-        else:
-            box = data.draw(st.sampled_from(
-                [(-np.inf, np.inf), (-np.inf, 0.5), (-0.5, np.inf),
-                 (-1.0, 1.0), (0.0, 0.0)]))
-            terms.append(BoxTerm(*box))
-            lo, hi = max(lo, box[0]), min(hi, box[1])
+        if term.kind == BOX:
+            lo, hi = max(lo, term.p1), min(hi, term.p2)
         bounds.append((lo, hi))
         x0.append(data.draw(st.floats(lo, hi)))
     if composite:
@@ -717,7 +724,14 @@ class TestResidualKeys:
                                              st.floats(-1.0, 1.0)),
                                    max_size=8), label="steps")
         for i, delta in steps:
-            tr.apply_update(i, delta)
+            term = problem.terms[i] if composite else ZeroTerm()
+            if (term.kind == BOX
+                    and not term.p1 <= tr.x.item(i) + delta <= term.p2):
+                # a move out of the box is refused and changes nothing
+                with pytest.raises(ValueError, match="leaves its box"):
+                    tr.apply_update(i, delta)
+            else:
+                tr.apply_update(i, delta)
             check()
         tr.refresh()
         check()
@@ -789,40 +803,81 @@ class TestTrackedObjective:
                     smooth.eval(tr.x) + 3.0, rel=1e-15)
 
 
+def count_prox_passes(monkeypatch):
+    """Record the length of every prox pass (``ProxPass.__call__``, which
+    ``prox_steps`` and the tracker's full-vector rescore both go through)
+    and whether it ran inside ``grad_inf_norm``: a list of (length,
+    in the stopping test) pairs."""
+    passes = []
+    testing = []
+    prox = ProxPass.__call__
+    residual = _TrackerBase.grad_inf_norm
+
+    def counted(self, x, grad):
+        passes.append((len(x), bool(testing)))
+        return prox(self, x, grad)
+
+    def tested(self):
+        testing.append(1)
+        try:
+            return residual(self)
+        finally:
+            testing.pop()
+
+    monkeypatch.setattr(ProxPass, "__call__", counted)
+    monkeypatch.setattr(_TrackerBase, "grad_inf_norm", tested)
+    return passes
+
+
 class TestProxResidualKeys:
-    """How many prox calls the composite stopping test costs."""
+    """How many prox passes the composite stopping test costs: one per
+    curvature and update, over the coordinates the update rescores."""
+
+    # (rule, L_step, passes per update); L_step None: the keys use the
+    # score's own curvature, or L without a prox score
+    CASES = (("gs-q", "L", 1), ("gsl-q", "L_coord", 1),
+             ("gsl-r", "L_coord", 1), ("gs-q", "L_coord", 2),
+             ("gs-s", "L", 1), ("gs-q", None, 1), ("gsl-q", None, 1),
+             ("gs-s", None, 1), ("gs", None, 1), ("gsl", "L_coord", 1),
+             ("mi", None, 1))
+
+    def check_update_passes(self, monkeypatch, A, dense, product):
+        """One update of coordinate 2 under every case: the passes cover
+        the columns its rows touch on the scatter path, all n on the
+        product path."""
+        m, n = dense.shape
+        rng = np.random.default_rng(15)
+        comp = CompositeProblem(LeastSquaresProblem(A, rng.standard_normal(m)),
+                                L1Term(0.3))
+        L = {"L": np.full(n, comp.L), None: None,
+             "L_coord": np.where(comp.L_per_coord > 0, comp.L_per_coord, 1.0)}
+        touched = np.flatnonzero((dense[dense[:, 2] != 0] != 0).any(axis=0))
+        passes = count_prox_passes(monkeypatch)
+        for rule, L_step, per_update in self.CASES:
+            tr = make_tracker(comp, np.zeros(n), make_rule(rule).scorer(comp),
+                              L_step=L[L_step])
+            assert tr.keys is not None and tr.product == product
+            passes.clear()
+            tr.apply_update(2, 0.5)
+            assert passes == [(n if product else len(touched), False)
+                              ] * per_update
 
     def test_keys_share_the_score_call_only_under_the_same_curvature(
             self, monkeypatch):
+        # on the product path, where each pass covers all n
         rng = np.random.default_rng(15)
-        A, _ = random_sparse(rng, 8, 6)
-        comp = CompositeProblem(LeastSquaresProblem(A, rng.standard_normal(8)),
-                                L1Term(0.3))
-        calls = []
-        prox = CompositeProblem.prox_steps
+        A, dense = random_sparse(rng, 8, 6)
+        assert takes_product(A)
+        self.check_update_passes(monkeypatch, A, dense, product=True)
 
-        def counted(self, x, grad, L_used, idx=None):
-            calls.append(None if idx is None else len(idx))
-            return prox(self, x, grad, L_used, idx)
-
-        monkeypatch.setattr(CompositeProblem, "prox_steps", counted)
-        L_coord = np.where(comp.L_per_coord > 0, comp.L_per_coord, 1.0)
-        # L_step None: the keys use the score's own curvature, or L
-        # without a prox score
-        for rule, L_step, per_update in (
-                ("gs-q", np.full(6, comp.L), 1), ("gsl-q", L_coord, 1),
-                ("gsl-r", L_coord, 1), ("gs-q", L_coord, 2),
-                ("gs-s", np.full(6, comp.L), 1), ("gs-q", None, 1),
-                ("gsl-q", None, 1), ("gs-s", None, 1), ("gs", None, 1),
-                ("gsl", L_coord, 1), ("mi", None, 1)):
-            tr = make_tracker(comp, np.zeros(6), make_rule(rule).scorer(comp),
-                              L_step=L_step)
-            assert tr.keys is not None
-            calls.clear()
-            tr.apply_update(2, 0.5)
-            # one prox call per curvature, over the touched set only
-            assert len(calls) == per_update
-            assert all(c is not None and c <= 6 for c in calls)
+    def test_scatter_path_passes_cover_the_touched_set(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        A, dense = random_sparse(rng, 60, 40, density=0.03)
+        assert not takes_product(A)
+        # the update reaches more than coordinate 2, and not every one
+        touched = (dense[dense[:, 2] != 0] != 0).any(axis=0)
+        assert 1 < touched.sum() < 40
+        self.check_update_passes(monkeypatch, A, dense, product=False)
 
     def test_runs_read_the_keys_and_lean_runs_the_full_call(
             self, monkeypatch):
@@ -830,23 +885,146 @@ class TestProxResidualKeys:
         A, _ = random_sparse(rng, 8, 6)
         comp = CompositeProblem(LeastSquaresProblem(A, rng.standard_normal(8)),
                                 L1Term(0.3))
-        full = []
-        prox = CompositeProblem.prox_steps
-
-        def counted(self, x, grad, L_used, idx=None):
-            if idx is None:
-                full.append(1)
-            return prox(self, x, grad, L_used, idx)
-
-        monkeypatch.setattr(CompositeProblem, "prox_steps", counted)
+        passes = count_prox_passes(monkeypatch)
         for rule in ("gs-s", "gs-r", "gs-q", "gsl-r", "gsl-q", "gs", "gsl",
                      "gs-approx-mult", "gs-approx-add"):
             for step in ("auto", "const", "const-coord", "exact"):
                 run(comp, rule, step=step, max_iters=10, tol=0.0)
-                assert full == []
-        # a lean run tests at x0, after every n = 6 updates and at the end
+                assert not any(in_test for _, in_test in passes)
+        # a lean run tests at x0, after every n = 6 updates and at the
+        # end, each time by one pass over all n
+        passes.clear()
         run(comp, "uniform", max_iters=10, tol=0.0, seed=0)
-        assert len(full) == 3
+        assert passes == [(6, True)] * 3
+
+
+class TestFullProxPass:
+    """The product path rescores every coordinate by one full-vector prox
+    pass (``ProxPass`` over all n, built once per curvature), which must
+    give the bits of ``prox_steps`` over ``np.arange(n)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_full_pass_equals_prox_steps_over_every_index(self, data):
+        n = data.draw(st.integers(1, 8), label="n")
+        comp = CompositeProblem(LeastSquaresProblem(np.eye(n), np.zeros(n)),
+                                [draw_term(data) for _ in range(n)])
+        # signed zeros, extreme magnitudes and anything finite; the
+        # curvature is scalar or per coordinate, with L_i = 0 among them
+        vec = st.lists(EXTREME_FLOATS, min_size=n, max_size=n)
+        x = np.array(data.draw(vec, label="x"), dtype=np.float64)
+        g = np.array(data.draw(vec, label="grad"), dtype=np.float64)
+        curvature = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                              st.floats(0.0, 4.0))
+        if data.draw(st.booleans(), label="scalar L"):
+            L = data.draw(curvature, label="L")
+        else:
+            L = np.array(data.draw(st.lists(curvature, min_size=n,
+                                            max_size=n), label="L"))
+        every = np.arange(n)
+        point = SimpleNamespace(x=x, gradient=g)
+        with np.errstate(all="ignore"):  # extreme values overflow
+            d, V, _ = comp.prox_steps(x, g, L, every)
+            pd, pV = ProxPass(comp, L)(x, g)
+            # the scorer's full call against its call over every index:
+            # the scores and the keys it hands the stopping test
+            scored = [(ProxScorer(comp, L, mode).compute(point, None),
+                       ProxScorer(comp, L, mode).compute(point, every))
+                      for mode in ("r", "q")]
+        assert pd.tobytes() == d.tobytes()
+        assert pV.tobytes() == V.tobytes()
+        for full, ref in scored:
+            for a, b in zip(full, ref):
+                assert a.tobytes() == b.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_product_path_rescore_equals_a_fresh_one(self, data):
+        m = data.draw(st.integers(1, 5), label="m")
+        n = data.draw(st.integers(1, 6), label="n")
+        entries = data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=m * n,
+            max_size=m * n), label="A")
+        # zero columns give L_i = 0
+        A = SparseMatrix.from_dense(np.array(entries).reshape(m, n))
+        assume(takes_product(A))
+        smooth = draw_h1_problem(data, A)
+        composite = data.draw(st.booleans(), label="composite")
+        terms = [draw_term(data) if composite else ZeroTerm()
+                 for _ in range(n)]
+        problem = CompositeProblem(smooth, terms) if composite else smooth
+        names = ["gs", "gsl"] + (["gs-q", "gsl-q", "gs-r", "gsl-r", "gs-s"]
+                                 if composite else [])
+        rule = make_rule(data.draw(st.sampled_from(names), label="rule"))
+        backend = data.draw(st.sampled_from(["scan", "heap"]),
+                            label="backend")
+        L_coord = np.where(smooth.L_per_coord > 0, smooth.L_per_coord, 1.0)
+        L_step = data.draw(st.sampled_from(
+            [None, np.full(n, smooth.L), L_coord]), label="L_step")
+        bounds = [(max(-1.0, t.p1), min(1.0, t.p2)) if t.kind == BOX
+                  else (-1.0, 1.0) for t in terms]
+        x0 = np.array([data.draw(st.floats(lo, hi), label="x0")
+                       for lo, hi in bounds])
+        tr = make_tracker(problem, x0, rule.scorer(problem), backend=backend,
+                          L_step=L_step,
+                          refresh_every=data.draw(st.sampled_from(
+                              [1, 3, 10000]), label="refresh_every"))
+        assert tr.product
+        every = np.arange(n)
+
+        def check():
+            vals = tr.scorer.compute(tr, every)[0]
+            keys = (np.abs(problem.prox_steps(tr.x, tr.gradient, tr.L_step,
+                                              every)[0])
+                    if composite else np.abs(tr.gradient))
+            assert tr.scores.tobytes() == vals.tobytes()
+            assert tr.keys.tobytes() == keys.tobytes()
+
+        check()
+        for _ in range(data.draw(st.integers(0, 8), label="moves")):
+            i = data.draw(st.integers(0, n - 1), label="i")
+            lo, hi = bounds[i]
+            xi = tr.x.item(i)
+            delta = data.draw(st.floats(lo, hi), label="target") - xi
+            if not lo <= xi + delta <= hi:
+                delta = 0.0
+            stats = tr.apply_update(i, delta)
+            assert stats.heap_ops == (n if backend == "heap" else 0)
+            check()
+
+    def test_a_move_out_of_the_box_is_refused_and_changes_nothing(self):
+        ls = LeastSquaresProblem(np.eye(3), np.ones(3))
+        graph = GraphQuadraticProblem(3, [[0, 1]], [1.0], node_quad=[1, 1, 1])
+
+        def state(tr):
+            # x, the objective, the update count and every cache array
+            arrays = {k: v.tobytes() for k, v in vars(tr).items()
+                      if isinstance(v, np.ndarray)}
+            heap = None if tr.heap is None else (tr.heap.keys.tobytes(),
+                                                 tr.heap.order.tobytes())
+            return (arrays, heap, tr.objective(), tr.last_obj_delta,
+                    tr._updates)
+
+        for smooth in (ls, graph):
+            comp = CompositeProblem(smooth, [ZeroTerm(), BoxTerm(0.0, 1.0),
+                                             L1Term(0.5)])
+            for lean, backend in ((False, "scan"), (False, "heap"),
+                                  (True, "scan")):
+                scorer = None if lean else make_rule("gs-q").scorer(comp)
+                tr = make_tracker(comp, np.zeros(3), scorer, backend=backend,
+                                  lean=lean)
+                tr.apply_update(0, 0.25)
+                before = state(tr)
+                for delta in (2.0, -0.5, np.inf, np.nan):
+                    with pytest.raises(ValueError, match="leaves its box"):
+                        tr.apply_update(1, delta)
+                    assert state(tr) == before
+                # onto the bound is inside the box
+                tr.apply_update(1, 1.0)
+                assert tr.objective() == pytest.approx(comp.eval(tr.x),
+                                                       rel=1e-15)
+                tr.apply_update(1, -1.0)
+                assert np.isfinite(tr.objective())
 
 
 class TestBackendEquivalence:

@@ -17,11 +17,18 @@ For each (family, m, n) in ``SIZES``, builds the experiment with
 * two whole updates, ``H1Tracker.apply_update`` of that column under
   ``gsl`` scores on the smooth part, once with the tracker's ``product``
   flag set (``product_update_us``) and once cleared
-  (``scatter_update_us``), whatever the rule picks.
+  (``scatter_update_us``), whatever the rule picks;
+* on a composite family, the same two updates under ``gs-q`` scores on
+  the composite problem (``gsq_product_update_us``,
+  ``gsq_scatter_update_us``), where the product path rescores all n
+  coordinates by one full-vector prox pass and the scatter path only the
+  columns the update reaches.
 
-The ``crossover`` entry reads KAPPA off those updates: the largest gather
-fraction where the scatter update is faster and the smallest where the
-product update is, so 1 / KAPPA should lie between them.
+The ``crossover`` entry reads KAPPA off the ``gsl`` updates: the largest
+gather fraction where the scatter update is faster and the smallest where
+the product update is, so 1 / KAPPA should lie between them
+(``kappa_between``).  ``gsq_crossover`` does the same over the ``gs-q``
+updates of the composite sizes.
 
 On ``two_moons`` with ``GRAPH_N`` nodes (seed ``SEED``) it also times one
 ``_kernels.graph_coord_update``, the whole per-edge work of an H2 update,
@@ -31,9 +38,10 @@ Each time is the least of ``REPEATS`` repeats of ``NUMBER`` calls, divided
 by ``NUMBER`` (an update pair, +d then -d, counts as two calls).  Prints
 one JSON line: {"kappa", "sizes": [{family, m, n, nnz, gather_frac, path,
 touched, scatter_us, rmatvec_us, ratio, scatter_update_us,
-product_update_us}], "crossover": {scatter_wins_to, product_wins_from},
-"graph_move": {family, n, node, degree, graph_move_us}, "seed",
-"repeats", "number"}, where ratio is scatter_us / rmatvec_us.
+product_update_us[, gsq_scatter_update_us, gsq_product_update_us]}],
+"crossover" and "gsq_crossover": {scatter_wins_to, product_wins_from,
+kappa_between}, "graph_move": {family, n, node, degree, graph_move_us},
+"seed", "repeats", "number"}, where ratio is scatter_us / rmatvec_us.
 """
 
 import json
@@ -65,10 +73,11 @@ def least_us(fn):
     return min(timeit.repeat(fn, number=NUMBER, repeat=REPEATS)) / NUMBER * 1e6
 
 
-def update_us(problem, j, product):
-    """One ``apply_update`` of column j on the given path, under gsl."""
+def update_us(problem, j, product, rule="gsl"):
+    """One ``apply_update`` of column j on the given path, under ``rule``'s
+    scores."""
     tr = H1Tracker(problem, np.zeros(problem.n),
-                   make_rule("gsl").scorer(problem), refresh_every=10**9)
+                   make_rule(rule).scorer(problem), refresh_every=10**9)
     tr.product = product
 
     def pair():
@@ -91,25 +100,35 @@ def measure(family, m, n):
         rows, dg, A.row_indptr, A.row_cols, A.row_vals, target))
     rmatvec_us = least_us(lambda: A.rmatvec(y))
     smooth = getattr(exp.problem, "smooth", exp.problem)
-    return {"family": family, "m": m, "n": n, "nnz": A.nnz,
+    out = {"family": family, "m": m, "n": n, "nnz": A.nnz,
             "gather_frac": round(A.mean_gather / A.nnz, 4),
             "path": "product" if takes_product(A) else "scatter",
             "touched": int(touched[j]), "scatter_us": round(scatter_us, 1),
             "rmatvec_us": round(rmatvec_us, 1),
             "ratio": round(scatter_us / rmatvec_us, 2),
             "scatter_update_us": round(update_us(smooth, j, False), 1),
-            "product_update_us": round(update_us(smooth, j, True), 1)}
+           "product_update_us": round(update_us(smooth, j, True), 1)}
+    if smooth is not exp.problem:
+        for path, product in (("scatter", False), ("product", True)):
+            out[f"gsq_{path}_update_us"] = round(
+                update_us(exp.problem, j, product, "gs-q"), 1)
+    return out
 
 
-def crossover(sizes):
-    """The largest gather fraction where the scatter update wins and the
-    smallest where the product update wins."""
-    wins = [s["product_update_us"] < s["scatter_update_us"] for s in sizes]
+def crossover(sizes, prefix=""):
+    """The largest gather fraction where the scatter update (the
+    ``{prefix}scatter_update_us`` entry) wins, the smallest where the
+    product update wins, and whether 1 / KAPPA lies between the two."""
+    sizes = [s for s in sizes if prefix + "product_update_us" in s]
+    wins = [s[prefix + "product_update_us"] < s[prefix + "scatter_update_us"]
+            for s in sizes]
     fracs = [s["gather_frac"] for s in sizes]
-    return {"scatter_wins_to": max((f for f, w in zip(fracs, wins) if not w),
-                                   default=None),
-            "product_wins_from": min((f for f, w in zip(fracs, wins) if w),
-                                     default=None)}
+    lo = max((f for f, w in zip(fracs, wins) if not w), default=None)
+    hi = min((f for f, w in zip(fracs, wins) if w), default=None)
+    # the tracker takes the product above a gather fraction of 1 / KAPPA
+    return {"scatter_wins_to": lo, "product_wins_from": hi,
+            "kappa_between": ((lo is None or lo <= 1 / KAPPA)
+                              and (hi is None or hi > 1 / KAPPA))}
 
 
 def measure_graph_move():
@@ -127,6 +146,7 @@ def measure_graph_move():
 def main():
     sizes = [measure(*size) for size in SIZES]
     out = {"kappa": KAPPA, "sizes": sizes, "crossover": crossover(sizes),
+           "gsq_crossover": crossover(sizes, "gsq_"),
            "graph_move": measure_graph_move(), "seed": SEED,
            "repeats": REPEATS, "number": NUMBER}
     print(json.dumps(out))

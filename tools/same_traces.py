@@ -44,7 +44,11 @@ or to the fold then gets its own verdict, even where no trace reaches it.
 Two cases, ``sparse_ls`` 2000^2 ``gsl`` and ``l1_underdet_ls`` 500 x 5000
 ``gs-q``, run on matrices whose updates renew A^T grad by the row scatter;
 every workload matrix is dense enough for the full product
-(``tracker.takes_product``).
+(``tracker.takes_product``).  The ``MIXED`` cases run the prox-scored rules
+on that product path under mixed terms (``mixed_terms``: zero, l1 and
+boxes with finite, half-infinite and infinite ends), so the full-vector
+prox pass's pick between the soft-threshold and y and its clamp are
+compared as well as its l1 arithmetic.
 
 Prints one line per experiment and per case and a final count for each; a
 case that is not bit-identical also gets its largest relative difference
@@ -122,6 +126,13 @@ EXTRA = (
      "auto"),
 )
 
+# prox-scored rules on the product path of l1_underdet_ls 50 x 500 under
+# mixed terms (``mixed_terms``) instead of its l1 terms
+MIXED = tuple(
+    (label, "l1_underdet_ls", 50, 500, 1.0, rule, 300, every, "auto")
+    for rule in ("gs-q", "gsl-q", "gs-r", "gsl-r")
+    for label, every in (("mixed", 10000), ("mixed-refresh", 37)))
+
 # exact steps on smooth problems and maximum improvement: the same steps
 # in another rounding order, compared within 1e-12
 NEAR = (
@@ -151,7 +162,8 @@ def extra_name(label, rule, step, backend):
 
 def cases():
     """(case name, family, m, n, lam, instance, rule, budget, seed,
-    backend, refresh_every, step) for every compared run."""
+    backend, refresh_every, step, mixed) for every compared run; ``mixed``
+    runs on the experiment's smooth part under ``mixed_terms``."""
     out = []
     for w in WORKLOADS.values():
         for j in range(w.instances):
@@ -164,12 +176,28 @@ def cases():
                         out.append((f"{w.name}/i{j}/{role.rule}/{backend}"
                                     f"/s{stream}", w.family, w.m, w.n, w.lam,
                                     j, role.rule, role.budget, seed, backend,
-                                    10000, "auto"))
-    for label, family, m, n, lam, rule, budget, every, step in EXTRA + NEAR:
+                                    10000, "auto", False))
+    for spec in EXTRA + NEAR + MIXED:
+        label, family, m, n, lam, rule, budget, every, step = spec
         for backend in ("heap", "scan"):
             out.append((extra_name(label, rule, step, backend), family, m, n,
-                        lam, 0, rule, budget, 1, backend, every, step))
+                        lam, 0, rule, budget, 1, backend, every, step,
+                        spec in MIXED))
     return out
+
+
+def mixed_terms(problem):
+    """The composite ``problem``'s smooth part under zero, l1 (the
+    problem's own weight) and box terms in turn, the boxes cycling through
+    [0, inf), (-inf, 0], [-0.25, 0.25] and (-inf, inf); each holds 0."""
+    from greedycd.problems import BoxTerm, CompositeProblem, L1Term, ZeroTerm
+
+    lam = problem.terms[0].p1
+    boxes = [BoxTerm(0.0, np.inf), BoxTerm(-np.inf, 0.0),
+             BoxTerm(-0.25, 0.25), BoxTerm(-np.inf, np.inf)]
+    terms = [(ZeroTerm(), L1Term(lam), boxes[j // 3 % 4])[j % 3]
+             for j in range(problem.n)]
+    return CompositeProblem(problem.smooth, terms)
 
 
 def experiments():
@@ -213,8 +241,11 @@ def dump(src, path):
         problems[key] = exp.problem
     out = {}
     for (name, family, m, n, lam, j, rule, budget, seed, backend, every,
-         step) in cases():
-        trace = descent.run(problems[family, m, n, lam, j], rule, step=step,
+         step, mixed) in cases():
+        problem = problems[family, m, n, lam, j]
+        if mixed:
+            problem = mixed_terms(problem)
+        trace = descent.run(problem, rule, step=step,
                             max_iters=budget, tol=0.0, seed=seed,
                             backend=backend, refresh_every=every)
         columns = (trace.k, trace.objective, trace.coord, trace.step,

@@ -90,5 +90,8 @@ class BallTreeIndex:
 
     def select(self, tracker):
         """The pick for an h1 tracker's current iterate; ``peek()`` of a
-        tracker on the "nns" backend."""
-        return self.query(tracker.row_g, tracker.gradient)
+        tracker on the "nns" backend.  The row weights are the row
+        derivatives at the tracker's A x, which a tracker on the Gram path
+        does not keep."""
+        q = tracker.problem.row_grad(tracker.u, slice(None))
+        return self.query(q, tracker.gradient)

@@ -5,19 +5,30 @@ objective exact (up to float drift) after every coordinate update, paying
 only for the entries that can change:
 
 * h1 ("linear composition" objectives, f(x) = sum_j phi_j(a_j^T x) + node
-  terms): caches A x, the per-row link derivatives and values, and
-  A^T grad_link.  A coordinate update touches the <= c rows of one column,
-  then renews A^T grad_link in one of two ways, chosen once per matrix
-  (``takes_product``).  The row scatter pushes the changed row derivatives
-  back through those rows, gathering <= c*r entries (``col_gather`` of
-  the column) and rescoring the columns they hit.  One compiled product
-  rebuilds A^T grad_link whole for nnz entries, and every coordinate is
-  rescored.  The product is taken when the mean gather, sum_rows r_i^2 /
-  n, exceeds nnz / KAPPA, so an update pays about min(c*r, nnz); the
-  ``touched_grads`` counter reports the column's gather on either path.
-  The product path rescores as whole vectors (``_rescore(None)``): no
-  index gathers and no fancy stores, and on ``scan`` the scorer's new
-  arrays replace the old ones.
+  terms): caches A x, the per-row link values and, off the Gram path, the
+  link derivatives and A^T grad_link.  A coordinate update touches the
+  <= c rows of one column, then renews the gradient in one of three ways,
+  chosen once per problem at build time.  The row scatter pushes the
+  changed row derivatives back through those rows, gathering <= c*r
+  entries (``col_gather`` of the column) and rescoring the columns they
+  hit.  One compiled product rebuilds A^T grad_link whole for nnz
+  entries, and every coordinate is rescored.  The product is taken when
+  the mean gather, sum_rows r_i^2 / n, exceeds nnz / KAPPA
+  (``takes_product``), so an update pays about min(c*r, nnz).  Where the
+  product is taken on a quadratic with n <= m (``takes_gram``), the Gram
+  path replaces it: moving x_i by delta moves the gradient by
+  delta * H[:, i], n entries of the Hessian (as in the paper's pairwise
+  class h2, which includes quadratics), added with two numpy calls into
+  a buffer the tracker owns.  It keeps no row derivatives and no
+  A^T grad_link (both are None), and the guard keeps the n x n matrix no
+  larger than A held dense.  On ``sparse-ls``
+  (200^2, nnz = 10 673) this took the benchmark's ``greedy_iter_us`` from
+  a median of 30.3 to 19.2 us over 10 alternated pairs (shared 2-vCPU
+  Xeon).
+  The ``touched_grads`` counter reports the column's gather on every
+  path.  The product and Gram paths rescore as whole vectors
+  (``_rescore(None)``): no index gathers and no fancy stores, and on
+  ``scan`` the scorer's new arrays replace the old ones.
 
 * h2 (pairwise graph objectives): caches the directed per-edge partial
   derivatives.  A coordinate update recomputes grad[i] from its incident
@@ -49,8 +60,8 @@ iterate sequences:
 * "nns": no scores; a brute-force nearest-neighbour search over the
   normalised columns of A (``nns.BallTreeIndex``, one dense product per
   query), built once and kept across refreshes, answers ``gsl`` from the
-  row derivatives.  It needs an h1 problem with l2_reg = 0, no column of
-  squared norm 0 and no composite terms.
+  row derivatives, which it computes from A x.  It needs an h1 problem
+  with l2_reg = 0, no column of squared norm 0 and no composite terms.
 
 The tracker also owns the stopping test.  It keeps one array ``keys``, the
 residual entries whose maximum the test reads: |grad_i| on a smooth
@@ -117,6 +128,14 @@ def takes_product(A):
     return A.mean_gather * KAPPA > A.nnz
 
 
+def takes_gram(problem):
+    """Whether an h1 tracker that takes the product renews its gradient by
+    one column of the Hessian instead: the smooth problem is quadratic
+    and n <= m, so the n x n Gram matrix is no larger than A held dense."""
+    m, n = problem.A.shape
+    return problem.is_quadratic and n <= m
+
+
 @dataclass
 class UpdateStats:
     """Exact work counters for one coordinate update.
@@ -124,12 +143,13 @@ class UpdateStats:
     touched_rows: rows of A hit by the column update (h1), or incident
         edges (h2).
     touched_grads: h1: the entries of A the row scatter into A^T grad
-        gathers for this column (<= c*r), also when the update rebuilt
-        A^T grad by the full product instead; 0 on a lean tracker.  h2:
-        the differential updates of neighbour gradient entries (<= d).
-        The updated coordinate's own recompute is not counted.
+        gathers for this column (<= c*r), also when the update renewed
+        the gradient by the full product or by a Gram column instead; 0
+        on a lean tracker.  h2: the differential updates of neighbour
+        gradient entries (<= d).  The updated coordinate's own recompute
+        is not counted.
     heap_ops: heap key updates performed (0 for backend "scan"): the
-        coordinates rescored, n after a full product.
+        coordinates rescored, n after a full product or a Gram column.
     """
     touched_rows: int
     touched_grads: int
@@ -393,18 +413,26 @@ class H1Tracker(_TrackerBase):
     """
 
     def _rebuild_caches(self):
-        A = self.A = self.problem.A
+        p = self.problem
+        A = self.A = p.A
         allrows = np.arange(A.shape[0])
         self.u = A.matvec(self.x)
-        self.row_g = np.asarray(self.problem.row_grad(self.u, allrows), dtype=np.float64)
-        self.row_v = np.asarray(self.problem.row_val(self.u, allrows), dtype=np.float64)
-        lam = self.problem.l2_reg
+        self.row_g = np.asarray(p.row_grad(self.u, allrows), dtype=np.float64)
+        self.row_v = np.asarray(p.row_val(self.u, allrows), dtype=np.float64)
+        lam = p.l2_reg
         self.product = not self.lean and takes_product(A)
+        self.gram = self.product and takes_gram(p)
         if self.lean:
             self.atg = self.gradient = None
         else:
             self.atg = A.rmatvec(self.row_g)
             self.gradient = self.atg + lam * self.x
+        if self.gram:
+            # the Gram path keeps neither the row derivatives nor
+            # A^T grad_link, so a stale read of either fails
+            self.row_g = self.atg = None
+            self.G = p.hessian()
+            self._col = np.empty(self.n)
         self._obj = float(self.row_v.sum() + 0.5 * lam * self.x @ self.x)
 
     def grad_coord(self, i):
@@ -427,32 +455,37 @@ class H1Tracker(_TrackerBase):
     def apply_update(self, i, delta):
         """x[i] += delta; refresh every cache entry that can change."""
         old_xi, new_xi = self._move(i, delta)
-        A = self.A
+        p, A = self.problem, self.A
         a, b = A.col_indptr.item(i), A.col_indptr.item(i + 1)
         rows = A.col_rows[a:b]
-        _kernels.col_axpy(a, b, A.col_rows, A.col_vals, float(delta), self.u)
-        lam = self.problem.l2_reg
+        delta = float(delta)
+        _kernels.col_axpy(a, b, A.col_rows, A.col_vals, delta, self.u)
+        lam = p.l2_reg
         self.x[i] = new_xi
 
-        new_g = np.asarray(self.problem.row_grad(self.u, rows), dtype=np.float64)
-        new_v = self.problem.row_val(self.u, rows)
-        dg = None if self.product else new_g - self.row_g[rows]
+        new_v = p.row_val(self.u, rows)
         dobj = float((new_v - self.row_v[rows]).sum())
         dobj += 0.5 * lam * (new_xi * new_xi - old_xi * old_xi)
-        self.row_g[rows] = new_g
         self.row_v[rows] = new_v
         touched_grads = heap_ops = 0
-        if self.product:
-            # the refresh's own product, into the tracker's buffer; the
-            # counter reports the entries the scatter would have gathered
-            _kernels.transpose_product(A.col_indptr, A.col_rows, A.col_vals,
-                                       self.row_g, self.atg)
+        if self.gram:
+            # grad += delta * H[:, i], read as row i of the symmetric H
             g = self.gradient
-            np.multiply(self.x, lam, out=g)
-            np.add(g, self.atg, out=g)
-            heap_ops = self._rescore(None)
-            touched_grads = A.col_gather.item(i)
-        elif not self.lean:
+            np.multiply(self.G[i], delta, out=self._col)
+            np.add(g, self._col, out=g)
+        elif self.product or self.lean:
+            self.row_g[rows] = p.row_grad(self.u, rows)
+            if self.product:
+                # the refresh's own product, into the tracker's buffer
+                _kernels.transpose_product(A.col_indptr, A.col_rows,
+                                           A.col_vals, self.row_g, self.atg)
+                g = self.gradient
+                np.multiply(self.x, lam, out=g)
+                np.add(g, self.atg, out=g)
+        else:
+            new_g = np.asarray(p.row_grad(self.u, rows), dtype=np.float64)
+            dg = new_g - self.row_g[rows]
+            self.row_g[rows] = new_g
             cols, touched_grads = _kernels.scatter_row_deltas(
                 rows, dg, A.row_indptr, A.row_cols, A.row_vals, self.atg)
             if a == b:
@@ -460,6 +493,11 @@ class H1Tracker(_TrackerBase):
                 cols = np.array([i], dtype=np.int64)
             self.gradient[cols] = self.atg[cols] + lam * self.x[cols]
             heap_ops = self._rescore(cols)
+        if self.product:
+            # the counter reports the entries the scatter would have
+            # gathered
+            heap_ops = self._rescore(None)
+            touched_grads = A.col_gather.item(i)
         self._finish_update(i, old_xi, dobj)
         return UpdateStats(int(rows.shape[0]), touched_grads, heap_ops)
 

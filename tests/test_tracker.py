@@ -20,7 +20,7 @@ from greedycd.problems import (BOX, BoxTerm, CompositeProblem,
 from greedycd.rules import RULE_NAMES, ProxWorkRule, make_rule
 from greedycd.tracker import (KAPPA, GradScorer, H1Tracker, H2Tracker,
                               ProxScorer, _TrackerBase, make_tracker,
-                              takes_product)
+                              takes_gram, takes_product)
 from helpers import (EXTREME_FLOATS, draw_h1_problem, draw_triplet_matrix,
                      graph_move_loop, random_sparse, scan_argmax,
                      scatter_rows_loop)
@@ -510,7 +510,8 @@ class TestUpdatePath:
     """The two ways an eager h1 update renews A^T grad: one full product or
     the row scatter, chosen once from the matrix.  Matrices are drawn on
     both sides of the rule, and every update is checked against a dense
-    recompute."""
+    recompute.  A least-squares problem with n <= m on the product side
+    takes the Gram path instead (``TestGramPath``)."""
 
     @pytest.mark.parametrize("product", [True, False])
     @settings(max_examples=100, deadline=None)
@@ -570,6 +571,150 @@ class TestUpdatePath:
             else:
                 assert stats.heap_ops == max(nz[hit].any(axis=0).sum(), 1)
             check()
+
+
+class TestGramPath:
+    """The third way an eager h1 update renews its gradient: on a
+    least-squares problem whose matrix takes the product and has n <= m,
+    grad += delta * H[:, i], one column of the Hessian.  The tracker keeps
+    A x and the row values for the objective, and no row derivatives."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_gram_path_matches_a_dense_recompute(self, data):
+        n = data.draw(st.integers(1, 6), label="n")
+        m = data.draw(st.integers(n, 8), label="m")
+        entries = data.draw(st.lists(
+            st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=m * n,
+            max_size=m * n), label="A")
+        dense = np.array(entries).reshape(m, n)
+        A = SparseMatrix.from_dense(dense)
+        assume(takes_product(A))
+        b = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m,
+                                        max_size=m), label="b"))
+        lam = data.draw(st.one_of(st.sampled_from([0.0, 0.3]),
+                                  st.floats(0.0, 2.0)), label="l2_reg")
+        smooth = LeastSquaresProblem(A, b, l2_reg=lam)
+        kind = data.draw(st.sampled_from(["smooth", "l1", "box", "mixed"]),
+                         label="terms")
+        if kind == "l1":
+            terms = [L1Term(data.draw(st.sampled_from([0.0, 0.5, 3.0])))
+                     for _ in range(n)]
+        elif kind == "box":
+            terms = [BoxTerm(-1.0, 1.0)] * n
+        elif kind == "mixed":
+            terms = [draw_term(data) for _ in range(n)]
+        else:
+            terms = [ZeroTerm()] * n
+        problem = (smooth if kind == "smooth"
+                   else CompositeProblem(smooth, terms))
+        names = ["gs", "gsl"] + ([] if kind == "smooth" else
+                                 ["gs-q", "gsl-q", "gs-r", "gsl-r", "gs-s"])
+        rule = make_rule(data.draw(st.sampled_from(names), label="rule"))
+        bounds = [(max(-1.0, t.p1), min(1.0, t.p2)) if t.kind == BOX
+                  else (-1.0, 1.0) for t in terms]
+        x0 = np.array([data.draw(st.floats(lo, hi), label="x0")
+                       for lo, hi in bounds])
+        tr = make_tracker(problem, x0, rule.scorer(problem),
+                          refresh_every=data.draw(st.sampled_from(
+                              [1, 3, 10000]), label="refresh_every"))
+        assert tr.gram and tr.product
+        assert tr.row_g is None and tr.atg is None
+        assert tr.G is smooth.hessian()
+        every = np.arange(n)
+        # every iterate stays in [-1, 1]^n, which bounds each term of the
+        # gradient's sums and of the objective's
+        grad_size = 1.0 + (np.abs(dense).T @ (np.abs(dense).sum(axis=1)
+                                              + 2.0) + lam)
+        obj_size = ((1.0 + 2.0 * m + np.abs(dense).sum()) ** 2
+                    + (lam + 3.0) * n)
+
+        def check():
+            grad = smooth.full_grad(tr.x)
+            assert np.all(np.abs(tr.gradient - grad) <= 1e-12 * grad_size)
+            keys = (np.abs(problem.prox_steps(tr.x, tr.gradient, tr.L_step,
+                                              every)[0])
+                    if kind != "smooth" else np.abs(tr.gradient))
+            assert tr.keys.tobytes() == keys.tobytes()
+            assert (tr.scores.tobytes()
+                    == tr.scorer.compute(tr, every)[0].tobytes())
+            assert abs(tr.objective() - problem.eval(tr.x)) <= 1e-12 * obj_size
+
+        check()
+        for _ in range(data.draw(st.integers(1, 8), label="moves")):
+            i = data.draw(st.integers(0, n - 1), label="i")
+            lo, hi = bounds[i]
+            xi = tr.x.item(i)
+            delta = data.draw(st.floats(lo, hi), label="target") - xi
+            if not lo <= xi + delta <= hi:
+                delta = 0.0
+            stats = tr.apply_update(i, delta)
+            hit = dense[:, i] != 0
+            assert stats.touched_rows == hit.sum()
+            assert stats.touched_grads == (dense[hit] != 0).sum()
+            check()
+
+    @pytest.mark.parametrize("case", ["ls", "composite", "logistic", "wide",
+                                      "scatter", "lean"])
+    def test_the_gram_path_is_taken_exactly_where_it_pays(self, case):
+        # eager, quadratic, on the product and n <= m: the Gram path, alone
+        rng = np.random.default_rng(18)
+        m, n = (4, 6) if case == "wide" else (8, 6)
+        A, _ = random_sparse(rng, m, n, density=0.6)
+        if case == "scatter":
+            A, _ = random_sparse(rng, 120, 60, density=0.02)
+            m, n = A.shape
+        if case == "logistic":
+            smooth = LogisticProblem(A, np.where(rng.random(m) < 0.5, -1.0,
+                                                 1.0))
+        else:
+            smooth = LeastSquaresProblem(A, rng.standard_normal(m),
+                                         l2_reg=0.3)
+        problem = (CompositeProblem(smooth, L1Term(0.2))
+                   if case == "composite" else smooth)
+        lean = case == "lean"
+        tr = make_tracker(problem, np.zeros(n),
+                          None if lean else GradScorer(), lean=lean)
+        gram = case in ("ls", "composite")
+        assert tr.product == (case not in ("scatter", "lean"))
+        assert takes_gram(smooth) == (case != "logistic" and n <= m)
+        assert tr.gram == gram
+        assert (tr.row_g is None) == gram
+        assert (tr.atg is None) == (gram or lean)
+        tr.apply_update(2, 0.5)
+        tr.refresh()
+        assert tr.gram == gram
+
+    def test_gram_path_update_makes_no_product_and_no_row_derivative(
+            self, monkeypatch):
+        rng = np.random.default_rng(19)
+        A, dense = random_sparse(rng, 10, 5, density=0.7)
+        p = LeastSquaresProblem(A, rng.standard_normal(10), l2_reg=0.1)
+        tr = make_tracker(p, np.zeros(5), GradScorer())
+        assert tr.gram
+
+        def refused(*args, **kwargs):
+            raise AssertionError("the Gram path renews no A^T grad_link")
+
+        monkeypatch.setattr(_kernels, "transpose_product", refused)
+        monkeypatch.setattr(_kernels, "scatter_row_deltas", refused)
+        monkeypatch.setattr(LeastSquaresProblem, "row_grad", refused)
+        for i in (0, 3, 3, 1):
+            tr.apply_update(i, 0.25)
+        assert np.allclose(tr.gradient, dense.T @ (dense @ tr.x - p.b)
+                           + 0.1 * tr.x, rtol=1e-12, atol=1e-12)
+
+    def test_nns_and_scan_runs_agree_on_the_gram_path(self):
+        rng = np.random.default_rng(20)
+        A = rng.normal(size=(40, 12)) * rng.uniform(0.2, 3.0, size=12)
+        p = LeastSquaresProblem(A, rng.standard_normal(40))
+        assert make_tracker(p, np.zeros(12), backend="nns").gram
+        scan = run(p, "gsl", backend="scan", max_iters=60, tol=0.0,
+                   refresh_every=7)
+        tree = run(p, "gsl", backend="nns", max_iters=60, tol=0.0,
+                   refresh_every=7)
+        assert np.array_equal(scan.coord, tree.coord)
+        assert np.array_equal(scan.step, tree.step)
 
 
 class TestLeanTracker:

@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
-"""Time the two ways an h1 tracker renews A^T grad, the row scatter and one
-full compiled product, and one graph coordinate move.
+"""Time the three ways an h1 tracker renews its gradient, the row scatter
+into A^T grad, one full compiled product and one Gram column, and one
+graph coordinate move.
 
     python3 tools/kernel_times.py
 
@@ -10,19 +11,26 @@ For each (family, m, n) in ``SIZES``, builds the experiment with
 * ``gather_frac``: the mean number of entries one update's row scatter
   gathers (``A.mean_gather``, sum_rows r_i^2 / n) over nnz, and ``path``,
   the update the tracker takes there (``tracker.takes_product``: the
-  product when gather_frac exceeds 1 / ``tracker.KAPPA``);
+  product when gather_frac exceeds 1 / ``tracker.KAPPA``; then the Gram
+  column when ``tracker.takes_gram`` holds, a quadratic with n <= m);
+* ``n2``, the entries of the n x n Gram matrix, next to ``m * n``, the
+  entries of A held dense, and ``nnz``: the Gram path reads n of them per
+  update where the product reads nnz, and the guard n <= m keeps its
+  matrix no larger than A held dense;
 * two kernel calls: ``_kernels.scatter_row_deltas`` for the median column,
   the column whose rows hold the median number of stored entries
   (``touched``), and ``A.rmatvec(y)``, the full product;
-* two whole updates, ``H1Tracker.apply_update`` of that column under
-  ``gsl`` scores on the smooth part, once with the tracker's ``product``
-  flag set (``product_update_us``) and once cleared
-  (``scatter_update_us``), whatever the rule picks;
-* on a composite family, the same two updates under ``gs-q`` scores on
-  the composite problem (``gsq_product_update_us``,
-  ``gsq_scatter_update_us``), where the product path rescores all n
-  coordinates by one full-vector prox pass and the scatter path only the
-  columns the update reaches.
+* three whole updates, ``H1Tracker.apply_update`` of that column under
+  ``gsl`` scores on the smooth part, with the tracker forced onto each
+  path whatever the matrix (``scatter_update_us``, ``product_update_us``,
+  ``gram_update_us``), whatever the rule picks; the Gram update is timed
+  only up to n = ``GRAM_MAX_N`` (null above it), since its matrix takes
+  8 n^2 bytes;
+* on a composite family, the same updates under ``gs-q`` scores on the
+  composite problem (``gsq_scatter_update_us``, ``gsq_product_update_us``,
+  ``gsq_gram_update_us``), where the product and Gram paths rescore all
+  n coordinates by one full-vector prox pass and the scatter path only
+  the columns the update reaches.
 
 The ``crossover`` entry reads KAPPA off the ``gsl`` updates: the largest
 gather fraction where the scatter update is faster and the smallest where
@@ -36,9 +44,10 @@ for the node of median degree, on the state of a fresh tracker.
 
 Each time is the least of ``REPEATS`` repeats of ``NUMBER`` calls, divided
 by ``NUMBER`` (an update pair, +d then -d, counts as two calls).  Prints
-one JSON line: {"kappa", "sizes": [{family, m, n, nnz, gather_frac, path,
-touched, scatter_us, rmatvec_us, ratio, scatter_update_us,
-product_update_us[, gsq_scatter_update_us, gsq_product_update_us]}],
+one JSON line: {"kappa", "sizes": [{family, m, n, nnz, n2, gather_frac,
+path, touched, scatter_us, rmatvec_us, ratio, scatter_update_us,
+product_update_us, gram_update_us[, gsq_scatter_update_us,
+gsq_product_update_us, gsq_gram_update_us]}],
 "crossover" and "gsq_crossover": {scatter_wins_to, product_wins_from,
 kappa_between}, "graph_move": {family, n, node, degree, graph_move_us},
 "seed", "repeats", "number"}, where ratio is scatter_us / rmatvec_us.
@@ -57,7 +66,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 from greedycd import _kernels, harness  # noqa: E402
 from greedycd.rules import make_rule  # noqa: E402
 from greedycd.tracker import (KAPPA, H1Tracker, H2Tracker,  # noqa: E402
-                              takes_product)
+                              takes_gram, takes_product)
+
+PATHS = ("scatter", "product", "gram")
 
 SIZES = (("sparse_ls", 200, 200), ("sparse_ls", 1000, 1000),
          ("sparse_ls", 2000, 2000),
@@ -67,23 +78,40 @@ GRAPH_N = 2000
 SEED = 0
 REPEATS = 200
 NUMBER = 10
+GRAM_MAX_N = 2000
 
 
 def least_us(fn):
     return min(timeit.repeat(fn, number=NUMBER, repeat=REPEATS)) / NUMBER * 1e6
 
 
-def update_us(problem, j, product, rule="gsl"):
-    """One ``apply_update`` of column j on the given path, under ``rule``'s
-    scores."""
+def force_path(tr, path):
+    """Put an eager h1 tracker on ``path``, with the caches that path
+    reads: the Hessian for "gram", the row derivatives and A^T grad_link
+    for the other two."""
+    smooth = tr.problem
+    tr.product, tr.gram = path != "scatter", path == "gram"
+    if tr.gram:
+        tr.G, tr._col = smooth.hessian(), np.empty(tr.n)
+        tr.row_g = tr.atg = None
+    else:
+        tr.row_g = smooth.row_grad(tr.u, np.arange(tr.A.shape[0]))
+        tr.atg = tr.A.rmatvec(tr.row_g)
+
+
+def update_us(problem, j, path, rule="gsl"):
+    """One ``apply_update`` of column j on ``path``, under ``rule``'s
+    scores; None for the Gram path above ``GRAM_MAX_N``."""
+    if path == "gram" and problem.n > GRAM_MAX_N:
+        return None
     tr = H1Tracker(problem, np.zeros(problem.n),
                    make_rule(rule).scorer(problem), refresh_every=10**9)
-    tr.product = product
+    force_path(tr, path)
 
     def pair():
         tr.apply_update(j, 1e-3)
         tr.apply_update(j, -1e-3)
-    return least_us(pair) / 2
+    return round(least_us(pair) / 2, 1)
 
 
 def measure(family, m, n):
@@ -100,18 +128,20 @@ def measure(family, m, n):
         rows, dg, A.row_indptr, A.row_cols, A.row_vals, target))
     rmatvec_us = least_us(lambda: A.rmatvec(y))
     smooth = getattr(exp.problem, "smooth", exp.problem)
-    out = {"family": family, "m": m, "n": n, "nnz": A.nnz,
-            "gather_frac": round(A.mean_gather / A.nnz, 4),
-            "path": "product" if takes_product(A) else "scatter",
-            "touched": int(touched[j]), "scatter_us": round(scatter_us, 1),
-            "rmatvec_us": round(rmatvec_us, 1),
-            "ratio": round(scatter_us / rmatvec_us, 2),
-            "scatter_update_us": round(update_us(smooth, j, False), 1),
-           "product_update_us": round(update_us(smooth, j, True), 1)}
+    path = "scatter"
+    if takes_product(A):
+        path = "gram" if takes_gram(smooth) else "product"
+    out = {"family": family, "m": m, "n": n, "nnz": A.nnz, "n2": n * n,
+           "gather_frac": round(A.mean_gather / A.nnz, 4), "path": path,
+           "touched": int(touched[j]), "scatter_us": round(scatter_us, 1),
+           "rmatvec_us": round(rmatvec_us, 1),
+           "ratio": round(scatter_us / rmatvec_us, 2)}
+    for path in PATHS:
+        out[f"{path}_update_us"] = update_us(smooth, j, path)
     if smooth is not exp.problem:
-        for path, product in (("scatter", False), ("product", True)):
-            out[f"gsq_{path}_update_us"] = round(
-                update_us(exp.problem, j, product, "gs-q"), 1)
+        for path in PATHS:
+            out[f"gsq_{path}_update_us"] = update_us(exp.problem, j, path,
+                                                     "gs-q")
     return out
 
 

@@ -44,7 +44,8 @@ or to the fold then gets its own verdict, even where no trace reaches it.
 Two cases, ``sparse_ls`` 2000^2 ``gsl`` and ``l1_underdet_ls`` 500 x 5000
 ``gs-q``, run on matrices whose updates renew A^T grad by the row scatter;
 every workload matrix is dense enough for the full product
-(``tracker.takes_product``).  The ``MIXED`` cases run the prox-scored rules
+(``tracker.takes_product``), which a least-squares problem with n <= m
+replaces by one column of its Hessian (``tracker.takes_gram``).  The ``MIXED`` cases run the prox-scored rules
 on that product path under mixed terms (``mixed_terms``: zero, l1 and
 boxes with finite, half-infinite and infinite ends), so the full-vector
 prox pass's pick between the soft-threshold and y and its clamp are

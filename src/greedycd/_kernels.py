@@ -23,7 +23,12 @@ of 200 repeats of 10 calls, six runs on a shared 2-vCPU Xeon;
 ``tools/kernel_times.py`` times it).  Numpy slices over the incident edges,
 with the two running sums kept in edge order, stay bit-identical too but
 take 5.9-6.4 us: a dozen slices, gathers and vector expressions at a few
-hundred ns each cost more than six edges of Python-float arithmetic.
+hundred ns each cost more than six edges of Python-float arithmetic.  For
+the same reason the move rescores the entries it changes itself when the
+tracker hands it its keys and scores (the ``scan`` backend on a smooth
+problem): it writes |g| and w |g| from the Python floats it already holds,
+where the tracker's ``_rescore`` would spend 6-9 numpy calls on seven or
+so entries.
 
 Index arrays are int64 and value arrays float64 throughout.  The compiled
 kernels check neither the dtypes nor any index bound, so their arrays come
@@ -101,7 +106,7 @@ def scatter_row_deltas(rows, dg, row_indptr, row_cols, row_vals, target):
     """
     k = rows.shape[0]
     bp = np.zeros(k + 1, dtype=np.int64)
-    np.cumsum(row_indptr[rows + 1] - row_indptr[rows], out=bp[1:])
+    (row_indptr[rows + 1] - row_indptr[rows]).cumsum(out=bp[1:])
     count = int(bp[-1])
     bj = np.empty(count, dtype=np.int64)
     bx = np.empty(count, dtype=np.float64)
@@ -110,7 +115,7 @@ def scatter_row_deltas(rows, dg, row_indptr, row_cols, row_vals, target):
     _sparsetools.csc_matvec(target.shape[0], k, bp, bj, bx, dg, target)
     hit = np.zeros(target.shape[0], dtype=bool)
     hit[bj] = True
-    return np.flatnonzero(hit), count
+    return hit.nonzero()[0], count
 
 
 def transpose_product(col_indptr, col_rows, col_vals, y, out):
@@ -124,7 +129,8 @@ def transpose_product(col_indptr, col_rows, col_vals, y, out):
                             col_vals, y, out)
 
 
-def graph_coord_update(i, new_xi, x, indptr, nbr, w, rev, part, grad, q, b):
+def graph_coord_update(i, new_xi, x, indptr, nbr, w, rev, part, grad, q, b,
+                       keys=None, scores=None, weights=None):
     """Move x[i] to new_xi on a pairwise-quadratic graph objective.
 
     ``part[k]`` caches w_k * (x[u] - x[v]) for the directed edge slot k
@@ -133,6 +139,20 @@ def graph_coord_update(i, new_xi, x, indptr, nbr, w, rev, part, grad, q, b):
     entry, recomputes grad[i] outright, and returns the objective change
     computed from the touched terms only (node term q/2 x^2 - b x plus the
     incident edge energies).
+
+    With ``keys`` given, the move also rescores the d + 1 entries it
+    changes: keys[j] = |grad_j| for i and each neighbour j, and with
+    ``weights`` given, scores[j] = |grad_j| * weights[j] too (``gsl``;
+    under ``gs`` the keys are the scores).  Each new gradient entry is a
+    Python float here already, so its key and score cost two float
+    operations and a store or two.  Gathering, taking |.|, weighting and
+    storing the same seven or so entries by numpy calls (the tracker's
+    ``_rescore``) cost more: on the median node of ``two_moons`` n=2000 a
+    whole ``gs`` update took 1.8 us more than a lean one that way, and
+    0.4 us more this way (2.6 and 1.2 us under ``gsl``; least of 300
+    repeats, shared 2-vCPU Xeon; ``tools/kernel_times.py`` prints the
+    difference).  They are the same IEEE operations as
+    ``GradScorer.compute``'s, so the keys and scores are its bits.
     """
     old = x.item(i)
     x[i] = new_xi
@@ -151,7 +171,16 @@ def graph_coord_update(i, new_xi, x, indptr, nbr, w, rev, part, grad, q, b):
         part[k] = pik
         s += pik
         kr = rev.item(k)
-        grad[j] = grad.item(j) + (-pik - part.item(kr))
+        gj = grad.item(j) + (-pik - part.item(kr))
+        grad[j] = gj
         part[kr] = -pik
+        if keys is not None:
+            keys[j] = ag = abs(gj)
+            if weights is not None:
+                scores[j] = ag * weights.item(j)
     grad[i] = s
+    if keys is not None:
+        keys[i] = ag = abs(s)
+        if weights is not None:
+            scores[i] = ag * weights.item(i)
     return dobj

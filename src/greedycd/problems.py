@@ -460,12 +460,10 @@ class CompositeProblem:
         self.p2 = np.array([t.p2 for t in self.terms])
         self.n = n
         # built once rather than on every prox or subgradient call: the
-        # term masks, the l1 weights and whether every term is l1 or any
-        # is a box
+        # term masks, the l1 weights and whether any term is a box
         self._abs = self.gkind == ABS
         self._box = self.gkind == BOX
         self._l1w = np.where(self._abs, self.p1, 0.0)
-        self._all_l1 = bool(self._abs.all())
         self._any_box = bool(self._box.any())
 
     @property
@@ -553,11 +551,10 @@ class ProxPass:
     What depends on the terms and the curvature alone is computed once,
     here: the safe curvature, L/2 and the l1 thresholds lam/L, each as an
     array (numpy converts a Python scalar operand on every call, which
-    costs more than reading an array), which coordinates are not l1 (none
-    when every term is: then no pick between the soft-threshold and y) and
-    where the boxes are (no clamp without one).  A call pays for the
-    formula's arithmetic only, written into buffers the pass owns, so it
-    overwrites the arrays the previous call returned.
+    costs more than reading an array), and where the boxes are (no clamp
+    without one).  A call pays for the formula's arithmetic only, written
+    into buffers the pass owns, so it overwrites the arrays the previous
+    call returned.
     """
 
     def __init__(self, composite, L_used, idx=None):
@@ -572,7 +569,6 @@ class ProxPass:
         self.half = 0.5 * self.L
         self.thr = self.lam / self.L
         self.zero = np.zeros(k)
-        self.keep = None if composite._all_l1 else ~composite._abs[at]
         self.box = None
         if composite._any_box:
             box = composite._box[at]
@@ -589,16 +585,15 @@ class ProxPass:
         # y = x - grad/L, held in d's buffer until d replaces it
         y = np.divide(grad, self.L, out=d)
         np.subtract(x, y, out=y)
-        # soft-threshold on the l1 terms, y itself elsewhere (a box is
-        # clamped below); computing every entry and picking costs less than
-        # gathering and scattering the l1 ones
+        # soft-threshold every entry (a box is clamped below): off the l1
+        # terms lam = 0, so the threshold is 0 and sign(y) max(|y|, 0) is
+        # y, except that y = -0 gives +0, and then d = z - x is +0 either
+        # way; so no pick of y there is needed for finite x and grad
         np.abs(y, out=t)
         np.subtract(t, self.thr, out=t)
         np.maximum(t, self.zero, out=t)
         np.sign(y, out=z)
         np.multiply(z, t, out=z)
-        if self.keep is not None:
-            np.copyto(z, y, where=self.keep)
         if self.box is not None:
             z[self.box] = np.clip(y[self.box], self.lo, self.hi)
         np.subtract(z, x, out=d)

@@ -148,7 +148,7 @@ class LipschitzRule(Rule):
         self.rng = rng if rng is not None else np.random.default_rng()
 
     def select(self, tracker, k):
-        return int(np.searchsorted(self.cum, self.rng.random(), side="right")), None
+        return int(self.cum.searchsorted(self.rng.random(), side="right")), None
 
 
 class GreedyRule(Rule):

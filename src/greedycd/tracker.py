@@ -32,14 +32,19 @@ only for the entries that can change:
 
 * h2 (pairwise graph objectives): caches the directed per-edge partial
   derivatives.  A coordinate update recomputes grad[i] from its incident
-  edges and differentially updates the <= d neighbour entries.
+  edges and differentially updates the <= d neighbour entries.  On
+  ``scan``, a smooth problem's move (``_kernels.graph_coord_update``) also
+  writes the keys and ``gs``/``gsl`` scores of those d + 1 entries from
+  the Python floats it computes them in, the bits ``_rescore`` would
+  store; the heap backend and a composite problem's prox keys still take
+  ``_rescore``.  The path is fixed when the scores are built.
 
 On top of the gradient sits an optional score (|grad| for greedy selection,
 |grad|/sqrt(L) for its Lipschitz-weighted variant, or proximal-candidate
 scores for composite problems), recomputed only for touched coordinates.
 A prox score over every coordinate is one ``ProxPass``, built with the
 scorer: the safe curvature, L/2, the thresholds lam/L and the term kinds
-(all l1? any box?) are computed once per curvature, and each pass
+(any box?) are computed once per curvature, and each pass
 computes d and V alone (no subgradient) into buffers it owns.  It shares
 its arithmetic with ``prox_steps``, whose subset calls rescore the
 scatter path, and gives the same bits.  On ``lasso-prox`` (50 x 500)
@@ -52,7 +57,8 @@ values with the same tie rule (smallest index) and so give identical
 iterate sequences:
 
 * "scan" (default): a flat array, one vectorised store per update, and
-  ``np.argmax``, remembered until the scores change.
+  ``ndarray.argmax``, remembered until the scores change (``np.argmax``
+  adds about 1.2 us of Python-level dispatch in numpy 2.4, at n = 2000).
 * "heap": an IndexedMaxHeap, built by one sort at every build and
   refresh (O(log n) per touched key, O(1) peek); each key update is an
   interpreted sift, so it ties scan only at about n = 2e5 on a chain
@@ -75,8 +81,12 @@ hands them back: for ``gs`` the keys are the score array itself, for
 Otherwise the tracker computes them over the coordinates the update
 rescores, with its own ``ProxPass`` under ``L_step`` over all n.
 ``grad_inf_norm()`` then reads the test off the top score (keys that are
-the scores) or takes the maximum of the keys: one pass over n floats, but
-it makes no |grad| over all n entries and no prox pass of its own.
+the scores) or takes the key at ``keys.argmax()``: one pass over n floats,
+but it makes no |grad| over all n entries and no prox pass of its own (and
+``ndarray.max`` would add about 0.8 us of Python-level dispatch).  An
+iteration of ``gs``, ``gsl``, a prox rule or a random rule on ``scan``
+enters no numpy function written in Python (tests/test_descent.py checks
+it).
 
 A rule that never reads the gradient (uniform, cyclic and Lipschitz
 sampling) gets a lean tracker (``lean=True``): it keeps no scores and no
@@ -315,7 +325,7 @@ class _TrackerBase:
         """Coordinate with the top score (smallest index on exact ties)."""
         if self._scores is not None:
             if self._top is None:
-                self._top = int(np.argmax(self._scores))
+                self._top = int(self._scores.argmax())
             return self._top
         if self.heap is not None:
             return self.heap.peek()
@@ -371,10 +381,10 @@ class _TrackerBase:
         if not self.n:
             return 0.0
         if self._keys_are_scores:
-            return float(self.keys[self.peek()])
+            return self.keys.item(self.peek())
         if self.lean:
             return float(self._fresh_keys(self.full_gradient()).max())
-        return float(self.keys.max())
+        return self.keys.item(self.keys.argmax())
 
     def _move(self, i, delta):
         """(x_i, x_i + delta) for an update of coordinate i, which it
@@ -464,7 +474,7 @@ class H1Tracker(_TrackerBase):
         self.x[i] = new_xi
 
         new_v = p.row_val(self.u, rows)
-        dobj = float((new_v - self.row_v[rows]).sum())
+        dobj = float(np.add.reduce(new_v - self.row_v[rows]))
         dobj += 0.5 * lam * (new_xi * new_xi - old_xi * old_xi)
         self.row_v[rows] = new_v
         touched_grads = heap_ops = 0
@@ -512,6 +522,19 @@ class H2Tracker(_TrackerBase):
         self.gradient = np.asarray(p.full_grad(self.x), dtype=np.float64)
         self._obj = float(p.eval(self.x))
 
+    def _init_scores(self):
+        super()._init_scores()
+        # on scan, the move itself rewrites the keys and |grad| scores of
+        # the entries it changes; the heap and a composite problem's prox
+        # keys take ``_rescore``, and a lean tracker keeps neither
+        fused = (self.backend == "scan" and not self.lean
+                 and self.composite is None
+                 and (self.scorer is None
+                      or isinstance(self.scorer, GradScorer)))
+        self._move_keys = self.keys if fused else None
+        self._move_weights = (self.scorer.w
+                              if fused and self.scorer is not None else None)
+
     def refresh(self):
         """Rebuild every cache from x (``_rebuild``)."""
         self._rebuild()
@@ -523,10 +546,13 @@ class H2Tracker(_TrackerBase):
         dobj = _kernels.graph_coord_update(
             i, float(new_xi), self.x, p.adj_indptr,
             p.adj_nbr, p.adj_w, p.adj_rev, self.part, self.gradient,
-            p.node_quad, p.node_lin)
+            p.node_quad, p.node_lin, self._move_keys, self._scores,
+            self._move_weights)
         start, stop = p.adj_indptr.item(i), p.adj_indptr.item(i + 1)
         heap_ops = 0
-        if not self.lean:
+        if self._move_keys is not None:
+            self._top = None
+        elif not self.lean:
             # rekey and rescore i and its neighbours
             cols = np.empty(stop - start + 1, dtype=np.int64)
             cols[0] = i

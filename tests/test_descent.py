@@ -1,6 +1,8 @@
 """The run driver: stepping, stopping, guards, traces, and races."""
 
+import os
 import struct
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -23,7 +25,7 @@ from greedycd.problems import (
     quadratic_problem,
 )
 from greedycd.rules import make_rule
-from greedycd.tracker import H1Tracker
+from greedycd.tracker import H1Tracker, make_tracker
 
 from helpers import FixedStepRule, one_step, random_sparse, random_spd
 
@@ -280,6 +282,51 @@ def test_random_rules_keep_their_path_and_stop_per_epoch(name):
         assert stopped.converged and stopped.resid_inf[-1] <= 1e-6
         assert (len(stopped) - 1) % n == 0
         assert stopped.resid_inf[-1 - n] > 1e-6
+
+
+NUMPY_DIR = os.path.dirname(np.__file__) + os.sep
+
+
+@pytest.mark.parametrize("family, m, n, path", [
+    ("sparse_ls", 200, 200, "gram"), ("sparse_ls", 1000, 1000, "scatter"),
+    ("l1_underdet_ls", 50, 500, "product"), ("two_moons", None, 500, "h2")])
+def test_an_iteration_enters_no_python_function_of_numpy(family, m, n, path):
+    # numpy's Python-level wrappers (np.argmax, ndarray.max, ndarray.sum,
+    # np.searchsorted, np.cumsum, np.flatnonzero) cost about 1 us each in
+    # dispatch, more than the work of a few entries; an iteration calls
+    # the ndarray methods and ufuncs they end in instead
+    p = gen_experiment(family, m=m, n=n, seed=0).problem
+    composite = isinstance(p, CompositeProblem)
+    names = ["gs", "gsl", "uniform", "cyclic", "lipschitz"]
+    if composite:
+        names += ["gs-q", "gsl-q", "gs-r", "gs-s"]
+    entered = set()
+
+    def profile(frame, event, arg):
+        if (event == "call"
+                and frame.f_code.co_filename.startswith(NUMPY_DIR)):
+            entered.add(frame.f_code.co_name)
+
+    for name in names:
+        rule = make_rule(name)
+        rule.prepare(p, rng=np.random.default_rng(0))
+        tr = make_tracker(p, np.zeros(p.n), scorer=rule.scorer(p),
+                          lean=not rule.reads_gradient)
+        if path != "h2" and not tr.lean:
+            assert (tr.gram, tr.product) == {"gram": (True, True),
+                                             "scatter": (False, False),
+                                             "product": (False, True)}[path]
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            for k in range(20):
+                i, _ = rule.select(tr, k)
+                tr.apply_update(i, 1e-3)
+                if not tr.lean:
+                    tr.grad_inf_norm()
+        finally:
+            sys.setprofile(previous)
+        assert not entered, (name, sorted(entered))
 
 
 @pytest.mark.parametrize("family, m, n, rule", [

@@ -324,19 +324,35 @@ class TestGraphMoveKernel:
         part = floats(nslots, "part")
         i = data.draw(st.integers(0, n - 1), label="i")
         new_xi = data.draw(MOVE_VALUES, label="new_xi")
-        want = [x.copy(), part.copy(), grad.copy()]
+        # the move may also rescore what it changes: keys alone (no
+        # scorer, or gs), or keys and weighted scores (gsl)
+        rescore = data.draw(st.sampled_from(["none", "keys", "weighted"]),
+                            label="rescore")
+        keys, scores = floats(n, "keys"), floats(n, "scores")
+        weights = np.array(data.draw(st.lists(
+            EXTREME_WEIGHTS, min_size=n, max_size=n), label="weights"))
+        want = [x.copy(), part.copy(), grad.copy(), keys.copy(),
+                scores.copy()]
         # the extremes overflow to inf and nan; both sides must agree anyway
         with np.errstate(all="ignore"):
             want_dobj = graph_move_loop(
                 i, new_xi, want[0], p.adj_indptr, p.adj_nbr, p.adj_w,
                 p.adj_rev, want[1], want[2], p.node_quad, p.node_lin)
+            moved = np.r_[i, p.adj_nbr[p.adj_indptr[i]:p.adj_indptr[i + 1]]]
+            args = {}
+            if rescore != "none":
+                args["keys"] = keys
+                want[3][moved] = np.abs(want[2][moved])
+            if rescore == "weighted":
+                args.update(scores=scores, weights=weights)
+                want[4][moved] = want[3][moved] * weights[moved]
         dobj = _kernels.graph_coord_update(
             i, new_xi, x, p.adj_indptr, p.adj_nbr, p.adj_w, p.adj_rev, part,
-            grad, p.node_quad, p.node_lin)
+            grad, p.node_quad, p.node_lin, **args)
         assert type(dobj) is float
         assert (np.array([dobj]).view(np.int64)
                 == np.array([want_dobj]).view(np.int64)).all()
-        for got, exp in zip((x, part, grad), want):
+        for got, exp in zip((x, part, grad, keys, scores), want):
             assert np.array_equal(got.view(np.int64), exp.view(np.int64))
 
 
@@ -400,6 +416,7 @@ class TestEagerGraphTracker:
             grad = H @ tr.x - p.node_lin
             assert np.allclose(tr.gradient, grad, rtol=0, atol=1e-12 * scale)
             assert abs(tr.objective() - p.eval(tr.x)) <= 1e-12 * scale
+            assert tr.keys.tobytes() == np.abs(tr.gradient).tobytes()
             if scorer == "none":
                 with pytest.raises(ValueError):
                     tr.scores
@@ -442,14 +459,29 @@ class TestEagerGraphTracker:
             assert stats.heap_ops == 0
             assert_tracker_matches(tr, p)
             assert tr.grad_inf_norm() == np.abs(p.full_grad(tr.x)).max()
-        # a scoreless tracker that is not lean rekeys i and then its
-        # neighbours in slot order, as a scored one rescores them
+        # on the heap, a scoreless tracker that is not lean rekeys i and
+        # then its neighbours in slot order, as a scored one rescores them
         for scorer in (None, GradScorer()):
+            calls.clear()
+            tr = H2Tracker(p, np.zeros(4), scorer, backend="heap")
+            heap_ops = 0 if scorer is None else 4
+            assert tr.apply_update(1, 1.0).heap_ops == heap_ops
+            assert calls == [[1, 2, 3, 0]]
+            assert tr.keys.tobytes() == np.abs(tr.gradient).tobytes()
+        # on scan the move rewrites the keys and scores itself, the same
+        # bits as a fresh |grad| and w |grad| on every entry
+        w = 1 / np.sqrt(p.L_per_coord)
+        for scorer in (None, GradScorer(), GradScorer(w)):
             calls.clear()
             tr = H2Tracker(p, np.zeros(4), scorer)
             assert tr.apply_update(1, 1.0).heap_ops == 0
-            assert calls == [[1, 2, 3, 0]]
-            assert tr.keys.tobytes() == np.abs(tr.gradient).tobytes()
+            assert calls == []
+            keys = np.abs(tr.gradient)
+            assert tr.keys.tobytes() == keys.tobytes()
+            if scorer is not None:
+                ws = 1.0 if scorer.w is None else scorer.w
+                assert tr.scores.tobytes() == (ws * keys).tobytes()
+                assert tr.peek() == int(np.argmax(ws * keys))
 
 
 class TestEagerTracker:

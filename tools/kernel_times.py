@@ -40,7 +40,13 @@ updates of the composite sizes.
 
 On ``two_moons`` with ``GRAPH_N`` nodes (seed ``SEED``) it also times one
 ``_kernels.graph_coord_update``, the whole per-edge work of an H2 update,
-for the node of median degree, on the state of a fresh tracker.
+for the node of median degree, on the state of a fresh tracker
+(``graph_move_us``), and one whole ``H2Tracker.apply_update`` of that node
+on a lean tracker (``lean_update_us``, what a random rule pays) and on
+``scan`` trackers under ``gs`` and ``gsl`` scores (``gs_update_us``,
+``gsl_update_us``), whose moves also rewrite the keys and scores of the
+entries they change.  ``gs_scoring_us`` and ``gsl_scoring_us`` are those
+updates less the lean one: what greedy scoring adds to a move.
 
 Each time is the least of ``REPEATS`` repeats of ``NUMBER`` calls, divided
 by ``NUMBER`` (an update pair, +d then -d, counts as two calls).  Prints
@@ -49,7 +55,9 @@ path, touched, scatter_us, rmatvec_us, ratio, scatter_update_us,
 product_update_us, gram_update_us[, gsq_scatter_update_us,
 gsq_product_update_us, gsq_gram_update_us]}],
 "crossover" and "gsq_crossover": {scatter_wins_to, product_wins_from,
-kappa_between}, "graph_move": {family, n, node, degree, graph_move_us},
+kappa_between}, "graph_move": {family, n, node, degree, graph_move_us,
+lean_update_us, gs_update_us, gsl_update_us, gs_scoring_us,
+gsl_scoring_us},
 "seed", "repeats", "number"}, where ratio is scatter_us / rmatvec_us.
 """
 
@@ -169,8 +177,21 @@ def measure_graph_move():
     move_us = least_us(lambda: _kernels.graph_coord_update(
         i, 0.5, tr.x, p.adj_indptr, p.adj_nbr, p.adj_w, p.adj_rev, tr.part,
         tr.gradient, p.node_quad, p.node_lin))
-    return {"family": "two_moons", "n": p.n, "node": i,
-            "degree": int(degree[i]), "graph_move_us": round(move_us, 2)}
+    out = {"family": "two_moons", "n": p.n, "node": i,
+           "degree": int(degree[i]), "graph_move_us": round(move_us, 2)}
+    for label, name in (("lean", "uniform"), ("gs", "gs"), ("gsl", "gsl")):
+        rule = make_rule(name)
+        tr = H2Tracker(p, np.zeros(p.n), rule.scorer(p),
+                       lean=not rule.reads_gradient, refresh_every=10**9)
+
+        def pair():
+            tr.apply_update(i, 1e-3)
+            tr.apply_update(i, -1e-3)
+        out[f"{label}_update_us"] = round(least_us(pair) / 2, 2)
+    for label in ("gs", "gsl"):
+        out[f"{label}_scoring_us"] = round(
+            out[f"{label}_update_us"] - out["lean_update_us"], 2)
+    return out
 
 
 def main():

@@ -48,8 +48,8 @@ every workload matrix is dense enough for the full product
 replaces by one column of its Hessian (``tracker.takes_gram``).  The ``MIXED`` cases run the prox-scored rules
 on that product path under mixed terms (``mixed_terms``: zero, l1 and
 boxes with finite, half-infinite and infinite ends), so the full-vector
-prox pass's pick between the soft-threshold and y and its clamp are
-compared as well as its l1 arithmetic.
+prox pass's soft-threshold off the l1 terms and its clamp are compared as
+well as its l1 arithmetic.
 
 Prints one line per experiment and per case and a final count for each; a
 case that is not bit-identical also gets its largest relative difference

@@ -5,24 +5,24 @@ numpy arrays: each step depends on the one before (a sift walks one path
 of the heap), or touches too few entries (about a dozen edges per graph
 move) for a numpy call to pay off.  The heap itself is built by one sort
 (``IndexedMaxHeap``), not here.  The sparse column update is one numpy
-expression over a CSC slice.  The row scatter into A^T grad is two of scipy's compiled
-sparse kernels (``scipy.sparse._sparsetools``), which add in the same
-order as a loop over the rows, so its sums are bit-identical to that
-loop's; see ``scatter_row_deltas``.  The full product A^T y is scipy's
-compiled ``csr_matvec`` (``transpose_product``), shared by
-``SparseMatrix.rmatvec`` and the tracker update that rebuilds A^T grad
-whole.
+expression over a CSC slice.  The row scatter of A^T dg into the
+gradient is two of scipy's compiled sparse kernels
+(``scipy.sparse._sparsetools``), which add in the same order as a loop
+over the rows, so its sums are bit-identical to that loop's; see
+``scatter_row_deltas``.  The full product A^T y is scipy's compiled
+``csr_matvec`` (``transpose_product``), shared by ``SparseMatrix.rmatvec``
+and the tracker update that rebuilds the gradient whole.
 
 The graph move reads every scalar through ``ndarray.item()``, which gives
 a Python int or float.  Indexing (``x[j]``) boxes a numpy scalar instead,
 and numpy-scalar arithmetic pays numpy's dispatch on every operation.  Both
 are the same IEEE double operations in the same order, so the results are
 bit-identical; on the median node of ``two_moons`` n=2000 (degree 6) one
-move takes 3.6-3.9 us against 5.8-6.4 us for the numpy-scalar loop (least
-of 200 repeats of 10 calls, six runs on a shared 2-vCPU Xeon;
-``tools/kernel_times.py`` times it).  Numpy slices over the incident edges,
-with the two running sums kept in edge order, stay bit-identical too but
-take 5.9-6.4 us: a dozen slices, gathers and vector expressions at a few
+move takes 3.7-4.0 us against 7.5-13.7 us for the numpy-scalar loop of
+``tests/helpers.py`` (least of 200-300 repeats of 10 calls, shared 2-vCPU
+Xeon; ``tools/kernel_times.py`` times the move).  Numpy slices over the
+incident edges, with the two running sums kept in edge order, stay
+bit-identical too but took 5.9-6.4 us when measured: a dozen slices, gathers and vector expressions at a few
 hundred ns each cost more than six edges of Python-float arithmetic.  For
 the same reason the move rescores the entries it changes itself when the
 tracker hands it its keys and scores (the ``scan`` backend on a smooth
@@ -30,9 +30,11 @@ problem): it writes |g| and w |g| from the Python floats it already holds,
 where the tracker's ``_rescore`` would spend 6-9 numpy calls on seven or
 so entries.
 
-Index arrays are int64 and value arrays float64 throughout.  The compiled
-kernels check neither the dtypes nor any index bound, so their arrays come
-from a ``SparseMatrix``, whose arrays are read-only after construction.
+The compiled kernels take int64 index arrays and float64 value arrays and
+check neither the dtypes nor any index bound, so their arrays come from a
+``SparseMatrix``, whose arrays are read-only after construction.  The graph
+move reads the Hessian's scipy CSR arrays through ``.item()``, whatever
+their index dtype.
 """
 
 import numpy as np
@@ -129,16 +131,17 @@ def transpose_product(col_indptr, col_rows, col_vals, y, out):
                             col_vals, y, out)
 
 
-def graph_coord_update(i, new_xi, x, indptr, nbr, w, rev, part, grad, q, b,
+def graph_coord_update(i, new_xi, x, indptr, indices, data, grad, q, b,
                        keys=None, scores=None, weights=None):
     """Move x[i] to new_xi on a pairwise-quadratic graph objective.
 
-    ``part[k]`` caches w_k * (x[u] - x[v]) for the directed edge slot k
-    (u -> v); ``rev[k]`` is the opposite slot.  Refreshes the partials of the
-    edges incident to i, differentially updates each neighbour's gradient
-    entry, recomputes grad[i] outright, and returns the objective change
-    computed from the touched terms only (node term q/2 x^2 - b x plus the
-    incident edge energies).
+    ``indptr``/``indices``/``data`` are the CSR arrays of the objective's
+    Hessian, whose row i holds the diagonal entry and -w_ij for each
+    neighbour j.  Moving x[i] by dx moves each neighbour's gradient entry
+    by -w_ij * dx, one column of the Hessian; the move skips the diagonal
+    entry, recomputes grad[i] outright from its incident edges, and returns
+    the objective change computed from the touched terms only (node term
+    q/2 x^2 - b x plus the incident edge energies).
 
     With ``keys`` given, the move also rescores the d + 1 entries it
     changes: keys[j] = |grad_j| for i and each neighbour j, and with
@@ -156,24 +159,23 @@ def graph_coord_update(i, new_xi, x, indptr, nbr, w, rev, part, grad, q, b,
     """
     old = x.item(i)
     x[i] = new_xi
+    dx = new_xi - old
     qi = q.item(i)
     bi = b.item(i)
-    dobj = 0.5 * qi * (new_xi * new_xi - old * old) - bi * (new_xi - old)
+    dobj = 0.5 * qi * (new_xi * new_xi - old * old) - bi * dx
     s = qi * new_xi - bi
     for k in range(indptr.item(i), indptr.item(i + 1)):
-        j = nbr.item(k)
+        j = indices.item(k)
+        if j == i:
+            continue
         xj = x.item(j)
-        wk = w.item(k)
+        wk = -data.item(k)
         a_new = new_xi - xj
         a_old = old - xj
         dobj += 0.5 * wk * (a_new * a_new - a_old * a_old)
-        pik = wk * a_new
-        part[k] = pik
-        s += pik
-        kr = rev.item(k)
-        gj = grad.item(j) + (-pik - part.item(kr))
+        s += wk * a_new
+        gj = grad.item(j) - wk * dx
         grad[j] = gj
-        part[kr] = -pik
         if keys is not None:
             keys[j] = ag = abs(gj)
             if weights is not None:

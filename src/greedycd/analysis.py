@@ -41,6 +41,11 @@ def muL_diag(diag, L):
     return float(1.0 / np.sum(L / d))
 
 
+def _check_brute_size(n):
+    if n > BRUTE_MAX_N:
+        raise ValueError(f"brute-force search is capped at n = {BRUTE_MAX_N}")
+
+
 def mu1_brute(H):
     """min x^T H x over the unit l1 sphere, by enumerating signed supports.
 
@@ -54,8 +59,7 @@ def mu1_brute(H):
     """
     H = np.asarray(H, dtype=np.float64)
     n = H.shape[0]
-    if n > BRUTE_MAX_N:
-        raise ValueError(f"brute-force search is capped at n = {BRUTE_MAX_N}")
+    _check_brute_size(n)
     best = np.inf
     for signs in product((-1.0, 0.0, 1.0), repeat=n):
         s = np.array(signs)
@@ -118,10 +122,13 @@ def hessian_constants(H, L_per=None):
         raise ValueError("Hessian must be symmetric")
     n = H.shape[0]
     L_per = np.diag(H).copy() if L_per is None else np.asarray(L_per, dtype=np.float64)
+    diagonal = np.count_nonzero(H - np.diag(np.diag(H))) == 0
+    if not diagonal:
+        # before the O(n^3) eigenvalues, which a refused size would waste
+        _check_brute_size(n)
     mu = mu_ell2(H)
     if mu <= 0:
         raise ValueError("Hessian must be positive definite")
-    diagonal = np.count_nonzero(H - np.diag(np.diag(H))) == 0
     if diagonal:
         d = np.diag(H)
         mu1 = mu1_diag(d)

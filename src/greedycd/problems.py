@@ -324,11 +324,26 @@ def _edge_arrays(n, edges, weights):
     return edges, weights
 
 
+def _node_terms(n, values, name):
+    """A copy of one node term's values as float64 of shape (n,), zeros if
+    None; anything else, a scalar or a length-1 array included, is
+    refused."""
+    values = np.zeros(n) if values is None else np.array(values, np.float64)
+    if values.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {values.shape}")
+    return values
+
+
 class GraphQuadraticProblem(SmoothProblem):
     """f(x) = sum_i (q_i/2 x_i^2 - b_i x_i) + sum_(u,v) (w/2)(x_u - x_v)^2 + c0.
 
     Pairwise terms live on an undirected graph; the node terms absorb any
     per-node quadratic penalty and the pull of clamped (labeled) neighbours.
+
+    The graph is stored once, as the Hessian ``H`` (scipy CSR, columns
+    sorted): row i holds -w_ij for each neighbour j and the diagonal entry
+    q_i + sum_j w_ij, stored even when it is 0, so the row's columns are i
+    and its neighbours.  The h2 tracker's move reads that row.
     """
 
     is_quadratic = True
@@ -348,44 +363,26 @@ class GraphQuadraticProblem(SmoothProblem):
         self.n = int(n)
         self.edges = edges
         self.weights = weights
-        self.node_quad = (np.zeros(n) if node_quad is None
-                          else np.asarray(node_quad, dtype=np.float64).copy())
-        self.node_lin = (np.zeros(n) if node_lin is None
-                         else np.asarray(node_lin, dtype=np.float64).copy())
+        self.node_quad = _node_terms(n, node_quad, "node_quad")
+        self.node_lin = _node_terms(n, node_lin, "node_lin")
         self.const = float(const)
         if not (np.isfinite(self.node_quad).all()
                 and np.isfinite(self.node_lin).all()
                 and np.isfinite(self.const)):
             raise ValueError("node terms must be finite")
 
-        # directed adjacency in CSR layout, plus the reverse-slot map
         heads = np.concatenate([edges[:, 0], edges[:, 1]])
         tails = np.concatenate([edges[:, 1], edges[:, 0]])
         wdir = np.concatenate([weights, weights])
-        slot_order = np.argsort(heads, kind="stable")
-        self.adj_indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self.adj_indptr, heads + 1, 1)
-        np.cumsum(self.adj_indptr, out=self.adj_indptr)
-        self.adj_nbr = tails[slot_order]
-        self.adj_w = wdir[slot_order]
-        nslots = heads.shape[0]
-        twin = np.concatenate([np.arange(edges.shape[0], nslots),
-                               np.arange(0, edges.shape[0])])
-        inv = np.empty(nslots, dtype=np.int64)
-        inv[slot_order] = np.arange(nslots)
-        self.adj_rev = inv[twin[slot_order]]
-
-        deg_w = np.zeros(n)
-        np.add.at(deg_w, heads, wdir)
-        self.L_per_coord = self.node_quad + deg_w
-        self.max_degree = int(np.diff(self.adj_indptr).max(initial=0))
-
-        lap = scipy.sparse.coo_matrix(
-            (np.concatenate([deg_w + self.node_quad, -wdir]),
+        self.L_per_coord = self.node_quad + np.bincount(heads, wdir,
+                                                        minlength=n)
+        # the conversion from triplets keeps the diagonal's explicit zeros
+        self.H = scipy.sparse.csr_matrix(
+            (np.concatenate([self.L_per_coord, -wdir]),
              (np.concatenate([np.arange(n), heads]),
               np.concatenate([np.arange(n), tails]))), shape=(n, n))
-        self._H = lap.tocsr()
-        self._L1 = float(np.abs(self._H.data).max()) if self._H.nnz else 0.0
+        self.max_degree = int(np.diff(self.H.indptr).max(initial=1)) - 1
+        self._L1 = float(np.abs(self.H.data).max()) if self.H.nnz else 0.0
 
     @classmethod
     def from_labeled_graph(cls, n_nodes, edges, weights, labeled,
@@ -428,14 +425,14 @@ class GraphQuadraticProblem(SmoothProblem):
         return prob, free
 
     def eval(self, x):
-        quad = 0.5 * float(x @ (self._H @ x))
+        quad = 0.5 * float(x @ (self.H @ x))
         return quad - float(self.node_lin @ x) + self.const
 
     def full_grad(self, x):
-        return self._H @ x - self.node_lin
+        return self.H @ x - self.node_lin
 
     def hessian(self):
-        return self._H.toarray()
+        return self.H.toarray()
 
     @property
     def L1(self):

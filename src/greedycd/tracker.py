@@ -6,36 +6,38 @@ only for the entries that can change:
 
 * h1 ("linear composition" objectives, f(x) = sum_j phi_j(a_j^T x) + node
   terms): caches A x, the per-row link values and, off the Gram path, the
-  link derivatives and A^T grad_link.  A coordinate update touches the
-  <= c rows of one column, then renews the gradient in one of three ways,
-  chosen once per problem at build time.  The row scatter pushes the
-  changed row derivatives back through those rows, gathering <= c*r
-  entries (``col_gather`` of the column) and rescoring the columns they
-  hit.  One compiled product rebuilds A^T grad_link whole for nnz
-  entries, and every coordinate is rescored.  The product is taken when
-  the mean gather, sum_rows r_i^2 / n, exceeds nnz / KAPPA
-  (``takes_product``), so an update pays about min(c*r, nnz).  Where the
-  product is taken on a quadratic with n <= m (``takes_gram``), the Gram
-  path replaces it: moving x_i by delta moves the gradient by
+  link derivatives.  A coordinate update touches the <= c rows of one
+  column, then renews the gradient in one of three ways, chosen once per
+  problem at build time.  The row scatter pushes the changed row
+  derivatives back through those rows into the gradient, gathering
+  <= c*r entries (``col_gather`` of the column), adds the l2 term's
+  change lam * delta at i and rescores the columns it hit.  One compiled
+  product rebuilds A^T grad_link whole for nnz entries, straight into the
+  gradient, which then takes lam x, and every coordinate is rescored.
+  The product is taken when the mean gather, sum_rows r_i^2 / n, exceeds
+  nnz / KAPPA (``takes_product``), so an update pays about min(c*r, nnz).
+  Where the product is taken on a quadratic with n <= m (``takes_gram``),
+  the Gram path replaces it: moving x_i by delta moves the gradient by
   delta * H[:, i], n entries of the Hessian (as in the paper's pairwise
   class h2, which includes quadratics), added with two numpy calls into
-  a buffer the tracker owns.  It keeps no row derivatives and no
-  A^T grad_link (both are None), and the guard keeps the n x n matrix no
-  larger than A held dense.  On ``sparse-ls``
-  (200^2, nnz = 10 673) this took the benchmark's ``greedy_iter_us`` from
-  a median of 30.3 to 19.2 us over 10 alternated pairs (shared 2-vCPU
-  Xeon).
+  a buffer the tracker owns.  It keeps no row derivatives (None), and
+  the guard keeps the n x n matrix no larger than A held dense.  On
+  ``sparse-ls`` (200^2, nnz = 10 673) this took the benchmark's
+  ``greedy_iter_us`` from a median of 30.3 to 19.2 us over 10 alternated
+  pairs (shared 2-vCPU Xeon).
   The ``touched_grads`` counter reports the column's gather on every
   path.  The product and Gram paths rescore as whole vectors
   (``_rescore(None)``): no index gathers and no fancy stores, and on
   ``scan`` the scorer's new arrays replace the old ones.
 
-* h2 (pairwise graph objectives): caches the directed per-edge partial
-  derivatives.  A coordinate update recomputes grad[i] from its incident
-  edges and differentially updates the <= d neighbour entries.  On
-  ``scan``, a smooth problem's move (``_kernels.graph_coord_update``) also
-  writes the keys and ``gs``/``gsl`` scores of those d + 1 entries from
-  the Python floats it computes them in, the bits ``_rescore`` would
+* h2 (pairwise graph objectives): keeps the gradient alone.  Moving x_i
+  by dx moves each neighbour's entry by -w_ij dx, one column of the
+  sparse Hessian, which the problem stores as CSR (``H``, the graph's one
+  stored form); a coordinate update reads row i of it, adds that to the
+  <= d neighbour entries and recomputes grad[i] from its incident edges.
+  On ``scan``, a smooth problem's move (``_kernels.graph_coord_update``)
+  also writes the keys and ``gs``/``gsl`` scores of those d + 1 entries
+  from the Python floats it computes them in, the bits ``_rescore`` would
   store; the heap backend and a composite problem's prox keys still take
   ``_rescore``.  The path is fixed when the scores are built.
 
@@ -91,7 +93,7 @@ it).
 A rule that never reads the gradient (uniform, cyclic and Lipschitz
 sampling) gets a lean tracker (``lean=True``): it keeps no scores and no
 keys.  On h1 it keeps A x, the row derivatives and values and the
-objective, and skips the row scatter into A^T grad_link, so an update
+objective, and skips the row scatter into the gradient, so an update
 costs O(c) and reports ``touched_grads == 0``; it keeps no ``gradient``
 array either, and computes one entry from column i in O(c)
 (``grad_coord``) or all of it with one A^T product (``full_gradient``).
@@ -122,7 +124,7 @@ from .problems import BOX, ProxPass, safe_curvature, term_value
 
 BACKENDS = ("scan", "heap", "nns")
 
-# An h1 update rebuilds A^T grad_link with one compiled product, instead of
+# An h1 update rebuilds the gradient with one compiled product, instead of
 # scattering the changed rows into it, when the scatter would gather more
 # than nnz / KAPPA entries per update on average (``takes_product``).
 # tools/kernel_times.py times both updates: the scatter wins up to a gather
@@ -132,7 +134,7 @@ KAPPA = 10
 
 
 def takes_product(A):
-    """Whether an h1 tracker over A updates A^T grad_link by the full
+    """Whether an h1 tracker over A renews its gradient by the full
     product: the mean entries one update's scatter gathers,
     sum_rows r_i^2 / n, exceed nnz / KAPPA."""
     return A.mean_gather * KAPPA > A.nnz
@@ -152,7 +154,7 @@ class UpdateStats:
 
     touched_rows: rows of A hit by the column update (h1), or incident
         edges (h2).
-    touched_grads: h1: the entries of A the row scatter into A^T grad
+    touched_grads: h1: the entries of A the row scatter into the gradient
         gathers for this column (<= c*r), also when the update renewed
         the gradient by the full product or by a Gram column instead; 0
         on a lean tracker.  h2: the differential updates of neighbour
@@ -432,17 +434,13 @@ class H1Tracker(_TrackerBase):
         lam = p.l2_reg
         self.product = not self.lean and takes_product(A)
         self.gram = self.product and takes_gram(p)
-        if self.lean:
-            self.atg = self.gradient = None
-        else:
-            self.atg = A.rmatvec(self.row_g)
-            self.gradient = self.atg + lam * self.x
+        self.gradient = (None if self.lean
+                         else A.rmatvec(self.row_g) + lam * self.x)
+        self._col = np.empty(self.n)
         if self.gram:
-            # the Gram path keeps neither the row derivatives nor
-            # A^T grad_link, so a stale read of either fails
-            self.row_g = self.atg = None
+            # the Gram path keeps no row derivatives, so a stale read fails
+            self.row_g = None
             self.G = p.hessian()
-            self._col = np.empty(self.n)
         self._obj = float(self.row_v.sum() + 0.5 * lam * self.x @ self.x)
 
     def grad_coord(self, i):
@@ -478,30 +476,31 @@ class H1Tracker(_TrackerBase):
         dobj += 0.5 * lam * (new_xi * new_xi - old_xi * old_xi)
         self.row_v[rows] = new_v
         touched_grads = heap_ops = 0
+        g = self.gradient
         if self.gram:
             # grad += delta * H[:, i], read as row i of the symmetric H
-            g = self.gradient
             np.multiply(self.G[i], delta, out=self._col)
             np.add(g, self._col, out=g)
         elif self.product or self.lean:
             self.row_g[rows] = p.row_grad(self.u, rows)
             if self.product:
-                # the refresh's own product, into the tracker's buffer
+                # the refresh's own product, straight into the gradient,
+                # then lam x through the tracker's buffer
                 _kernels.transpose_product(A.col_indptr, A.col_rows,
-                                           A.col_vals, self.row_g, self.atg)
-                g = self.gradient
-                np.multiply(self.x, lam, out=g)
-                np.add(g, self.atg, out=g)
+                                           A.col_vals, self.row_g, g)
+                np.multiply(self.x, lam, out=self._col)
+                np.add(g, self._col, out=g)
         else:
             new_g = np.asarray(p.row_grad(self.u, rows), dtype=np.float64)
             dg = new_g - self.row_g[rows]
             self.row_g[rows] = new_g
             cols, touched_grads = _kernels.scatter_row_deltas(
-                rows, dg, A.row_indptr, A.row_cols, A.row_vals, self.atg)
+                rows, dg, A.row_indptr, A.row_cols, A.row_vals, g)
+            # the l2 term moves grad_i alone, by lam * delta
+            g[i] = g.item(i) + lam * delta
             if a == b:
                 # an empty column hits no row, but x[i] itself still moved
                 cols = np.array([i], dtype=np.int64)
-            self.gradient[cols] = self.atg[cols] + lam * self.x[cols]
             heap_ops = self._rescore(cols)
         if self.product:
             # the counter reports the entries the scatter would have
@@ -517,8 +516,6 @@ class H2Tracker(_TrackerBase):
 
     def _rebuild_caches(self):
         p = self.problem
-        heads = np.repeat(np.arange(self.n), np.diff(p.adj_indptr))
-        self.part = p.adj_w * (self.x[heads] - self.x[p.adj_nbr])
         self.gradient = np.asarray(p.full_grad(self.x), dtype=np.float64)
         self._obj = float(p.eval(self.x))
 
@@ -543,23 +540,21 @@ class H2Tracker(_TrackerBase):
         """x[i] += delta; refresh every cache entry that can change."""
         old_xi, new_xi = self._move(i, delta)
         p = self.problem
+        H = p.H
         dobj = _kernels.graph_coord_update(
-            i, float(new_xi), self.x, p.adj_indptr,
-            p.adj_nbr, p.adj_w, p.adj_rev, self.part, self.gradient,
-            p.node_quad, p.node_lin, self._move_keys, self._scores,
-            self._move_weights)
-        start, stop = p.adj_indptr.item(i), p.adj_indptr.item(i + 1)
+            i, float(new_xi), self.x, H.indptr, H.indices, H.data,
+            self.gradient, p.node_quad, p.node_lin, self._move_keys,
+            self._scores, self._move_weights)
+        start, stop = H.indptr.item(i), H.indptr.item(i + 1)
         heap_ops = 0
         if self._move_keys is not None:
             self._top = None
         elif not self.lean:
-            # rekey and rescore i and its neighbours
-            cols = np.empty(stop - start + 1, dtype=np.int64)
-            cols[0] = i
-            cols[1:] = p.adj_nbr[start:stop]
-            heap_ops = self._rescore(cols)
+            # rekey and rescore row i of H: i and its neighbours
+            heap_ops = self._rescore(H.indices[start:stop])
         self._finish_update(i, old_xi, dobj)
-        return UpdateStats(stop - start, stop - start, heap_ops)
+        # the row holds i's own diagonal entry besides its edges
+        return UpdateStats(stop - start - 1, stop - start - 1, heap_ops)
 
 
 def make_tracker(problem, x0, scorer=None, backend="scan",

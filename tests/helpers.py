@@ -92,27 +92,28 @@ def scatter_rows_loop(A, rows, dg, target):
     return sorted(hit), count
 
 
-def graph_move_loop(i, new_xi, x, indptr, nbr, w, rev, part, grad, q, b):
+def graph_move_loop(i, new_xi, x, indptr, indices, data, grad, q, b):
     """The loop ``_kernels.graph_coord_update`` must equal bit for bit,
     written with numpy-scalar indexing and in-place adds: move x[i] to
-    new_xi, refresh the partials of the edges at i and the gradient entries
-    of i and its neighbours, and return the objective change."""
+    new_xi, walk row i of the CSR Hessian, skipping its diagonal, add
+    -w * dx to each neighbour's gradient entry (w = -H_ij), recompute
+    grad[i], and return the objective change."""
     old = x[i]
     x[i] = new_xi
-    dobj = 0.5 * q[i] * (new_xi * new_xi - old * old) - b[i] * (new_xi - old)
+    dx = new_xi - old
+    dobj = 0.5 * q[i] * (new_xi * new_xi - old * old) - b[i] * dx
     s = q[i] * new_xi - b[i]
     for k in range(indptr[i], indptr[i + 1]):
-        j = nbr[k]
+        j = indices[k]
+        if j == i:
+            continue
+        w = -data[k]
         xj = x[j]
         a_new = new_xi - xj
         a_old = old - xj
-        dobj += 0.5 * w[k] * (a_new * a_new - a_old * a_old)
-        pik = w[k] * a_new
-        part[k] = pik
-        s += pik
-        kr = rev[k]
-        grad[j] += -pik - part[kr]
-        part[kr] = -pik
+        dobj += 0.5 * w * (a_new * a_new - a_old * a_old)
+        s += w * a_new
+        grad[j] -= w * dx
     grad[i] = s
     return dobj
 

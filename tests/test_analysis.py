@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from greedycd import analysis
 from greedycd.analysis import (
     ConvexityConstants,
     additive_gap_bound,
@@ -162,6 +163,17 @@ def test_brute_force_is_size_capped():
     # diagonal problems of any size take the closed-form path
     consts = hessian_constants(np.diag(np.linspace(1.0, 2.0, 20)))
     assert consts.n == 20
+
+
+def test_a_refused_size_is_refused_before_the_eigenvalues(monkeypatch):
+    def refused(H):
+        raise AssertionError("mu_ell2 ran on a Hessian the cap refuses")
+
+    monkeypatch.setattr(analysis, "mu_ell2", refused)
+    H = np.eye(9)
+    H[0, 1] = H[1, 0] = 0.5
+    with pytest.raises(ValueError, match="capped"):
+        hessian_constants(H)
 
 
 def test_muL_hand_values_and_scaling_identity():

@@ -273,6 +273,33 @@ class TestGraphQuadratic:
                                   [1.0] * 3)
         assert p.max_degree == 3
 
+    @pytest.mark.parametrize("name", ["node_quad", "node_lin"])
+    @pytest.mark.parametrize("value", [2.0, [2.0], [1.0, 2.0],
+                                       [[1.0, 2.0, 3.0]], np.ones((3, 1))])
+    def test_node_terms_must_have_one_entry_per_node(self, name, value):
+        # a scalar or a length-1 array would broadcast into L_per_coord
+        # and full_grad, and then fail in eval or in the move
+        with pytest.raises(ValueError, match=name):
+            GraphQuadraticProblem(3, [[0, 1]], [1.0], **{name: value})
+        p = GraphQuadraticProblem(3, [[0, 1]], [1.0],
+                                  **{name: [1.0, 2.0, 3.0]})
+        assert getattr(p, name).shape == (3,)
+
+    def test_hessian_stores_every_diagonal_entry(self):
+        # node 2 is isolated and has no curvature: its diagonal entry is an
+        # explicit 0, so row 2 of H still names node 2
+        p = GraphQuadraticProblem(3, [[0, 1]], [1.5],
+                                  node_quad=[0.5, 0.0, 0.0])
+        H = p.H
+        assert H.has_canonical_format
+        assert H.indices[H.indptr[2]:H.indptr[3]].tolist() == [2]
+        assert H.data[H.indptr[2]:H.indptr[3]].tolist() == [0.0]
+        assert H.indices[H.indptr[0]:H.indptr[1]].tolist() == [0, 1]
+        assert H.data[H.indptr[0]:H.indptr[1]].tolist() == [2.0, -1.5]
+        assert H.nnz == 3 + 2 and p.max_degree == 1
+        empty = GraphQuadraticProblem(0, np.zeros((0, 2)), [])
+        assert empty.H.nnz == 0 and empty.max_degree == 0
+
     @settings(max_examples=150, deadline=None)
     @given(n=st.integers(1, 12), seed=st.integers(0, 2**32 - 1),
            density=st.sampled_from([0.0, 0.3, 1.0]),

@@ -313,7 +313,7 @@ class TestGraphMoveKernel:
         n = data.draw(st.integers(1, 12), label="n")
         with np.errstate(over="ignore"):  # L_per_coord may overflow
             p = draw_graph(data, n, EXTREME_WEIGHTS, MOVE_VALUES)
-        nslots = p.adj_nbr.shape[0]
+        H = p.H
 
         def floats(size, label):
             return np.array(data.draw(st.lists(
@@ -321,7 +321,6 @@ class TestGraphMoveKernel:
                 dtype=np.float64)
 
         x, grad = floats(n, "x"), floats(n, "grad")
-        part = floats(nslots, "part")
         i = data.draw(st.integers(0, n - 1), label="i")
         new_xi = data.draw(MOVE_VALUES, label="new_xi")
         # the move may also rescore what it changes: keys alone (no
@@ -331,28 +330,28 @@ class TestGraphMoveKernel:
         keys, scores = floats(n, "keys"), floats(n, "scores")
         weights = np.array(data.draw(st.lists(
             EXTREME_WEIGHTS, min_size=n, max_size=n), label="weights"))
-        want = [x.copy(), part.copy(), grad.copy(), keys.copy(),
-                scores.copy()]
+        want = [x.copy(), grad.copy(), keys.copy(), scores.copy()]
         # the extremes overflow to inf and nan; both sides must agree anyway
         with np.errstate(all="ignore"):
             want_dobj = graph_move_loop(
-                i, new_xi, want[0], p.adj_indptr, p.adj_nbr, p.adj_w,
-                p.adj_rev, want[1], want[2], p.node_quad, p.node_lin)
-            moved = np.r_[i, p.adj_nbr[p.adj_indptr[i]:p.adj_indptr[i + 1]]]
+                i, new_xi, want[0], H.indptr, H.indices, H.data, want[1],
+                p.node_quad, p.node_lin)
+            # row i of H: i and its neighbours
+            moved = H.indices[H.indptr[i]:H.indptr[i + 1]]
             args = {}
             if rescore != "none":
                 args["keys"] = keys
-                want[3][moved] = np.abs(want[2][moved])
+                want[2][moved] = np.abs(want[1][moved])
             if rescore == "weighted":
                 args.update(scores=scores, weights=weights)
-                want[4][moved] = want[3][moved] * weights[moved]
+                want[3][moved] = want[2][moved] * weights[moved]
         dobj = _kernels.graph_coord_update(
-            i, new_xi, x, p.adj_indptr, p.adj_nbr, p.adj_w, p.adj_rev, part,
-            grad, p.node_quad, p.node_lin, **args)
+            i, new_xi, x, H.indptr, H.indices, H.data, grad, p.node_quad,
+            p.node_lin, **args)
         assert type(dobj) is float
         assert (np.array([dobj]).view(np.int64)
                 == np.array([want_dobj]).view(np.int64)).all()
-        for got, exp in zip((x, part, grad, keys, scores), want):
+        for got, exp in zip((x, grad, keys, scores), want):
             assert np.array_equal(got.view(np.int64), exp.view(np.int64))
 
 
@@ -370,6 +369,21 @@ class TestH2Tracker:
             assert stats.heap_ops <= d + 1
             assert_tracker_matches(tr, p)
             assert_peek_near_max(tr)
+
+    def test_a_long_walk_without_refresh_keeps_the_gradient(self):
+        # each move adds -w_ij * dx to the neighbours' entries; 1e5 random
+        # moves with no refresh must not let those sums drift
+        rng = np.random.default_rng(11)
+        p = random_bounded_degree_graph(rng, 300, dmax=8)
+        tr = H2Tracker(p, np.zeros(p.n), lean=True, refresh_every=10**6)
+        moves = 10**5
+        for i, delta in zip(rng.integers(p.n, size=moves).tolist(),
+                            rng.standard_normal(moves).tolist()):
+            tr.apply_update(i, delta)
+        assert tr._updates == moves
+        full = p.full_grad(tr.x)
+        drift = np.abs(tr.gradient - full).max() / np.abs(full).max()
+        assert drift <= 1e-12
 
     def test_chain_counts(self):
         p = GraphQuadraticProblem(3, [[0, 1], [1, 2]], [1.0, 1.0],
@@ -410,7 +424,7 @@ class TestEagerGraphTracker:
         # bounds every term the caches sum
         scale = (1.0 + 12.0 * (np.abs(H).sum()
                                + np.abs(p.node_lin).sum())) ** 2
-        degree = np.diff(p.adj_indptr)
+        degree = np.bincount(p.edges.ravel(), minlength=n)
 
         def check():
             grad = H @ tr.x - p.node_lin
@@ -459,14 +473,15 @@ class TestEagerGraphTracker:
             assert stats.heap_ops == 0
             assert_tracker_matches(tr, p)
             assert tr.grad_inf_norm() == np.abs(p.full_grad(tr.x)).max()
-        # on the heap, a scoreless tracker that is not lean rekeys i and
-        # then its neighbours in slot order, as a scored one rescores them
+        # on the heap, a scoreless tracker that is not lean rekeys row 1 of
+        # the Hessian, i and its neighbours in index order, as a scored one
+        # rescores them
         for scorer in (None, GradScorer()):
             calls.clear()
             tr = H2Tracker(p, np.zeros(4), scorer, backend="heap")
             heap_ops = 0 if scorer is None else 4
             assert tr.apply_update(1, 1.0).heap_ops == heap_ops
-            assert calls == [[1, 2, 3, 0]]
+            assert calls == [[0, 1, 2, 3]]
             assert tr.keys.tobytes() == np.abs(tr.gradient).tobytes()
         # on scan the move rewrites the keys and scores itself, the same
         # bits as a fresh |grad| and w |grad| on every entry
@@ -651,7 +666,7 @@ class TestGramPath:
                           refresh_every=data.draw(st.sampled_from(
                               [1, 3, 10000]), label="refresh_every"))
         assert tr.gram and tr.product
-        assert tr.row_g is None and tr.atg is None
+        assert tr.row_g is None
         assert tr.G is smooth.hessian()
         every = np.arange(n)
         # every iterate stays in [-1, 1]^n, which bounds each term of the
@@ -712,7 +727,7 @@ class TestGramPath:
         assert takes_gram(smooth) == (case != "logistic" and n <= m)
         assert tr.gram == gram
         assert (tr.row_g is None) == gram
-        assert (tr.atg is None) == (gram or lean)
+        assert (tr.gradient is None) == lean
         tr.apply_update(2, 0.5)
         tr.refresh()
         assert tr.gram == gram

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Time the three ways an h1 tracker renews its gradient, the row scatter
-into A^T grad, one full compiled product and one Gram column, and one
+of A^T dg into it, one full compiled product and one Gram column, and one
 graph coordinate move.
 
     python3 tools/kernel_times.py
@@ -95,16 +95,14 @@ def least_us(fn):
 
 def force_path(tr, path):
     """Put an eager h1 tracker on ``path``, with the caches that path
-    reads: the Hessian for "gram", the row derivatives and A^T grad_link
-    for the other two."""
+    reads: the Hessian for "gram", the row derivatives for the other
+    two."""
     smooth = tr.problem
     tr.product, tr.gram = path != "scatter", path == "gram"
     if tr.gram:
-        tr.G, tr._col = smooth.hessian(), np.empty(tr.n)
-        tr.row_g = tr.atg = None
+        tr.G, tr.row_g = smooth.hessian(), None
     else:
         tr.row_g = smooth.row_grad(tr.u, np.arange(tr.A.shape[0]))
-        tr.atg = tr.A.rmatvec(tr.row_g)
 
 
 def update_us(problem, j, path, rule="gsl"):
@@ -171,12 +169,14 @@ def crossover(sizes, prefix=""):
 
 def measure_graph_move():
     p = harness.gen_experiment("two_moons", n=GRAPH_N, seed=SEED).problem
-    degree = np.diff(p.adj_indptr)
+    H = p.H
+    # each row of H holds the node's diagonal entry besides its edges
+    degree = np.diff(H.indptr) - 1
     i = int(np.argsort(degree, kind="stable")[p.n // 2])
     tr = H2Tracker(p, np.zeros(p.n))
     move_us = least_us(lambda: _kernels.graph_coord_update(
-        i, 0.5, tr.x, p.adj_indptr, p.adj_nbr, p.adj_w, p.adj_rev, tr.part,
-        tr.gradient, p.node_quad, p.node_lin))
+        i, 0.5, tr.x, H.indptr, H.indices, H.data, tr.gradient, p.node_quad,
+        p.node_lin))
     out = {"family": "two_moons", "n": p.n, "node": i,
            "degree": int(degree[i]), "graph_move_us": round(move_us, 2)}
     for label, name in (("lean", "uniform"), ("gs", "gs"), ("gsl", "gsl")):

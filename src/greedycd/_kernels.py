@@ -76,11 +76,18 @@ def heap_update(keys, order, pos, i, new_key):
 
 
 def col_axpy(start, end, rows, vals, delta, y):
-    """y += delta * (sparse column), the column given as rows/vals[start:end].
+    """y += delta * (sparse column), the column given as rows/vals[start:end];
+    returns the moved entries of y, in the column's row order.
 
-    The rows of a column are distinct, so one fancy-indexed add suffices.
+    The rows of a column are distinct, so one gather, one add and one
+    store suffice, the bits of ``y[r] += delta * v``.  The moved entries
+    are handed back, so the h1 update computes its row values and
+    derivatives from them (``row_link``) instead of gathering u at the
+    column's rows again.
     """
-    y[rows[start:end]] += delta * vals[start:end]
+    r = rows[start:end]
+    y[r] = moved = y[r] + delta * vals[start:end]
+    return moved
 
 
 def scatter_row_deltas(rows, dg, row_indptr, row_cols, row_vals, target):

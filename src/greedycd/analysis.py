@@ -46,6 +46,23 @@ def _check_brute_size(n):
         raise ValueError(f"brute-force search is capped at n = {BRUTE_MAX_N}")
 
 
+def check_sparse_hessian(problem):
+    """Refuse a quadratic problem with n > BRUTE_MAX_N whose Hessian is not
+    diagonal, deciding from its sparse data, before any dense n x n array
+    is built.  A graph's off-diagonal entries are those its stored Hessian
+    holds (``GraphQuadraticProblem.H``, explicit zeros not counted); a
+    least-squares Hessian 2 scale A^T A + l2 I couples columns i != j only
+    where they share a row of A, so it is diagonal when no row of A holds
+    two entries (columns that share a row count as coupled even where
+    their products cancel)."""
+    H = getattr(problem, "H", None)
+    coupled = (H.count_nonzero() > np.count_nonzero(H.diagonal())
+               if H is not None
+               else (np.diff(problem.A.row_indptr) > 1).any())
+    if coupled:
+        _check_brute_size(problem.n)
+
+
 def mu1_brute(H):
     """min x^T H x over the unit l1 sphere, by enumerating signed supports.
 

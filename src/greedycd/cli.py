@@ -21,7 +21,7 @@ import sys
 import argparse
 
 from . import harness
-from .analysis import hessian_constants, rate_table
+from .analysis import check_sparse_hessian, hessian_constants, rate_table
 from .descent import STEP_MODES, race, run
 from .linalg import load_dense_mtx
 from .rules import RULE_NAMES, make_rule
@@ -119,6 +119,7 @@ def cmd_bounds(args):
     if not getattr(problem, "is_quadratic", False):
         raise ValueError("bounds needs a smooth quadratic problem "
                          "(a least-squares or graph experiment)")
+    check_sparse_hessian(problem)
     consts = hessian_constants(problem.hessian(), L_per=problem.L_per_coord)
     consts.check_sandwiches()
     print(f"n = {consts.n}")

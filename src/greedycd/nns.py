@@ -93,5 +93,5 @@ class BallTreeIndex:
         tracker on the "nns" backend.  The row weights are the row
         derivatives at the tracker's A x, which a tracker on the Gram path
         does not keep."""
-        q = tracker.problem.row_grad(tracker.u, slice(None))
+        q = tracker.problem.row_link(tracker.u, slice(None))[1]
         return self.query(q, tracker.gradient)

@@ -11,13 +11,31 @@ tracker and test for convergence once per epoch.
 
 Randomness: numpy's PCG64 (``default_rng``).  Discrete sampling uses the
 inverse CDF — a single uniform draw looked up in the cumulative probability
-vector — so a rule consumes exactly one draw per iteration.
+vector — so a rule consumes exactly one draw per iteration.  The draws are
+taken from the generator DRAW_BLOCK at a time (``uniform_draws``): on
+numpy 2.4, ``rng.random(k).tolist()`` gives the k floats that k calls of
+``rng.random()`` give, bit for bit, so the picks are the same, while one
+``Generator.random()`` call costs 0.85-1.05 us, more than the rest of a
+pick, and a draw from a block about 0.1 us (``timeit``, shared 2-vCPU
+Xeon).
 """
 
 import numpy as np
 
 from .problems import CompositeProblem, safe_curvature
 from .tracker import GradScorer, ProxScorer
+
+# uniforms drawn per call of the generator (``uniform_draws``)
+DRAW_BLOCK = 256
+
+
+def uniform_draws(rng):
+    """The uniforms of successive ``rng.random()`` calls, drawn
+    DRAW_BLOCK at a time.  The rules pass ``np.random.default_rng(rng)``,
+    which is the Generator itself when ``rng`` is one, and a fresh one
+    for None."""
+    while True:
+        yield from rng.random(DRAW_BLOCK).tolist()
 
 
 def approx_gs_select(gradient, eps, regime):
@@ -115,10 +133,10 @@ class UniformRule(Rule):
 
     def prepare(self, problem, rng=None):
         self.n = problem.n
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.draws = uniform_draws(np.random.default_rng(rng))
 
     def select(self, tracker, k):
-        return min(int(self.rng.random() * self.n), self.n - 1), None
+        return min(int(next(self.draws) * self.n), self.n - 1), None
 
 
 class CyclicRule(Rule):
@@ -145,10 +163,10 @@ class LipschitzRule(Rule):
             raise ValueError("Lipschitz sampling needs a positive L_i")
         self.cum = np.cumsum(L / total)
         self.cum[-1] = 1.0
-        self.rng = rng if rng is not None else np.random.default_rng()
+        self.draws = uniform_draws(np.random.default_rng(rng))
 
     def select(self, tracker, k):
-        return int(self.cum.searchsorted(self.rng.random(), side="right")), None
+        return int(self.cum.searchsorted(next(self.draws), side="right")), None
 
 
 class GreedyRule(Rule):

@@ -6,14 +6,19 @@ only for the entries that can change:
 
 * h1 ("linear composition" objectives, f(x) = sum_j phi_j(a_j^T x) + node
   terms): caches A x, the per-row link values and, off the Gram path, the
-  link derivatives.  A coordinate update touches the <= c rows of one
-  column, then renews the gradient in one of three ways, chosen once per
+  link derivatives.  A coordinate update moves the <= c entries of A x at
+  one column's rows (``_kernels.col_axpy``, which hands them back) and
+  computes their row values and derivatives from that one gather and one
+  residual (the problem's ``row_link``; values alone on the Gram path),
+  then renews the gradient in one of three ways, chosen once per
   problem at build time.  The row scatter pushes the changed row
   derivatives back through those rows into the gradient, gathering
   <= c*r entries (``col_gather`` of the column), adds the l2 term's
   change lam * delta at i and rescores the columns it hit.  One compiled
   product rebuilds A^T grad_link whole for nnz entries, straight into the
-  gradient, which then takes lam x, and every coordinate is rescored.
+  gradient, which then takes lam x unless lam = 0 (decided at build with
+  the path, so an l2_reg = 0 gradient is the product's bits), and every
+  coordinate is rescored.
   The product is taken when the mean gather, sum_rows r_i^2 / n, exceeds
   nnz / KAPPA (``takes_product``), so an update pays about min(c*r, nnz).
   Where the product is taken on a quadratic with n <= m (``takes_gram``),
@@ -47,13 +52,16 @@ scores for composite problems), recomputed only for touched coordinates.
 A prox score over every coordinate is one ``ProxPass``, built with the
 scorer: the safe curvature, L/2, the thresholds lam/L and the term kinds
 (any box?) are computed once per curvature, and each pass
-computes d and V alone (no subgradient) into buffers it owns.  It shares
-its arithmetic with ``prox_steps``, whose subset calls rescore the
-scatter path, and gives the same bits.  On ``lasso-prox`` (50 x 500)
-this took the pass over all n from about 40 to about 14 us, and a ``gs-q``
-update from about 53 to about 35 us (``timeit``, least of 30 repeats,
-shared 2-vCPU Xeon); the benchmark's ``greedy_iter_us`` there went from a
-median of 59.2 to 43.3 us over 10 alternated pairs.
+computes d and V alone (no subgradient) into buffers it owns, reading
+the kept term values g(x) (``term_vals``) instead of computing lam |x|.
+It shares its arithmetic with ``prox_steps``, whose subset calls rescore
+the scatter path, and gives the same bits.  On ``lasso-prox`` (50 x 500)
+the pass over all n takes 11.5 us in its 14 ufunc calls, against
+13.2 us when it also took lam |x|, |z| and sign(y) t in 18, and a
+``gs-q`` update 28.3 against 32.5 us (``tools/kernel_times.py``,
+probe-scaled, shared 2-vCPU Xeon); with the h1 update's single gather
+of its column's A x entries (above), the benchmark's ``greedy_iter_us``
+there went from a median of 40.1 to 33.8 us over 10 alternated pairs.
 ``peek()`` answers from one of three backends, which rank identical score
 values with the same tie rule (smallest index) and so give identical
 iterate sequences:
@@ -104,7 +112,11 @@ from the full gradient, which the driver asks for once per epoch.
 The tracker owns the objective too.  ``objective()`` is F at x: the smooth
 objective, plus on a composite problem the terms' sum, kept as one running
 sum.  Every update adds its change, with the moved coordinate's term change
-(``last_obj_delta``, which the driver's descent certificate reads).  The
+(``last_obj_delta``, which ``run``'s descent certificate reads).  On a
+composite problem the tracker keeps the term values g_i(x_i) too
+(``term_vals``, n floats), rebuilt with the caches and rewritten at the
+moved coordinate before the rescore; the term change and the full prox
+pass read them.  The
 tracker refuses a starting point that is not finite or at which a term is
 infinite, and an update that would move a coordinate out of its box,
 before it changes any state.
@@ -211,7 +223,7 @@ class ProxScorer:
             eta = self.comp.min_subgradients(tracker.x, tracker.gradient, idx)
             return np.abs(eta), None
         if idx is None:
-            d, V = self._pass(tracker.x, tracker.gradient)
+            d, V = self._pass(tracker.x, tracker.gradient, tracker.term_vals)
         else:
             d, V, _ = self.comp.prox_steps(tracker.x, tracker.gradient,
                                            self.L_used, idx)
@@ -235,9 +247,6 @@ class _TrackerBase:
             raise ValueError("a lean tracker keeps no scores")
         smooth = getattr(problem, "smooth", problem)
         self.composite = None if smooth is problem else problem
-        # whether an update must check that it stays in a box
-        self._boxed = (self.composite is not None
-                       and bool((problem.gkind == BOX).any()))
         self.problem = smooth
         self.n = smooth.n
         self.x = np.array(x0, dtype=np.float64, copy=True)
@@ -257,6 +266,10 @@ class _TrackerBase:
         self.index = (BallTreeIndex(smooth, mode="gsl") if backend == "nns"
                       else None)
         self.scorer = s = None if self.index is not None else scorer
+        if isinstance(s, ProxScorer) and self.composite is None:
+            # its full pass reads the term values a composite tracker keeps
+            raise ValueError("prox scores need a tracker over the "
+                             "composite problem")
         # the scorer's own keys are the stopping test's when they are |grad|
         # on a smooth problem, or |d| under the step curvature on a
         # composite one
@@ -277,11 +290,15 @@ class _TrackerBase:
     def _rebuild(self):
         """Rebuild the caches, scores and keys from x.  The objective is
         F's: on a composite problem the terms' sum at x, which this returns
-        (0 on a smooth one), joins the smooth part's."""
+        (0 on a smooth one), joins the smooth part's, and the term values
+        g_i(x_i) it sums are kept (``term_vals``; None on a smooth
+        problem)."""
         self._rebuild_caches()
         g_sum = 0.0
+        self.term_vals = None
         if self.composite is not None:
-            g_sum = float(self.composite.g_values(self.x).sum())
+            self.term_vals = self.composite.g_values(self.x)
+            g_sum = float(self.term_vals.sum())
             self._obj += g_sum
         self._init_scores()
         return g_sum
@@ -306,7 +323,7 @@ class _TrackerBase:
         if self.composite is None:
             return np.abs(g if idx is None else g[idx])
         if idx is None:
-            return np.abs(self._step_pass(self.x, g)[0])
+            return np.abs(self._step_pass(self.x, g, self.term_vals)[0])
         return np.abs(self.composite.prox_steps(self.x, g, self.L_step,
                                                 idx)[0])
 
@@ -389,28 +406,33 @@ class _TrackerBase:
         return self.keys.item(self.keys.argmax())
 
     def _move(self, i, delta):
-        """(x_i, x_i + delta) for an update of coordinate i, which it
-        refuses before any state changes if i is out of range or the move
-        leaves i's box (where F would be infinite)."""
+        """(x_i, x_i + delta, the term change or None on a smooth problem)
+        for an update of coordinate i, which it refuses before any state
+        changes if i is out of range or the move leaves i's box (where F
+        would be infinite).  On a composite problem it writes the new term
+        value into ``term_vals``, which the rescore's prox pass reads."""
         if not 0 <= i < self.n:
             raise IndexError(f"coordinate {i} out of range")
         old_xi = self.x.item(i)
         new_xi = old_xi + delta
-        if self._boxed:
-            term = self.composite.terms[i]
-            if term.kind == BOX and not term.p1 <= new_xi <= term.p2:
-                raise ValueError(f"moving coordinate {i} to {new_xi!r} "
-                                 f"leaves its box [{term.p1}, {term.p2}]")
-        return old_xi, new_xi
+        if self.composite is None:
+            return old_xi, new_xi, None
+        term = self.composite.terms[i]
+        if term.kind == BOX and not term.p1 <= new_xi <= term.p2:
+            raise ValueError(f"moving coordinate {i} to {new_xi!r} "
+                             f"leaves its box [{term.p1}, {term.p2}]")
+        value = term_value(term, new_xi)
+        dterm = value - self.term_vals.item(i)
+        self.term_vals[i] = value
+        return old_xi, new_xi, dterm
 
-    def _finish_update(self, i, old_xi, dobj):
+    def _finish_update(self, dobj, dterm):
         """The tail of every update: the smooth objective's change dobj,
-        plus coordinate i's term change on a composite problem, goes into
-        the objective and ``last_obj_delta``, and every ``refresh_every``-th
-        update rebuilds the caches."""
-        if self.composite is not None:
-            term = self.composite.terms[i]
-            dobj += term_value(term, self.x.item(i)) - term_value(term, old_xi)
+        plus the moved coordinate's term change dterm (from ``_move``) on a
+        composite problem, goes into the objective and ``last_obj_delta``,
+        and every ``refresh_every``-th update rebuilds the caches."""
+        if dterm is not None:
+            dobj += dterm
         self._obj += dobj
         self.last_obj_delta = dobj
         self._updates += 1
@@ -427,19 +449,19 @@ class H1Tracker(_TrackerBase):
     def _rebuild_caches(self):
         p = self.problem
         A = self.A = p.A
-        allrows = np.arange(A.shape[0])
         self.u = A.matvec(self.x)
-        self.row_g = np.asarray(p.row_grad(self.u, allrows), dtype=np.float64)
-        self.row_v = np.asarray(p.row_val(self.u, allrows), dtype=np.float64)
         lam = p.l2_reg
         self.product = not self.lean and takes_product(A)
         self.gram = self.product and takes_gram(p)
+        self.row_v, row_g = p.row_link(self.u, slice(None))
         self.gradient = (None if self.lean
-                         else A.rmatvec(self.row_g) + lam * self.x)
+                         else A.rmatvec(row_g) + lam * self.x)
+        # the Gram path keeps no row derivatives, so a stale read fails
+        self.row_g = None if self.gram else row_g
+        # whether the product path adds lam x, fixed here with the path
+        self._lam_x = lam != 0.0
         self._col = np.empty(self.n)
         if self.gram:
-            # the Gram path keeps no row derivatives, so a stale read fails
-            self.row_g = None
             self.G = p.hessian()
         self._obj = float(self.row_v.sum() + 0.5 * lam * self.x @ self.x)
 
@@ -462,16 +484,16 @@ class H1Tracker(_TrackerBase):
 
     def apply_update(self, i, delta):
         """x[i] += delta; refresh every cache entry that can change."""
-        old_xi, new_xi = self._move(i, delta)
+        old_xi, new_xi, dterm = self._move(i, delta)
         p, A = self.problem, self.A
         a, b = A.col_indptr.item(i), A.col_indptr.item(i + 1)
         rows = A.col_rows[a:b]
         delta = float(delta)
-        _kernels.col_axpy(a, b, A.col_rows, A.col_vals, delta, self.u)
+        ur = _kernels.col_axpy(a, b, A.col_rows, A.col_vals, delta, self.u)
         lam = p.l2_reg
         self.x[i] = new_xi
 
-        new_v = p.row_val(self.u, rows)
+        new_v, new_g = p.row_link(ur, rows, not self.gram)
         dobj = float(np.add.reduce(new_v - self.row_v[rows]))
         dobj += 0.5 * lam * (new_xi * new_xi - old_xi * old_xi)
         self.row_v[rows] = new_v
@@ -482,16 +504,16 @@ class H1Tracker(_TrackerBase):
             np.multiply(self.G[i], delta, out=self._col)
             np.add(g, self._col, out=g)
         elif self.product or self.lean:
-            self.row_g[rows] = p.row_grad(self.u, rows)
+            self.row_g[rows] = new_g
             if self.product:
                 # the refresh's own product, straight into the gradient,
-                # then lam x through the tracker's buffer
+                # then lam x through the tracker's buffer where lam != 0
                 _kernels.transpose_product(A.col_indptr, A.col_rows,
                                            A.col_vals, self.row_g, g)
-                np.multiply(self.x, lam, out=self._col)
-                np.add(g, self._col, out=g)
+                if self._lam_x:
+                    np.multiply(self.x, lam, out=self._col)
+                    np.add(g, self._col, out=g)
         else:
-            new_g = np.asarray(p.row_grad(self.u, rows), dtype=np.float64)
             dg = new_g - self.row_g[rows]
             self.row_g[rows] = new_g
             cols, touched_grads = _kernels.scatter_row_deltas(
@@ -507,7 +529,7 @@ class H1Tracker(_TrackerBase):
             # gathered
             heap_ops = self._rescore(None)
             touched_grads = A.col_gather.item(i)
-        self._finish_update(i, old_xi, dobj)
+        self._finish_update(dobj, dterm)
         return UpdateStats(int(rows.shape[0]), touched_grads, heap_ops)
 
 
@@ -538,7 +560,7 @@ class H2Tracker(_TrackerBase):
 
     def apply_update(self, i, delta):
         """x[i] += delta; refresh every cache entry that can change."""
-        old_xi, new_xi = self._move(i, delta)
+        _, new_xi, dterm = self._move(i, delta)
         p = self.problem
         H = p.H
         dobj = _kernels.graph_coord_update(
@@ -552,7 +574,7 @@ class H2Tracker(_TrackerBase):
         elif not self.lean:
             # rekey and rescore row i of H: i and its neighbours
             heap_ops = self._rescore(H.indices[start:stop])
-        self._finish_update(i, old_xi, dobj)
+        self._finish_update(dobj, dterm)
         # the row holds i's own diagonal entry besides its edges
         return UpdateStats(stop - start - 1, stop - start - 1, heap_ops)
 

@@ -25,6 +25,7 @@ from greedycd.descent import run
 from greedycd.linalg import SparseMatrix
 from greedycd.problems import (
     CompositeProblem,
+    GraphQuadraticProblem,
     L1Term,
     LeastSquaresProblem,
     ZeroTerm,
@@ -174,6 +175,28 @@ def test_a_refused_size_is_refused_before_the_eigenvalues(monkeypatch):
     H[0, 1] = H[1, 0] = 0.5
     with pytest.raises(ValueError, match="capped"):
         hessian_constants(H)
+
+
+def test_sparse_hessian_check_reads_the_coupling_off_the_sparse_data():
+    n = analysis.BRUTE_MAX_N + 1
+    diagonal = [
+        LeastSquaresProblem(np.diag(np.linspace(1.0, 2.0, n)), np.ones(n)),
+        GraphQuadraticProblem(n, np.zeros((0, 2)), [], node_quad=np.ones(n)),
+        # a zero-weight edge is stored, as an explicit zero
+        GraphQuadraticProblem(n, [[0, 1]], [0.0], node_quad=np.ones(n))]
+    for problem in diagonal:
+        analysis.check_sparse_hessian(problem)
+        consts = hessian_constants(problem.hessian(), problem.L_per_coord)
+        assert consts.n == n
+    A = np.eye(n)
+    A[0, 1] = 0.5
+    for problem in (
+            LeastSquaresProblem(A, np.ones(n)),
+            GraphQuadraticProblem(n, [[0, 1]], [0.5], node_quad=np.ones(n))):
+        with pytest.raises(ValueError, match="capped"):
+            analysis.check_sparse_hessian(problem)
+    # at or below the cap every Hessian passes
+    analysis.check_sparse_hessian(LeastSquaresProblem(A[:8, :8], np.ones(8)))
 
 
 def test_muL_hand_values_and_scaling_identity():

@@ -9,6 +9,7 @@ import pytest
 
 from greedycd.cli import main
 from greedycd.descent import RunTrace
+from greedycd.problems import GraphQuadraticProblem, LeastSquaresProblem
 
 GEN = ["gen", "--problem", "sparse_ls", "--m", "30", "--n", "20",
        "--seed", "1"]
@@ -159,6 +160,20 @@ def test_bounds_rejects_composite(capsys):
 def test_bounds_brute_force_cap(capsys):
     assert main(["bounds", "--problem", "sparse_ls", "--m", "20",
                  "--n", "12"]) == 1
+    assert "capped" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("problem", [
+    ["--problem", "two_moons", "--n", "300"],
+    ["--problem", "sparse_ls", "--m", "20", "--n", "12"]])
+def test_bounds_refuses_before_the_dense_hessian(monkeypatch, capsys,
+                                                 problem):
+    def refused(self):
+        raise AssertionError("built the dense Hessian of a refused size")
+
+    monkeypatch.setattr(GraphQuadraticProblem, "hessian", refused)
+    monkeypatch.setattr(LeastSquaresProblem, "hessian", refused)
+    assert main(["bounds"] + problem) == 1
     assert "capped" in capsys.readouterr().err
 
 

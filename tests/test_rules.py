@@ -46,6 +46,26 @@ def test_uniform_is_inverse_cdf_of_one_draw_each():
     assert abs(counts - 3000 / 7).max() < 5 * np.sqrt(3000 / 7)
 
 
+@pytest.mark.parametrize("name", ["uniform", "lipschitz"])
+def test_block_draws_pick_what_scalar_draws_pick(name):
+    # 1000 picks cross several blocks of DRAW_BLOCK uniforms
+    for n in (1, 7, 300):
+        prob = diag_ls(np.linspace(0.5, 2.0, n), np.zeros(n))
+        for seed in range(4):
+            rule = make_rule(name)
+            rule.prepare(prob, rng=np.random.default_rng(seed))
+            picks = [rule.select(None, k)[0] for k in range(1000)]
+            rng = np.random.default_rng(seed)
+            if name == "uniform":
+                scalar = [min(int(rng.random() * n), n - 1)
+                          for _ in range(1000)]
+            else:
+                scalar = [int(rule.cum.searchsorted(rng.random(),
+                                                    side="right"))
+                          for _ in range(1000)]
+            assert picks == scalar
+
+
 def test_cyclic_wraps_around():
     prob = diag_ls([1.0] * 4, np.zeros(4))
     rule = make_rule("cyclic")

@@ -16,7 +16,7 @@ from greedycd.nns import BallTreeIndex
 from greedycd.problems import (BOX, BoxTerm, CompositeProblem,
                                GraphQuadraticProblem, L1Term,
                                LeastSquaresProblem, LogisticProblem,
-                               ProxPass, ZeroTerm)
+                               ProxPass, ZeroTerm, safe_curvature)
 from greedycd.rules import RULE_NAMES, ProxWorkRule, make_rule
 from greedycd.tracker import (KAPPA, GradScorer, H1Tracker, H2Tracker,
                               ProxScorer, _TrackerBase, make_tracker,
@@ -181,7 +181,7 @@ class TestH1Tracker:
             ("q", lambda d, V, eta: -V),
             ("s", lambda d, V, eta: np.abs(eta)),
         ]:
-            tr = H1Tracker(ls, rng.standard_normal(6),
+            tr = H1Tracker(comp, rng.standard_normal(6),
                            ProxScorer(comp, ls.L, mode))
             for _ in range(60):
                 tr.apply_update(int(rng.integers(6)), float(rng.standard_normal()))
@@ -191,6 +191,12 @@ class TestH1Tracker:
                 assert np.allclose(np.sort(tr.scores), np.sort(oracle(d, V, eta)),
                                    rtol=1e-9, atol=1e-12)
                 assert_peek_near_max(tr)
+
+    def test_prox_scores_need_the_composite_problem(self):
+        ls = LeastSquaresProblem(np.eye(2), np.zeros(2))
+        comp = CompositeProblem(ls, L1Term(0.4))
+        with pytest.raises(ValueError, match="composite problem"):
+            H1Tracker(ls, np.zeros(2), ProxScorer(comp, ls.L, "q"))
 
     def test_backend_validation(self):
         p = LeastSquaresProblem(np.eye(2), np.zeros(2))
@@ -529,8 +535,9 @@ class TestEagerTracker:
 
         def check():
             u = dense @ tr.x
-            grad = dense.T @ p.row_grad(u, allrows) + lam * tr.x
-            obj = p.row_val(u, allrows).sum() + 0.5 * lam * tr.x @ tr.x
+            row_v, row_g = p.row_link(u, allrows)
+            grad = dense.T @ row_g + lam * tr.x
+            obj = row_v.sum() + 0.5 * lam * tr.x @ tr.x
             assert np.allclose(tr.gradient, grad, rtol=0, atol=1e-12 * scale)
             assert abs(tr.objective() - obj) <= 1e-12 * scale
             w = 1.0 if weights is None else weights
@@ -595,7 +602,7 @@ class TestUpdatePath:
 
         def check():
             u = dense @ tr.x
-            row_g = p.row_grad(u, allrows)
+            row_g = p.row_link(u, allrows)[1]
             grad = dense.T @ row_g + p.l2_reg * tr.x
             # each sum's rounding is bounded by the sum of its |terms|, and
             # u's by |A| |x| (+ |b| <= 2, or a logistic row_g <= 1)
@@ -743,9 +750,16 @@ class TestGramPath:
         def refused(*args, **kwargs):
             raise AssertionError("the Gram path renews no A^T grad_link")
 
+        link = LeastSquaresProblem.row_link
+
+        def values_only(self, ur, rows, ders=True):
+            if ders:
+                refused()
+            return link(self, ur, rows, ders)
+
         monkeypatch.setattr(_kernels, "transpose_product", refused)
         monkeypatch.setattr(_kernels, "scatter_row_deltas", refused)
-        monkeypatch.setattr(LeastSquaresProblem, "row_grad", refused)
+        monkeypatch.setattr(LeastSquaresProblem, "row_link", values_only)
         for i in (0, 3, 3, 1):
             tr.apply_update(i, 0.25)
         assert np.allclose(tr.gradient, dense.T @ (dense @ tr.x - p.b)
@@ -929,6 +943,40 @@ class TestResidualKeys:
         check()
 
 
+class TestTermValues:
+    """A tracker over a composite problem keeps the term values g_i(x_i)
+    that its objective sums and its full prox pass reads."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_kept_term_values_are_the_problems_after_every_change(self, data):
+        problem, tr, _, bounds = draw_run_tracker(data)
+        if tr.composite is None:
+            assert tr.term_vals is None
+            return
+
+        def check():
+            assert tr.term_vals.tobytes() == problem.g_values(tr.x).tobytes()
+
+        check()
+        for _ in range(data.draw(st.integers(0, 8), label="moves")):
+            i = data.draw(st.integers(0, tr.n - 1), label="i")
+            lo, hi = bounds[i]
+            term = problem.terms[i]
+            xi = tr.x.item(i)
+            delta = data.draw(st.floats(-2.0, 2.0), label="delta")
+            if term.kind == BOX and not term.p1 <= xi + delta <= term.p2:
+                # a refused move leaves the values as they were
+                with pytest.raises(ValueError, match="leaves its box"):
+                    tr.apply_update(i, delta)
+            else:
+                tr.apply_update(i, delta)
+            check()
+            if data.draw(st.booleans(), label="refresh"):
+                tr.refresh()
+                check()
+
+
 class TestTrackedObjective:
     """``objective()`` is F = f + sum_i g_i at the tracker's iterate, one
     running sum across updates and refreshes, against the problem's own
@@ -1005,9 +1053,9 @@ def count_prox_passes(monkeypatch):
     prox = ProxPass.__call__
     residual = _TrackerBase.grad_inf_norm
 
-    def counted(self, x, grad):
+    def counted(self, x, grad, gx):
         passes.append((len(x), bool(testing)))
-        return prox(self, x, grad)
+        return prox(self, x, grad, gx)
 
     def tested(self):
         testing.append(1)
@@ -1090,10 +1138,45 @@ class TestProxResidualKeys:
         assert passes == [(6, True)] * 3
 
 
+def into_boxes(comp, x):
+    """x with every box coordinate clamped into its box, where the term
+    values a tracker keeps are finite."""
+    return np.where(comp.gkind == BOX, np.clip(x, comp.p1, comp.p2), x)
+
+
+class TestProductPathGradient:
+    """With l2_reg = 0 the product path adds no lam x: the gradient is the
+    compiled product of the row derivatives itself."""
+
+    @pytest.mark.parametrize("logistic", [False, True])
+    @pytest.mark.parametrize("composite", [False, True])
+    def test_gradient_is_the_transpose_product_bit_for_bit(self, logistic,
+                                                          composite):
+        rng = np.random.default_rng(23)
+        A, _ = random_sparse(rng, 6, 14, density=0.6)
+        if logistic:
+            smooth = LogisticProblem(A, np.where(rng.random(6) < 0.5, -1, 1))
+        else:
+            smooth = LeastSquaresProblem(A, rng.standard_normal(6))
+        problem = (CompositeProblem(smooth, L1Term(0.3)) if composite
+                   else smooth)
+        scorer = (ProxScorer(problem, smooth.L, "q") if composite
+                  else GradScorer())
+        tr = make_tracker(problem, rng.uniform(-1.0, 1.0, 14), scorer)
+        assert tr.product and not tr.gram
+        expected = np.empty(14)
+        for _ in range(30):
+            tr.apply_update(int(rng.integers(14)), float(rng.normal()))
+            _kernels.transpose_product(A.col_indptr, A.col_rows, A.col_vals,
+                                       tr.row_g, expected)
+            assert tr.gradient.tobytes() == expected.tobytes()
+
+
 class TestFullProxPass:
     """The product path rescores every coordinate by one full-vector prox
-    pass (``ProxPass`` over all n, built once per curvature), which must
-    give the bits of ``prox_steps`` over ``np.arange(n)``."""
+    pass (``ProxPass`` over all n, built once per curvature) that reads the
+    tracker's term values, which must give the bits of ``prox_steps`` over
+    ``np.arange(n)``."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -1104,7 +1187,8 @@ class TestFullProxPass:
         # signed zeros, extreme magnitudes and anything finite; the
         # curvature is scalar or per coordinate, with L_i = 0 among them
         vec = st.lists(EXTREME_FLOATS, min_size=n, max_size=n)
-        x = np.array(data.draw(vec, label="x"), dtype=np.float64)
+        x = into_boxes(comp, np.array(data.draw(vec, label="x"),
+                                      dtype=np.float64))
         g = np.array(data.draw(vec, label="grad"), dtype=np.float64)
         curvature = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
                               st.floats(0.0, 4.0))
@@ -1114,10 +1198,11 @@ class TestFullProxPass:
             L = np.array(data.draw(st.lists(curvature, min_size=n,
                                             max_size=n), label="L"))
         every = np.arange(n)
-        point = SimpleNamespace(x=x, gradient=g)
+        gx = comp.g_values(x)
+        point = SimpleNamespace(x=x, gradient=g, term_vals=gx)
         with np.errstate(all="ignore"):  # extreme values overflow
             d, V, _ = comp.prox_steps(x, g, L, every)
-            pd, pV = ProxPass(comp, L)(x, g)
+            pd, pV = ProxPass(comp, L)(x, g, gx)
             # the scorer's full call against its call over every index:
             # the scores and the keys it hands the stopping test
             scored = [(ProxScorer(comp, L, mode).compute(point, None),
@@ -1218,6 +1303,31 @@ class TestFullProxPass:
                 tr.apply_update(1, -1.0)
                 assert np.isfinite(tr.objective())
 
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_full_pass_equals_prox_steps_and_coord_step_at_signed_zeros(
+            self, data):
+        # x = -0 with grad = +0 gives y = -0, where copysign keeps the
+        # sign that sign(y) t dropped
+        n = data.draw(st.integers(1, 8), label="n")
+        comp = CompositeProblem(LeastSquaresProblem(np.eye(n), np.zeros(n)),
+                                [draw_term(data) for _ in range(n)])
+        vec = st.lists(st.sampled_from([-0.0, 0.0, 0.25, -0.75, 2.0]),
+                       min_size=n, max_size=n)
+        x = into_boxes(comp, np.array(data.draw(vec, label="x")))
+        g = np.array(data.draw(vec, label="grad"))
+        L = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                        min_size=n, max_size=n), label="L"))
+        d, V = ProxPass(comp, L)(x, g, comp.g_values(x))
+        L_safe = safe_curvature(L)
+        for i in range(n):
+            di, Vi, _ = comp.prox_steps(x, g, L, np.array([i]))
+            cd, cV = comp.coord_step(i, x.item(i), g.item(i), L_safe.item(i))
+            for got in (di, np.array([cd])):
+                assert got.tobytes() == d[i:i + 1].tobytes()
+            for got in (Vi, np.array([cV])):
+                assert got.tobytes() == V[i:i + 1].tobytes()
 
 class TestBackendEquivalence:
     def run_greedy(self, backend, problem, x0, steps=80):

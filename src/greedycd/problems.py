@@ -10,7 +10,21 @@ Composite problems add a separable term g_i per coordinate, one of
 lam*|x_i|, a box indicator, or zero, together with proximal steps, the
 model decrease V_i, and minimal subgradients.  Constructors reject NaN and
 infinite data (a box may still end at -inf or +inf).
+
+A problem keeps what depends on it alone (``KeptConstants.kept``): built
+on first use, then shared read-only by every later run and tracker, so a
+run's set-up pays only for what its x0 changes.  A smooth problem keeps
+its two step curvatures (``curvature``: L_i, and L at every coordinate),
+the ``gsl`` weights 1/sqrt(L_i), the Lipschitz sampling CDF and, for
+least squares, the dense Hessian; a composite problem keeps one
+full-vector ``ProxPass`` per kept curvature (``full_pass``).  The arrays
+they derive from, ``L_per_coord`` and the term arrays ``gkind``, ``p1``,
+``p2`` and the l1 weights, are read-only like ``SparseMatrix``'s, and so
+is every kept array, so a stale constant cannot come about silently: a
+write raises.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse
@@ -64,6 +78,39 @@ def term_value(term, v):
     return 0.0
 
 
+def read_only(a):
+    """The array a, made read-only (a kept constant, or one that kept
+    constants derive from)."""
+    a.flags.writeable = False
+    return a
+
+
+class KeptConstants:
+    """A problem's constants that depend on it alone: each is built by its
+    first caller and kept for every later one (``kept``)."""
+
+    def kept(self, key, build):
+        """The constant ``key``, from ``build()`` the first time it is
+        asked for (a build that raises keeps nothing)."""
+        kept = self.__dict__.setdefault("_kept", {})
+        value = kept.get(key)
+        if value is None:
+            value = kept[key] = build()
+        return value
+
+
+class Curvature(NamedTuple):
+    """One step curvature over the n coordinates, as a smooth problem keeps
+    it (``SmoothProblem.curvature``): ``L``, the curvature made safe
+    (``safe_curvature``), a read-only array; ``steps``, its entries as
+    Python floats; and ``positive``, whether each raw entry is > 0.  The
+    tuples serve the driver's scalar step."""
+
+    L: np.ndarray
+    steps: tuple
+    positive: tuple
+
+
 def safe_curvature(L):
     """The curvature a coordinate step divides by: L with every entry that
     is not positive (the L_i = 0 of an empty column) read as 1.  A scalar
@@ -91,15 +138,15 @@ def prox_coordinate(term, L, y):
     return term.p2 if z >= term.p2 else z
 
 
-class SmoothProblem:
+class SmoothProblem(KeptConstants):
     """Interface shared by the smooth objectives.
 
     Subclasses set ``n``, ``L_per_coord`` (positive where the coordinate
-    matters), and ``is_quadratic``, and implement ``eval``, ``full_grad``
-    and, unless quadratic (L_i = H_ii makes the 1/L_i step exact),
-    ``exact_coord_min(x, i, u)`` from u = A x.  ``L1``, the Lipschitz
-    constant of the gradient in the 1-norm, is only available for
-    quadratics (max |H_ij|) and is None otherwise.
+    matters, read-only), and ``is_quadratic``, and implement ``eval``,
+    ``full_grad`` and, unless quadratic (L_i = H_ii makes the 1/L_i step
+    exact), ``exact_coord_min(x, i, u)`` from u = A x.  ``L1``, the
+    Lipschitz constant of the gradient in the 1-norm, is only available
+    for quadratics (max |H_ij|) and is None otherwise.
     """
 
     is_quadratic = False
@@ -108,6 +155,31 @@ class SmoothProblem:
     @property
     def L(self):
         return float(self.L_per_coord.max())
+
+    def curvature(self, per_coord):
+        """The kept ``Curvature`` of a coordinate step: L_i (``per_coord``)
+        or the global L at every coordinate (the same bits a scalar L
+        gives wherever it is spread over the coordinates)."""
+        def build():
+            raw = self.L_per_coord if per_coord else np.full(self.n, self.L)
+            L = read_only(safe_curvature(raw))
+            return Curvature(L, tuple(L.tolist()), tuple((raw > 0).tolist()))
+        return self.kept(("curvature", per_coord), build)
+
+    def kept_curvature(self, L):
+        """Which kept curvature (``curvature``'s ``per_coord``) the array L
+        is, by identity; None for any other L."""
+        kept = self.__dict__.get("_kept", {})
+        for per_coord in (False, True):
+            c = kept.get(("curvature", per_coord))
+            if c is not None and c.L is L:
+                return per_coord
+        return None
+
+    def safe_step_curvature(self, L):
+        """safe_curvature(L), without a new array when L is a kept
+        curvature already (``kept_curvature``)."""
+        return L if self.kept_curvature(L) is not None else safe_curvature(L)
 
 
 class LeastSquaresProblem(SmoothProblem):
@@ -137,8 +209,8 @@ class LeastSquaresProblem(SmoothProblem):
         self.l2_reg = float(l2_reg)
         self.scale = float(scale)
         self.n = A.shape[1]
-        self.L_per_coord = 2.0 * self.scale * column_sq_norms(A) + self.l2_reg
-        self._hess = None
+        self.L_per_coord = read_only(2.0 * self.scale * column_sq_norms(A)
+                                     + self.l2_reg)
         self._L1 = None
 
     def eval(self, x):
@@ -150,8 +222,8 @@ class LeastSquaresProblem(SmoothProblem):
         return 2.0 * self.scale * self.A.rmatvec(r) + self.l2_reg * x
 
     def hessian(self):
-        """Dense Hessian 2*scale*A^T A + l2_reg*I, built once and cached (one
-        copy, shared with the tracker's Gram path: do not modify).  One
+        """Dense Hessian 2*scale*A^T A + l2_reg*I, built once and kept
+        read-only (one copy, shared with the tracker's Gram path).  One
         compiled sparse-dense product, A^T times A held dense: entry (i, j)
         sums the products A_ki A_kj in row order k, whichever side of the
         diagonal it is on, so H equals its transpose.  On ``sparse_ls``
@@ -160,12 +232,12 @@ class LeastSquaresProblem(SmoothProblem):
         threads, which spin for about 50 ms after the call and slow the
         code that runs next on a 2-vCPU machine (perfbench's manifest
         round trip, by a fifth).  Intended for small n."""
-        if self._hess is None:
+        def build():
             H = self.A.to_scipy_csc().T @ self.A.to_dense()
             H *= 2.0 * self.scale
             H[np.diag_indices_from(H)] += self.l2_reg
-            self._hess = H
-        return self._hess
+            return read_only(H)
+        return self.kept("hessian", build)
 
     @property
     def L1(self):
@@ -211,7 +283,8 @@ class LogisticProblem(SmoothProblem):
         self.l2_reg = float(l2_reg)
         self.n = A.shape[1]
         self.m = A.shape[0]
-        self.L_per_coord = (0.25 / self.m) * column_sq_norms(A) + self.l2_reg
+        self.L_per_coord = read_only((0.25 / self.m) * column_sq_norms(A)
+                                     + self.l2_reg)
 
     def eval(self, x):
         u = self.A.matvec(x)
@@ -376,8 +449,8 @@ class GraphQuadraticProblem(SmoothProblem):
         heads = np.concatenate([edges[:, 0], edges[:, 1]])
         tails = np.concatenate([edges[:, 1], edges[:, 0]])
         wdir = np.concatenate([weights, weights])
-        self.L_per_coord = self.node_quad + np.bincount(heads, wdir,
-                                                        minlength=n)
+        self.L_per_coord = read_only(
+            self.node_quad + np.bincount(heads, wdir, minlength=n))
         # the conversion from triplets keeps the diagonal's explicit zeros
         self.H = scipy.sparse.csr_matrix(
             (np.concatenate([self.L_per_coord, -wdir]),
@@ -427,11 +500,19 @@ class GraphQuadraticProblem(SmoothProblem):
         return prob, free
 
     def eval(self, x):
-        quad = 0.5 * float(x @ (self.H @ x))
-        return quad - float(self.node_lin @ x) + self.const
+        return self._value(x, self.H @ x)
+
+    def _value(self, x, Hx):
+        return 0.5 * float(x @ Hx) - float(self.node_lin @ x) + self.const
 
     def full_grad(self, x):
         return self.H @ x - self.node_lin
+
+    def value_and_grad(self, x):
+        """(``eval(x)``, ``full_grad(x)``), the same bits, from one product
+        H x."""
+        Hx = self.H @ x
+        return self._value(x, Hx), Hx - self.node_lin
 
     def hessian(self):
         return self.H.toarray()
@@ -440,10 +521,12 @@ class GraphQuadraticProblem(SmoothProblem):
     def L1(self):
         return self._L1
 
-class CompositeProblem:
+class CompositeProblem(KeptConstants):
     """F(x) = smooth.eval(x) + sum_i g_i(x_i), g_i separable and convex.
 
     ``terms`` is one term applied to every coordinate, or a length-n list.
+    The term arrays (kinds ``gkind``, parameters ``p1`` and ``p2``, and the
+    masks and l1 weights derived from them) are read-only.
     """
 
     def __init__(self, smooth, terms):
@@ -454,15 +537,16 @@ class CompositeProblem:
         if len(terms) != n:
             raise ValueError("need one separable term per coordinate")
         self.terms = list(terms)
-        self.gkind = np.array([t.kind for t in self.terms], dtype=np.int8)
-        self.p1 = np.array([t.p1 for t in self.terms])
-        self.p2 = np.array([t.p2 for t in self.terms])
+        self.gkind = read_only(np.array([t.kind for t in self.terms],
+                                        dtype=np.int8))
+        self.p1 = read_only(np.array([t.p1 for t in self.terms]))
+        self.p2 = read_only(np.array([t.p2 for t in self.terms]))
         self.n = n
         # built once rather than on every prox or subgradient call: the
         # term masks, the l1 weights and whether any term is a box
-        self._abs = self.gkind == ABS
-        self._box = self.gkind == BOX
-        self._l1w = np.where(self._abs, self.p1, 0.0)
+        self._abs = read_only(self.gkind == ABS)
+        self._box = read_only(self.gkind == BOX)
+        self._l1w = read_only(np.where(self._abs, self.p1, 0.0))
         self._any_box = bool(self._box.any())
 
     @property
@@ -473,12 +557,24 @@ class CompositeProblem:
     def L(self):
         return self.smooth.L
 
+    def full_pass(self, L):
+        """A ``ProxPass`` over every coordinate under the safe curvature L:
+        kept when L is a curvature the smooth part keeps
+        (``kept_curvature``), built afresh for any other L.  Callers may
+        share a kept pass, since its buffers hold nothing from one call to
+        the next."""
+        per_coord = self.smooth.kept_curvature(L)
+        if per_coord is None:
+            return ProxPass(self, L)
+        return self.kept(("pass", per_coord), lambda: ProxPass(self, L))
+
     def g_values(self, x):
+        # lam |x_i| on the l1 terms alone, in one call with no index
+        # gathers, and inf outside a box, where there is a box
         out = np.zeros(self.n)
-        a = self._abs
-        out[a] = self.p1[a] * np.abs(x[a])
-        bad = self._box & ((x < self.p1) | (x > self.p2))
-        out[bad] = np.inf
+        np.multiply(self.p1, np.abs(x), out=out, where=self._abs)
+        if self._any_box:
+            out[self._box & ((x < self.p1) | (x > self.p2))] = np.inf
         return out
 
     def eval(self, x):
@@ -556,10 +652,23 @@ class ProxPass:
     lam |x| (a tracker keeps them, rewriting one entry per update), and
     pays for 14 ufunc calls of the formula's arithmetic, written into
     buffers the pass owns, so it overwrites the arrays the previous call
-    returned.  On ``lasso-prox`` (50 x 500) a pass over all n takes 11.5
-    us against 13.2 us for the 18 calls that also took lam |x|, |z| and
-    sign(y) t (``tools/kernel_times.py``, probe-scaled, medians of four
-    alternated runs per checkout, shared 2-vCPU Xeon).
+    returned: no caller may keep d or V past the next call.  A pass over
+    every coordinate can then be kept per problem and curvature
+    (``CompositeProblem.full_pass``) and shared by every tracker on it;
+    its constants are read-only.  On ``lasso-prox`` (50 x 500) a pass
+    over all n took 11.5 us against 13.2 us for the 18 calls that also
+    took lam |x|, |z| and sign(y) t (``tools/kernel_times.py``,
+    probe-scaled, medians of four alternated runs per checkout, shared
+    2-vCPU Xeon).  Its buffers are four arrays with their views made
+    once, and only two of the 14 calls write into one of their own
+    operands, where seven did: numpy 2.4 takes about 0.9 us for such a
+    call on a one-element array against 0.45 us into another buffer
+    (``timeit``), which a subset of one coordinate, the rescore of an
+    identity-like column, paid seven times.  Against the seven in-place
+    calls over views made per call, a pass over all n of ``lasso-prox``
+    takes 8.6-9.2 us instead of 10.8-10.9 us, and over one coordinate
+    8.4-8.6 us instead of 13.1-14.1 us (probe-scaled, both alternated in
+    one process).
     """
 
     def __init__(self, composite, L_used, idx=None):
@@ -581,37 +690,47 @@ class ProxPass:
                 self.box = np.flatnonzero(box)
                 self.lo = composite.p1[at][box]
                 self.hi = composite.p2[at][box]
-        self._buf = np.empty((4, k))
+        if idx is None:
+            # a pass over every coordinate may be kept; a subset's pass is
+            # one call's, and marking costs 0.4 us an array
+            for name in ("L", "half", "thr", "zero", "box", "lo", "hi"):
+                if getattr(self, name, None) is not None:
+                    read_only(getattr(self, name))
+        # the six roles of the formula in four buffers: z takes a's once a
+        # is spent and v takes y's, so only the sums z + v and a + y
+        # write into an operand
+        buf = np.empty((4, k))
+        self._buf = (buf[0], buf[1], buf[2], buf[0], buf[3], buf[1])
 
     def __call__(self, x, grad, gx):
         """(d, V) at x and grad, given the term values gx = g(x), all three
         already restricted to the pass's coordinates."""
-        d, V, z, t = self._buf
-        # y = x - grad/L, held in d's buffer until d replaces it
-        y = np.divide(grad, self.L, out=d)
-        np.subtract(x, y, out=y)
+        a, y, t, z, d, v = self._buf
+        # y = x - grad/L
+        np.divide(grad, self.L, out=a)
+        np.subtract(x, a, out=y)
         # soft-threshold every entry (a box is clamped below): off the l1
         # terms lam = 0, so the threshold is 0 and sign(y) max(|y|, 0) is
         # y, except that y = -0 gives -0 or +0, and y = -0 only where
         # x = -0, so d = z - x is +0 either way; so no pick of y there is
         # needed for finite x and grad
         np.abs(y, out=t)
-        np.subtract(t, self.thr, out=t)
-        np.maximum(t, self.zero, out=t)
+        np.subtract(t, self.thr, out=a)
+        np.maximum(a, self.zero, out=t)
         np.copysign(t, y, out=z)
         if self.box is not None:
             z[self.box] = np.clip(y[self.box], self.lo, self.hi)
         np.subtract(z, x, out=d)
         # V = ((grad d + (L/2) d d) + lam |z|) - g(x), in this order; off
         # the boxes |z| is t, and on them lam = 0, so lam |z| is lam t
-        np.multiply(self.half, d, out=V)
-        np.multiply(V, d, out=V)
+        np.multiply(self.half, d, out=a)
+        np.multiply(a, d, out=v)
         np.multiply(grad, d, out=z)
-        np.add(z, V, out=V)
-        np.multiply(self.lam, t, out=t)
-        np.add(V, t, out=V)
-        np.subtract(V, gx, out=V)
-        return d, V
+        np.add(z, v, out=a)
+        np.multiply(self.lam, t, out=y)
+        np.add(a, y, out=v)
+        np.subtract(v, gx, out=z)
+        return d, z
 
 
 def quadratic_problem(H, b):

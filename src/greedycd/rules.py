@@ -1,9 +1,13 @@
 """Coordinate selection rules.
 
 A rule is prepared once per run (binding it to the problem and, for the
-stochastic ones, to a PRNG stream) and then asked for a coordinate each
-iteration.  ``select`` returns ``(i, alpha)`` where alpha is None unless the
-rule itself determines the step (maximum improvement does).  Greedy rules
+stochastic ones, to a PRNG stream made from the run's seed; a greedy rule
+makes no stream) and then asked for a coordinate each iteration.  What a
+rule derives from the problem alone (the ``gsl`` weights, the Lipschitz
+CDF, the prox scores' curvature) the problem keeps
+(``problems.KeptConstants``), so only the first run on it builds that.
+``select`` returns ``(i, alpha)`` where alpha is None unless the rule
+itself determines the step (maximum improvement does).  Greedy rules
 read the tracker's maintained scores via ``peek``; uniform, cyclic and
 Lipschitz selection never touch the gradient and say so with
 ``reads_gradient = False``, which lets ``descent.run`` use a lean
@@ -22,7 +26,7 @@ Xeon).
 
 import numpy as np
 
-from .problems import CompositeProblem, safe_curvature
+from .problems import CompositeProblem, read_only
 from .tracker import GradScorer, ProxScorer
 
 # uniforms drawn per call of the generator (``uniform_draws``)
@@ -32,7 +36,8 @@ DRAW_BLOCK = 256
 def uniform_draws(rng):
     """The uniforms of successive ``rng.random()`` calls, drawn
     DRAW_BLOCK at a time.  The rules pass ``np.random.default_rng(rng)``,
-    which is the Generator itself when ``rng`` is one, and a fresh one
+    which is the Generator itself when ``rng`` is one, a new one seeded by
+    ``rng`` when it is a seed (an int or a SeedSequence), and a fresh one
     for None."""
     while True:
         yield from rng.random(DRAW_BLOCK).tolist()
@@ -86,7 +91,7 @@ def max_improvement_select(x, problem):
             d, V, _ = problem.prox_steps(x, g, L)
             new, dec = x + d, -V
         else:
-            L_safe = safe_curvature(L)
+            L_safe = smooth.curvature(True).L
             new = np.where(L > 0, x - g / L_safe, x)
             dec = np.where(L > 0, g * g / (2.0 * L_safe), 0.0)
         i = int(np.argmax(dec))
@@ -157,16 +162,24 @@ class LipschitzRule(Rule):
     reads_gradient = False
 
     def prepare(self, problem, rng=None):
-        L = np.asarray(problem.L_per_coord, dtype=np.float64)
-        total = L.sum()
-        if total <= 0:
-            raise ValueError("Lipschitz sampling needs a positive L_i")
-        self.cum = np.cumsum(L / total)
-        self.cum[-1] = 1.0
+        smooth = getattr(problem, "smooth", problem)
+        self.cum = smooth.kept("lipschitz-cdf",
+                               lambda: lipschitz_cdf(smooth.L_per_coord))
         self.draws = uniform_draws(np.random.default_rng(rng))
 
     def select(self, tracker, k):
         return int(self.cum.searchsorted(next(self.draws), side="right")), None
+
+
+def lipschitz_cdf(L):
+    """The cumulative probabilities L_i / sum(L), ending in exactly 1,
+    read-only."""
+    total = L.sum()
+    if total <= 0:
+        raise ValueError("Lipschitz sampling needs a positive L_i")
+    cum = np.cumsum(L / total)
+    cum[-1] = 1.0
+    return read_only(cum)
 
 
 class GreedyRule(Rule):
@@ -178,8 +191,9 @@ class GreedyRule(Rule):
 
     def scorer(self, problem):
         if self.weighted:
-            w = 1.0 / np.sqrt(safe_curvature(problem.L_per_coord))
-            return GradScorer(weights=w)
+            smooth = getattr(problem, "smooth", problem)
+            return GradScorer(weights=smooth.kept("gsl-weights", lambda: (
+                read_only(1.0 / np.sqrt(smooth.curvature(True).L)))))
         return GradScorer()
 
     def select(self, tracker, k):
@@ -240,8 +254,8 @@ class ProxWorkRule(Rule):
     def scorer(self, problem):
         if not isinstance(problem, CompositeProblem):
             raise ValueError(f"rule {self.name} needs a composite problem")
-        L_used = problem.L_per_coord if self.per_coord else problem.L
-        return ProxScorer(problem, L_used, self.mode)
+        return ProxScorer(problem, problem.smooth.curvature(self.per_coord).L,
+                          self.mode)
 
     def select(self, tracker, k):
         return tracker.peek(), None

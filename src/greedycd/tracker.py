@@ -49,9 +49,10 @@ only for the entries that can change:
 On top of the gradient sits an optional score (|grad| for greedy selection,
 |grad|/sqrt(L) for its Lipschitz-weighted variant, or proximal-candidate
 scores for composite problems), recomputed only for touched coordinates.
-A prox score over every coordinate is one ``ProxPass``, built with the
-scorer: the safe curvature, L/2, the thresholds lam/L and the term kinds
-(any box?) are computed once per curvature, and each pass
+A prox score over every coordinate is one ``ProxPass``, which the
+composite problem keeps per curvature (``CompositeProblem.full_pass``):
+the safe curvature, L/2, the thresholds lam/L and the term kinds (any
+box?) are computed once per problem and curvature, and each pass
 computes d and V alone (no subgradient) into buffers it owns, reading
 the kept term values g(x) (``term_vals``) instead of computing lam |x|.
 It shares its arithmetic with ``prox_steps``, whose subset calls rescore
@@ -89,7 +90,7 @@ hands them back: for ``gs`` the keys are the score array itself, for
 ``gsl`` they are |grad| before weighting, and for the prox scores "r" and
 "q" under the step curvature they come from the same prox pass.
 Otherwise the tracker computes them over the coordinates the update
-rescores, with its own ``ProxPass`` under ``L_step`` over all n.
+rescores, with the problem's ``ProxPass`` under ``L_step`` over all n.
 ``grad_inf_norm()`` then reads the test off the top score (keys that are
 the scores) or takes the key at ``keys.argmax()``: one pass over n floats,
 but it makes no |grad| over all n entries and no prox pass of its own (and
@@ -125,6 +126,7 @@ Caches, the objective included, are rebuilt from scratch every
 ``refresh_every`` updates (default 10000) to bound float drift.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +134,7 @@ import numpy as np
 from . import _kernels
 from .linalg import IndexedMaxHeap
 from .nns import BallTreeIndex
-from .problems import BOX, ProxPass, safe_curvature, term_value
+from .problems import BOX, term_value
 
 BACKENDS = ("scan", "heap", "nns")
 
@@ -203,18 +205,21 @@ class ProxScorer:
     mode "r": |d_i| (longest prox step), mode "q": -V_i (largest model
     decrease), mode "s": |eta_i| (smallest attainable first-order residual).
     L_used is the curvature the candidates are built with (scalar or
-    per-coordinate), made safe once here (``safe_curvature``); so are the
-    constants of the full pass over every coordinate (``ProxPass``).
+    per-coordinate), made safe (``safe_curvature``) unless it is a
+    curvature the problem keeps, which is safe already; the full pass over
+    every coordinate is the problem's (``CompositeProblem.full_pass``),
+    kept with such a curvature.  A scorer holds nothing between calls, so
+    trackers may share one.
     """
 
     def __init__(self, composite, L_used, mode):
         if mode not in ("r", "q", "s"):
             raise ValueError(f"unknown prox score mode: {mode!r}")
         self.comp = composite
-        self.L_used = safe_curvature(L_used)
+        self.L_used = composite.smooth.safe_step_curvature(L_used)
         self.mode = mode
-        self._pass = None if mode == "s" else ProxPass(composite,
-                                                        self.L_used)
+        self._pass = (None if mode == "s"
+                      else composite.full_pass(self.L_used))
 
     def compute(self, tracker, idx):
         """(scores, |d| under L_used) at idx (every coordinate if None);
@@ -237,7 +242,8 @@ class _TrackerBase:
     ``_rebuild``) and ``apply_update`` (which ends in ``_finish_update``).
     ``problem`` is the smooth problem or a composite one; ``L_step``
     (default: the scorer's curvature, else L) is the curvature of a
-    composite problem's keys."""
+    composite problem's keys.  A kept curvature's prox pass is the
+    problem's own, built once and shared with every other tracker on it."""
 
     def __init__(self, problem, x0, scorer=None, backend="scan",
                  refresh_every=10000, lean=False, L_step=None):
@@ -275,16 +281,21 @@ class _TrackerBase:
         # composite one
         self._shared_keys = isinstance(s, GradScorer)
         if self.composite is not None:
-            self.L_step = safe_curvature(
-                getattr(s, "L_used", smooth.L) if L_step is None else L_step)
+            L_used = getattr(s, "L_used", None)
+            if L_step is None:
+                L_step = (smooth.curvature(False).L if L_used is None
+                          else L_used)
+            self.L_step = smooth.safe_step_curvature(L_step)
+            # a run hands the scorer's own kept curvature, so identity
+            # decides without a pass over n
             self._shared_keys = (
                 isinstance(s, ProxScorer) and s.mode != "s"
-                and np.array_equal(*np.broadcast_arrays(s.L_used,
-                                                        self.L_step)))
+                and (L_used is self.L_step or np.array_equal(
+                    *np.broadcast_arrays(L_used, self.L_step))))
             # the keys' own full pass, when the scorer does not hand them
             self._step_pass = (None if self._shared_keys
-                               else ProxPass(problem, self.L_step))
-        if not np.isfinite(self._rebuild()):
+                               else problem.full_pass(self.L_step))
+        if not math.isfinite(self._rebuild()):
             raise ValueError("x0 is infeasible for the composite terms")
 
     def _rebuild(self):
@@ -313,7 +324,8 @@ class _TrackerBase:
         if vals is not None and self.backend == "heap":
             self.heap = IndexedMaxHeap(vals)
         elif vals is not None:
-            self._scores = np.array(vals, dtype=np.float64)
+            # a scorer's arrays are new, so the tracker keeps them
+            self._scores = vals
         # a scorer whose scores are its keys hands back one array for both
         self._keys_are_scores = keys is vals
         self.keys = self.scores if self._keys_are_scores else keys
@@ -537,9 +549,7 @@ class H2Tracker(_TrackerBase):
     """Tracker for pairwise graph-structured quadratics."""
 
     def _rebuild_caches(self):
-        p = self.problem
-        self.gradient = np.asarray(p.full_grad(self.x), dtype=np.float64)
-        self._obj = float(p.eval(self.x))
+        self._obj, self.gradient = self.problem.value_and_grad(self.x)
 
     def _init_scores(self):
         super()._init_scores()

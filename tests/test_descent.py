@@ -10,6 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import greedycd
+from greedycd import problems
 from greedycd.descent import (TRACE_COLUMNS, TRACE_HEADER, RunTrace, race,
                               run)
 from greedycd.harness import gen_experiment
@@ -24,8 +26,8 @@ from greedycd.problems import (
     ZeroTerm,
     quadratic_problem,
 )
-from greedycd.rules import make_rule
-from greedycd.tracker import H1Tracker, make_tracker
+from greedycd.rules import DRAW_BLOCK, make_rule
+from greedycd.tracker import H1Tracker, make_tracker, takes_product
 
 from helpers import FixedStepRule, one_step, random_sparse, random_spd
 
@@ -497,3 +499,90 @@ def test_race_replays_and_separates_streams():
     # deterministic rules ignore the master seed entirely
     other = race(prob, ["gs"], 30, master_seed=99, tol=0.0)
     assert first[2].same_path(other[0])
+
+
+def count_calls(monkeypatch, owner, name, calls=None):
+    """Count the calls of owner.name from now on, into ``calls`` (a new
+    list if None), one entry each; returns the list."""
+    calls = [] if calls is None else calls
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family, m, n", [("l1_underdet_ls", 20, 60),
+                                          ("sparse_ls", 30, 20),
+                                          ("two_moons", None, 40)])
+def test_a_second_run_rebuilds_nothing_the_problem_keeps(monkeypatch, family,
+                                                         m, n):
+    """Everything that depends on the problem alone is built by the first
+    run: a second one makes no prox pass and no safe curvature, on the
+    product path not even while it iterates."""
+    problem = gen_experiment(family, m=m, n=n, seed=1).problem
+    composite = isinstance(problem, CompositeProblem)
+    names = ["uniform", "lipschitz", "cyclic", "gs", "gsl", "gs-approx-mult",
+             "mi"]
+    if composite:
+        # a scatter-path update makes a one-off pass over its subset
+        assert takes_product(problem.smooth.A)
+        names += ["gs-s", "gs-r", "gs-q", "gsl-r", "gsl-q"]
+    for name in names:
+        for step in ("auto", "const", "const-coord"):
+            run(problem, name, step=step, max_iters=0, seed=0)
+            built = count_calls(monkeypatch, problems.ProxPass, "__init__")
+            safe = []
+            for module in vars(greedycd).values():
+                if hasattr(module, "safe_curvature"):
+                    count_calls(monkeypatch, module, "safe_curvature", safe)
+            run(problem, name, step=step, max_iters=0, seed=0)
+            if name != "mi":
+                # mi recomputes every step from scratch by design
+                run(problem, name, step=step, max_iters=15, tol=0.0, seed=0)
+            assert built == [] and safe == [], (name, step)
+            monkeypatch.undo()
+
+
+def test_seeded_random_rules_pick_what_block_draws_give():
+    """run(seed=s) draws the uniforms of default_rng(s), DRAW_BLOCK at a
+    time, for an int seed and for a race's spawned SeedSequence."""
+    prob = gen_experiment("sparse_ls", m=60, n=50, seed=3).problem
+    L = prob.L_per_coord
+    cum = np.cumsum(L / L.sum())
+    cum[-1] = 1.0
+    iters = 2 * DRAW_BLOCK + 40
+
+    def expected(name, seed):
+        rng = np.random.default_rng(seed)
+        u = np.concatenate([rng.random(DRAW_BLOCK) for _ in range(3)])[:iters]
+        if name == "uniform":
+            return np.minimum((u * 50).astype(int), 49).tolist()
+        return cum.searchsorted(u, side="right").tolist()
+
+    names = ["uniform", "lipschitz"]
+    for name in names:
+        trace = run(prob, name, seed=7, max_iters=iters, tol=0.0)
+        assert trace.coord[1:] == expected(name, 7)
+    streams = np.random.SeedSequence(5).spawn(len(names))
+    for name, stream, trace in zip(names, streams,
+                                   race(prob, names, iters, master_seed=5,
+                                        tol=0.0)):
+        assert trace.coord[1:] == expected(name, stream)
+
+
+def test_a_greedy_run_makes_no_generator(monkeypatch):
+    prob, _, _ = spd_problem(15)
+    comp = CompositeProblem(prob, L1Term(0.2))
+    rng_calls = count_calls(monkeypatch, np.random, "default_rng")
+    for name in ("gs", "gsl", "mi", "cyclic", "gs-approx-add"):
+        run(prob, name, seed=3, max_iters=5)
+    for name in ("gs-q", "gsl-q", "gs-s", "gs-r"):
+        run(comp, name, seed=3, max_iters=5)
+    assert rng_calls == []
+    # the counter sees the one generator a random rule makes
+    run(prob, "uniform", seed=3, max_iters=5)
+    assert rng_calls == [1]

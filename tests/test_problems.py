@@ -11,6 +11,7 @@ from greedycd.problems import (BoxTerm, CompositeProblem,
                                GraphQuadraticProblem, L1Term,
                                LeastSquaresProblem, LogisticProblem, ZeroTerm,
                                prox_coordinate, quadratic_problem)
+from greedycd.rules import make_rule
 from helpers import fold_labeled_graph_loop, one_step, random_sparse, random_spd
 
 
@@ -582,3 +583,77 @@ class TestCoordStep:
                                    float(smooth.L_per_coord[i]))
             assert d == one_step(comp, x, i).step[1]
             assert V <= 0.0
+
+
+class TestKeptConstants:
+    """What a problem keeps for every run (``KeptConstants.kept``) is built
+    once and read-only, and so are the arrays it derives from: a write
+    raises instead of leaving a stale constant behind."""
+
+    @staticmethod
+    def problems():
+        rng = np.random.default_rng(3)
+        A = random_sparse(rng, 6, 5)[0]
+        ls = LeastSquaresProblem(A, rng.standard_normal(6))
+        logistic = LogisticProblem(A, np.where(rng.random(6) < 0.5, -1, 1))
+        graph = GraphQuadraticProblem(4, [(0, 1), (1, 2), (2, 3)],
+                                      [1.0, 2.0, 0.5], node_quad=np.ones(4))
+        return ls, logistic, graph
+
+    @staticmethod
+    def assert_read_only(a):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
+        with pytest.raises(ValueError, match="read-only"):
+            a += a
+
+    def test_the_arrays_constants_derive_from_are_read_only(self):
+        ls, _, _ = problems = self.problems()
+        for p in problems:
+            self.assert_read_only(p.L_per_coord)
+        comp = CompositeProblem(ls, [L1Term(0.5), BoxTerm(-1.0, 1.0),
+                                     ZeroTerm(), L1Term(0.1), ZeroTerm()])
+        for a in (comp.gkind, comp.p1, comp.p2, comp._l1w, comp._abs,
+                  comp._box):
+            self.assert_read_only(a)
+
+    def test_kept_constants_are_built_once_and_read_only(self):
+        ls, logistic, graph = self.problems()
+        for p in (ls, logistic, graph):
+            for per_coord in (False, True):
+                c = p.curvature(per_coord)
+                assert p.curvature(per_coord) is c
+                assert p.kept_curvature(c.L) is per_coord
+                assert p.safe_step_curvature(c.L) is c.L
+                self.assert_read_only(c.L)
+                assert isinstance(c.steps, tuple)
+                assert isinstance(c.positive, tuple)
+                assert c.steps == tuple(np.where(
+                    c.L > 0, c.L, 1.0).tolist())
+            assert p.kept_curvature(p.curvature(True).L.copy()) is None
+            w = make_rule("gsl").scorer(p).w
+            assert make_rule("gsl").scorer(p).w is w
+            self.assert_read_only(w)
+            rule = make_rule("lipschitz")
+            rule.prepare(p, rng=0)
+            self.assert_read_only(rule.cum)
+        self.assert_read_only(ls.hessian())
+        comp = CompositeProblem(ls, [L1Term(0.5), BoxTerm(-1.0, 1.0),
+                                     ZeroTerm(), L1Term(0.1), ZeroTerm()])
+        for per_coord in (False, True):
+            L = ls.curvature(per_coord).L
+            step = comp.full_pass(L)
+            assert comp.full_pass(L) is step
+            for a in (step.L, step.half, step.thr, step.zero, step.lam,
+                      step.box, step.lo, step.hi):
+                self.assert_read_only(a)
+        # any other curvature gets a pass of its own
+        other = ls.curvature(True).L.copy()
+        assert comp.full_pass(other) is not comp.full_pass(other)
+
+    def test_graph_value_and_gradient_from_one_product(self):
+        _, _, graph = self.problems()
+        x = np.random.default_rng(4).standard_normal(4)
+        value, grad = graph.value_and_grad(x)
+        assert value == graph.eval(x)
+        assert grad.tobytes() == graph.full_grad(x).tobytes()

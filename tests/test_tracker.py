@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from greedycd import _kernels
 from greedycd.descent import STEP_MODES, _resolve_step, run
+from greedycd.harness import gen_experiment
 from greedycd.linalg import SparseMatrix, column_sq_norms
 from greedycd.nns import BallTreeIndex
 from greedycd.problems import (BOX, BoxTerm, CompositeProblem,
@@ -1500,3 +1501,72 @@ class TestBackendEquivalence:
         assert isinstance(make_tracker(g, np.zeros(3)), H2Tracker)
         with pytest.raises(ValueError):
             make_tracker(object(), np.zeros(2))
+
+
+class TestSharedProblemConstants:
+    """Trackers on one problem share what it keeps (its curvatures, the
+    ``gsl`` weights, its prox passes), and interleaved updates on them
+    take the same paths, bit for bit, as on separately generated copies
+    of the problem."""
+
+    @staticmethod
+    def start(problem, name):
+        """A rule and a tracker as ``run`` builds them, with the run's
+        step curvature."""
+        rule = make_rule(name)
+        rule.prepare(problem, rng=0)
+        mode = _resolve_step(problem, rule, "auto")
+        smooth = getattr(problem, "smooth", problem)
+        curvature = smooth.curvature(mode == "const-coord")
+        tr = make_tracker(problem, np.zeros(problem.n), rule.scorer(problem),
+                          lean=not rule.reads_gradient, L_step=curvature.L)
+        return rule, tr, curvature
+
+    @staticmethod
+    def step(rule, tr, curvature, k):
+        i = rule.select(tr, k)[0]
+        g = tr.grad_coord(i)
+        L_i = curvature.steps[i]
+        if tr.composite is not None:
+            alpha = tr.composite.coord_step(i, tr.x.item(i), g, L_i)[0]
+        else:
+            alpha = -g / L_i if curvature.positive[i] else 0.0
+        tr.apply_update(i, alpha)
+        return i
+
+    @staticmethod
+    def state(tr):
+        arrays = [tr.x, tr.full_gradient()]
+        if not tr.lean:
+            arrays += [tr.scores, tr.keys]
+        if tr.term_vals is not None:
+            arrays.append(tr.term_vals)
+        return [a.tobytes() for a in arrays] + [tr.objective(),
+                                                tr.grad_inf_norm()]
+
+    @pytest.mark.parametrize("family, m, n, rules", [
+        ("l1_underdet_ls", 50, 500, ("gs-q", "gsl-q")),
+        ("l1_underdet_ls", 50, 500, ("gs-s", "gs")),
+        ("l1_underdet_ls", 50, 500, ("gsl-q", "uniform")),
+        ("sparse_ls", 200, 200, ("gs", "gsl")),
+        ("two_moons", None, 300, ("gs", "gsl")),
+    ])
+    def test_interleaved_trackers_match_separate_problems(self, family, m, n,
+                                                          rules):
+        shared = gen_experiment(family, m=m, n=n, seed=2).problem
+        pairs = []
+        for name in rules:
+            alone = gen_experiment(family, m=m, n=n, seed=2).problem
+            pairs.append((self.start(shared, name), self.start(alone, name)))
+            tr = pairs[-1][0][1]
+            if tr.composite is not None:
+                # the full passes the tracker runs are the problem's own
+                for step in (tr._step_pass, getattr(tr.scorer, "_pass", None)):
+                    assert step is None or any(
+                        step is shared.full_pass(shared.smooth.curvature(c).L)
+                        for c in (False, True))
+        for k in range(60):
+            for (rule, tr, curv), (rule2, tr2, curv2) in pairs:
+                assert (self.step(rule, tr, curv, k)
+                        == self.step(rule2, tr2, curv2, k))
+                assert self.state(tr) == self.state(tr2)

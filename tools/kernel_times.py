@@ -57,6 +57,14 @@ on a lean tracker (``lean_update_us``, what uniform pays) and on the
 product path under ``gs-q`` and ``gsl-q`` scores (``gsq_update_us``,
 ``gslq_update_us``).
 
+``run_setup`` gives the cost of ``descent.run(max_iters=0)`` for each
+role of each benchmark workload (``WORKLOADS`` of perfbench's
+``workloads.py``) on instance 0: a run's set-up alone, which each run of
+the benchmark pays besides its iterations (``run_setup_us``).  The
+first run on a problem builds what the problem keeps, so one run is
+made before the timing; the roles of a workload are timed in
+alternation.
+
 The machine's speed wanders, by up to 1.6x on a shared 2-vCPU Xeon, in
 stretches of seconds, so a raw minimum cannot compare two checkouts timed
 minutes apart.  Every timed batch of ``NUMBER`` calls is therefore
@@ -76,6 +84,7 @@ kappa_between}, "graph_move": {family, n, node, degree, graph_move_us,
 lean_update_us, gs_update_us, gsl_update_us, gs_scoring_us,
 gsl_scoring_us}, "prox": {family, m, n, column, prox_pass_us,
 prox_one_us, lean_update_us, gsq_update_us, gslq_update_us},
+"run_setup": {workload: {rule[/backend]: run_setup_us}},
 "seed", "repeats", "number", "probe_ref_ns"}, where ratio is scatter_us /
 rmatvec_us.
 """
@@ -88,9 +97,12 @@ import time
 import numpy as np
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+sys.path.insert(0, os.path.join(os.path.dirname(HERE), "perfbench"))
 sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 
-from greedycd import _kernels, harness  # noqa: E402
+from workloads import WORKLOADS, rule_seed  # noqa: E402
+
+from greedycd import _kernels, descent, harness  # noqa: E402
 from greedycd.problems import ProxPass  # noqa: E402
 from greedycd.rules import make_rule  # noqa: E402
 from greedycd.tracker import (KAPPA, H1Tracker, H2Tracker,  # noqa: E402
@@ -288,11 +300,33 @@ def measure_prox():
     return out
 
 
+def measure_run_setup():
+    """{workload: {rule[/backend]: us}}: ``descent.run(max_iters=0)`` of
+    each role of each benchmark workload, on instance 0 with the role's
+    first stream, after one run that builds what the problem keeps."""
+    out = {}
+    for w in WORKLOADS.values():
+        p = harness.gen_experiment(w.family, m=w.m, n=w.n, lam=w.lam,
+                                   seed=0).problem
+        runs = {}
+        for role in w.roles:
+            label = role.rule + (f"/{role.backend}" if role.backend else "")
+            kwargs = {} if role.backend is None else {"backend": role.backend}
+            seed = rule_seed(SEED, 0, role.name, 0)
+            runs[label] = (lambda rule=role.rule, seed=seed, kwargs=kwargs:
+                           descent.run(p, rule, max_iters=0, tol=0.0,
+                                       seed=seed, **kwargs))
+            runs[label]()
+        out[w.name] = scaled_us(runs)
+    return out
+
+
 def main():
     sizes = [measure(*size) for size in SIZES]
     out = {"kappa": KAPPA, "sizes": sizes, "crossover": crossover(sizes),
            "gsq_crossover": crossover(sizes, "gsq_"),
            "graph_move": measure_graph_move(), "prox": measure_prox(),
+           "run_setup": measure_run_setup(),
            "seed": SEED, "repeats": REPEATS, "number": NUMBER,
            "probe_ref_ns": PROBE_REF_NS}
     print(json.dumps(out))

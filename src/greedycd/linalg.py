@@ -3,13 +3,15 @@
 The sparse container keeps both a compressed-column and a compressed-row
 view of the same matrix: the incremental gradient trackers walk columns (to
 update A x after a coordinate step) and rows (to push residual-gradient
-changes back into A^T grad).  Construction canonicalises through
-scipy.sparse, so duplicates are summed, explicit zeros dropped, and indices
-sorted; index arrays are int64 and values float64, as the kernels expect.
-A NaN or infinite entry is rejected there.  All six arrays are read-only
-once built: the compiled row scatter and the products ``matvec`` and
-``rmatvec`` (scipy's ``csc_matvec``/``csr_matvec`` on the CSC arrays)
-trust their indices without a bounds check.
+changes back into A^T grad).  Construction canonicalises once through a
+scipy CSR matrix, so duplicates are summed (three or more copies of one
+entry in an order scipy's index sort picks, not always the input order),
+explicit zeros dropped, and indices sorted; index arrays are int64 and
+values float64, as the kernels expect.  A NaN or infinite entry, or a sum
+of duplicates that overflows, is rejected there.  All six arrays are
+read-only once built: the compiled row scatter and the products
+``matvec`` and ``rmatvec`` (scipy's ``csc_matvec``/``csr_matvec`` on the
+CSC arrays) trust their indices without a bounds check.
 """
 
 import numpy as np
@@ -52,15 +54,15 @@ class SparseMatrix:
               "row_indptr", "row_cols", "row_vals")
 
     def __init__(self, scipy_matrix):
-        coo = scipy.sparse.coo_matrix(scipy_matrix)
-        if not np.isfinite(coo.data).all():
+        # one canonical CSR (duplicates summed, each row's indices sorted,
+        # zeros dropped), whose conversion gives sorted CSC indices; a CSR
+        # input is copied, since both steps work in place
+        csr = scipy.sparse.csr_matrix(scipy_matrix, copy=True)
+        if not np.isfinite(csr.data).all():
             raise ValueError("matrix entries must be finite")
-        coo.sum_duplicates()
-        coo.eliminate_zeros()
-        csc = coo.tocsc()
-        csc.sort_indices()
-        csr = coo.tocsr()
-        csr.sort_indices()
+        csr.sum_duplicates()
+        csr.eliminate_zeros()
+        csc = csr.tocsc()
         self.shape = csc.shape
         self.col_indptr = np.asarray(csc.indptr, dtype=np.int64)
         self.col_rows = np.asarray(csc.indices, dtype=np.int64)
@@ -87,7 +89,7 @@ class SparseMatrix:
 
     @classmethod
     def from_dense(cls, arr):
-        return cls(scipy.sparse.coo_matrix(np.asarray(arr, dtype=np.float64)))
+        return cls(np.asarray(arr, dtype=np.float64))
 
     @classmethod
     def from_coo(cls, m, n, rows, cols, vals):
@@ -137,7 +139,7 @@ class SparseMatrix:
 
     @classmethod
     def load_mtx(cls, path):
-        return cls(scipy.sparse.coo_matrix(scipy.io.mmread(str(path))))
+        return cls(scipy.io.mmread(str(path)))
 
 
 def column_sq_norms(A):

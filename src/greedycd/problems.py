@@ -593,7 +593,8 @@ class CompositeProblem(KeptConstants):
         own coordinate alone, so a call over ``idx`` returns, bit for bit,
         the entries ``idx`` of the call over all coordinates.  d and V come
         from a one-off ``ProxPass``, which a caller that needs them over
-        every coordinate at many points keeps instead.
+        every coordinate at many points keeps instead; over ``idx`` under a
+        kept curvature it gathers the kept full pass's constants.
         """
         step = ProxPass(self, L_used, idx)
         if idx is not None:
@@ -675,13 +676,22 @@ class ProxPass:
         at = slice(None) if idx is None else idx
         self.lam = composite._l1w[at]
         k = self.lam.shape[0]
-        # a scalar curvature is spread over the coordinates: the same bits
-        # as a vector of copies
-        L = np.asarray(L_used, dtype=np.float64)
-        self.L = (safe_curvature(L[at]) if L.ndim
-                  else np.full(k, safe_curvature(L)))
-        self.half = 0.5 * self.L
-        self.thr = self.lam / self.L
+        if (idx is not None
+                and composite.smooth.kept_curvature(L_used) is not None):
+            # a subset under a kept curvature gathers the kept full pass's
+            # constants: the same bits, entry by entry
+            full = composite.full_pass(L_used)
+            self.L = full.L[idx]
+            self.half = full.half[idx]
+            self.thr = full.thr[idx]
+        else:
+            # a scalar curvature is spread over the coordinates: the same
+            # bits as a vector of copies
+            L = np.asarray(L_used, dtype=np.float64)
+            self.L = (safe_curvature(L[at]) if L.ndim
+                      else np.full(k, safe_curvature(L)))
+            self.half = 0.5 * self.L
+            self.thr = self.lam / self.L
         self.zero = np.zeros(k)
         self.box = None
         if composite._any_box:

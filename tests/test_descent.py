@@ -3,6 +3,8 @@
 import os
 import struct
 import sys
+import tracemalloc
+from array import array
 from dataclasses import fields
 
 import numpy as np
@@ -47,11 +49,11 @@ def spd_problem(seed, n=6):
 def test_budget_zero_records_only_the_starting_point():
     prob, _, _ = spd_problem(0)
     trace = run(prob, "gs", max_iters=0)
-    assert trace.k == [0]
-    assert trace.coord == [-1]
-    assert trace.step == [0.0]
-    assert trace.elapsed_ns == [0]
-    assert trace.touched_rows == [0]
+    assert trace.k.tolist() == [0]
+    assert trace.coord.tolist() == [-1]
+    assert trace.step.tolist() == [0.0]
+    assert trace.elapsed_ns.tolist() == [0]
+    assert trace.touched_rows.tolist() == [0]
     assert not trace.converged
 
 
@@ -264,7 +266,8 @@ def test_random_rules_keep_their_path_and_stop_per_epoch(name):
         # the picks are the seeded stream itself, whatever the tracker holds
         rule = make_rule(name)
         rule.prepare(problem, rng=np.random.default_rng(11))
-        assert trace.coord[1:] == [rule.select(None, k)[0] for k in range(200)]
+        assert trace.coord[1:].tolist() == [rule.select(None, k)[0]
+                                            for k in range(200)]
         want = problem.eval(trace.final_x)
         assert abs(trace.objective[-1] - want) <= 1e-12 * max(1.0, abs(want))
         # lean tracker: one column per update, no A^T grad entries
@@ -413,9 +416,11 @@ def test_csv_keeps_the_format_of_earlier_files():
             "0,1.5,-1,0.0,2.0,0,0,0,0\n"
             "1,0.1,3,-0.25,-nan,1234,2,5,1\n")
     trace = RunTrace.from_csv(text)
-    assert trace.coord == [-1, 3] and trace.elapsed_ns == [0, 1234]
-    assert trace.step == [0.0, -0.25] and np.signbit(trace.resid_inf[1])
-    assert trace.heap_ops == [0, 1]
+    assert trace.coord.tolist() == [-1, 3]
+    assert trace.elapsed_ns.tolist() == [0, 1234]
+    assert trace.step.tolist() == [0.0, -0.25]
+    assert np.signbit(trace.resid_inf[1])
+    assert trace.heap_ops.tolist() == [0, 1]
     assert trace.to_csv() == text
     assert [f.name for f in fields(RunTrace)][:len(TRACE_COLUMNS)] == [
         name for name, _ in TRACE_COLUMNS]
@@ -426,6 +431,50 @@ def test_csv_rejects_garbage():
         RunTrace.from_csv("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="bad trace row"):
         RunTrace.from_csv(TRACE_HEADER + "\n1,2,3\n")
+
+
+def test_trace_columns_are_typed_arrays_of_72_bytes_a_row():
+    prob, _, _ = spd_problem(16)
+    trace = run(prob, "uniform", max_iters=30, seed=2, tol=0.0)
+    typecode = {int: "q", float: "d"}
+    for name, kind in TRACE_COLUMNS:
+        column = getattr(trace, name)
+        assert isinstance(column, array) and len(column) == 31, name
+        assert column.typecode == typecode[kind], name
+    assert sum(getattr(trace, name).itemsize
+               for name, _ in TRACE_COLUMNS) == 72
+    # a column reads back as Python numbers, and a copy compares equal
+    assert type(trace.coord[1]) is int and type(trace.step[1]) is float
+    assert trace == RunTrace.from_csv(trace.to_csv())
+
+
+def test_a_long_uniform_trace_keeps_under_100_bytes_a_row():
+    p = gen_experiment("two_moons", n=500, seed=0).problem
+    run(p, "uniform", max_iters=0, seed=1)  # what the problem keeps
+    tracemalloc.start()
+    try:
+        trace = run(p, "uniform", max_iters=20000, seed=1, tol=0.0)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(trace) == 20001
+    assert held / len(trace) < 100
+
+
+def test_append_refuses_a_float_in_an_int_column():
+    row = [1, 0.5, 3, -0.25, 1.0, 10, 2, 5, 0]
+    trace = RunTrace()
+    trace.append(*row)
+    for pos, (name, kind) in enumerate(TRACE_COLUMNS):
+        if kind is int:
+            for bad, error in ((3.7, TypeError), (2**63, OverflowError)):
+                with pytest.raises(error):
+                    trace.append(*row[:pos], bad, *row[pos + 1:])
+                # a refused row leaves every column as it was
+                assert all(len(getattr(trace, other)) == 1
+                           for other, _ in TRACE_COLUMNS), name
+    assert trace.coord.tolist() == [3]
+    assert trace.to_csv() == TRACE_HEADER + "\n1,0.5,3,-0.25,1.0,10,2,5,0\n"
 
 
 def test_run_validates_inputs():
@@ -566,12 +615,12 @@ def test_seeded_random_rules_pick_what_block_draws_give():
     names = ["uniform", "lipschitz"]
     for name in names:
         trace = run(prob, name, seed=7, max_iters=iters, tol=0.0)
-        assert trace.coord[1:] == expected(name, 7)
+        assert trace.coord[1:].tolist() == expected(name, 7)
     streams = np.random.SeedSequence(5).spawn(len(names))
     for name, stream, trace in zip(names, streams,
                                    race(prob, names, iters, master_seed=5,
                                         tol=0.0)):
-        assert trace.coord[1:] == expected(name, stream)
+        assert trace.coord[1:].tolist() == expected(name, stream)
 
 
 def test_a_greedy_run_makes_no_generator(monkeypatch):

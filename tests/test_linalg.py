@@ -129,9 +129,12 @@ class TestSparseMatrix:
         for bad in (np.nan, np.inf, -np.inf):
             with pytest.raises(ValueError, match="finite"):
                 SparseMatrix.from_dense([[1.0, 0.0], [bad, 2.0]])
-            # checked before duplicate triplets are summed
+            # also where duplicate triplets are summed
             with pytest.raises(ValueError, match="finite"):
                 SparseMatrix.from_coo(2, 2, [0, 0], [1, 1], [bad, 1.0])
+        # finite triplets whose sum overflows
+        with pytest.raises(ValueError, match="finite"):
+            SparseMatrix.from_coo(2, 2, [0, 0], [1, 1], [1e308, 1e308])
 
     def test_dual_index_consistency(self):
         rng = np.random.default_rng(2)

@@ -481,8 +481,12 @@ class TestProxSubset:
         x[rng.random(n) < 0.3] = 0.0
         L_vec = rng.uniform(0.1, 3.0, n)
         L_vec[rng.random(n) < 0.3] = 0.0
+        # the kept curvatures' subset calls gather the kept full pass's
+        # constants
+        kept = [comp.smooth.curvature(per_coord).L
+                for per_coord in (False, True)]
         L = data.draw(st.sampled_from(
-            [comp.L, 0.0, 2.5, L_vec, comp.L_per_coord]), label="L")
+            [comp.L, 0.0, 2.5, L_vec, comp.L_per_coord, *kept]), label="L")
         idx = np.array(data.draw(st.lists(st.integers(0, n - 1),
                                           max_size=2 * n), label="idx"),
                        dtype=np.int64)

@@ -51,11 +51,20 @@ updates less the lean one: what greedy scoring adds to a move.
 On ``l1_underdet_ls`` ``PROX_SIZE`` (``lasso-prox``'s size) it times the
 composite path piece by piece, at the state of a fresh tracker, for the
 median column j: one full-vector ``ProxPass`` under L (``prox_pass_us``),
-one ``prox_steps`` over the one index j (``prox_one_us``, the scatter
-path's rescore of an identity-like column), and whole updates of column j
-on a lean tracker (``lean_update_us``, what uniform pays) and on the
-product path under ``gs-q`` and ``gsl-q`` scores (``gsq_update_us``,
-``gslq_update_us``).
+one ``prox_steps`` over the one index j under the ``gs-q`` scorer's kept
+curvature (``prox_one_us``, the scatter path's rescore of an identity-like
+column), and whole updates of column j on a lean tracker
+(``lean_update_us``, what uniform pays) and on the product path under
+``gs-q`` and ``gsl-q`` scores (``gsq_update_us``, ``gslq_update_us``).
+
+``trace_row`` gives what recording one trace row costs, the layer of an
+iteration that stores it: ``append_us``, the probe-scaled time of one
+``RunTrace.append`` of a row of Python numbers such as ``descent.run``
+passes, as the least of batches of ``ROW_BATCH`` appends into a fresh
+trace; and ``bytes_per_row``, the memory a finished trace holds per row
+(``tracemalloc``), of a ``TRACE_ITERS``-iteration uniform run on
+``two_moons`` with ``GRAPH_N`` nodes (seed ``SEED``), after one run that
+builds what the problem keeps.
 
 ``run_setup`` gives the cost of ``descent.run(max_iters=0)`` for each
 role of each benchmark workload (``WORKLOADS`` of perfbench's
@@ -84,6 +93,7 @@ kappa_between}, "graph_move": {family, n, node, degree, graph_move_us,
 lean_update_us, gs_update_us, gsl_update_us, gs_scoring_us,
 gsl_scoring_us}, "prox": {family, m, n, column, prox_pass_us,
 prox_one_us, lean_update_us, gsq_update_us, gslq_update_us},
+"trace_row": {family, n, iters, append_us, bytes_per_row},
 "run_setup": {workload: {rule[/backend]: run_setup_us}},
 "seed", "repeats", "number", "probe_ref_ns"}, where ratio is scatter_us /
 rmatvec_us.
@@ -93,6 +103,7 @@ import json
 import os
 import sys
 import time
+import tracemalloc
 
 import numpy as np
 
@@ -116,6 +127,8 @@ SIZES = (("sparse_ls", 200, 200), ("sparse_ls", 1000, 1000),
          ("l1_underdet_ls", 50, 500), ("l1_underdet_ls", 500, 5000))
 GRAPH_N = 2000
 PROX_SIZE = (50, 500)
+TRACE_ITERS = 34000
+ROW_BATCH = 1000
 SEED = 0
 REPEATS = 200
 NUMBER = 10
@@ -290,13 +303,37 @@ def measure_prox():
     out = {"family": "l1_underdet_ls", "m": m, "n": n, "column": j}
     out.update(scaled_us({
         "prox_pass_us": lambda: full(tr.x, tr.gradient, tr.term_vals),
-        "prox_one_us": lambda: comp.prox_steps(tr.x, tr.gradient, comp.L,
-                                               one)}))
+        "prox_one_us": lambda: comp.prox_steps(tr.x, tr.gradient,
+                                               tr.scorer.L_used, one)}))
     updates = {"lean_update_us": update_pair(lean, j)}
     for label, t in trackers.items():
         assert t.product and not t.gram
         updates[f"{label}_update_us"] = update_pair(t, j)
     out.update(scaled_us(updates, per_call=2))
+    return out
+
+
+def measure_trace_row():
+    """{family, n, iters, append_us, bytes_per_row}: one trace row's time
+    to record and the memory it holds."""
+    row = (1, 0.5, 3, -0.25, 1.0, 1234, 2, 11, 0)
+
+    def fill():
+        trace = descent.RunTrace()
+        for _ in range(ROW_BATCH):
+            trace.append(*row)
+    out = {"family": "two_moons", "n": GRAPH_N, "iters": TRACE_ITERS}
+    out.update(scaled_us({"append_us": fill}, per_call=ROW_BATCH))
+    p = harness.gen_experiment("two_moons", n=GRAPH_N, seed=SEED).problem
+    descent.run(p, "uniform", max_iters=0, seed=SEED)
+    tracemalloc.start()
+    try:
+        trace = descent.run(p, "uniform", max_iters=TRACE_ITERS, tol=0.0,
+                            seed=SEED)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    out["bytes_per_row"] = round(held / len(trace), 1)
     return out
 
 
@@ -326,7 +363,7 @@ def main():
     out = {"kappa": KAPPA, "sizes": sizes, "crossover": crossover(sizes),
            "gsq_crossover": crossover(sizes, "gsq_"),
            "graph_move": measure_graph_move(), "prox": measure_prox(),
-           "run_setup": measure_run_setup(),
+           "trace_row": measure_trace_row(), "run_setup": measure_run_setup(),
            "seed": SEED, "repeats": REPEATS, "number": NUMBER,
            "probe_ref_ns": PROBE_REF_NS}
     print(json.dumps(out))

@@ -249,9 +249,11 @@ def dump(src, path):
         trace = descent.run(problem, rule, step=step,
                             max_iters=budget, tol=0.0, seed=seed,
                             backend=backend, refresh_every=every)
-        columns = (trace.k, trace.objective, trace.coord, trace.step,
-                   trace.resid_inf, trace.touched_rows, trace.touched_grads,
-                   trace.heap_ops)
+        # as lists, so a checkout whose columns are arrays compares equal
+        # to one whose columns are lists
+        columns = tuple(list(getattr(trace, name)) for name in (
+            "k", "objective", "coord", "step", "resid_inf", "touched_rows",
+            "touched_grads", "heap_ops"))
         out[name] = (columns, trace.final_x)
     with open(path, "wb") as fh:
         pickle.dump((exps, out), fh)

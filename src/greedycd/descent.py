@@ -232,11 +232,12 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     if backend == "nns" and rule.name != "gsl":
         raise ValueError("the nns backend serves the gsl rule only")
     lean = not rule.reads_gradient
-    curvature = smooth.curvature(mode in ("const-coord", "exact"))
+    per_coord = mode in ("const-coord", "exact")
+    curvature = smooth.curvature(per_coord)
     L_step, L_pos = curvature.steps, curvature.positive
     tracker = make_tracker(problem, x0, scorer=rule.scorer(problem),
                            backend=backend, refresh_every=refresh_every,
-                           lean=lean, L_step=curvature.L)
+                           lean=lean, step_per_coord=per_coord)
 
     obj = tracker.objective()
     resid = tracker.grad_inf_norm()

@@ -17,13 +17,14 @@ run's set-up pays only for what its x0 changes.  A smooth problem keeps
 its two step curvatures (``curvature``: L_i, and L at every coordinate),
 the ``gsl`` weights 1/sqrt(L_i), the Lipschitz sampling CDF and, for
 least squares, the dense Hessian; a composite problem keeps one
-full-vector ``ProxPass`` per kept curvature (``full_pass``).  The arrays
-they derive from, ``L_per_coord`` and the term arrays ``gkind``, ``p1``,
-``p2`` and the l1 weights, are read-only like ``SparseMatrix``'s, and so
-is every kept array, so a stale constant cannot come about silently: a
-write raises.
+full-vector ``ProxPass`` per step curvature (``full_pass(per_coord)``).
+The arrays they derive from, ``L_per_coord`` and the term arrays
+``gkind``, ``p1``, ``p2`` and the l1 weights, are read-only like
+``SparseMatrix``'s, and so is every kept array, so a stale constant
+cannot come about silently: a write raises.
 """
 
+import weakref
 from typing import NamedTuple
 
 import numpy as np
@@ -166,21 +167,6 @@ class SmoothProblem(KeptConstants):
             return Curvature(L, tuple(L.tolist()), tuple((raw > 0).tolist()))
         return self.kept(("curvature", per_coord), build)
 
-    def kept_curvature(self, L):
-        """Which kept curvature (``curvature``'s ``per_coord``) the array L
-        is, by identity; None for any other L."""
-        kept = self.__dict__.get("_kept", {})
-        for per_coord in (False, True):
-            c = kept.get(("curvature", per_coord))
-            if c is not None and c.L is L:
-                return per_coord
-        return None
-
-    def safe_step_curvature(self, L):
-        """safe_curvature(L), without a new array when L is a kept
-        curvature already (``kept_curvature``)."""
-        return L if self.kept_curvature(L) is not None else safe_curvature(L)
-
 
 class LeastSquaresProblem(SmoothProblem):
     """f(x) = scale * ||A x - b||^2 + (l2_reg / 2) ||x||^2.
@@ -211,7 +197,6 @@ class LeastSquaresProblem(SmoothProblem):
         self.n = A.shape[1]
         self.L_per_coord = read_only(2.0 * self.scale * column_sq_norms(A)
                                      + self.l2_reg)
-        self._L1 = None
 
     def eval(self, x):
         r = self.A.matvec(x) - self.b
@@ -241,14 +226,14 @@ class LeastSquaresProblem(SmoothProblem):
 
     @property
     def L1(self):
-        if self._L1 is None:
+        def build():
+            # H's diagonal is G's plus l2_reg >= 0, so G's own diagonal
+            # entries, also in G.data, never exceed it
             sp = self.A.to_scipy_csc()
             G = (2.0 * self.scale) * (sp.T @ sp)
-            G = G.tolil()
-            G.setdiag(G.diagonal() + self.l2_reg)
-            data = G.tocoo().data
-            self._L1 = float(np.abs(data).max()) if data.size else 0.0
-        return self._L1
+            return float(max(np.abs(G.data).max(initial=0.0),
+                             (G.diagonal() + self.l2_reg).max(initial=0.0)))
+        return self.kept("L1", build)
 
     def row_link(self, ur, rows, ders=True):
         """(phi_j(u_j), phi_j'(u_j) or None) for the rows ``rows`` (an index
@@ -457,7 +442,6 @@ class GraphQuadraticProblem(SmoothProblem):
              (np.concatenate([np.arange(n), heads]),
               np.concatenate([np.arange(n), tails]))), shape=(n, n))
         self.max_degree = int(np.diff(self.H.indptr).max(initial=1)) - 1
-        self._L1 = float(np.abs(self.H.data).max()) if self.H.nnz else 0.0
 
     @classmethod
     def from_labeled_graph(cls, n_nodes, edges, weights, labeled,
@@ -468,9 +452,15 @@ class GraphQuadraticProblem(SmoothProblem):
         touching a labeled node become quadratic pulls on the free endpoint;
         edges between two labeled nodes only shift the constant.  Returns
         (problem, free_nodes), free_nodes[i] the original id of variable i.
+        ``node_reg`` (one value, or one per node) adds reg_i/2 x_i^2 at
+        every free node; a negative entry, which can make the Hessian
+        indefinite and the energy unbounded below, is refused.
         """
         n = int(n_nodes)
         edges, w = _edge_arrays(n, edges, weights)
+        node_reg = np.broadcast_to(np.asarray(node_reg, np.float64), (n,))
+        if np.any(node_reg < 0):
+            raise ValueError("node_reg must be nonnegative")
         ids = np.array(list(labeled), dtype=np.int64)
         if ids.size and (ids.min() < 0 or ids.max() >= n):
             raise ValueError(f"labeled node out of range [0, {n})")
@@ -487,8 +477,7 @@ class GraphQuadraticProblem(SmoothProblem):
         # its free endpoint; each edge touching a label adds
         # (w/2)(value_a - value_b)^2 to the constant (free nodes hold 0)
         at = var_of[np.where(la, b, a)[pull]]
-        node_quad = np.broadcast_to(np.asarray(node_reg, dtype=np.float64),
-                                    (n,))[free]
+        node_quad = node_reg[free]
         node_lin = np.zeros(free.size)
         np.add.at(node_quad, at, w[pull])
         np.add.at(node_lin, at, (w * np.where(la, value[a], value[b]))[pull])
@@ -519,7 +508,8 @@ class GraphQuadraticProblem(SmoothProblem):
 
     @property
     def L1(self):
-        return self._L1
+        return self.kept("L1", lambda: float(
+            np.abs(self.H.data).max(initial=0.0)))
 
 class CompositeProblem(KeptConstants):
     """F(x) = smooth.eval(x) + sum_i g_i(x_i), g_i separable and convex.
@@ -557,16 +547,13 @@ class CompositeProblem(KeptConstants):
     def L(self):
         return self.smooth.L
 
-    def full_pass(self, L):
-        """A ``ProxPass`` over every coordinate under the safe curvature L:
-        kept when L is a curvature the smooth part keeps
-        (``kept_curvature``), built afresh for any other L.  Callers may
-        share a kept pass, since its buffers hold nothing from one call to
-        the next."""
-        per_coord = self.smooth.kept_curvature(L)
-        if per_coord is None:
-            return ProxPass(self, L)
-        return self.kept(("pass", per_coord), lambda: ProxPass(self, L))
+    def full_pass(self, per_coord):
+        """The kept ``ProxPass`` over every coordinate under the step
+        curvature L_i (``per_coord``) or L, the smooth part's kept
+        ``curvature``.  Callers share it, since its buffers hold nothing
+        from one call to the next."""
+        return self.kept(("pass", per_coord), lambda: ProxPass(
+            self, self.smooth.curvature(per_coord).L))
 
     def g_values(self, x):
         # lam |x_i| on the l1 terms alone, in one call with no index
@@ -592,11 +579,14 @@ class CompositeProblem(KeptConstants):
         counts as 1 (``safe_curvature``).  Every output entry depends on its
         own coordinate alone, so a call over ``idx`` returns, bit for bit,
         the entries ``idx`` of the call over all coordinates.  d and V come
-        from a one-off ``ProxPass``, which a caller that needs them over
-        every coordinate at many points keeps instead; over ``idx`` under a
-        kept curvature it gathers the kept full pass's constants.
+        from a one-off ``ProxPass``; a caller that needs them at many
+        points under a step curvature reads the kept pass instead
+        (``full_pass``, and ``ProxPass.at`` over a subset).
         """
-        step = ProxPass(self, L_used, idx)
+        # a scalar curvature is spread over the coordinates: the same bits
+        # as a vector of copies
+        L = np.broadcast_to(safe_curvature(L_used), (self.n,))
+        step = ProxPass(self, L, idx)
         if idx is not None:
             x = x[idx]
             grad = grad[idx]
@@ -642,11 +632,12 @@ class CompositeProblem(KeptConstants):
 
 class ProxPass:
     """d and V of ``CompositeProblem.prox_steps`` over a fixed set of
-    coordinates (``idx``, or every one) under one curvature: the one place
-    the prox formula is written.
+    coordinates (``idx``, or every one) under one curvature L, already
+    safe (``safe_curvature``) and given over every coordinate (n floats):
+    the one place the prox formula is written.
 
     What depends on the terms and the curvature alone is computed once,
-    here: the safe curvature, L/2 and the l1 thresholds lam/L, each as an
+    here: the curvature at idx, L/2 and the l1 thresholds lam/L, each as an
     array (numpy converts a Python scalar operand on every call, which
     costs more than reading an array), and where the boxes are (no clamp
     without one).  A call reads the term values g(x) instead of computing
@@ -672,26 +663,13 @@ class ProxPass:
     one process).
     """
 
-    def __init__(self, composite, L_used, idx=None):
+    def __init__(self, composite, L, idx=None):
         at = slice(None) if idx is None else idx
         self.lam = composite._l1w[at]
         k = self.lam.shape[0]
-        if (idx is not None
-                and composite.smooth.kept_curvature(L_used) is not None):
-            # a subset under a kept curvature gathers the kept full pass's
-            # constants: the same bits, entry by entry
-            full = composite.full_pass(L_used)
-            self.L = full.L[idx]
-            self.half = full.half[idx]
-            self.thr = full.thr[idx]
-        else:
-            # a scalar curvature is spread over the coordinates: the same
-            # bits as a vector of copies
-            L = np.asarray(L_used, dtype=np.float64)
-            self.L = (safe_curvature(L[at]) if L.ndim
-                      else np.full(k, safe_curvature(L)))
-            self.half = 0.5 * self.L
-            self.thr = self.lam / self.L
+        self.L = L[at]
+        self.half = 0.5 * self.L
+        self.thr = self.lam / self.L
         self.zero = np.zeros(k)
         self.box = None
         if composite._any_box:
@@ -701,8 +679,10 @@ class ProxPass:
                 self.lo = composite.p1[at][box]
                 self.hi = composite.p2[at][box]
         if idx is None:
-            # a pass over every coordinate may be kept; a subset's pass is
-            # one call's, and marking costs 0.4 us an array
+            # a pass over every coordinate may be kept, by the problem it
+            # refers to (weakly, so that no cycle outlives the problem); a
+            # subset's pass is one call's, and marking costs 0.4 us an array
+            self._comp = weakref.ref(composite)
             for name in ("L", "half", "thr", "zero", "box", "lo", "hi"):
                 if getattr(self, name, None) is not None:
                     read_only(getattr(self, name))
@@ -741,6 +721,14 @@ class ProxPass:
         np.add(a, y, out=v)
         np.subtract(v, gx, out=z)
         return d, z
+
+    def at(self, idx, x, grad, gx):
+        """(d, V) at the coordinates idx, from a pass over every coordinate
+        of a problem that is still alive: a one-off pass at idx under this
+        pass's curvature, given x, grad and the term values gx over every
+        coordinate.  The bits are this pass's entries idx, and no
+        subgradient is computed."""
+        return ProxPass(self._comp(), self.L, idx)(x[idx], grad[idx], gx[idx])
 
 
 def quadratic_problem(H, b):

@@ -4,7 +4,7 @@ A rule is prepared once per run (binding it to the problem and, for the
 stochastic ones, to a PRNG stream made from the run's seed; a greedy rule
 makes no stream) and then asked for a coordinate each iteration.  What a
 rule derives from the problem alone (the ``gsl`` weights, the Lipschitz
-CDF, the prox scores' curvature) the problem keeps
+CDF, the prox scores' full pass) the problem keeps
 (``problems.KeptConstants``), so only the first run on it builds that.
 ``select`` returns ``(i, alpha)`` where alpha is None unless the rule
 itself determines the step (maximum improvement does).  Greedy rules
@@ -59,8 +59,9 @@ def approx_gs_select(gradient, eps, regime):
             raise ValueError("multiplicative error must lie in [0, 1)")
         thr = top * (1.0 - eps)
     elif regime == "add":
-        if eps < 0.0:
-            raise ValueError("additive error must be nonnegative")
+        # a NaN eps leaves no coordinate admissible
+        if not eps >= 0.0:
+            raise ValueError(f"additive error must be >= 0, got {eps!r}")
         thr = top - eps
     else:
         raise ValueError(f"unknown approximation regime: {regime!r}")
@@ -254,8 +255,7 @@ class ProxWorkRule(Rule):
     def scorer(self, problem):
         if not isinstance(problem, CompositeProblem):
             raise ValueError(f"rule {self.name} needs a composite problem")
-        return ProxScorer(problem, problem.smooth.curvature(self.per_coord).L,
-                          self.mode)
+        return ProxScorer(problem, self.per_coord, self.mode)
 
     def select(self, tracker, k):
         return tracker.peek(), None

@@ -50,13 +50,15 @@ On top of the gradient sits an optional score (|grad| for greedy selection,
 |grad|/sqrt(L) for its Lipschitz-weighted variant, or proximal-candidate
 scores for composite problems), recomputed only for touched coordinates.
 A prox score over every coordinate is one ``ProxPass``, which the
-composite problem keeps per curvature (``CompositeProblem.full_pass``):
-the safe curvature, L/2, the thresholds lam/L and the term kinds (any
-box?) are computed once per problem and curvature, and each pass
-computes d and V alone (no subgradient) into buffers it owns, reading
-the kept term values g(x) (``term_vals``) instead of computing lam |x|.
-It shares its arithmetic with ``prox_steps``, whose subset calls rescore
-the scatter path, and gives the same bits.  On ``lasso-prox`` (50 x 500)
+composite problem keeps per step curvature, L_i or L, named by a flag
+(``CompositeProblem.full_pass(per_coord)``): the safe curvature, L/2, the
+thresholds lam/L and the term kinds (any box?) are computed once per
+problem and curvature, and each pass computes d and V alone (no
+subgradient) into buffers it owns, reading the kept term values g(x)
+(``term_vals``) instead of computing lam |x|.  The scatter path rescores
+a subset with the kept pass's ``at``, a one-off pass at those
+coordinates under the same safe curvature.  Both share their arithmetic
+with ``prox_steps`` and give its bits.  On ``lasso-prox`` (50 x 500)
 the pass over all n takes 11.5 us in its 14 ufunc calls, against
 13.2 us when it also took lam |x|, |z| and sign(y) t in 18, and a
 ``gs-q`` update 28.3 against 32.5 us (``tools/kernel_times.py``,
@@ -83,14 +85,16 @@ iterate sequences:
 The tracker also owns the stopping test.  It keeps one array ``keys``, the
 residual entries whose maximum the test reads: |grad_i| on a smooth
 problem, and |d_i| on a composite one, d being the prox steps under the
-run's step curvature ``L_step``.  A key changes only where x or the
-gradient does, so the update that rescores the touched coordinates
-rewrites their keys too.  Where the score computes the keys anyway, it
-hands them back: for ``gs`` the keys are the score array itself, for
-``gsl`` they are |grad| before weighting, and for the prox scores "r" and
-"q" under the step curvature they come from the same prox pass.
+run's step curvature, L_i or L (``step_per_coord``).  A key changes only
+where x or the gradient does, so the update that rescores the touched
+coordinates rewrites their keys too.  Where the score computes the keys
+anyway, it hands them back: for ``gs`` the keys are the score array
+itself, for ``gsl`` they are |grad| before weighting, and for the prox
+scores "r" and "q" under the step curvature they come from the same prox
+pass.
 Otherwise the tracker computes them over the coordinates the update
-rescores, with the problem's ``ProxPass`` under ``L_step`` over all n.
+rescores, with the problem's kept ``ProxPass`` under the step curvature
+(over all n, or ``at`` a subset).
 ``grad_inf_norm()`` then reads the test off the top score (keys that are
 the scores) or takes the key at ``keys.argmax()``: one pass over n floats,
 but it makes no |grad| over all n entries and no prox pass of its own (and
@@ -204,34 +208,31 @@ class ProxScorer:
 
     mode "r": |d_i| (longest prox step), mode "q": -V_i (largest model
     decrease), mode "s": |eta_i| (smallest attainable first-order residual).
-    L_used is the curvature the candidates are built with (scalar or
-    per-coordinate), made safe (``safe_curvature``) unless it is a
-    curvature the problem keeps, which is safe already; the full pass over
-    every coordinate is the problem's (``CompositeProblem.full_pass``),
-    kept with such a curvature.  A scorer holds nothing between calls, so
-    trackers may share one.
+    The candidates are built under the step curvature L_i (``per_coord``)
+    or L, by the problem's kept pass over every coordinate
+    (``CompositeProblem.full_pass``) and, over a subset, by its ``at``.
+    A scorer holds nothing between calls, so trackers may share one.
     """
 
-    def __init__(self, composite, L_used, mode):
+    def __init__(self, composite, per_coord, mode):
         if mode not in ("r", "q", "s"):
             raise ValueError(f"unknown prox score mode: {mode!r}")
         self.comp = composite
-        self.L_used = composite.smooth.safe_step_curvature(L_used)
+        self.per_coord = per_coord
         self.mode = mode
-        self._pass = (None if mode == "s"
-                      else composite.full_pass(self.L_used))
+        self._pass = None if mode == "s" else composite.full_pass(per_coord)
 
     def compute(self, tracker, idx):
-        """(scores, |d| under L_used) at idx (every coordinate if None);
-        mode "s" computes no d and gives None."""
+        """(scores, |d| under the scorer's curvature) at idx (every
+        coordinate if None); mode "s" computes no d and gives None."""
         if self.mode == "s":
             eta = self.comp.min_subgradients(tracker.x, tracker.gradient, idx)
             return np.abs(eta), None
         if idx is None:
             d, V = self._pass(tracker.x, tracker.gradient, tracker.term_vals)
         else:
-            d, V, _ = self.comp.prox_steps(tracker.x, tracker.gradient,
-                                           self.L_used, idx)
+            d, V = self._pass.at(idx, tracker.x, tracker.gradient,
+                                 tracker.term_vals)
         keys = np.abs(d)
         return (keys if self.mode == "r" else -V), keys
 
@@ -240,13 +241,14 @@ class _TrackerBase:
     """What the h1 and h2 trackers share; each supplies ``_rebuild_caches``
     (which sets the smooth objective), ``refresh`` (which calls
     ``_rebuild``) and ``apply_update`` (which ends in ``_finish_update``).
-    ``problem`` is the smooth problem or a composite one; ``L_step``
-    (default: the scorer's curvature, else L) is the curvature of a
-    composite problem's keys.  A kept curvature's prox pass is the
-    problem's own, built once and shared with every other tracker on it."""
+    ``problem`` is the smooth problem or a composite one; a composite
+    problem's keys are its prox steps under the step curvature L_i
+    (``step_per_coord``) or L, by default the scorer's own (L without a
+    prox score), through the problem's kept pass for that curvature,
+    built once and shared with every other tracker on it."""
 
     def __init__(self, problem, x0, scorer=None, backend="scan",
-                 refresh_every=10000, lean=False, L_step=None):
+                 refresh_every=10000, lean=False, step_per_coord=None):
         if backend not in BACKENDS:
             raise ValueError(f"unknown tracker backend: {backend!r}")
         if lean and (scorer is not None or backend == "nns"):
@@ -281,20 +283,12 @@ class _TrackerBase:
         # composite one
         self._shared_keys = isinstance(s, GradScorer)
         if self.composite is not None:
-            L_used = getattr(s, "L_used", None)
-            if L_step is None:
-                L_step = (smooth.curvature(False).L if L_used is None
-                          else L_used)
-            self.L_step = smooth.safe_step_curvature(L_step)
-            # a run hands the scorer's own kept curvature, so identity
-            # decides without a pass over n
-            self._shared_keys = (
-                isinstance(s, ProxScorer) and s.mode != "s"
-                and (L_used is self.L_step or np.array_equal(
-                    *np.broadcast_arrays(L_used, self.L_step))))
-            # the keys' own full pass, when the scorer does not hand them
-            self._step_pass = (None if self._shared_keys
-                               else problem.full_pass(self.L_step))
+            if step_per_coord is None:
+                step_per_coord = getattr(s, "per_coord", False)
+            self.step_per_coord = step_per_coord
+            self._shared_keys = (isinstance(s, ProxScorer) and s.mode != "s"
+                                 and s.per_coord == step_per_coord)
+            self._step_pass = problem.full_pass(step_per_coord)
         if not math.isfinite(self._rebuild()):
             raise ValueError("x0 is infeasible for the composite terms")
 
@@ -336,8 +330,8 @@ class _TrackerBase:
             return np.abs(g if idx is None else g[idx])
         if idx is None:
             return np.abs(self._step_pass(self.x, g, self.term_vals)[0])
-        return np.abs(self.composite.prox_steps(self.x, g, self.L_step,
-                                                idx)[0])
+        return np.abs(self._step_pass.at(idx, self.x, g,
+                                         self.term_vals)[0])
 
     def _compute(self, idx):
         """(scores or None, keys) at idx (every coordinate if None)."""
@@ -590,13 +584,14 @@ class H2Tracker(_TrackerBase):
 
 
 def make_tracker(problem, x0, scorer=None, backend="scan",
-                 refresh_every=10000, lean=False, L_step=None):
+                 refresh_every=10000, lean=False, step_per_coord=None):
     """Build the tracker matching the problem's structure (h1 or h2).
 
     ``backend`` is "scan", "heap" or "nns" (see the module docstring).
     ``lean`` asks for a tracker without scores or keys, for rules that
-    never read the gradient.  ``L_step`` is the step curvature of a
-    composite problem's stopping test (scalar or per coordinate).
+    never read the gradient.  ``step_per_coord`` names the step curvature
+    of a composite problem's stopping test: L_i if true, L if false, and
+    the scorer's own if None (L without a prox score).
     """
     smooth = getattr(problem, "smooth", problem)
     kind = getattr(smooth, "tracker_kind", None)
@@ -606,4 +601,5 @@ def make_tracker(problem, x0, scorer=None, backend="scan",
     if kind not in ("h1", "h2"):
         raise ValueError(f"no tracker for problem type {type(smooth).__name__}")
     cls = H1Tracker if kind == "h1" else H2Tracker
-    return cls(problem, x0, scorer, backend, refresh_every, lean, L_step)
+    return cls(problem, x0, scorer, backend, refresh_every, lean,
+               step_per_coord)

@@ -81,6 +81,23 @@ def test_run_bad_eps_fails(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_nan_additive_eps_fails(capsys):
+    # a NaN threshold admits no coordinate
+    assert main(["run", "--problem", "sparse_ls", "--m", "20", "--n", "10",
+                 "--rule", "gs-approx-add", "--eps", "nan",
+                 "--iters", "5"]) == 1
+    assert capsys.readouterr().err.startswith("error: additive error")
+
+
+@pytest.mark.parametrize("command", [["gen", "--out", "unused"],
+                                     ["run", "--iters", "3000"]])
+def test_negative_graph_regulariser_fails(command, capsys):
+    assert main([command[0], "--problem", "two_moons", "--n", "50",
+                 "--lambda", "-3", *command[1:]]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: node_reg must be nonnegative")
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--problem", "sparse_logistic", "--m", "0", "--n", "5"],
     ["run", "--problem", "sparse_ls", "--m", "5", "--n", "0"],

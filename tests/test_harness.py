@@ -281,6 +281,18 @@ def test_manifest_malformed_value_is_named(name, key, value, tmp_path):
         load_experiment(path)
 
 
+def test_negative_graph_regulariser_is_refused(tmp_path):
+    # it would make the Hessian indefinite and the energy unbounded below
+    with pytest.raises(ValueError, match="node_reg must be nonnegative"):
+        gen_experiment("two_moons", n=40, lam=-3.0)
+    path = save_experiment(small("two_moons"), tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["lambda"] = -3.0
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(ValueError, match="node_reg must be nonnegative"):
+        load_experiment(path)
+
+
 def test_manifest_graph_labels_need_one_per_node(tmp_path):
     path = save_experiment(small("two_moons"), tmp_path)
     harness.save_dense_mtx(tmp_path / "labels.mtx", np.ones(39))

@@ -374,6 +374,17 @@ class TestGraphQuadratic:
             GraphQuadraticProblem.from_labeled_graph(3, edges, [1.0, 1.0],
                                                      {0: np.nan})
 
+    def test_labeled_fold_rejects_a_negative_regulariser(self):
+        # one negative entry is refused, at a labeled node too
+        edges = [[0, 1], [1, 2]]
+        for reg in (-3.0, [1.0, 1.0, -0.5], [-1e-300, 0.0, 0.0]):
+            with pytest.raises(ValueError, match="node_reg"):
+                GraphQuadraticProblem.from_labeled_graph(
+                    3, edges, [1.0, 1.0], {0: 1.0}, node_reg=reg)
+        prob, _ = GraphQuadraticProblem.from_labeled_graph(
+            3, edges, [1.0, 1.0], {0: 1.0}, node_reg=[0.0, -0.0, 2.0])
+        assert prob.node_quad.tolist() == [1.0, 2.0]
+
 
 class TestComposite:
     def setup_method(self):
@@ -627,14 +638,11 @@ class TestKeptConstants:
             for per_coord in (False, True):
                 c = p.curvature(per_coord)
                 assert p.curvature(per_coord) is c
-                assert p.kept_curvature(c.L) is per_coord
-                assert p.safe_step_curvature(c.L) is c.L
                 self.assert_read_only(c.L)
                 assert isinstance(c.steps, tuple)
                 assert isinstance(c.positive, tuple)
                 assert c.steps == tuple(np.where(
                     c.L > 0, c.L, 1.0).tolist())
-            assert p.kept_curvature(p.curvature(True).L.copy()) is None
             w = make_rule("gsl").scorer(p).w
             assert make_rule("gsl").scorer(p).w is w
             self.assert_read_only(w)
@@ -645,15 +653,14 @@ class TestKeptConstants:
         comp = CompositeProblem(ls, [L1Term(0.5), BoxTerm(-1.0, 1.0),
                                      ZeroTerm(), L1Term(0.1), ZeroTerm()])
         for per_coord in (False, True):
-            L = ls.curvature(per_coord).L
-            step = comp.full_pass(L)
-            assert comp.full_pass(L) is step
+            step = comp.full_pass(per_coord)
+            assert comp.full_pass(per_coord) is step
+            assert step.L.tobytes() == ls.curvature(per_coord).L.tobytes()
             for a in (step.L, step.half, step.thr, step.zero, step.lam,
                       step.box, step.lo, step.hi):
                 self.assert_read_only(a)
-        # any other curvature gets a pass of its own
-        other = ls.curvature(True).L.copy()
-        assert comp.full_pass(other) is not comp.full_pass(other)
+        # each curvature gets a pass of its own
+        assert comp.full_pass(False) is not comp.full_pass(True)
 
     def test_graph_value_and_gradient_from_one_product(self):
         _, _, graph = self.problems()

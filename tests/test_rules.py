@@ -152,6 +152,23 @@ def test_approx_gs_rejects_bad_budgets():
         ApproxGreedyRule("relative", 0.1)
 
 
+def test_approx_gs_refuses_a_nan_additive_budget():
+    # a NaN threshold admits no coordinate; the multiplicative range test
+    # refuses NaN already
+    prob = diag_ls([1.0, 1.0, 1.0], [-3.0, -2.5, -1.0])
+    nan = float("nan")
+    for regime in ("add", "mult"):
+        with pytest.raises(ValueError, match="error must"):
+            approx_gs_select(np.array([1.0, 2.0]), nan, regime)
+        for eps in (nan, lambda k: 0.1 if k == 1 else nan):
+            rule = make_rule(f"gs-approx-{regime}", eps=eps)
+            t = tracker_for(rule, prob, np.zeros(3))
+            if callable(eps):
+                rule.select(t, 0)
+            with pytest.raises(ValueError, match="error must"):
+                rule.select(t, 1)
+
+
 def test_approx_rule_accepts_error_schedule():
     prob = diag_ls([1.0, 1.0, 1.0], [-3.0, -2.5, -1.0])
     x0 = np.zeros(3)

@@ -183,7 +183,7 @@ class TestH1Tracker:
             ("s", lambda d, V, eta: np.abs(eta)),
         ]:
             tr = H1Tracker(comp, rng.standard_normal(6),
-                           ProxScorer(comp, ls.L, mode))
+                           ProxScorer(comp, False, mode))
             for _ in range(60):
                 tr.apply_update(int(rng.integers(6)), float(rng.standard_normal()))
                 g = ls.full_grad(tr.x)
@@ -197,7 +197,7 @@ class TestH1Tracker:
         ls = LeastSquaresProblem(np.eye(2), np.zeros(2))
         comp = CompositeProblem(ls, L1Term(0.4))
         with pytest.raises(ValueError, match="composite problem"):
-            H1Tracker(ls, np.zeros(2), ProxScorer(comp, ls.L, "q"))
+            H1Tracker(ls, np.zeros(2), ProxScorer(comp, False, "q"))
 
     def test_backend_validation(self):
         p = LeastSquaresProblem(np.eye(2), np.zeros(2))
@@ -687,9 +687,9 @@ class TestGramPath:
         def check():
             grad = smooth.full_grad(tr.x)
             assert np.all(np.abs(tr.gradient - grad) <= 1e-12 * grad_size)
-            keys = (np.abs(problem.prox_steps(tr.x, tr.gradient, tr.L_step,
-                                              every)[0])
-                    if kind != "smooth" else np.abs(tr.gradient))
+            keys = (np.abs(problem.prox_steps(
+                tr.x, tr.gradient, smooth.curvature(tr.step_per_coord).L,
+                every)[0]) if kind != "smooth" else np.abs(tr.gradient))
             assert tr.keys.tobytes() == keys.tobytes()
             assert (tr.scores.tobytes()
                     == tr.scorer.compute(tr, every)[0].tobytes())
@@ -901,7 +901,7 @@ def draw_run_tracker(data):
     L_safe = np.where(L > 0, L, 1.0)
     tr = make_tracker(problem, np.array(x0), rule.scorer(problem),
                       backend=backend, lean=not rule.reads_gradient,
-                      L_step=L_safe,
+                      step_per_coord=mode in ("const-coord", "exact"),
                       refresh_every=data.draw(st.sampled_from(
                           [1, 3, 10000]), label="refresh_every"))
     return problem, tr, L_safe, bounds
@@ -1074,13 +1074,12 @@ class TestProxResidualKeys:
     """How many prox passes the composite stopping test costs: one per
     curvature and update, over the coordinates the update rescores."""
 
-    # (rule, L_step, passes per update); L_step None: the keys use the
+    # (rule, step_per_coord, passes per update); None: the keys use the
     # score's own curvature, or L without a prox score
-    CASES = (("gs-q", "L", 1), ("gsl-q", "L_coord", 1),
-             ("gsl-r", "L_coord", 1), ("gs-q", "L_coord", 2),
-             ("gs-s", "L", 1), ("gs-q", None, 1), ("gsl-q", None, 1),
-             ("gs-s", None, 1), ("gs", None, 1), ("gsl", "L_coord", 1),
-             ("mi", None, 1))
+    CASES = (("gs-q", False, 1), ("gsl-q", True, 1), ("gsl-r", True, 1),
+             ("gs-q", True, 2), ("gs-s", False, 1), ("gs-q", None, 1),
+             ("gsl-q", None, 1), ("gs-s", None, 1), ("gs", None, 1),
+             ("gsl", True, 1), ("mi", None, 1))
 
     def check_update_passes(self, monkeypatch, A, dense, product):
         """One update of coordinate 2 under every case: the passes cover
@@ -1090,13 +1089,11 @@ class TestProxResidualKeys:
         rng = np.random.default_rng(15)
         comp = CompositeProblem(LeastSquaresProblem(A, rng.standard_normal(m)),
                                 L1Term(0.3))
-        L = {"L": np.full(n, comp.L), None: None,
-             "L_coord": np.where(comp.L_per_coord > 0, comp.L_per_coord, 1.0)}
         touched = np.flatnonzero((dense[dense[:, 2] != 0] != 0).any(axis=0))
         passes = count_prox_passes(monkeypatch)
-        for rule, L_step, per_update in self.CASES:
+        for rule, step_per_coord, per_update in self.CASES:
             tr = make_tracker(comp, np.zeros(n), make_rule(rule).scorer(comp),
-                              L_step=L[L_step])
+                              step_per_coord=step_per_coord)
             assert tr.keys is not None and tr.product == product
             passes.clear()
             tr.apply_update(2, 0.5)
@@ -1139,6 +1136,56 @@ class TestProxResidualKeys:
         assert passes == [(6, True)] * 3
 
 
+class TestScatterPathProxCalls:
+    """On the scatter path a composite rescore reads the problem's kept
+    pass over the touched coordinates (``ProxPass.at``) and calls no
+    ``prox_steps``, whose entries its scores and keys still are, bit for
+    bit, under the score's curvature and under the other one."""
+
+    @pytest.mark.parametrize("backend", ["scan", "heap"])
+    @pytest.mark.parametrize("rule, step_per_coord", [
+        ("gs-q", None), ("gsl-q", None), ("gs-r", None), ("gs-q", True),
+        ("gsl-q", False), ("gs-r", True), ("gs-s", True)])
+    def test_updates_and_refreshes_call_no_prox_steps(
+            self, monkeypatch, rule, step_per_coord, backend):
+        rng = np.random.default_rng(17)
+        A, _ = random_sparse(rng, 60, 40, density=0.03)
+        assert not takes_product(A)
+        terms = [(L1Term(0.3), BoxTerm(-1.0, 1.0), ZeroTerm())[j % 3]
+                 for j in range(40)]
+        comp = CompositeProblem(
+            LeastSquaresProblem(A, rng.standard_normal(60)), terms)
+        prox_steps = CompositeProblem.prox_steps
+        calls = []
+        monkeypatch.setattr(CompositeProblem, "prox_steps",
+                            lambda *args: calls.append(args)
+                            or prox_steps(*args))
+        tr = make_tracker(comp, np.zeros(40), make_rule(rule).scorer(comp),
+                          backend=backend, refresh_every=7,
+                          step_per_coord=step_per_coord)
+        # None takes the score's own curvature
+        assert tr.step_per_coord == (rule.startswith("gsl")
+                                     if step_per_coord is None
+                                     else step_per_coord)
+        every = np.arange(40)
+        step = comp.smooth.curvature(tr.step_per_coord)
+        score_L = comp.smooth.curvature(tr.scorer.per_coord).L
+        for k in range(30):
+            i = tr.peek()
+            tr.apply_update(i, comp.coord_step(i, tr.x.item(i),
+                                               tr.grad_coord(i),
+                                               step.steps[i])[0])
+            if k % 10 == 9:
+                tr.refresh()
+            assert not calls
+            d = prox_steps(comp, tr.x, tr.gradient, step.L, every)[0]
+            assert tr.keys.tobytes() == np.abs(d).tobytes()
+            if tr.scorer.mode != "s":
+                d, V, _ = prox_steps(comp, tr.x, tr.gradient, score_L, every)
+                scores = np.abs(d) if tr.scorer.mode == "r" else -V
+                assert tr.scores.tobytes() == scores.tobytes()
+
+
 def into_boxes(comp, x):
     """x with every box coordinate clamped into its box, where the term
     values a tracker keeps are finite."""
@@ -1161,7 +1208,7 @@ class TestProductPathGradient:
             smooth = LeastSquaresProblem(A, rng.standard_normal(6))
         problem = (CompositeProblem(smooth, L1Term(0.3)) if composite
                    else smooth)
-        scorer = (ProxScorer(problem, smooth.L, "q") if composite
+        scorer = (ProxScorer(problem, False, "q") if composite
                   else GradScorer())
         tr = make_tracker(problem, rng.uniform(-1.0, 1.0, 14), scorer)
         assert tr.product and not tr.gram
@@ -1183,8 +1230,13 @@ class TestFullProxPass:
     @given(st.data())
     def test_full_pass_equals_prox_steps_over_every_index(self, data):
         n = data.draw(st.integers(1, 8), label="n")
-        comp = CompositeProblem(LeastSquaresProblem(np.eye(n), np.zeros(n)),
-                                [draw_term(data) for _ in range(n)])
+        # the smooth part's L_i = a_i^2 are the scorer's, 0 among them
+        diag = data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                                  min_size=n, max_size=n), label="diag A")
+        comp = CompositeProblem(
+            LeastSquaresProblem(np.diag(diag), np.zeros(n)),
+            [draw_term(data) for _ in range(n)])
+        per_coord = data.draw(st.booleans(), label="per_coord")
         # signed zeros, extreme magnitudes and anything finite; the
         # curvature is scalar or per coordinate, with L_i = 0 among them
         vec = st.lists(EXTREME_FLOATS, min_size=n, max_size=n)
@@ -1199,21 +1251,25 @@ class TestFullProxPass:
             L = np.array(data.draw(st.lists(curvature, min_size=n,
                                             max_size=n), label="L"))
         every = np.arange(n)
-        gx = comp.g_values(x)
-        point = SimpleNamespace(x=x, gradient=g, term_vals=gx)
         with np.errstate(all="ignore"):  # extreme values overflow
+            gx = comp.g_values(x)
+            point = SimpleNamespace(x=x, gradient=g, term_vals=gx)
             d, V, _ = comp.prox_steps(x, g, L, every)
-            pd, pV = ProxPass(comp, L)(x, g, gx)
-            # the scorer's full call against its call over every index:
-            # the scores and the keys it hands the stopping test
-            scored = [(ProxScorer(comp, L, mode).compute(point, None),
-                       ProxScorer(comp, L, mode).compute(point, every))
+            pd, pV = ProxPass(comp, np.broadcast_to(safe_curvature(L),
+                                                    (n,)))(x, g, gx)
+            dc, Vc, _ = comp.prox_steps(
+                x, g, comp.smooth.curvature(per_coord).L, every)
+            # the scorer's full call and its call over every index against
+            # prox_steps: the scores and the keys it hands the stopping test
+            scored = [(ProxScorer(comp, per_coord, mode).compute(point, None),
+                       ProxScorer(comp, per_coord, mode).compute(point, every),
+                       (np.abs(dc) if mode == "r" else -Vc, np.abs(dc)))
                       for mode in ("r", "q")]
         assert pd.tobytes() == d.tobytes()
         assert pV.tobytes() == V.tobytes()
-        for full, ref in scored:
-            for a, b in zip(full, ref):
-                assert a.tobytes() == b.tobytes()
+        for full, part, ref in scored:
+            for a, b, c in zip(full, part, ref):
+                assert a.tobytes() == b.tobytes() == c.tobytes()
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -1236,15 +1292,14 @@ class TestFullProxPass:
         rule = make_rule(data.draw(st.sampled_from(names), label="rule"))
         backend = data.draw(st.sampled_from(["scan", "heap"]),
                             label="backend")
-        L_coord = np.where(smooth.L_per_coord > 0, smooth.L_per_coord, 1.0)
-        L_step = data.draw(st.sampled_from(
-            [None, np.full(n, smooth.L), L_coord]), label="L_step")
+        step_per_coord = data.draw(st.sampled_from([None, False, True]),
+                                   label="step_per_coord")
         bounds = [(max(-1.0, t.p1), min(1.0, t.p2)) if t.kind == BOX
                   else (-1.0, 1.0) for t in terms]
         x0 = np.array([data.draw(st.floats(lo, hi), label="x0")
                        for lo, hi in bounds])
         tr = make_tracker(problem, x0, rule.scorer(problem), backend=backend,
-                          L_step=L_step,
+                          step_per_coord=step_per_coord,
                           refresh_every=data.draw(st.sampled_from(
                               [1, 3, 10000]), label="refresh_every"))
         assert tr.product
@@ -1252,9 +1307,9 @@ class TestFullProxPass:
 
         def check():
             vals = tr.scorer.compute(tr, every)[0]
-            keys = (np.abs(problem.prox_steps(tr.x, tr.gradient, tr.L_step,
-                                              every)[0])
-                    if composite else np.abs(tr.gradient))
+            keys = (np.abs(problem.prox_steps(
+                tr.x, tr.gradient, smooth.curvature(tr.step_per_coord).L,
+                every)[0]) if composite else np.abs(tr.gradient))
             assert tr.scores.tobytes() == vals.tobytes()
             assert tr.keys.tobytes() == keys.tobytes()
 
@@ -1320,14 +1375,17 @@ class TestFullProxPass:
         g = np.array(data.draw(vec, label="grad"))
         L = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
                                         min_size=n, max_size=n), label="L"))
-        d, V = ProxPass(comp, L)(x, g, comp.g_values(x))
         L_safe = safe_curvature(L)
+        full = ProxPass(comp, L_safe)
+        gx = comp.g_values(x)
+        d, V = full(x, g, gx)
         for i in range(n):
             di, Vi, _ = comp.prox_steps(x, g, L, np.array([i]))
+            ad, aV = full.at(np.array([i]), x, g, gx)
             cd, cV = comp.coord_step(i, x.item(i), g.item(i), L_safe.item(i))
-            for got in (di, np.array([cd])):
+            for got in (di, ad, np.array([cd])):
                 assert got.tobytes() == d[i:i + 1].tobytes()
-            for got in (Vi, np.array([cV])):
+            for got in (Vi, aV, np.array([cV])):
                 assert got.tobytes() == V[i:i + 1].tobytes()
 
 class TestBackendEquivalence:
@@ -1519,7 +1577,8 @@ class TestSharedProblemConstants:
         smooth = getattr(problem, "smooth", problem)
         curvature = smooth.curvature(mode == "const-coord")
         tr = make_tracker(problem, np.zeros(problem.n), rule.scorer(problem),
-                          lean=not rule.reads_gradient, L_step=curvature.L)
+                          lean=not rule.reads_gradient,
+                          step_per_coord=mode == "const-coord")
         return rule, tr, curvature
 
     @staticmethod
@@ -1563,8 +1622,7 @@ class TestSharedProblemConstants:
                 # the full passes the tracker runs are the problem's own
                 for step in (tr._step_pass, getattr(tr.scorer, "_pass", None)):
                     assert step is None or any(
-                        step is shared.full_pass(shared.smooth.curvature(c).L)
-                        for c in (False, True))
+                        step is shared.full_pass(c) for c in (False, True))
         for k in range(60):
             for (rule, tr, curv), (rule2, tr2, curv2) in pairs:
                 assert (self.step(rule, tr, curv, k)

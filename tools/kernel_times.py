@@ -50,10 +50,10 @@ updates less the lean one: what greedy scoring adds to a move.
 
 On ``l1_underdet_ls`` ``PROX_SIZE`` (``lasso-prox``'s size) it times the
 composite path piece by piece, at the state of a fresh tracker, for the
-median column j: one full-vector ``ProxPass`` under L (``prox_pass_us``),
-one ``prox_steps`` over the one index j under the ``gs-q`` scorer's kept
-curvature (``prox_one_us``, the scatter path's rescore of an identity-like
-column), and whole updates of column j on a lean tracker
+median column j: the problem's kept ``ProxPass`` under L over all n
+(``prox_pass_us``, the ``gs-q`` scorer's) and at the one index j (``at``,
+``prox_one_us``, the call the scatter path's rescore of an identity-like
+column makes), and whole updates of column j on a lean tracker
 (``lean_update_us``, what uniform pays) and on the product path under
 ``gs-q`` and ``gsl-q`` scores (``gsq_update_us``, ``gslq_update_us``).
 
@@ -114,7 +114,6 @@ sys.path.insert(0, os.path.join(os.path.dirname(HERE), "src"))
 from workloads import WORKLOADS, rule_seed  # noqa: E402
 
 from greedycd import _kernels, descent, harness  # noqa: E402
-from greedycd.problems import ProxPass  # noqa: E402
 from greedycd.rules import make_rule  # noqa: E402
 from greedycd.tracker import (KAPPA, H1Tracker, H2Tracker,  # noqa: E402
                               takes_gram, takes_product)
@@ -298,13 +297,13 @@ def measure_prox():
                                  refresh_every=10**9)
                 for label, rule in (("gsq", "gs-q"), ("gslq", "gsl-q"))}
     tr = trackers["gsq"]
-    full = ProxPass(comp, comp.L)
+    full = comp.full_pass(False)
     one = np.array([j])
     out = {"family": "l1_underdet_ls", "m": m, "n": n, "column": j}
     out.update(scaled_us({
         "prox_pass_us": lambda: full(tr.x, tr.gradient, tr.term_vals),
-        "prox_one_us": lambda: comp.prox_steps(tr.x, tr.gradient,
-                                               tr.scorer.L_used, one)}))
+        "prox_one_us": lambda: full.at(one, tr.x, tr.gradient,
+                                       tr.term_vals)}))
     updates = {"lean_update_us": update_pair(lean, j)}
     for label, t in trackers.items():
         assert t.product and not t.gram

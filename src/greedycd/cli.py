@@ -89,10 +89,14 @@ def cmd_run(args):
 
 
 def cmd_race(args):
-    exp = _load_problem(args)
     names = [s.strip() for s in args.rules.split(",") if s.strip()]
     if not names:
         args._parser.error("--rules must name at least one rule")
+    repeated = sorted({name for name in names if names.count(name) > 1})
+    if repeated:
+        # each rule writes trace_<rule>.csv, so a repeat would overwrite one
+        args._parser.error(f"--rules repeats {', '.join(repeated)}")
+    exp = _load_problem(args)
     rules = [make_rule(name, eps=args.eps) for name in names]
     traces = race(exp.problem, rules, args.iters,
                   master_seed=args.master_seed, step=args.step,

@@ -220,6 +220,8 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
         raise TypeError("rule must be a name or a Rule")
     if max_iters is None:
         max_iters = 50 * n
+    elif max_iters < 0:
+        raise ValueError(f"max_iters must be at least 0, got {max_iters}")
     if not math.isfinite(tol):
         raise ValueError("tol must be finite")
     if x0 is None:

@@ -222,6 +222,14 @@ def load_experiment(manifest_path):
     if missing:
         raise ValueError(f"manifest is missing keys: {', '.join(missing)}")
     kind = manifest["kind"]
+    if not isinstance(kind, str):
+        raise ValueError(f"manifest key 'kind' must be a string, got {kind!r}")
+    for key in ("matrix", "rhs", "labels", "x0"):
+        # a file name; only the matrix may not be null
+        v = manifest[key]
+        if not (isinstance(v, str) or (v is None and key != "matrix")):
+            raise ValueError(f"manifest key {key!r} must name a file, "
+                             f"got {v!r}")
     for key in KIND_KEYS.get(kind, ()):
         if manifest[key] in (None, ""):
             raise ValueError(f"a {kind!r} manifest needs {key!r}, "

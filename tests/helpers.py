@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from greedycd.descent import run
 from greedycd.linalg import SparseMatrix
-from greedycd.problems import LeastSquaresProblem, LogisticProblem
 from greedycd.rules import Rule
 
 
@@ -62,19 +61,6 @@ def draw_triplet_matrix(data, m, n):
     t = np.array(triplets, dtype=np.float64).reshape(-1, 3)
     return SparseMatrix.from_coo(m, n, t[:, 0].astype(np.int64),
                                  t[:, 1].astype(np.int64), t[:, 2])
-
-
-def draw_h1_problem(data, A):
-    """A least-squares or logistic problem on A, with l2_reg 0 or 0.3."""
-    m = A.shape[0]
-    lam = data.draw(st.sampled_from([0.0, 0.3]), label="l2_reg")
-    if data.draw(st.booleans(), label="logistic"):
-        y = np.array(data.draw(st.lists(st.sampled_from([-1.0, 1.0]),
-                                        min_size=m, max_size=m)))
-        return LogisticProblem(A, y, l2_reg=lam)
-    b = np.array(data.draw(st.lists(st.floats(-2.0, 2.0),
-                                    min_size=m, max_size=m)))
-    return LeastSquaresProblem(A, b, l2_reg=lam)
 
 
 def scatter_rows_loop(A, rows, dg, target):

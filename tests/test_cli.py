@@ -1,8 +1,10 @@
 """The command-line front end: exit codes, outputs, and file artifacts."""
 
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -111,7 +113,8 @@ def test_sizes_the_generator_cannot_build_fail_cleanly(argv, capsys):
 
 @pytest.mark.parametrize("key,value", [("labeled_nodes", [400]),
                                        ("labeled_nodes", 5),
-                                       ("lambda", None)])
+                                       ("lambda", None),
+                                       ("matrix", None)])
 def test_run_malformed_manifest_fails_cleanly(key, value, tmp_path, capsys):
     assert main(["gen", "--problem", "two_moons", "--n", "40",
                  "--out", str(tmp_path)]) == 0
@@ -144,6 +147,28 @@ def test_run_nns_backend(capsys):
                  "--n", "12", "--rule", "gsl", "--backend", "nns",
                  "--iters", "25", "--tol", "0"]) == 0
     assert "rule=gsl" in capsys.readouterr().out
+    # the README's example, shortened to 50 iterations
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    line, = [t for t in readme.splitlines()
+             if t.startswith("greedycd run") and "--backend nns" in t]
+    assert main(shlex.split(line)[1:] + ["--iters", "50"]) == 0
+    assert "rule=gsl iters=50" in capsys.readouterr().out
+
+
+def test_run_refuses_a_negative_iteration_count(capsys):
+    assert main(["run", "--problem", "sparse_ls", "--m", "20", "--n", "10",
+                 "--iters", "-2"]) == 1
+    assert "max_iters must be at least 0" in capsys.readouterr().err
+
+
+def test_race_refuses_a_repeated_rule(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["race", "--problem", "sparse_ls", "--m", "20", "--n", "10",
+              "--rules", "gs,uniform,gs", "--iters", "5",
+              "--out", str(tmp_path / "race")])
+    assert exc.value.code == 2
+    assert "--rules repeats gs" in capsys.readouterr().err
+    assert not (tmp_path / "race").exists()
 
 
 def test_x0_flag(tmp_path, capsys):

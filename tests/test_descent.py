@@ -497,6 +497,10 @@ def test_run_validates_inputs():
     for tol in (np.nan, np.inf):
         with pytest.raises(ValueError, match="tol must be finite"):
             run(prob, "gs", tol=tol)
+    # 0 runs no update: the trace holds x0's row alone
+    with pytest.raises(ValueError, match="max_iters must be at least 0"):
+        run(prob, "gs", max_iters=-3)
+    assert len(run(prob, "gs", max_iters=0)) == 1
 
 
 def test_exact_composite_step_needs_a_quadratic_smooth_part(monkeypatch):

@@ -271,6 +271,11 @@ def test_manifest_empty_kind_key_is_named(name, key, tmp_path):
     ("sparse_logistic", "lambda", "1.0"),
     ("l1_underdet_ls", "lambda", float("inf")),
     ("two_moons", "lambda", float("nan")),
+    ("sparse_ls", "kind", ["ls"]),
+    ("sparse_ls", "matrix", None),
+    ("two_moons", "matrix", 5),
+    ("sparse_ls", "rhs", 5),
+    ("sparse_logistic", "x0", 7),
 ])
 def test_manifest_malformed_value_is_named(name, key, value, tmp_path):
     path = save_experiment(small(name), tmp_path)

@@ -1,6 +1,17 @@
-"""Tracker tests: every incremental quantity is compared against a fresh
-dense recompute after each update, and work counters against the structural
-budgets."""
+"""Tracker tests.
+
+One property test (``TestTrackerOracle``) holds the trackers' central
+invariant on each update path (the h1 row scatter, full product and Gram
+column, and the h2 graph move): after the build, after every update and
+after a final refresh, each piece of state (A x, the row derivatives, the
+gradient, the objective and its last change, the term values, the keys,
+the scores and the pick) equals a fresh dense recompute from x
+(``DenseRecompute``), and each update's work counters equal what the
+problem's structure implies.  One generator draws the problem, terms,
+rule, backend, step curvature and refresh interval; a lean tracker and one
+on the heap or nns are held against a twin fed the same updates.  The
+other tests hold the kernels against their loops bit for bit, hand-computed
+cases, input validation, call counts and run-level agreement."""
 
 from types import SimpleNamespace
 
@@ -19,23 +30,16 @@ from greedycd.problems import (BOX, BoxTerm, CompositeProblem,
                                LeastSquaresProblem, LogisticProblem,
                                ProxPass, ZeroTerm, safe_curvature)
 from greedycd.rules import RULE_NAMES, ProxWorkRule, make_rule
-from greedycd.tracker import (KAPPA, GradScorer, H1Tracker, H2Tracker,
-                              ProxScorer, _TrackerBase, make_tracker,
-                              takes_gram, takes_product)
-from helpers import (EXTREME_FLOATS, draw_h1_problem, draw_triplet_matrix,
-                     graph_move_loop, random_sparse, scan_argmax,
-                     scatter_rows_loop)
+from greedycd.tracker import (GradScorer, H1Tracker, H2Tracker, ProxScorer,
+                              _TrackerBase, make_tracker, takes_gram,
+                              takes_product)
+from helpers import (EXTREME_FLOATS, draw_triplet_matrix, graph_move_loop,
+                     random_sparse, scan_argmax, scatter_rows_loop)
 
 
 def assert_tracker_matches(tr, problem, rtol=1e-9):
     assert np.allclose(tr.gradient, problem.full_grad(tr.x), rtol=rtol, atol=1e-12)
     assert np.isclose(tr.objective(), problem.eval(tr.x), rtol=rtol, atol=1e-12)
-
-
-def assert_peek_near_max(tr):
-    fresh = tr.scorer.compute(tr, np.arange(tr.n))[0]
-    top = fresh.max()
-    assert fresh[tr.peek()] >= top - 1e-12 * max(1.0, abs(top))
 
 
 def random_bounded_degree_graph(rng, n, dmax):
@@ -59,14 +63,6 @@ def random_bounded_degree_graph(rng, n, dmax):
 
 
 class TestH1Tracker:
-    def test_init_matches_problem(self):
-        rng = np.random.default_rng(0)
-        A, _ = random_sparse(rng, 10, 6)
-        p = LeastSquaresProblem(A, rng.standard_normal(10), l2_reg=0.3)
-        tr = H1Tracker(p, rng.standard_normal(6), GradScorer())
-        assert_tracker_matches(tr, p, rtol=1e-12)
-        assert tr.peek() == scan_argmax(np.abs(tr.gradient))
-
     def test_identity_matrix_touches_one_of_everything(self):
         # one update gathers 1 entry of nnz = 16 > KAPPA: the scatter
         p = LeastSquaresProblem(np.eye(16), np.arange(16.0))
@@ -97,53 +93,6 @@ class TestH1Tracker:
         stats = tr.apply_update(1, 0.0)
         assert stats.touched_rows == A.column(1)[0].shape[0] > 0
 
-    def test_random_updates_match_dense_oracle(self):
-        rng = np.random.default_rng(2)
-        # (m, n, density, every column nonempty): the base case, then
-        # empty rows and columns, a single row, and a single column
-        shapes = [(25, 12, 0.25, True), (25, 12, 0.05, False),
-                  (1, 12, 0.5, True), (25, 1, 0.25, True)]
-        for m, n, density, nonempty in shapes:
-            A, _ = random_sparse(rng, m, n, density=density,
-                                 ensure_nonempty_cols=nonempty)
-            p = LeastSquaresProblem(A, rng.standard_normal(m), l2_reg=0.2,
-                                    scale=1.0 / (2 * m))
-            x0 = rng.standard_normal(n)
-            trs = [H1Tracker(p, x0, GradScorer(), backend=backend)
-                   for backend in ("heap", "scan")]
-            c, r = A.max_col_nnz, A.max_row_nnz
-            for _ in range(300):
-                i = int(rng.integers(n))
-                delta = float(rng.standard_normal() * 0.3)
-                for tr in trs:
-                    before = tr.objective()
-                    stats = tr.apply_update(i, delta)
-                    assert stats.touched_rows <= c
-                    assert stats.touched_grads <= c * r
-                    # the product path rekeys all n, the scatter the
-                    # columns it hits
-                    assert stats.heap_ops <= (n if tr.product
-                                              else max(c * r, 1))
-                    assert_tracker_matches(tr, p)
-                    assert_peek_near_max(tr)
-                    assert np.isclose(before + tr.last_obj_delta,
-                                      tr.objective(), rtol=1e-12)
-                assert np.array_equal(trs[0].gradient, trs[1].gradient)
-                assert np.array_equal(trs[0].scores, trs[1].scores)
-                assert trs[0].peek() == trs[1].peek()
-
-    def test_logistic_updates_match_dense_oracle(self):
-        rng = np.random.default_rng(3)
-        A, _ = random_sparse(rng, 30, 8, density=0.3)
-        y = np.sign(rng.standard_normal(30))
-        y[y == 0] = 1.0
-        p = LogisticProblem(A, y, l2_reg=0.1)
-        tr = H1Tracker(p, np.zeros(8), GradScorer(weights=1 / np.sqrt(p.L_per_coord)))
-        for _ in range(150):
-            tr.apply_update(int(rng.integers(8)), float(rng.standard_normal() * 0.5))
-            assert_tracker_matches(tr, p)
-            assert_peek_near_max(tr)
-
     def test_gsl_score_example(self):
         # gradient exactly (2, 2.1) at x0 = (1, 0); weights 1/sqrt(L) turn it
         # into (2, 3), so the weighted pick differs from the plain greedy one
@@ -160,38 +109,6 @@ class TestH1Tracker:
         tr3 = H1Tracker(p, np.array([1.2, 0.0]),
                         GradScorer(weights=1 / np.sqrt(p.L_per_coord)))
         assert tr3.peek() == 1
-
-    def test_refresh_interval_keeps_oracle(self):
-        rng = np.random.default_rng(4)
-        A, _ = random_sparse(rng, 15, 7)
-        p = LeastSquaresProblem(A, rng.standard_normal(15), l2_reg=0.05)
-        tr = H1Tracker(p, rng.standard_normal(7), GradScorer(),
-                       refresh_every=37)
-        for k in range(200):
-            tr.apply_update(int(rng.integers(7)), float(rng.standard_normal()))
-            assert_tracker_matches(tr, p, rtol=1e-10)
-            assert_peek_near_max(tr)
-
-    def test_prox_scores_match_fresh_candidates(self):
-        rng = np.random.default_rng(5)
-        A, _ = random_sparse(rng, 12, 6)
-        ls = LeastSquaresProblem(A, rng.standard_normal(12))
-        comp = CompositeProblem(ls, L1Term(0.4))
-        for mode, oracle in [
-            ("r", lambda d, V, eta: np.abs(d)),
-            ("q", lambda d, V, eta: -V),
-            ("s", lambda d, V, eta: np.abs(eta)),
-        ]:
-            tr = H1Tracker(comp, rng.standard_normal(6),
-                           ProxScorer(comp, False, mode))
-            for _ in range(60):
-                tr.apply_update(int(rng.integers(6)), float(rng.standard_normal()))
-                g = ls.full_grad(tr.x)
-                d, V, _ = comp.prox_steps(tr.x, g, ls.L)
-                eta = comp.min_subgradients(tr.x, g)
-                assert np.allclose(np.sort(tr.scores), np.sort(oracle(d, V, eta)),
-                                   rtol=1e-9, atol=1e-12)
-                assert_peek_near_max(tr)
 
     def test_prox_scores_need_the_composite_problem(self):
         ls = LeastSquaresProblem(np.eye(2), np.zeros(2))
@@ -363,20 +280,6 @@ class TestGraphMoveKernel:
 
 
 class TestH2Tracker:
-    def test_random_updates_match_dense_oracle(self):
-        rng = np.random.default_rng(6)
-        p = random_bounded_degree_graph(rng, 20, dmax=4)
-        d = p.max_degree
-        tr = H2Tracker(p, rng.standard_normal(20), GradScorer())
-        for _ in range(300):
-            stats = tr.apply_update(int(rng.integers(20)),
-                                    float(rng.standard_normal()))
-            assert stats.touched_rows <= d
-            assert stats.touched_grads <= d
-            assert stats.heap_ops <= d + 1
-            assert_tracker_matches(tr, p)
-            assert_peek_near_max(tr)
-
     def test_a_long_walk_without_refresh_keeps_the_gradient(self):
         # each move adds -w_ij * dx to the neighbours' entries; 1e5 random
         # moves with no refresh must not let those sums drift
@@ -405,59 +308,7 @@ class TestH2Tracker:
 
 
 class TestEagerGraphTracker:
-    """An h2 tracker against a dense recompute after every update."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_graph_tracker_matches_dense_recompute(self, data):
-        n = data.draw(st.integers(1, 8), label="n")
-        p = draw_graph(data, n, st.floats(0.0, 2.0), st.floats(-2.0, 2.0))
-        H = p.hessian()
-        scorer = data.draw(st.sampled_from(["none", "plain", "weighted"]),
-                           label="scorer")
-        weights = (1 / np.sqrt(np.where(p.L_per_coord > 0,
-                                        p.L_per_coord, 1.0))
-                   if scorer == "weighted" else None)
-        backend = data.draw(st.sampled_from(["scan", "heap"]),
-                            label="backend")
-        x0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
-                                         max_size=n)))
-        tr = H2Tracker(p, x0,
-                       None if scorer == "none" else GradScorer(weights),
-                       backend=backend,
-                       refresh_every=data.draw(st.sampled_from([1, 3, 10000]),
-                                               label="refresh_every"))
-        # |x| stays below 12 over at most 10 steps of size <= 1, which
-        # bounds every term the caches sum
-        scale = (1.0 + 12.0 * (np.abs(H).sum()
-                               + np.abs(p.node_lin).sum())) ** 2
-        degree = np.bincount(p.edges.ravel(), minlength=n)
-
-        def check():
-            grad = H @ tr.x - p.node_lin
-            assert np.allclose(tr.gradient, grad, rtol=0, atol=1e-12 * scale)
-            assert abs(tr.objective() - p.eval(tr.x)) <= 1e-12 * scale
-            assert tr.keys.tobytes() == np.abs(tr.gradient).tobytes()
-            if scorer == "none":
-                with pytest.raises(ValueError):
-                    tr.scores
-                return
-            w = 1.0 if weights is None else weights
-            assert np.array_equal(tr.scores, w * np.abs(tr.gradient))
-            assert np.allclose(tr.scores, w * np.abs(grad), rtol=0,
-                               atol=1e-12 * scale)
-            assert tr.peek() == int(np.argmax(tr.scores))
-
-        check()
-        steps = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                             st.floats(-1.0, 1.0)),
-                                   max_size=10), label="steps")
-        for i, delta in steps:
-            stats = tr.apply_update(i, delta)
-            assert stats.touched_rows == stats.touched_grads == degree[i]
-            heaped = backend == "heap" and scorer != "none"
-            assert stats.heap_ops == (degree[i] + 1 if heaped else 0)
-            check()
+    """Which rescore an h2 update takes, by backend, score and leanness."""
 
     def test_scoreless_update_skips_the_rescore(self, monkeypatch):
         calls = []
@@ -506,208 +357,11 @@ class TestEagerGraphTracker:
                 assert tr.peek() == int(np.argmax(ws * keys))
 
 
-class TestEagerTracker:
-    """An eager h1 tracker against a dense recompute after every update."""
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_eager_matches_dense_recompute(self, data):
-        m = data.draw(st.integers(1, 6), label="m")
-        n = data.draw(st.integers(1, 6), label="n")
-        A = draw_triplet_matrix(data, m, n)
-        dense = A.to_dense()
-        p = draw_h1_problem(data, A)
-        lam = p.l2_reg
-        weights = None
-        if data.draw(st.booleans(), label="lipschitz weights"):
-            weights = 1 / np.sqrt(np.where(p.L_per_coord > 0,
-                                           p.L_per_coord, 1.0))
-        x0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
-                                         max_size=n)))
-        tr = H1Tracker(p, x0, GradScorer(weights),
-                       backend=data.draw(st.sampled_from(["scan", "heap"]),
-                                         label="backend"),
-                       refresh_every=data.draw(st.sampled_from([1, 3, 10000]),
-                                               label="refresh_every"))
-        # |x| stays below 12 over at most 10 steps of size <= 1, which
-        # bounds every |u_j| and |b_j| and so every term the caches sum
-        scale = (1.0 + 12.0 * np.abs(dense).sum()) ** 2
-        allrows = np.arange(m)
-
-        def check():
-            u = dense @ tr.x
-            row_v, row_g = p.row_link(u, allrows)
-            grad = dense.T @ row_g + lam * tr.x
-            obj = row_v.sum() + 0.5 * lam * tr.x @ tr.x
-            assert np.allclose(tr.gradient, grad, rtol=0, atol=1e-12 * scale)
-            assert abs(tr.objective() - obj) <= 1e-12 * scale
-            w = 1.0 if weights is None else weights
-            # the kept scores are the scorer's over the kept gradient, and
-            # the dense gradient's within the same bound
-            assert np.array_equal(tr.scores, w * np.abs(tr.gradient))
-            assert np.allclose(tr.scores, w * np.abs(grad), rtol=0,
-                               atol=1e-12 * scale)
-            assert tr.peek() == int(np.argmax(tr.scores))
-
-        check()
-        steps = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                             st.floats(-1.0, 1.0)),
-                                   max_size=10), label="steps")
-        for i, delta in steps:
-            stats = tr.apply_update(i, delta)
-            hit = dense[:, i] != 0
-            assert stats.touched_rows == hit.sum()
-            assert stats.touched_grads == (dense[hit] != 0).sum()
-            check()
-
-
-class TestUpdatePath:
-    """The two ways an eager h1 update renews A^T grad: one full product or
-    the row scatter, chosen once from the matrix.  Matrices are drawn on
-    both sides of the rule, and every update is checked against a dense
-    recompute.  A least-squares problem with n <= m on the product side
-    takes the Gram path instead (``TestGramPath``)."""
-
-    @pytest.mark.parametrize("product", [True, False])
-    @settings(max_examples=100, deadline=None)
-    @given(data=st.data())
-    def test_either_path_matches_dense_recompute(self, product, data):
-        # dense-ish matrices gather most of nnz per update; long, sparse
-        # rows gather little of it
-        if product:
-            m, n = data.draw(st.integers(1, 12)), data.draw(st.integers(1, 12))
-            density = data.draw(st.floats(0.15, 1.0), label="density")
-        else:
-            m, n = data.draw(st.integers(1, 12)), data.draw(st.integers(30, 60))
-            density = data.draw(st.floats(0.005, 0.05), label="density")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
-        dense = np.where(rng.random((m, n)) < density,
-                         rng.standard_normal((m, n)), 0.0)
-        nz = dense != 0
-        # the rule, from the dense pattern: mean gather sum_i r_i^2 / n
-        # against nnz / KAPPA
-        rule = KAPPA * int((nz.sum(axis=1) ** 2).sum()) > n * int(nz.sum())
-        assume(rule == product)
-        A = SparseMatrix.from_dense(dense)
-        p = draw_h1_problem(data, A)
-        weights = None
-        if data.draw(st.booleans(), label="lipschitz weights"):
-            weights = 1 / np.sqrt(np.where(p.L_per_coord > 0,
-                                           p.L_per_coord, 1.0))
-        backend = data.draw(st.sampled_from(["scan", "heap"]), label="backend")
-        tr = H1Tracker(p, rng.uniform(-1.0, 1.0, n), GradScorer(weights),
-                       backend=backend)
-        assert tr.product == rule
-        w = 1.0 if weights is None else weights
-        allrows = np.arange(m)
-
-        def check():
-            u = dense @ tr.x
-            row_g = p.row_link(u, allrows)[1]
-            grad = dense.T @ row_g + p.l2_reg * tr.x
-            # each sum's rounding is bounded by the sum of its |terms|, and
-            # u's by |A| |x| (+ |b| <= 2, or a logistic row_g <= 1)
-            size = 1.0 + np.abs(dense).T @ (np.abs(dense) @ np.abs(tr.x) + 2.0)
-            assert np.all(np.abs(tr.gradient - grad) <= 1e-12 * size)
-            assert np.array_equal(tr.scores, w * np.abs(tr.gradient))
-            assert tr.peek() == int(np.argmax(tr.scores))
-
-        check()
-        for _ in range(data.draw(st.integers(1, 8), label="updates")):
-            i = int(rng.integers(n))
-            stats = tr.apply_update(i, float(rng.uniform(-1.0, 1.0)))
-            hit = nz[:, i]
-            assert stats.touched_rows == hit.sum()
-            assert stats.touched_grads == nz[hit].sum()
-            if backend == "scan":
-                assert stats.heap_ops == 0
-            elif product:
-                assert stats.heap_ops == n
-            else:
-                assert stats.heap_ops == max(nz[hit].any(axis=0).sum(), 1)
-            check()
-
-
 class TestGramPath:
     """The third way an eager h1 update renews its gradient: on a
     least-squares problem whose matrix takes the product and has n <= m,
     grad += delta * H[:, i], one column of the Hessian.  The tracker keeps
     A x and the row values for the objective, and no row derivatives."""
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_gram_path_matches_a_dense_recompute(self, data):
-        n = data.draw(st.integers(1, 6), label="n")
-        m = data.draw(st.integers(n, 8), label="m")
-        entries = data.draw(st.lists(
-            st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=m * n,
-            max_size=m * n), label="A")
-        dense = np.array(entries).reshape(m, n)
-        A = SparseMatrix.from_dense(dense)
-        assume(takes_product(A))
-        b = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=m,
-                                        max_size=m), label="b"))
-        lam = data.draw(st.one_of(st.sampled_from([0.0, 0.3]),
-                                  st.floats(0.0, 2.0)), label="l2_reg")
-        smooth = LeastSquaresProblem(A, b, l2_reg=lam)
-        kind = data.draw(st.sampled_from(["smooth", "l1", "box", "mixed"]),
-                         label="terms")
-        if kind == "l1":
-            terms = [L1Term(data.draw(st.sampled_from([0.0, 0.5, 3.0])))
-                     for _ in range(n)]
-        elif kind == "box":
-            terms = [BoxTerm(-1.0, 1.0)] * n
-        elif kind == "mixed":
-            terms = [draw_term(data) for _ in range(n)]
-        else:
-            terms = [ZeroTerm()] * n
-        problem = (smooth if kind == "smooth"
-                   else CompositeProblem(smooth, terms))
-        names = ["gs", "gsl"] + ([] if kind == "smooth" else
-                                 ["gs-q", "gsl-q", "gs-r", "gsl-r", "gs-s"])
-        rule = make_rule(data.draw(st.sampled_from(names), label="rule"))
-        bounds = [(max(-1.0, t.p1), min(1.0, t.p2)) if t.kind == BOX
-                  else (-1.0, 1.0) for t in terms]
-        x0 = np.array([data.draw(st.floats(lo, hi), label="x0")
-                       for lo, hi in bounds])
-        tr = make_tracker(problem, x0, rule.scorer(problem),
-                          refresh_every=data.draw(st.sampled_from(
-                              [1, 3, 10000]), label="refresh_every"))
-        assert tr.gram and tr.product
-        assert tr.row_g is None
-        assert tr.G is smooth.hessian()
-        every = np.arange(n)
-        # every iterate stays in [-1, 1]^n, which bounds each term of the
-        # gradient's sums and of the objective's
-        grad_size = 1.0 + (np.abs(dense).T @ (np.abs(dense).sum(axis=1)
-                                              + 2.0) + lam)
-        obj_size = ((1.0 + 2.0 * m + np.abs(dense).sum()) ** 2
-                    + (lam + 3.0) * n)
-
-        def check():
-            grad = smooth.full_grad(tr.x)
-            assert np.all(np.abs(tr.gradient - grad) <= 1e-12 * grad_size)
-            keys = (np.abs(problem.prox_steps(
-                tr.x, tr.gradient, smooth.curvature(tr.step_per_coord).L,
-                every)[0]) if kind != "smooth" else np.abs(tr.gradient))
-            assert tr.keys.tobytes() == keys.tobytes()
-            assert (tr.scores.tobytes()
-                    == tr.scorer.compute(tr, every)[0].tobytes())
-            assert abs(tr.objective() - problem.eval(tr.x)) <= 1e-12 * obj_size
-
-        check()
-        for _ in range(data.draw(st.integers(1, 8), label="moves")):
-            i = data.draw(st.integers(0, n - 1), label="i")
-            lo, hi = bounds[i]
-            xi = tr.x.item(i)
-            delta = data.draw(st.floats(lo, hi), label="target") - xi
-            if not lo <= xi + delta <= hi:
-                delta = 0.0
-            stats = tr.apply_update(i, delta)
-            hit = dense[:, i] != 0
-            assert stats.touched_rows == hit.sum()
-            assert stats.touched_grads == (dense[hit] != 0).sum()
-            check()
 
     @pytest.mark.parametrize("case", ["ls", "composite", "logistic", "wide",
                                       "scatter", "lean"])
@@ -780,46 +434,7 @@ class TestGramPath:
 
 
 class TestLeanTracker:
-    """A lean h1 tracker (no gradient, no scores) against an eager one fed
-    the same updates."""
-
-    @settings(max_examples=120, deadline=None)
-    @given(st.data())
-    def test_lean_matches_eager_on_random_problems(self, data):
-        m = data.draw(st.integers(1, 6), label="m")
-        n = data.draw(st.integers(1, 6), label="n")
-        A = draw_triplet_matrix(data, m, n)
-        p = draw_h1_problem(data, A)
-        x0 = np.array(data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n,
-                                         max_size=n)))
-        every = data.draw(st.sampled_from([1, 3, 10000]), label="refresh_every")
-        eager = H1Tracker(p, x0, refresh_every=every)
-        lean = H1Tracker(p, x0, refresh_every=every, lean=True)
-        assert lean.gradient is None
-
-        def check():
-            assert lean.objective() == eager.objective()
-            assert np.array_equal(lean.x, eager.x)
-            g = eager.gradient
-            scale = max(1.0, float(np.abs(g).max()))
-            for i in range(n):
-                assert abs(lean.grad_coord(i) - g[i]) <= 1e-12 * scale
-            full = lean.full_gradient()
-            assert np.allclose(full, p.full_grad(lean.x), rtol=1e-12,
-                               atol=1e-12 * scale)
-            assert lean.grad_inf_norm() == float(np.abs(full).max())
-
-        check()
-        steps = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                             st.floats(-1.0, 1.0)),
-                                   max_size=10), label="steps")
-        for i, delta in steps:
-            e = eager.apply_update(i, delta)
-            le = lean.apply_update(i, delta)
-            assert (le.touched_rows, le.touched_grads, le.heap_ops) == (
-                e.touched_rows, 0, 0)
-            assert lean.last_obj_delta == eager.last_obj_delta
-            check()
+    """A lean tracker keeps no scores and no keys, and on h1 no gradient."""
 
     def test_lean_tracker_keeps_no_scores(self):
         p = LeastSquaresProblem(np.eye(3), np.ones(3))
@@ -854,173 +469,301 @@ def draw_term(data):
          (0.0, 0.0)])))
 
 
-def draw_run_tracker(data):
-    """A problem and the tracker ``run`` would build on it for a drawn
-    rule, backend, step mode and refresh interval: an h1 or h2 smooth part
-    on at most 5 coordinates, alone or under drawn l1, box and zero terms,
-    and a feasible x0 in [-1, 1]^n.  Returns (problem, tracker, L_safe,
-    bounds), L_safe being the curvature ``run`` steps and stops with and
-    bounds[i] the (lo, hi) interval of [-1, 1] that is feasible for x_i."""
-    n = data.draw(st.integers(1, 5), label="n")
-    if data.draw(st.booleans(), label="h1"):
-        # the triplets may leave columns empty (L_i = 0)
-        A = draw_triplet_matrix(data, data.draw(st.integers(1, 5),
-                                                label="m"), n)
-        smooth = draw_h1_problem(data, A)
+def tracker_state(tr):
+    """x, the objective, its last change, the update count, every cache
+    array and the heap: what a refused update must leave as it was."""
+    arrays = {k: v.tobytes() for k, v in vars(tr).items()
+              if isinstance(v, np.ndarray)}
+    heap = None if tr.heap is None else (tr.heap.keys.tobytes(),
+                                         tr.heap.order.tobytes())
+    return arrays, heap, tr.objective(), tr.last_obj_delta, tr._updates
+
+
+def bits(v):
+    return np.float64(v).tobytes()
+
+
+# the update paths: the h1 row scatter, full product and Gram column, and
+# the h2 graph move
+PATHS = ("h1-scatter", "h1-product", "h1-gram", "h2")
+
+
+def draw_smooth(data, path, grid, zero):
+    """A smooth problem whose tracker takes ``path`` when eager.  The h1
+    matrices are drawn on the path's side of KAPPA: long sparse rows for
+    the scatter, dense-ish ones for the product and, for least squares,
+    n > m there and n <= m on the Gram path.  Zero columns or isolated
+    nodes give L_i = 0.  On the ``grid`` every number is a multiple of
+    1/2 and every graph weight a power of two, so sums are exact and ties
+    frequent; with ``zero`` as well, b or the node terms are 0."""
+    if path == "h2":
+        n = data.draw(st.integers(1, 8), label="n")
+        if not grid:
+            return draw_graph(data, n, st.floats(0.0, 2.0),
+                              st.floats(-2.0, 2.0))
+        pairs = [(a, c) for a in range(n) for c in range(a + 1, n)]
+        edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)
+                          if pairs else st.just([]), label="edges")
+
+        def powers(size, lo, hi):
+            return 2.0 ** np.array(data.draw(st.lists(
+                st.integers(lo, hi), min_size=size, max_size=size)))
+
+        lin = np.zeros(n) if zero else 0.5 * np.array(data.draw(st.lists(
+            st.integers(-2, 2), min_size=n, max_size=n), label="node_lin"))
+        return GraphQuadraticProblem(
+            n, np.array(edges, dtype=np.int64).reshape(-1, 2),
+            powers(len(edges), -1, 1), node_quad=powers(n, -1, 0),
+            node_lin=lin)
+    logistic = path != "h1-gram" and data.draw(st.booleans(),
+                                               label="logistic")
+    if path == "h1-gram":
+        n = data.draw(st.integers(1, 6), label="n")
+        m = data.draw(st.integers(n, 8), label="m")
     else:
-        smooth = draw_graph(data, n, st.floats(0.0, 2.0),
-                            st.floats(-2.0, 2.0))
-    problem, x0, bounds = smooth, [], []
-    composite = data.draw(st.booleans(), label="composite")
-    terms = [draw_term(data) if composite else ZeroTerm() for _ in range(n)]
-    for term in terms:
-        lo, hi = -1.0, 1.0
-        if term.kind == BOX:
-            lo, hi = max(lo, term.p1), min(hi, term.p2)
-        bounds.append((lo, hi))
-        x0.append(data.draw(st.floats(lo, hi)))
-    if composite:
-        problem = CompositeProblem(smooth, terms)
-    names = [r for r in RULE_NAMES
-             if composite or not isinstance(make_rule(r), ProxWorkRule)]
-    rule = make_rule(data.draw(st.sampled_from(names), label="rule"))
-    backends = ["scan", "heap"]
-    # the nearest-neighbour index normalises every column, so each needs a
-    # squared norm that does not underflow to 0 (an entry of 1e-195 does)
-    if (rule.name == "gsl" and not composite and smooth.tracker_kind == "h1"
-            and smooth.l2_reg == 0 and column_sq_norms(smooth.A).all()):
-        backends.append("nns")
-    backend = data.draw(st.sampled_from(backends), label="backend")
-    step = data.draw(st.sampled_from(list(STEP_MODES)), label="step")
-    if step == "exact" and composite and not smooth.is_quadratic:
-        step = "const"
-    mode = _resolve_step(problem, rule, step)
-    # the curvature run() steps and stops with
-    L = (smooth.L_per_coord if mode in ("const-coord", "exact")
-         else np.full(n, smooth.L))
-    L_safe = np.where(L > 0, L, 1.0)
-    tr = make_tracker(problem, np.array(x0), rule.scorer(problem),
-                      backend=backend, lean=not rule.reads_gradient,
-                      step_per_coord=mode in ("const-coord", "exact"),
-                      refresh_every=data.draw(st.sampled_from(
-                          [1, 3, 10000]), label="refresh_every"))
-    return problem, tr, L_safe, bounds
+        m = data.draw(st.integers(1, 12), label="m")
+        n = data.draw(st.integers(30, 60) if path == "h1-scatter"
+                      else st.integers(1, 12) if logistic
+                      else st.integers(m + 1, 13), label="n")
+    density = data.draw(st.floats(0.005, 0.05) if path == "h1-scatter"
+                        else st.floats(0.15, 1.0), label="density")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1),
+                                          label="seed"))
+    values = (0.5 * rng.integers(-2, 3, (m, n)) if grid
+              else rng.standard_normal((m, n)))
+    A = SparseMatrix.from_dense(np.where(rng.random((m, n)) < density,
+                                         values, 0.0))
+    assume(takes_product(A) == (path != "h1-scatter"))
+    lam = data.draw(st.sampled_from([0.0, 0.5 if grid else 0.3]),
+                    label="l2_reg")
+    if logistic:
+        return LogisticProblem(A, np.where(rng.random(m) < 0.5, -1.0, 1.0),
+                               l2_reg=lam)
+    b = (np.zeros(m) if zero else 0.5 * rng.integers(-2, 3, m) if grid
+         else rng.uniform(-2.0, 2.0, m))
+    return LeastSquaresProblem(A, b, l2_reg=lam)
 
 
-class TestResidualKeys:
-    """The stopping test a tracker keeps (``grad_inf_norm``), against one
-    fresh computation over every coordinate."""
+class DenseRecompute:
+    """Every piece of a tracker's state recomputed from its x alone, with
+    dense algebra, and the work counters its problem's structure implies.
+    Every iterate lies in [-1, 1]^n, which bounds each term the tracker's
+    sums add: |u| <= |A| 1, a row derivative by |u| + |b| <= |u| + 2 (1
+    on logistic), each gradient entry by |A|^T (|A| 1 + 2) + lam on h1 and
+    |H| 1 + |b| on h2, and F by the sizes below (l1 weights <= 3)."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_residual_matches_a_full_recompute(self, data):
-        problem, tr, L_safe, _ = draw_run_tracker(data)
-        composite = tr.composite is not None
+    def __init__(self, problem):
+        self.problem = problem
+        self.smooth = s = getattr(problem, "smooth", problem)
+        n = s.n
+        if s.tracker_kind == "h1":
+            self.dense = s.A.to_dense()
+            self.nz = self.dense != 0
+            size = np.abs(self.dense)
+            self.u_size = 1.0 + size.sum(axis=1)
+            self.grad_size = 1.0 + s.l2_reg + size.T @ (self.u_size + 1.0)
+            self.obj_size = ((1.0 + 2.0 * len(size) + size.sum()) ** 2
+                             + (s.l2_reg + 3.0) * n)
+        else:
+            size = np.abs(s.hessian())
+            self.grad_size = 1.0 + size.sum(axis=1) + np.abs(s.node_lin)
+            self.obj_size = (1.0 + size.sum() + np.abs(s.node_lin).sum()
+                             + 3.0 * n)
+            self.degree = np.bincount(s.edges.ravel(), minlength=n)
 
-        def check():
-            g = tr.full_gradient()
-            keys = (np.abs(problem.prox_steps(tr.x, g, L_safe)[0])
-                    if composite else np.abs(g))
-            assert (np.float64(tr.grad_inf_norm()).tobytes()
-                    == np.float64(keys.max()).tobytes())
-            if not tr.lean:
-                assert tr.keys.tobytes() == keys.tobytes()
+    def stats(self, tr, i):
+        """(touched_rows, touched_grads, heap_ops) of an update of i."""
+        if self.smooth.tracker_kind == "h2":
+            d = int(self.degree[i])
+            return d, d, 0 if tr.heap is None else d + 1
+        hit = self.nz[:, i]
+        rows, gather = int(hit.sum()), int(self.nz[hit].sum())
+        if tr.lean:
+            return rows, 0, 0
+        if tr.heap is None:
+            return rows, gather, 0
+        # the product and Gram paths rekey all n, the scatter the columns
+        # it hits, or i alone from an empty column
+        return rows, gather, (tr.n if tr.product
+                              else max(int(self.nz[hit].any(axis=0).sum()),
+                                       1))
 
-        check()
-        steps = data.draw(st.lists(st.tuples(st.integers(0, tr.n - 1),
-                                             st.floats(-1.0, 1.0)),
-                                   max_size=8), label="steps")
-        for i, delta in steps:
-            term = problem.terms[i] if composite else ZeroTerm()
-            if (term.kind == BOX
-                    and not term.p1 <= tr.x.item(i) + delta <= term.p2):
-                # a move out of the box is refused and changes nothing
-                with pytest.raises(ValueError, match="leaves its box"):
-                    tr.apply_update(i, delta)
-            else:
-                tr.apply_update(i, delta)
-            check()
-        tr.refresh()
-        check()
-
-
-class TestTermValues:
-    """A tracker over a composite problem keeps the term values g_i(x_i)
-    that its objective sums and its full prox pass reads."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_kept_term_values_are_the_problems_after_every_change(self, data):
-        problem, tr, _, bounds = draw_run_tracker(data)
-        if tr.composite is None:
+    def check(self, tr, twin):
+        """tr against the recompute; ``twin`` is an eager tracker fed the
+        same updates when tr is lean, one on scan when tr is on the heap
+        or nns, else None."""
+        p, s, x = self.problem, self.smooth, tr.x
+        every = np.arange(tr.n)
+        if s.tracker_kind == "h1":
+            u = self.dense @ x
+            row_g = s.row_link(u, slice(None))[1]
+            grad = self.dense.T @ row_g + s.l2_reg * x
+            assert np.all(np.abs(tr.u - u) <= 1e-12 * self.u_size)
+            if tr.row_g is not None:
+                assert np.all(np.abs(tr.row_g - row_g) <= 1e-12 * self.u_size)
+        else:
+            grad = s.hessian() @ x - s.node_lin
+        g = tr.full_gradient()
+        assert np.all(np.abs(g - grad) <= 1e-12 * self.grad_size)
+        assert abs(tr.objective() - p.eval(x)) <= 1e-12 * self.obj_size
+        if s is p:
             assert tr.term_vals is None
+            keys = np.abs(g)
+        else:
+            assert tr.term_vals.tobytes() == p.g_values(x).tobytes()
+            keys = np.abs(p.prox_steps(
+                x, g, s.curvature(tr.step_per_coord).L)[0])
+        assert bits(tr.grad_inf_norm()) == bits(keys.max())
+        if tr.lean:
+            assert tr.keys is None
+            assert bits(tr.objective()) == bits(twin.objective())
+            assert bits(tr.last_obj_delta) == bits(twin.last_obj_delta)
+            scale = max(1.0, float(np.abs(twin.gradient).max()))
+            coords = np.array([tr.grad_coord(i) for i in every])
+            assert np.all(np.abs(coords - twin.gradient) <= 1e-12 * scale)
+            assert np.allclose(g, s.full_grad(x), rtol=1e-12,
+                               atol=1e-12 * scale)
             return
+        assert tr.keys.tobytes() == keys.tobytes()
+        scorer = tr.scorer
+        if scorer is not None:
+            assert (tr.scores.tobytes()
+                    == scorer.compute(tr, every)[0].tobytes())
+            assert tr.peek() == scan_argmax(tr.scores)
+            # |grad| and |eta| move by at most the gradient's error
+            w = getattr(scorer, "w", None)
+            if w is not None or getattr(scorer, "mode", "s") == "s":
+                fresh = scorer.compute(SimpleNamespace(x=x, gradient=grad),
+                                       every)[0]
+                assert np.all(np.abs(tr.scores - fresh)
+                              <= 1e-12 * (1.0 if w is None else w)
+                              * self.grad_size)
+        else:
+            with pytest.raises(ValueError, match="keeps no scores"):
+                tr.scores
+            if tr.index is None:
+                with pytest.raises(ValueError, match="without a score"):
+                    tr.peek()
+        if twin is not None:
+            assert g.tobytes() == twin.gradient.tobytes()
+            if tr.heap is not None:
+                assert tr.scores.tobytes() == twin.scores.tobytes()
+            if tr.heap is not None or tr.index is not None:
+                assert tr.peek() == twin.peek()
 
-        def check():
-            assert tr.term_vals.tobytes() == problem.g_values(tr.x).tobytes()
 
-        check()
+class TestTrackerOracle:
+    """Every update path against one dense recompute (``DenseRecompute``)
+    after the build, after every update or refused update, and after a
+    final refresh: a drawn problem, rule, backend, step curvature and
+    refresh interval, and a drawn walk inside [-1, 1]^n."""
+
+    @pytest.mark.parametrize("path", PATHS)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_path_matches_a_fresh_recompute(self, path, data):
+        grid = data.draw(st.booleans(), label="grid")
+        zero = grid and data.draw(st.booleans(), label="zero")
+        smooth = draw_smooth(data, path, grid, zero)
+        n = smooth.n
+        composite = data.draw(st.booleans(), label="composite")
+        terms = [draw_term(data) if composite else ZeroTerm()
+                 for _ in range(n)]
+        problem = CompositeProblem(smooth, terms) if composite else smooth
+
+        def value(lo, hi):
+            if not grid:
+                return st.floats(lo, hi)
+            return st.integers(int(np.ceil(2 * lo)),
+                               int(np.floor(2 * hi))).map(lambda k: k / 2)
+
+        # a feasible x0 in [-1, 1]^n
+        bounds = [(max(-1.0, t.p1), min(1.0, t.p2)) if t.kind == BOX
+                  else (-1.0, 1.0) for t in terms]
+        x0 = np.array([0.0 if zero else data.draw(value(lo, hi), label="x0")
+                       for lo, hi in bounds])
+        # half the draws take a rule that keeps scores, which the heap and
+        # nns serve
+        rules = [make_rule(r) for r in RULE_NAMES
+                 if composite or not isinstance(make_rule(r), ProxWorkRule)]
+        scoreless = data.draw(st.booleans(), label="scoreless")
+        rule = data.draw(st.sampled_from([
+            r for r in rules if (r.scorer(problem) is None) == scoreless]),
+            label="rule")
+        backends = ["heap", "scan"]
+        # the index normalises every column, so each needs a squared norm
+        if (rule.name == "gsl" and not composite and path != "h2"
+                and smooth.l2_reg == 0 and column_sq_norms(smooth.A).all()):
+            backends.insert(0, "nns")
+        backend = data.draw(st.sampled_from(backends), label="backend")
+        # a step curvature as given, or as ``run`` resolves a step mode
+        step = data.draw(st.sampled_from([None, False, True, *STEP_MODES]),
+                         label="step")
+        if isinstance(step, str):
+            if step == "exact" and composite and not smooth.is_quadratic:
+                step = "const"
+            step = _resolve_step(problem, rule, step) in ("const-coord",
+                                                          "exact")
+        every = data.draw(st.sampled_from([1, 3, 10000]),
+                          label="refresh_every")
+        lean = not rule.reads_gradient
+        tr = make_tracker(problem, x0, rule.scorer(problem), backend=backend,
+                          refresh_every=every, lean=lean, step_per_coord=step)
+        twin = None
+        if lean or backend != "scan":
+            # an eager twin for a lean tracker, a scan one for heap and nns
+            twin = make_tracker(problem, x0,
+                                None if lean else rule.scorer(problem),
+                                refresh_every=every, step_per_coord=step)
+        if composite:
+            assert tr.step_per_coord == (
+                getattr(tr.scorer, "per_coord", False) if step is None
+                else step)
+        if path == "h2":
+            assert isinstance(tr, H2Tracker)
+        else:
+            product, gram = path != "h1-scatter", path == "h1-gram"
+            assert isinstance(tr, H1Tracker)
+            assert (takes_product(smooth.A), takes_gram(smooth)) == (
+                product, gram)
+            assert (tr.product, tr.gram) == (product and not lean,
+                                             gram and not lean)
+            assert (tr.row_g is None) == tr.gram
+            if tr.gram:
+                assert tr.G is smooth.hessian()
+        oracle = DenseRecompute(problem)
+        oracle.check(tr, twin)
         for _ in range(data.draw(st.integers(0, 8), label="moves")):
-            i = data.draw(st.integers(0, tr.n - 1), label="i")
-            lo, hi = bounds[i]
-            term = problem.terms[i]
+            i = data.draw(st.integers(0, n - 1), label="i")
             xi = tr.x.item(i)
-            delta = data.draw(st.floats(-2.0, 2.0), label="delta")
+            delta = data.draw(value(-1.0, 1.0), label="target") - xi
+            term = terms[i]
             if term.kind == BOX and not term.p1 <= xi + delta <= term.p2:
-                # a refused move leaves the values as they were
+                before = tracker_state(tr)
                 with pytest.raises(ValueError, match="leaves its box"):
                     tr.apply_update(i, delta)
+                assert tracker_state(tr) == before
             else:
-                tr.apply_update(i, delta)
-            check()
-            if data.draw(st.booleans(), label="refresh"):
-                tr.refresh()
-                check()
+                before = tr.objective()
+                stats = tr.apply_update(i, delta)
+                if twin is not None:
+                    twin.apply_update(i, delta)
+                assert tr.x.item(i) == xi + delta
+                assert (stats.touched_rows, stats.touched_grads,
+                        stats.heap_ops) == oracle.stats(tr, i)
+                # F's change, also where a refresh rebuilt the objective
+                assert (abs(before + tr.last_obj_delta - tr.objective())
+                        <= 1e-12 * oracle.obj_size)
+            oracle.check(tr, twin)
+        for t in (tr, twin):
+            if t is not None:
+                t.refresh()
+        oracle.check(tr, twin)
 
 
 class TestTrackedObjective:
-    """``objective()`` is F = f + sum_i g_i at the tracker's iterate, one
-    running sum across updates and refreshes, against the problem's own
-    evaluation."""
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_objective_matches_the_problem(self, data):
-        problem, tr, _, bounds = draw_run_tracker(data)
-        smooth = tr.problem
-        n = tr.n
-        # every move stays in [-1, 1]^n, which bounds each term the sums
-        # add: |u_j| <= |A_j|_1 and |b_j| <= 2 on h1, |H| and |node_lin|
-        # on h2, l2_reg <= 0.3 and l1 weights <= 3
-        if smooth.tracker_kind == "h1":
-            size = (1.0 + 2.0 * smooth.A.shape[0]
-                    + np.abs(smooth.A.to_dense()).sum()) ** 2 + n
-        else:
-            size = (1.0 + np.abs(smooth.hessian()).sum()
-                    + np.abs(smooth.node_lin).sum())
-        size += 3.0 * n
-
-        def check():
-            assert abs(tr.objective() - problem.eval(tr.x)) <= 1e-12 * size
-
-        check()
-        for _ in range(data.draw(st.integers(0, 8), label="moves")):
-            i = data.draw(st.integers(0, n - 1), label="i")
-            lo, hi = bounds[i]
-            xi = tr.x.item(i)
-            delta = data.draw(st.floats(lo, hi), label="target") - xi
-            # a move whose rounded end leaves its box would make F infinite
-            if not lo <= xi + delta <= hi:
-                delta = 0.0
-            before = tr.objective()
-            tr.apply_update(i, delta)
-            check()
-            # the change the descent certificate reads is F's too, also
-            # where a refresh rebuilt the objective
-            assert (abs(before + tr.last_obj_delta - tr.objective())
-                    <= 1e-12 * size)
-        tr.refresh()
-        check()
+    """``objective()`` is F = f + sum_i g_i, so a start where F is not
+    finite is refused."""
 
     def test_make_tracker_refuses_a_bad_start(self):
         ls = LeastSquaresProblem(np.eye(3), np.ones(3))
@@ -1271,73 +1014,9 @@ class TestFullProxPass:
             for a, b, c in zip(full, part, ref):
                 assert a.tobytes() == b.tobytes() == c.tobytes()
 
-    @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_product_path_rescore_equals_a_fresh_one(self, data):
-        m = data.draw(st.integers(1, 5), label="m")
-        n = data.draw(st.integers(1, 6), label="n")
-        entries = data.draw(st.lists(
-            st.one_of(st.just(0.0), st.floats(-2.0, 2.0)), min_size=m * n,
-            max_size=m * n), label="A")
-        # zero columns give L_i = 0
-        A = SparseMatrix.from_dense(np.array(entries).reshape(m, n))
-        assume(takes_product(A))
-        smooth = draw_h1_problem(data, A)
-        composite = data.draw(st.booleans(), label="composite")
-        terms = [draw_term(data) if composite else ZeroTerm()
-                 for _ in range(n)]
-        problem = CompositeProblem(smooth, terms) if composite else smooth
-        names = ["gs", "gsl"] + (["gs-q", "gsl-q", "gs-r", "gsl-r", "gs-s"]
-                                 if composite else [])
-        rule = make_rule(data.draw(st.sampled_from(names), label="rule"))
-        backend = data.draw(st.sampled_from(["scan", "heap"]),
-                            label="backend")
-        step_per_coord = data.draw(st.sampled_from([None, False, True]),
-                                   label="step_per_coord")
-        bounds = [(max(-1.0, t.p1), min(1.0, t.p2)) if t.kind == BOX
-                  else (-1.0, 1.0) for t in terms]
-        x0 = np.array([data.draw(st.floats(lo, hi), label="x0")
-                       for lo, hi in bounds])
-        tr = make_tracker(problem, x0, rule.scorer(problem), backend=backend,
-                          step_per_coord=step_per_coord,
-                          refresh_every=data.draw(st.sampled_from(
-                              [1, 3, 10000]), label="refresh_every"))
-        assert tr.product
-        every = np.arange(n)
-
-        def check():
-            vals = tr.scorer.compute(tr, every)[0]
-            keys = (np.abs(problem.prox_steps(
-                tr.x, tr.gradient, smooth.curvature(tr.step_per_coord).L,
-                every)[0]) if composite else np.abs(tr.gradient))
-            assert tr.scores.tobytes() == vals.tobytes()
-            assert tr.keys.tobytes() == keys.tobytes()
-
-        check()
-        for _ in range(data.draw(st.integers(0, 8), label="moves")):
-            i = data.draw(st.integers(0, n - 1), label="i")
-            lo, hi = bounds[i]
-            xi = tr.x.item(i)
-            delta = data.draw(st.floats(lo, hi), label="target") - xi
-            if not lo <= xi + delta <= hi:
-                delta = 0.0
-            stats = tr.apply_update(i, delta)
-            assert stats.heap_ops == (n if backend == "heap" else 0)
-            check()
-
     def test_a_move_out_of_the_box_is_refused_and_changes_nothing(self):
         ls = LeastSquaresProblem(np.eye(3), np.ones(3))
         graph = GraphQuadraticProblem(3, [[0, 1]], [1.0], node_quad=[1, 1, 1])
-
-        def state(tr):
-            # x, the objective, the update count and every cache array
-            arrays = {k: v.tobytes() for k, v in vars(tr).items()
-                      if isinstance(v, np.ndarray)}
-            heap = None if tr.heap is None else (tr.heap.keys.tobytes(),
-                                                 tr.heap.order.tobytes())
-            return (arrays, heap, tr.objective(), tr.last_obj_delta,
-                    tr._updates)
-
         for smooth in (ls, graph):
             comp = CompositeProblem(smooth, [ZeroTerm(), BoxTerm(0.0, 1.0),
                                              L1Term(0.5)])
@@ -1347,18 +1026,17 @@ class TestFullProxPass:
                 tr = make_tracker(comp, np.zeros(3), scorer, backend=backend,
                                   lean=lean)
                 tr.apply_update(0, 0.25)
-                before = state(tr)
+                before = tracker_state(tr)
                 for delta in (2.0, -0.5, np.inf, np.nan):
                     with pytest.raises(ValueError, match="leaves its box"):
                         tr.apply_update(1, delta)
-                    assert state(tr) == before
+                    assert tracker_state(tr) == before
                 # onto the bound is inside the box
                 tr.apply_update(1, 1.0)
                 assert tr.objective() == pytest.approx(comp.eval(tr.x),
                                                        rel=1e-15)
                 tr.apply_update(1, -1.0)
                 assert np.isfinite(tr.objective())
-
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -1387,6 +1065,7 @@ class TestFullProxPass:
                 assert got.tobytes() == d[i:i + 1].tobytes()
             for got in (Vi, aV, np.array([cV])):
                 assert got.tobytes() == V[i:i + 1].tobytes()
+
 
 class TestBackendEquivalence:
     def run_greedy(self, backend, problem, x0, steps=80):
@@ -1417,101 +1096,6 @@ class TestBackendEquivalence:
         seq_s, x_s = self.run_greedy("scan", p, x0)
         assert seq_h == seq_s
         assert np.array_equal(x_h, x_s)
-
-    @settings(max_examples=150, deadline=None)
-    @given(st.data())
-    def test_heap_and_scan_agree_on_random_problems(self, data):
-        # every number sits on a grid of halves (weights on powers of two),
-        # so gradients and scores are exact and ties are frequent; with
-        # ``zero`` the data and x0 are 0 and the first gradient is all zero
-        def grid(size, lo=-1, hi=1):
-            ks = data.draw(st.lists(st.integers(lo, hi), min_size=size,
-                                    max_size=size))
-            return 0.5 * np.array(ks, dtype=np.float64)
-
-        n = data.draw(st.integers(1, 7), label="n")
-        zero = data.draw(st.booleans(), label="zero")
-        if data.draw(st.booleans(), label="h1"):
-            m = data.draw(st.integers(1, 7), label="m")
-            A = grid(m * n).reshape(m, n)
-            b = np.zeros(m) if zero else grid(m)
-            lam = data.draw(st.sampled_from([0.0, 0.5]), label="l2_reg")
-            p = LeastSquaresProblem(A, b, l2_reg=lam, scale=0.5)
-        else:
-            pairs = [(a, c) for a in range(n) for c in range(a + 1, n)]
-            edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)
-                              if pairs else st.just([]), label="edges")
-            w = 2.0 ** grid(len(edges), -1, 1)
-            lin = np.zeros(n) if zero else grid(n)
-            p = GraphQuadraticProblem(n, np.array(edges, dtype=np.int64)
-                                      .reshape(-1, 2), w,
-                                      node_quad=2.0 ** grid(n, -1, 0),
-                                      node_lin=lin)
-        x0 = np.zeros(n) if zero else grid(n)
-        weights = (2.0 ** grid(n, -1, 1)
-                   if data.draw(st.booleans(), label="weighted") else None)
-        every = data.draw(st.sampled_from([3, 10000]), label="refresh_every")
-        trs = [make_tracker(p, x0, GradScorer(weights), backend=backend,
-                            refresh_every=every)
-               for backend in ("heap", "scan")]
-        heap, scan = trs
-
-        def check():
-            assert np.array_equal(heap.gradient, scan.gradient)
-            assert np.array_equal(heap.scores, scan.scores)
-            assert heap.peek() == scan.peek() == scan_argmax(scan.scores)
-
-        if zero:
-            assert not scan.gradient.any()
-        check()
-        steps = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                             st.integers(-1, 1)),
-                                   max_size=12), label="steps")
-        for i, half in steps:
-            for tr in trs:
-                tr.apply_update(i, 0.5 * half)
-            check()
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.data())
-    def test_nns_and_scan_agree_under_gsl(self, data):
-        # the same grid of halves as above, on h1 problems the ball tree
-        # serves: l2_reg = 0 and no empty column
-        def grid(size, lo=-2, hi=2):
-            ks = data.draw(st.lists(st.integers(lo, hi), min_size=size,
-                                    max_size=size))
-            return 0.5 * np.array(ks, dtype=np.float64)
-
-        m = data.draw(st.integers(1, 7), label="m")
-        n = data.draw(st.integers(1, 7), label="n")
-        zero = data.draw(st.booleans(), label="zero")
-        A = grid(m * n).reshape(m, n)
-        for j in np.flatnonzero(~A.any(axis=0)):
-            A[j % m, j] = 0.5
-        b = np.zeros(m) if zero else grid(m)
-        p = LeastSquaresProblem(A, b, scale=0.5)
-        x0 = np.zeros(n) if zero else grid(n)
-        every = data.draw(st.sampled_from([3, 10000]), label="refresh_every")
-        scorer = make_rule("gsl").scorer(p)
-        scan = make_tracker(p, x0, scorer, backend="scan", refresh_every=every)
-        tree = make_tracker(p, x0, scorer, backend="nns", refresh_every=every)
-        index = tree.index
-
-        def check():
-            assert np.array_equal(tree.gradient, scan.gradient)
-            assert tree.peek() == scan.peek() == scan_argmax(scan.scores)
-            assert tree.index is index
-
-        if zero:
-            assert not scan.gradient.any()
-        check()
-        steps = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
-                                             st.integers(-2, 2)),
-                                   max_size=12), label="steps")
-        for i, half in steps:
-            for tr in (scan, tree):
-                tr.apply_update(i, 0.5 * half)
-            check()
 
     def test_nns_builds_its_tree_once_per_tracker(self, monkeypatch):
         builds = []

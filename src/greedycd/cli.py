@@ -92,6 +92,10 @@ def cmd_race(args):
     names = [s.strip() for s in args.rules.split(",") if s.strip()]
     if not names:
         args._parser.error("--rules must name at least one rule")
+    unknown = [name for name in names if name not in RULE_NAMES]
+    if unknown:
+        args._parser.error(f"--rules names unknown rule {unknown[0]!r}; "
+                           f"expected one of {', '.join(RULE_NAMES)}")
     repeated = sorted({name for name in names if names.count(name) > 1})
     if repeated:
         # each rule writes trace_<rule>.csv, so a repeat would overwrite one

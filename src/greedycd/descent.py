@@ -13,6 +13,7 @@ back bit-for-bit (a NaN keeps its sign, "-nan", but not its payload).
 """
 
 import math
+import numbers
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -220,6 +221,9 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
         raise TypeError("rule must be a name or a Rule")
     if max_iters is None:
         max_iters = 50 * n
+    elif (isinstance(max_iters, bool)
+          or not isinstance(max_iters, numbers.Integral)):
+        raise TypeError(f"max_iters must be an integer, got {max_iters!r}")
     elif max_iters < 0:
         raise ValueError(f"max_iters must be at least 0, got {max_iters}")
     if not math.isfinite(tol):

@@ -133,6 +133,16 @@ def test_unknown_rule_is_a_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_race_unknown_rule_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["race", "--problem", "sparse_ls", "--m", "20", "--n", "10",
+              "--rules", "gs,nosuch", "--iters", "5",
+              "--out", str(tmp_path / "race")])
+    assert exc.value.code == 2
+    assert "--rules names unknown rule 'nosuch'" in capsys.readouterr().err
+    assert not (tmp_path / "race").exists()
+
+
 def test_problem_source_required(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "--rule", "gs"])
@@ -147,7 +157,10 @@ def test_run_nns_backend(capsys):
                  "--n", "12", "--rule", "gsl", "--backend", "nns",
                  "--iters", "25", "--tol", "0"]) == 0
     assert "rule=gsl" in capsys.readouterr().out
-    # the README's example, shortened to 50 iterations
+
+
+def test_readme_nns_example_runs(capsys):
+    # the README's line, shortened to 50 iterations
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     line, = [t for t in readme.splitlines()
              if t.startswith("greedycd run") and "--backend nns" in t]
@@ -155,9 +168,13 @@ def test_run_nns_backend(capsys):
     assert "rule=gsl iters=50" in capsys.readouterr().out
 
 
-def test_run_refuses_a_negative_iteration_count(capsys):
-    assert main(["run", "--problem", "sparse_ls", "--m", "20", "--n", "10",
-                 "--iters", "-2"]) == 1
+@pytest.mark.parametrize("command", ["run", "race"])
+def test_negative_iteration_count_fails_cleanly(command, tmp_path, capsys):
+    argv = [command, "--problem", "sparse_ls", "--m", "20", "--n", "10",
+            "--iters", "-2"]
+    if command == "race":
+        argv += ["--rules", "gs,uniform", "--out", str(tmp_path / "race")]
+    assert main(argv) == 1
     assert "max_iters must be at least 0" in capsys.readouterr().err
 
 

@@ -503,6 +503,14 @@ def test_run_validates_inputs():
     assert len(run(prob, "gs", max_iters=0)) == 1
 
 
+@pytest.mark.parametrize("max_iters", [2.5, True, "10"])
+def test_run_refuses_a_non_integer_iteration_count(max_iters):
+    prob = LeastSquaresProblem(np.eye(3), np.ones(3))
+    with pytest.raises(TypeError, match="max_iters must be an integer"):
+        run(prob, "gs", max_iters=max_iters)
+    assert len(run(prob, "gs", max_iters=np.int64(2), tol=0.0)) == 3
+
+
 def test_exact_composite_step_needs_a_quadratic_smooth_part(monkeypatch):
     rng = np.random.default_rng(3)
     A = rng.normal(size=(20, 6))

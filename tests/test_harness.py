@@ -276,6 +276,7 @@ def test_manifest_empty_kind_key_is_named(name, key, tmp_path):
     ("two_moons", "matrix", 5),
     ("sparse_ls", "rhs", 5),
     ("sparse_logistic", "x0", 7),
+    ("two_moons", "labels", ["labels.npy"]),
 ])
 def test_manifest_malformed_value_is_named(name, key, value, tmp_path):
     path = save_experiment(small(name), tmp_path)

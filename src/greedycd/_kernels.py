@@ -42,14 +42,20 @@ from scipy.sparse import _sparsetools
 
 
 def heap_update(keys, order, pos, i, new_key):
-    """Set keys[i] = new_key and restore the heap in O(log n)."""
+    """Set keys[i] = new_key and restore the heap in O(log n).  Element a
+    outranks b on a larger key, or on an equal key with a smaller index,
+    and a NaN key outranks every other key: the order in which
+    ``ndarray.argmax`` picks."""
     keys[i] = new_key
+    nan = new_key != new_key
     n = order.shape[0]
     k = pos[i]
     while k > 0:
         p = (k - 1) // 2
         j = order[p]
-        if (new_key > keys[j]) or (new_key == keys[j] and i < j):
+        kj = keys[j]
+        if (new_key > kj or (new_key == kj and i < j)
+                or (nan and (kj == kj or i < j))):
             order[k] = j
             pos[j] = k
             k = p
@@ -62,10 +68,14 @@ def heap_update(keys, order, pos, i, new_key):
         j = order[c]
         if c + 1 < n:
             j2 = order[c + 1]
-            if (keys[j2] > keys[j]) or (keys[j2] == keys[j] and j2 < j):
+            a, b = keys[j2], keys[j]
+            if (a > b or (a == b and j2 < j)
+                    or (a != a and (b == b or j2 < j))):
                 c += 1
                 j = j2
-        if (keys[j] > new_key) or (keys[j] == new_key and j < i):
+        kj = keys[j]
+        if (kj > new_key or (kj == new_key and j < i)
+                or (kj != kj and (not nan or j < i))):
             order[k] = j
             pos[j] = k
             k = c

@@ -13,7 +13,6 @@ back bit-for-bit (a NaN keeps its sign, "-nan", but not its payload).
 """
 
 import math
-import numbers
 import time
 from array import array
 from dataclasses import dataclass, field
@@ -23,7 +22,7 @@ import numpy as np
 
 from .problems import CompositeProblem
 from .rules import Rule, make_rule
-from .tracker import make_tracker
+from .tracker import check_integer, make_tracker
 
 # (name, type) of every trace column, in file order
 TRACE_COLUMNS = (("k", int), ("objective", float), ("coord", int),
@@ -173,10 +172,14 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     tracker's cached A x.  A composite step is one scalar prox
     (``coord_step``), so "exact" on a composite problem needs a quadratic
     smooth part and is refused up front otherwise.
-    ``backend`` is the tracker's: "scan" (the default), "heap" or "nns"
-    (``gsl`` only).  ``seed`` seeds a stochastic rule's PRNG (anything
-    ``np.random.default_rng`` takes, such as a spawned SeedSequence): the
-    rule makes its one Generator from it, and a greedy rule makes none.
+    ``backend`` is the tracker's: "scan" (the default), "heap" (rebuilt by
+    one sort at every build, refresh and whole-vector rescore) or "nns"
+    (``gsl`` only, on the problems ``nns.BallTreeIndex`` serves).
+    ``refresh_every``, the updates between cache rebuilds, and
+    ``max_iters`` must be integers (a bool is not).  ``seed`` seeds a
+    stochastic rule's PRNG (anything ``np.random.default_rng`` takes, such
+    as a spawned SeedSequence): the rule makes its one Generator from it,
+    and a greedy rule makes none.
     Stops when the residual (gradient sup-norm, or prox-step sup-norm for
     composite problems) drops to ``tol``, which must be finite, or after
     ``max_iters`` updates (default 50 n).
@@ -209,8 +212,9 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     first run builds, and the problem keeps it read-only for every later
     run and tracker (``problems.KeptConstants``): the step curvatures with
     their Python floats (``SmoothProblem.curvature``), the ``gsl`` weights,
-    the Lipschitz CDF, the Gram path's Hessian and a composite problem's
-    full prox pass per curvature (``CompositeProblem.full_pass``).
+    the Lipschitz CDF, the Gram path's Hessian, the ``nns`` index and a
+    composite problem's full prox pass per curvature
+    (``CompositeProblem.full_pass``).
     """
     composite = problem if isinstance(problem, CompositeProblem) else None
     smooth = problem.smooth if composite is not None else problem
@@ -219,13 +223,8 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
         rule = make_rule(rule)
     elif not isinstance(rule, Rule):
         raise TypeError("rule must be a name or a Rule")
-    if max_iters is None:
-        max_iters = 50 * n
-    elif (isinstance(max_iters, bool)
-          or not isinstance(max_iters, numbers.Integral)):
-        raise TypeError(f"max_iters must be an integer, got {max_iters!r}")
-    elif max_iters < 0:
-        raise ValueError(f"max_iters must be at least 0, got {max_iters}")
+    max_iters = (50 * n if max_iters is None
+                 else check_integer("max_iters", max_iters, 0))
     if not math.isfinite(tol):
         raise ValueError("tol must be finite")
     if x0 is None:

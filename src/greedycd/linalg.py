@@ -169,8 +169,8 @@ class IndexedMaxHeap:
 
     Supports O(1) peek of the argmax, O(log n) key updates for arbitrary
     elements, and construction by one sort.  Ties on key resolve to the
-    smallest element index, exactly matching the first argmax of a linear
-    scan.
+    smallest element index, and a NaN key ranks above every other key,
+    exactly matching the first argmax of a linear scan.
     """
 
     def __init__(self, keys):
@@ -178,9 +178,11 @@ class IndexedMaxHeap:
         if self.keys.ndim != 1:
             raise ValueError("keys must be 1-D")
         self.n = self.keys.shape[0]
-        # sorted by (key descending, index ascending), every slot outranks
-        # its children 2k+1 and 2k+2, so the sorted order is a heap
-        self.order = np.lexsort((np.arange(self.n), -self.keys))
+        # sorted by (NaN first, key descending, index ascending), every
+        # slot outranks its children 2k+1 and 2k+2, so the sorted order is
+        # a heap
+        self.order = np.lexsort((np.arange(self.n), -self.keys,
+                                 ~np.isnan(self.keys)))
         self.pos = np.empty(self.n, dtype=np.int64)
         self.pos[self.order] = np.arange(self.n)
 

@@ -16,8 +16,8 @@ analytically, since the nearer of +-p_i lies at squared distance
 Every point whose distance lies within a rounding band of the best one (a
 1e-9 relative band on the terms of that sum) goes to the same score
 comparator a dense scan would use, so search and scan agree exactly,
-including on tie-breaks.  The tracker's "nns" backend builds one index in
-"gsl" mode and answers ``peek()`` with it.
+including on tie-breaks.  The tracker's "nns" backend answers ``peek()``
+with one index in "gsl" mode, which the problem keeps (``"nns-index"``).
 """
 
 import numpy as np
@@ -31,6 +31,14 @@ class BallTreeIndex:
     """Nearest-neighbour index over the signed (optionally normalised)
     columns of A, searched by brute force.
 
+    It holds A dense, and normalised in "gsl" mode, so a problem keeps it
+    only once a tracker has asked for the "nns" backend, and then for
+    every later tracker, run and refresh.  The index alone decides which
+    problems it serves: it refuses one without a matrix A (a composite or
+    graph problem), one with l2_reg > 0 and, in "gsl" mode, one with an
+    L_i of 0.  Its "gsl" weights are the problem's kept ones
+    (``gsl_weights``).
+
     The name is that of the ball tree this class used to hold; the
     benchmark and the acceptance tests import it under that name.  The tree
     lost to the one product a query now takes at every size measured.
@@ -40,19 +48,22 @@ class BallTreeIndex:
         if mode not in ("biased", "gsl"):
             raise ValueError(f"unknown index mode: {mode!r}")
         if not hasattr(problem, "A"):
-            raise ValueError("the index needs a problem built on a matrix A")
+            raise ValueError("the nns backend needs a least-squares or "
+                             "logistic problem without composite terms")
         if problem.l2_reg != 0.0:
             raise ValueError("nearest-neighbour selection needs l2_reg = 0")
         self.mode = mode
         self.sqnorms = sq = column_sq_norms(problem.A)
         if mode == "gsl":
-            zero = np.flatnonzero(sq == 0.0)
+            # with l2_reg = 0, L_i is 0 wherever ||a_i||^2 is
+            zero = np.flatnonzero(problem.L_per_coord == 0.0)
             if zero.size:
                 raise ValueError(
-                    f"cannot normalise column {zero[0]}: its squared norm is "
-                    "0, because it is an empty column or its entries "
-                    "underflow when squared")
-            self.weights = 1.0 / np.sqrt(problem.L_per_coord)
+                    f"cannot normalise column {zero[0]}: its L_i is 0, "
+                    "because it is an empty column or its entries "
+                    "underflow when squared or scaled")
+            # every L_i > 0, so the safe curvature is L itself
+            self.weights = problem.gsl_weights()
             self.points = problem.A.to_dense().T / np.sqrt(sq)[:, None]
             self._half_sq, self._norms = 0.5, 1.0
         else:

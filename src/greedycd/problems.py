@@ -15,8 +15,9 @@ A problem keeps what depends on it alone (``KeptConstants.kept``): built
 on first use, then shared read-only by every later run and tracker, so a
 run's set-up pays only for what its x0 changes.  A smooth problem keeps
 its two step curvatures (``curvature``: L_i, and L at every coordinate),
-the ``gsl`` weights 1/sqrt(L_i), the Lipschitz sampling CDF and, for
-least squares, the dense Hessian; a composite problem keeps one
+the ``gsl`` weights 1/sqrt(L_i) (``gsl_weights``), the Lipschitz sampling
+CDF, for least squares the dense Hessian and, once a tracker asks for the
+``nns`` backend, its index; a composite problem keeps one
 full-vector ``ProxPass`` per step curvature (``full_pass(per_coord)``).
 The arrays they derive from, ``L_per_coord`` and the term arrays
 ``gkind``, ``p1``, ``p2`` and the l1 weights, are read-only like
@@ -167,6 +168,12 @@ class SmoothProblem(KeptConstants):
             return Curvature(L, tuple(L.tolist()), tuple((raw > 0).tolist()))
         return self.kept(("curvature", per_coord), build)
 
+    def gsl_weights(self):
+        """The kept ``gsl`` weights 1/sqrt(L_i), under the safe curvature
+        (an L_i = 0 reads as 1)."""
+        return self.kept("gsl-weights", lambda: read_only(
+            1.0 / np.sqrt(self.curvature(True).L)))
+
 
 class LeastSquaresProblem(SmoothProblem):
     """f(x) = scale * ||A x - b||^2 + (l2_reg / 2) ||x||^2.
@@ -186,10 +193,10 @@ class LeastSquaresProblem(SmoothProblem):
             raise ValueError("b must have one entry per row of A")
         if not np.isfinite(b).all():
             raise ValueError("b must be finite")
-        if scale <= 0:
-            raise ValueError("scale must be positive")
-        if l2_reg < 0:
-            raise ValueError("l2_reg must be nonnegative")
+        if not 0 < scale < np.inf:
+            raise ValueError("scale must be positive and finite")
+        if not 0 <= l2_reg < np.inf:
+            raise ValueError("l2_reg must be nonnegative and finite")
         self.A = A
         self.b = b
         self.l2_reg = float(l2_reg)
@@ -261,8 +268,8 @@ class LogisticProblem(SmoothProblem):
             raise ValueError("labels must have one entry per row of A")
         if not np.all(np.abs(y) == 1.0):
             raise ValueError("labels must be +/-1")
-        if l2_reg < 0:
-            raise ValueError("l2_reg must be nonnegative")
+        if not 0 <= l2_reg < np.inf:
+            raise ValueError("l2_reg must be nonnegative and finite")
         self.A = A
         self.y = y
         self.l2_reg = float(l2_reg)

@@ -193,8 +193,7 @@ class GreedyRule(Rule):
     def scorer(self, problem):
         if self.weighted:
             smooth = getattr(problem, "smooth", problem)
-            return GradScorer(weights=smooth.kept("gsl-weights", lambda: (
-                read_only(1.0 / np.sqrt(smooth.curvature(True).L)))))
+            return GradScorer(weights=smooth.gsl_weights())
         return GradScorer()
 
     def select(self, tracker, k):

@@ -32,8 +32,8 @@ only for the entries that can change:
   pairs (shared 2-vCPU Xeon).
   The ``touched_grads`` counter reports the column's gather on every
   path.  The product and Gram paths rescore as whole vectors
-  (``_rescore(None)``): no index gathers and no fancy stores, and on
-  ``scan`` the scorer's new arrays replace the old ones.
+  (``_rescore(None)``): no index gathers and no fancy stores, and the new
+  scores are installed as at a build (``_install``).
 
 * h2 (pairwise graph objectives): keeps the gradient alone.  Moving x_i
   by dx moves each neighbour's entry by -w_ij dx, one column of the
@@ -72,15 +72,18 @@ iterate sequences:
 * "scan" (default): a flat array, one vectorised store per update, and
   ``ndarray.argmax``, remembered until the scores change (``np.argmax``
   adds about 1.2 us of Python-level dispatch in numpy 2.4, at n = 2000).
-* "heap": an IndexedMaxHeap, built by one sort at every build and
-  refresh (O(log n) per touched key, O(1) peek); each key update is an
-  interpreted sift, so it ties scan only at about n = 2e5 on a chain
-  (tools/chain_backends.py).
+* "heap": an IndexedMaxHeap, built by one sort at every build, refresh
+  and whole-vector rescore (``_install``), so a product or Gram update
+  sifts nothing; a rescore of the touched coordinates updates each key by
+  an interpreted O(log n) sift, and a peek is O(1).  It ties scan only at
+  about n = 2e5 on a chain (tools/chain_backends.py).
 * "nns": no scores; a brute-force nearest-neighbour search over the
   normalised columns of A (``nns.BallTreeIndex``, one dense product per
-  query), built once and kept across refreshes, answers ``gsl`` from the
-  row derivatives, which it computes from A x.  It needs an h1 problem
-  with l2_reg = 0, no column of squared norm 0 and no composite terms.
+  query) answers ``gsl`` from the row derivatives, which it computes from
+  A x.  The problem keeps the index (``"nns-index"``), built by the first
+  tracker that asks for it, for every later tracker, run and refresh.
+  The index alone decides which problems it serves: an h1 problem with
+  l2_reg = 0, every L_i > 0 and no composite terms.
 
 The tracker also owns the stopping test.  It keeps one array ``keys``, the
 residual entries whose maximum the test reads: |grad_i| on a smooth
@@ -131,6 +134,7 @@ Caches, the objective included, are rebuilt from scratch every
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -149,6 +153,16 @@ BACKENDS = ("scan", "heap", "nns")
 # of 7% of nnz (sparse_ls 1000^2), the product from 13% (l1_underdet_ls
 # 50 x 500), and 1/KAPPA sits near the geometric middle of the two.
 KAPPA = 10
+
+
+def check_integer(name, value, least):
+    """value as an int; TypeError unless it is an integer (a bool is not),
+    ValueError if it is below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
 
 
 def takes_product(A):
@@ -178,8 +192,9 @@ class UpdateStats:
         on a lean tracker.  h2: the differential updates of neighbour
         gradient entries (<= d).  The updated coordinate's own recompute
         is not counted.
-    heap_ops: heap key updates performed (0 for backend "scan"): the
-        coordinates rescored, n after a full product or a Gram column.
+    heap_ops: heap keys set (0 for backend "scan"): the coordinates
+        rescored, n after a full product or a Gram column, which rebuild
+        the heap by one sort.
     """
     touched_rows: int
     touched_grads: int
@@ -262,17 +277,16 @@ class _TrackerBase:
             raise ValueError(f"x0 must have shape ({self.n},)")
         if not np.isfinite(self.x).all():
             raise ValueError("x0 must be finite")
-        self.refresh_every = int(refresh_every)
-        if self.refresh_every < 1:
-            raise ValueError("refresh_every must be at least 1")
+        self.refresh_every = check_integer("refresh_every", refresh_every, 1)
         self._updates = 0
         self.last_obj_delta = 0.0
         self.lean = bool(lean)
         self.backend = backend
-        # the index depends on A alone, so it outlives every refresh; it
-        # replaces the scores
-        self.index = (BallTreeIndex(smooth, mode="gsl") if backend == "nns"
-                      else None)
+        # the index depends on the problem alone, which keeps it for every
+        # tracker and refresh; it replaces the scores, and refuses a
+        # problem it cannot serve
+        self.index = (problem.kept("nns-index", lambda: BallTreeIndex(
+            problem, mode="gsl")) if backend == "nns" else None)
         self.scorer = s = None if self.index is not None else scorer
         if isinstance(s, ProxScorer) and self.composite is None:
             # its full pass reads the term values a composite tracker keeps
@@ -312,17 +326,25 @@ class _TrackerBase:
         """Score and key every coordinate (nothing on a lean tracker)."""
         self.heap = self._scores = self._top = self.keys = None
         self._keys_are_scores = False
-        if self.lean:
-            return
-        vals, keys = self._compute(None)
+        if not self.lean:
+            vals, keys = self._compute(None)
+            # a scorer whose scores are its keys returns one array for both
+            self._keys_are_scores = keys is vals
+            self._install(vals, keys)
+
+    def _install(self, vals, keys):
+        """Take the scores (None without a scorer) and keys of every
+        coordinate; returns the heap keys set, n on the heap and 0 on scan.
+        The heap is rebuilt by one sort, and on scan the scorer's arrays,
+        which are new, are kept."""
         if vals is not None and self.backend == "heap":
             self.heap = IndexedMaxHeap(vals)
-        elif vals is not None:
-            # a scorer's arrays are new, so the tracker keeps them
-            self._scores = vals
-        # a scorer whose scores are its keys hands back one array for both
-        self._keys_are_scores = keys is vals
-        self.keys = self.scores if self._keys_are_scores else keys
+            self.keys = self.heap.keys if self._keys_are_scores else keys
+            return self.n
+        self._scores = vals
+        self._top = None
+        self.keys = vals if self._keys_are_scores else keys
+        return 0
 
     def _fresh_keys(self, g, idx=None):
         """The keys at idx (every coordinate if None) from the gradient g."""
@@ -359,24 +381,17 @@ class _TrackerBase:
         raise ValueError("tracker was built without a score")
 
     def _rescore(self, idx):
-        """Rewrite the keys and scores at idx (every coordinate if None);
-        returns the heap key updates.  A scorer returns new arrays, so a
-        rescore of every coordinate off the heap keeps them instead of
-        copying them."""
+        """Rewrite the keys and scores at idx (every coordinate if None,
+        through ``_install``); returns the heap keys set."""
         vals, keys = self._compute(idx)
-        if idx is None and self.heap is None:
-            self._scores = vals
-            self._top = None
-            self.keys = vals if self._keys_are_scores else keys
-            return 0
-        at = slice(None) if idx is None else idx
+        if idx is None:
+            return self._install(vals, keys)
         if not self._keys_are_scores:
-            self.keys[at] = keys
+            self.keys[idx] = keys
         if self.heap is not None:
-            js = range(self.n) if idx is None else idx.tolist()
-            for j, v in zip(js, vals.tolist()):
+            for j, v in zip(idx.tolist(), vals.tolist()):
                 self.heap.update_key(j, v)
-            return len(js)
+            return len(idx)
         if self._scores is not None:
             self._scores[idx] = vals
             self._top = None
@@ -595,9 +610,6 @@ def make_tracker(problem, x0, scorer=None, backend="scan",
     """
     smooth = getattr(problem, "smooth", problem)
     kind = getattr(smooth, "tracker_kind", None)
-    if backend == "nns" and (smooth is not problem or kind != "h1"):
-        raise ValueError("the nns backend needs a least-squares or "
-                         "logistic problem without composite terms")
     if kind not in ("h1", "h2"):
         raise ValueError(f"no tracker for problem type {type(smooth).__name__}")
     cls = H1Tracker if kind == "h1" else H2Tracker

@@ -242,20 +242,6 @@ def test_exact_step_minimises_the_coordinate_from_the_tracker(data):
         assert problem.eval(x1) <= f_lip + 1e-12 * max(1.0, abs(f_lip))
 
 
-def test_heap_and_scan_backends_take_identical_paths():
-    prob, _, _ = spd_problem(3)
-    comp = CompositeProblem(prob, L1Term(0.3))
-    for problem, name in ((prob, "gs"), (prob, "gsl"), (comp, "gs-q")):
-        a = run(problem, name, max_iters=60, backend="heap", tol=0.0)
-        b = run(problem, name, max_iters=60, backend="scan", tol=0.0)
-        # identical iterates; only the heap-op budget is backend-specific
-        assert a.coord == b.coord and a.step == b.step, name
-        assert a.objective == b.objective and a.resid_inf == b.resid_inf
-        assert a.touched_rows == b.touched_rows
-        assert a.touched_grads == b.touched_grads
-        assert np.array_equal(a.final_x, b.final_x)
-
-
 @pytest.mark.parametrize("name", ["uniform", "cyclic", "lipschitz"])
 def test_random_rules_keep_their_path_and_stop_per_epoch(name):
     prob, _, _ = spd_problem(4, n=7)

@@ -120,6 +120,11 @@ class TestLeastSquares:
             LeastSquaresProblem(self.A, self.b, scale=0.0)
         with pytest.raises(ValueError):
             LeastSquaresProblem(self.A, self.b, l2_reg=-1.0)
+        # a non-finite factor once left L_per_coord all NaN or all inf
+        for bad in (np.nan, np.inf):
+            for arg in ("scale", "l2_reg"):
+                with pytest.raises(ValueError, match=f"{arg} must be"):
+                    LeastSquaresProblem(self.A, self.b, **{arg: bad})
 
     def test_rejects_non_finite_rhs(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -207,6 +212,11 @@ class TestLogistic:
     def test_label_validation(self):
         with pytest.raises(ValueError):
             LogisticProblem(self.A, np.zeros(20))
+
+    def test_l2_reg_validation(self):
+        for bad in (-1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="l2_reg must be"):
+                LogisticProblem(self.A, self.y, l2_reg=bad)
 
 
 class TestGraphQuadratic:

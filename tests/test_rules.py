@@ -312,17 +312,3 @@ def test_make_rule_names_and_errors():
         make_rule("steepest")
     with pytest.raises(ValueError):
         make_rule("gsl-s")
-
-
-def test_greedy_backends_agree():
-    rng = np.random.default_rng(3)
-    H = random_spd(rng, 8)
-    b = rng.normal(size=8)
-    prob = quadratic_problem(H, b)
-    x = rng.normal(size=8)
-    for name in ("gs", "gsl"):
-        heap_rule = make_rule(name)
-        scan_rule = make_rule(name)
-        th = tracker_for(heap_rule, prob, x, backend="heap")
-        ts = tracker_for(scan_rule, prob, x, backend="scan")
-        assert heap_rule.select(th, 0) == scan_rule.select(ts, 0)

@@ -17,13 +17,13 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from greedycd import _kernels
-from greedycd.descent import STEP_MODES, _resolve_step, run
+from greedycd.descent import STEP_MODES, TRACE_COLUMNS, _resolve_step, run
 from greedycd.harness import gen_experiment
-from greedycd.linalg import SparseMatrix, column_sq_norms
+from greedycd.linalg import IndexedMaxHeap, SparseMatrix
 from greedycd.nns import BallTreeIndex
 from greedycd.problems import (BOX, BoxTerm, CompositeProblem,
                                GraphQuadraticProblem, L1Term,
@@ -123,17 +123,20 @@ class TestH1Tracker:
         with pytest.raises(IndexError):
             H1Tracker(p, np.zeros(2)).apply_update(5, 1.0)
 
-    def test_refresh_interval_must_be_positive(self):
-        # 0 once divided by zero on the first update, and -1 rebuilt every
-        # cache after every update
+    @pytest.mark.parametrize("every, error", [
+        (0, ValueError), (-1, ValueError), (2.5, TypeError),
+        ("3", TypeError), (True, TypeError), (np.inf, TypeError)])
+    def test_refresh_interval_must_be_a_positive_integer(self, every, error):
+        # 0 once divided by zero on the first update, -1 rebuilt every
+        # cache after every update, 2.5 ran with 2, "3" and True ran, and
+        # inf overflowed in int()
         ls = LeastSquaresProblem(np.eye(3), np.ones(3))
         graph = GraphQuadraticProblem(3, [(0, 1)], [1.0], node_quad=np.ones(3))
-        for every in (0, -1):
-            for p in (ls, graph):
-                with pytest.raises(ValueError, match="refresh_every"):
-                    make_tracker(p, np.zeros(3), refresh_every=every)
-            with pytest.raises(ValueError, match="refresh_every"):
-                run(ls, "gs", refresh_every=every)
+        for p in (ls, graph):
+            with pytest.raises(error, match="refresh_every must be"):
+                make_tracker(p, np.zeros(3), refresh_every=every)
+        with pytest.raises(error, match="refresh_every must be"):
+            run(ls, "gs", refresh_every=every)
 
     def test_scanless_tracker_peek_raises(self):
         p = LeastSquaresProblem(np.eye(2), np.zeros(2))
@@ -420,18 +423,6 @@ class TestGramPath:
         assert np.allclose(tr.gradient, dense.T @ (dense @ tr.x - p.b)
                            + 0.1 * tr.x, rtol=1e-12, atol=1e-12)
 
-    def test_nns_and_scan_runs_agree_on_the_gram_path(self):
-        rng = np.random.default_rng(20)
-        A = rng.normal(size=(40, 12)) * rng.uniform(0.2, 3.0, size=12)
-        p = LeastSquaresProblem(A, rng.standard_normal(40))
-        assert make_tracker(p, np.zeros(12), backend="nns").gram
-        scan = run(p, "gsl", backend="scan", max_iters=60, tol=0.0,
-                   refresh_every=7)
-        tree = run(p, "gsl", backend="nns", max_iters=60, tol=0.0,
-                   refresh_every=7)
-        assert np.array_equal(scan.coord, tree.coord)
-        assert np.array_equal(scan.step, tree.step)
-
 
 class TestLeanTracker:
     """A lean tracker keeps no scores and no keys, and on h1 no gradient."""
@@ -486,6 +477,13 @@ def bits(v):
 # the update paths: the h1 row scatter, full product and Gram column, and
 # the h2 graph move
 PATHS = ("h1-scatter", "h1-product", "h1-gram", "h2")
+
+
+def nns_serves(problem):
+    """Whether the index serves ``problem``: a smooth h1 problem with
+    l2_reg = 0 and every L_i > 0, since it normalises every column."""
+    return (getattr(problem, "tracker_kind", None) == "h1"
+            and problem.l2_reg == 0 and problem.L_per_coord.all())
 
 
 def draw_smooth(data, path, grid, zero):
@@ -691,9 +689,7 @@ class TestTrackerOracle:
             r for r in rules if (r.scorer(problem) is None) == scoreless]),
             label="rule")
         backends = ["heap", "scan"]
-        # the index normalises every column, so each needs a squared norm
-        if (rule.name == "gsl" and not composite and path != "h2"
-                and smooth.l2_reg == 0 and column_sq_norms(smooth.A).all()):
+        if rule.name == "gsl" and nns_serves(problem):
             backends.insert(0, "nns")
         backend = data.draw(st.sampled_from(backends), label="backend")
         # a step curvature as given, or as ``run`` resolves a step mode
@@ -1068,36 +1064,103 @@ class TestFullProxPass:
 
 
 class TestBackendEquivalence:
-    def run_greedy(self, backend, problem, x0, steps=80):
-        tr = make_tracker(problem, x0, GradScorer(), backend=backend,
-                          refresh_every=29)
-        seq = []
-        for _ in range(steps):
-            i = tr.peek()
-            seq.append(i)
-            tr.apply_update(i, -tr.gradient[i] / problem.L_per_coord[i])
-        return seq, tr.x
+    """Every backend takes scan's path through whole runs, and the heap
+    sifts only where an update rescores a subset."""
 
-    def test_heap_and_scan_produce_identical_runs(self):
-        rng = np.random.default_rng(7)
-        A, _ = random_sparse(rng, 18, 9)
-        p = LeastSquaresProblem(A, rng.standard_normal(18), l2_reg=0.01)
-        x0 = rng.standard_normal(9)
-        seq_h, x_h = self.run_greedy("heap", p, x0)
-        seq_s, x_s = self.run_greedy("scan", p, x0)
-        assert seq_h == seq_s
-        assert np.array_equal(x_h, x_s)
+    @pytest.mark.parametrize("path", PATHS)
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_every_backend_takes_the_same_path(self, path, data):
+        grid = data.draw(st.booleans(), label="grid")
+        zero = grid and data.draw(st.booleans(), label="zero")
+        smooth = draw_smooth(data, path, grid, zero)
+        n = smooth.n
+        # half the problems the index serves run gsl on it, so nns runs on
+        # a visible share of the h1 examples
+        on_nns = nns_serves(smooth) and data.draw(st.booleans(),
+                                                  label="gsl on nns")
+        composite = not on_nns and data.draw(st.booleans(),
+                                             label="composite")
+        terms = [draw_term(data) if composite else ZeroTerm()
+                 for _ in range(n)]
+        problem = CompositeProblem(smooth, terms) if composite else smooth
+        # a feasible x0 in [-1, 1]^n, on the grid's halves there
+        x0 = np.zeros(n) if zero else np.array(data.draw(st.lists(
+            st.floats(-1.0, 1.0), min_size=n, max_size=n), label="x0"))
+        x0 = np.round(2.0 * x0) / 2.0 if grid else x0
+        if composite:
+            x0 = into_boxes(problem, x0)
+        # exact composite steps, as mi takes, need a quadratic
+        names = [r for r in RULE_NAMES if make_rule(r).reads_gradient
+                 and (composite or not isinstance(make_rule(r), ProxWorkRule))
+                 and not (r == "mi" and composite and not smooth.is_quadratic)]
+        name = "gsl" if on_nns else data.draw(st.sampled_from(names),
+                                              label="rule")
+        step = data.draw(st.sampled_from(STEP_MODES), label="step")
+        if step == "exact" and composite and not smooth.is_quadratic:
+            step = "const"
+        every = data.draw(st.sampled_from([1, 7, 10000]),
+                          label="refresh_every")
+        iters = data.draw(st.integers(0, 60), label="iterations")
+        backends = ["scan", "heap"] + (["nns"] if on_nns else [])
+        event(f"{path}: {backends[-1]}")
 
-    def test_heap_and_scan_identical_on_graph(self):
-        rng = np.random.default_rng(8)
-        p = random_bounded_degree_graph(rng, 15, dmax=3)
-        x0 = rng.standard_normal(15)
-        seq_h, x_h = self.run_greedy("heap", p, x0)
-        seq_s, x_s = self.run_greedy("scan", p, x0)
-        assert seq_h == seq_s
-        assert np.array_equal(x_h, x_s)
+        def outcome(backend):
+            # a run the certificate or a guard stops must stop alike
+            try:
+                return run(problem, name, step=step, x0=x0, max_iters=iters,
+                           tol=0.0, backend=backend, refresh_every=every)
+            except (ValueError, RuntimeError) as e:
+                return f"{type(e).__name__}: {e}"
 
-    def test_nns_builds_its_tree_once_per_tracker(self, monkeypatch):
+        traces = {b: outcome(b) for b in backends}
+        scan = traces["scan"]
+        if isinstance(scan, str):
+            event(f"{path}: stopped with an error")
+            assert set(traces.values()) == {scan}
+            return
+        for b, trace in traces.items():
+            for col, _ in TRACE_COLUMNS:
+                if col not in ("elapsed_ns", "heap_ops"):
+                    assert (getattr(trace, col).tobytes()
+                            == getattr(scan, col).tobytes()), (b, col)
+            assert trace.final_x.tobytes() == scan.final_x.tobytes(), b
+            if b != "heap":
+                assert not any(trace.heap_ops), b
+
+    @pytest.mark.parametrize("path", PATHS)
+    def test_a_whole_vector_rescore_sifts_nothing(self, monkeypatch, path):
+        # the product and Gram paths rebuild the heap by one sort; the
+        # scatter path and the graph move sift each key they rescore
+        rng = np.random.default_rng(21)
+        if path == "h2":
+            p = random_bounded_degree_graph(rng, 40, dmax=4)
+        else:
+            m, n, density = {"h1-scatter": (60, 40, 0.03),
+                             "h1-product": (6, 12, 0.6),
+                             "h1-gram": (10, 5, 0.7)}[path]
+            p = LeastSquaresProblem(random_sparse(rng, m, n, density)[0],
+                                    rng.standard_normal(m))
+        # builds and sifts
+        calls = {"__init__": 0, "update_key": 0}
+        for name, real in [(k, getattr(IndexedMaxHeap, k)) for k in calls]:
+            def counted(self, *args, name=name, real=real):
+                calls[name] += 1
+                real(self, *args)
+            monkeypatch.setattr(IndexedMaxHeap, name, counted)
+        tr = make_tracker(p, np.zeros(p.n), GradScorer(), backend="heap")
+        whole = getattr(tr, "product", False)
+        assert whole == (path in ("h1-product", "h1-gram"))
+        for _ in range(12):
+            before = list(calls.values())
+            stats = tr.apply_update(tr.peek(), 0.25)
+            done = tuple(np.subtract(list(calls.values()), before))
+            if whole:
+                assert done == (1, 0) and stats.heap_ops == p.n
+            else:
+                assert done == (0, stats.heap_ops) and stats.heap_ops > 0
+
+    def test_nns_builds_its_index_once_per_problem(self, monkeypatch):
         builds = []
         init = BallTreeIndex.__init__
 
@@ -1113,19 +1176,27 @@ class TestBackendEquivalence:
         for _ in range(10):
             tr.apply_update(tr.peek(), 0.1)
         tr.refresh()
-        assert builds == [tr.index]
         with pytest.raises(ValueError, match="keeps no scores"):
             tr.scores
+        # a second tracker and a run take the problem's index
+        tr2 = make_tracker(p, np.ones(8), backend="nns")
         trace = run(p, "gsl", backend="nns", max_iters=30, tol=0.0,
                     refresh_every=7)
-        assert len(builds) == 2 and len(trace) == 31
+        assert builds == [tr.index] and tr2.index is tr.index
+        assert len(trace) == 31
+        # a second problem builds its own
+        q = LeastSquaresProblem(A, rng.standard_normal(12))
+        assert make_tracker(q, np.zeros(8), backend="nns").index is builds[1]
+        assert len(builds) == 2
 
     def test_nns_needs_a_plain_h1_problem(self):
         rng = np.random.default_rng(14)
         ls = LeastSquaresProblem(rng.normal(size=(6, 4)), np.zeros(6))
-        with pytest.raises(ValueError, match="composite"):
-            make_tracker(CompositeProblem(ls, L1Term(0.1)), np.zeros(4),
-                         backend="nns")
+        comp = CompositeProblem(ls, L1Term(0.1))
+        # the index refuses it, and the refused build keeps nothing
+        for _ in range(2):
+            with pytest.raises(ValueError, match="composite"):
+                make_tracker(comp, np.zeros(4), backend="nns")
         g = GraphQuadraticProblem(3, [[0, 1]], [1.0], node_quad=[1, 1, 1])
         with pytest.raises(ValueError, match="least-squares or"):
             make_tracker(g, np.zeros(3), backend="nns")

@@ -120,11 +120,13 @@ class TestLeastSquares:
             LeastSquaresProblem(self.A, self.b, scale=0.0)
         with pytest.raises(ValueError):
             LeastSquaresProblem(self.A, self.b, l2_reg=-1.0)
+
+    @pytest.mark.parametrize("arg", ["scale", "l2_reg"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_factor_is_refused(self, arg, bad):
         # a non-finite factor once left L_per_coord all NaN or all inf
-        for bad in (np.nan, np.inf):
-            for arg in ("scale", "l2_reg"):
-                with pytest.raises(ValueError, match=f"{arg} must be"):
-                    LeastSquaresProblem(self.A, self.b, **{arg: bad})
+        with pytest.raises(ValueError, match=f"{arg} must be"):
+            LeastSquaresProblem(self.A, self.b, **{arg: bad})
 
     def test_rejects_non_finite_rhs(self):
         for bad in (np.nan, np.inf, -np.inf):
@@ -213,10 +215,10 @@ class TestLogistic:
         with pytest.raises(ValueError):
             LogisticProblem(self.A, np.zeros(20))
 
-    def test_l2_reg_validation(self):
-        for bad in (-1.0, np.nan, np.inf):
-            with pytest.raises(ValueError, match="l2_reg must be"):
-                LogisticProblem(self.A, self.y, l2_reg=bad)
+    @pytest.mark.parametrize("bad", [-1.0, np.nan, np.inf])
+    def test_l2_reg_validation(self, bad):
+        with pytest.raises(ValueError, match="l2_reg must be"):
+            LogisticProblem(self.A, self.y, l2_reg=bad)
 
 
 class TestGraphQuadratic:

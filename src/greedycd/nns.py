@@ -102,7 +102,8 @@ class BallTreeIndex:
     def select(self, tracker):
         """The pick for an h1 tracker's current iterate; ``peek()`` of a
         tracker on the "nns" backend.  The row weights are the row
-        derivatives at the tracker's A x, which a tracker on the Gram path
-        does not keep."""
-        q = tracker.problem.row_link(tracker.u, slice(None))[1]
+        derivatives at A x, computed from x: a tracker on the Gram path
+        keeps no A x."""
+        p = tracker.problem
+        q = p.row_link(p.A.matvec(tracker.x), slice(None))[1]
         return self.query(q, tracker.gradient)

@@ -242,13 +242,12 @@ class LeastSquaresProblem(SmoothProblem):
                              (G.diagonal() + self.l2_reg).max(initial=0.0)))
         return self.kept("L1", build)
 
-    def row_link(self, ur, rows, ders=True):
-        """(phi_j(u_j), phi_j'(u_j) or None) for the rows ``rows`` (an index
-        array or a slice), from their entries ``ur`` of u = A x: one
-        gather of b and one residual serve both, and ``ders=False`` skips
-        the derivatives (the tracker's Gram path keeps none)."""
+    def row_link(self, ur, rows):
+        """(phi_j(u_j), phi_j'(u_j)) for the rows ``rows`` (an index array
+        or a slice), from their entries ``ur`` of u = A x: one gather of b
+        and one residual serve both."""
         r = ur - self.b[rows]
-        return self.scale * r * r, (2.0 * self.scale * r if ders else None)
+        return self.scale * r * r, 2.0 * self.scale * r
 
 
 # LogisticProblem.exact_coord_min: 1-D Newton tolerance and iteration cap
@@ -288,14 +287,13 @@ class LogisticProblem(SmoothProblem):
         s = -self.y * expit(-self.y * u) / self.m
         return self.A.rmatvec(s) + self.l2_reg * x
 
-    def row_link(self, ur, rows, ders=True):
-        """(phi_j(u_j), phi_j'(u_j) or None) for the rows ``rows``, from
-        their entries ``ur`` of u = A x; the margins -y_j u_j are computed
-        once for both (see ``LeastSquaresProblem.row_link``)."""
+    def row_link(self, ur, rows):
+        """(phi_j(u_j), phi_j'(u_j)) for the rows ``rows``, from their
+        entries ``ur`` of u = A x; the margins -y_j u_j are computed once
+        for both (see ``LeastSquaresProblem.row_link``)."""
         nyr = -self.y[rows]
         t = nyr * ur
-        vals = np.logaddexp(0.0, t) / self.m
-        return vals, (nyr * expit(t) / self.m if ders else None)
+        return np.logaddexp(0.0, t) / self.m, nyr * expit(t) / self.m
 
     def exact_coord_min(self, x, i, u):
         """Safeguarded 1-D Newton along coordinate i, from u = A x (a run

@@ -5,35 +5,37 @@ objective exact (up to float drift) after every coordinate update, paying
 only for the entries that can change:
 
 * h1 ("linear composition" objectives, f(x) = sum_j phi_j(a_j^T x) + node
-  terms): caches A x, the per-row link values and, off the Gram path, the
-  link derivatives.  A coordinate update moves the <= c entries of A x at
-  one column's rows (``_kernels.col_axpy``, which hands them back) and
-  computes their row values and derivatives from that one gather and one
-  residual (the problem's ``row_link``; values alone on the Gram path),
-  then renews the gradient in one of three ways, chosen once per
-  problem at build time.  The row scatter pushes the changed row
-  derivatives back through those rows into the gradient, gathering
-  <= c*r entries (``col_gather`` of the column), adds the l2 term's
-  change lam * delta at i and rescores the columns it hit.  One compiled
-  product rebuilds A^T grad_link whole for nnz entries, straight into the
-  gradient, which then takes lam x unless lam = 0 (decided at build with
-  the path, so an l2_reg = 0 gradient is the product's bits), and every
+  terms) renews the gradient in one of three ways, chosen once per
+  problem at build time.  Off the Gram path (below) it caches A x and the
+  per-row link values and derivatives: an update moves the <= c entries
+  of A x at one column's rows (``_kernels.col_axpy``, which hands them
+  back) and computes their row values and derivatives from that one
+  gather and one residual (the problem's ``row_link``).  The row scatter
+  pushes the changed row derivatives back through those rows into the
+  gradient, gathering <= c*r entries (``col_gather`` of the column),
+  adds the l2 term's change lam * delta at i and rescores the columns it
+  hit.  One compiled product rebuilds A^T grad_link whole for nnz
+  entries, straight into the gradient, which then takes lam x unless
+  lam = 0 (so an l2_reg = 0 gradient is the product's bits), and every
   coordinate is rescored.
   The product is taken when the mean gather, sum_rows r_i^2 / n, exceeds
   nnz / KAPPA (``takes_product``), so an update pays about min(c*r, nnz).
   Where the product is taken on a quadratic with n <= m (``takes_gram``),
-  the Gram path replaces it: moving x_i by delta moves the gradient by
-  delta * H[:, i], n entries of the Hessian (as in the paper's pairwise
-  class h2, which includes quadratics), added with two numpy calls into
-  a buffer the tracker owns.  It keeps no row derivatives (None), and
-  the guard keeps the n x n matrix no larger than A held dense.  On
-  ``sparse-ls`` (200^2, nnz = 10 673) this took the benchmark's
-  ``greedy_iter_us`` from a median of 30.3 to 19.2 us over 10 alternated
-  pairs (shared 2-vCPU Xeon).
-  The ``touched_grads`` counter reports the column's gather on every
-  path.  The product and Gram paths rescore as whole vectors
-  (``_rescore(None)``): no index gathers and no fancy stores, and the new
-  scores are installed as at a build (``_install``).
+  the Gram path is the whole update: moving x_i by delta moves the
+  gradient by delta * H[:, i], n entries of the Hessian (as in the
+  paper's pairwise class h2, which includes quadratics), added with two
+  numpy calls into a buffer the tracker owns, and the objective by
+  delta * g_i + delta^2 H_ii / 2 (H_ii holds l2_reg), read off the
+  gradient before the move.  It moves no A x and no row values, so
+  between rebuilds it keeps neither (``u``, ``row_v`` and ``row_g`` are
+  None); each build and refresh computes them, and the objective, from x
+  before it drops them.  The guard keeps the n x n matrix no larger than
+  A held dense.
+  The counters mean the same on every path: ``touched_rows`` counts the
+  column's rows and ``touched_grads`` the column's gather.  The product
+  and Gram paths rescore as whole vectors (``_rescore(None)``): no index
+  gathers and no fancy stores, and the new scores are installed as at a
+  build (``_install``).
 
 * h2 (pairwise graph objectives): keeps the gradient alone.  Moving x_i
   by dx moves each neighbour's entry by -w_ij dx, one column of the
@@ -184,8 +186,8 @@ def takes_gram(problem):
 class UpdateStats:
     """Exact work counters for one coordinate update.
 
-    touched_rows: rows of A hit by the column update (h1), or incident
-        edges (h2).
+    touched_rows: h1: the rows of the updated column, also on the Gram
+        path, which moves none of them; h2: the incident edges.
     touched_grads: h1: the entries of A the row scatter into the gradient
         gathers for this column (<= c*r), also when the update renewed
         the gradient by the full product or by a Gram column instead; 0
@@ -474,17 +476,16 @@ class H1Tracker(_TrackerBase):
         lam = p.l2_reg
         self.product = not self.lean and takes_product(A)
         self.gram = self.product and takes_gram(p)
-        self.row_v, row_g = p.row_link(self.u, slice(None))
+        self.row_v, self.row_g = p.row_link(self.u, slice(None))
         self.gradient = (None if self.lean
-                         else A.rmatvec(row_g) + lam * self.x)
-        # the Gram path keeps no row derivatives, so a stale read fails
-        self.row_g = None if self.gram else row_g
-        # whether the product path adds lam x, fixed here with the path
-        self._lam_x = lam != 0.0
+                         else A.rmatvec(self.row_g) + lam * self.x)
         self._col = np.empty(self.n)
-        if self.gram:
-            self.G = p.hessian()
         self._obj = float(self.row_v.sum() + 0.5 * lam * self.x @ self.x)
+        if self.gram:
+            # the Gram path moves neither A x nor the rows between
+            # rebuilds, so a stale read fails
+            self.G = p.hessian()
+            self.u = self.row_v = self.row_g = None
 
     def grad_coord(self, i):
         if not self.lean:
@@ -506,52 +507,53 @@ class H1Tracker(_TrackerBase):
     def apply_update(self, i, delta):
         """x[i] += delta; refresh every cache entry that can change."""
         old_xi, new_xi, dterm = self._move(i, delta)
-        p, A = self.problem, self.A
+        A, g, lam = self.A, self.gradient, self.problem.l2_reg
         a, b = A.col_indptr.item(i), A.col_indptr.item(i + 1)
-        rows = A.col_rows[a:b]
         delta = float(delta)
-        ur = _kernels.col_axpy(a, b, A.col_rows, A.col_vals, delta, self.u)
-        lam = p.l2_reg
         self.x[i] = new_xi
-
-        new_v, new_g = p.row_link(ur, rows, not self.gram)
-        dobj = float(np.add.reduce(new_v - self.row_v[rows]))
-        dobj += 0.5 * lam * (new_xi * new_xi - old_xi * old_xi)
-        self.row_v[rows] = new_v
         touched_grads = heap_ops = 0
-        g = self.gradient
         if self.gram:
-            # grad += delta * H[:, i], read as row i of the symmetric H
+            # f moves by delta g_i + delta^2 H_ii / 2 (H_ii holds l2_reg)
+            # and the gradient by delta * H[:, i], read as row i of the
+            # symmetric H; A x and the rows are not kept
+            dobj = delta * g.item(i) + 0.5 * delta * delta * self.G.item(i, i)
             np.multiply(self.G[i], delta, out=self._col)
             np.add(g, self._col, out=g)
-        elif self.product or self.lean:
-            self.row_g[rows] = new_g
+        else:
+            rows = A.col_rows[a:b]
+            ur = _kernels.col_axpy(a, b, A.col_rows, A.col_vals, delta, self.u)
+            new_v, new_g = self.problem.row_link(ur, rows)
+            dobj = float(np.add.reduce(new_v - self.row_v[rows]))
+            dobj += 0.5 * lam * (new_xi * new_xi - old_xi * old_xi)
+            self.row_v[rows] = new_v
+            if self.product or self.lean:
+                self.row_g[rows] = new_g
+            else:
+                dg = new_g - self.row_g[rows]
+                self.row_g[rows] = new_g
+                cols, touched_grads = _kernels.scatter_row_deltas(
+                    rows, dg, A.row_indptr, A.row_cols, A.row_vals, g)
+                # the l2 term moves grad_i alone, by lam * delta
+                g[i] = g.item(i) + lam * delta
+                if a == b:
+                    # an empty column hits no row, but x[i] itself moved
+                    cols = np.array([i], dtype=np.int64)
+                heap_ops = self._rescore(cols)
             if self.product:
                 # the refresh's own product, straight into the gradient,
                 # then lam x through the tracker's buffer where lam != 0
                 _kernels.transpose_product(A.col_indptr, A.col_rows,
                                            A.col_vals, self.row_g, g)
-                if self._lam_x:
+                if lam != 0.0:
                     np.multiply(self.x, lam, out=self._col)
                     np.add(g, self._col, out=g)
-        else:
-            dg = new_g - self.row_g[rows]
-            self.row_g[rows] = new_g
-            cols, touched_grads = _kernels.scatter_row_deltas(
-                rows, dg, A.row_indptr, A.row_cols, A.row_vals, g)
-            # the l2 term moves grad_i alone, by lam * delta
-            g[i] = g.item(i) + lam * delta
-            if a == b:
-                # an empty column hits no row, but x[i] itself still moved
-                cols = np.array([i], dtype=np.int64)
-            heap_ops = self._rescore(cols)
         if self.product:
             # the counter reports the entries the scatter would have
             # gathered
             heap_ops = self._rescore(None)
             touched_grads = A.col_gather.item(i)
         self._finish_update(dobj, dterm)
-        return UpdateStats(int(rows.shape[0]), touched_grads, heap_ops)
+        return UpdateStats(b - a, touched_grads, heap_ops)
 
 
 class H2Tracker(_TrackerBase):

@@ -176,14 +176,16 @@ def scaled_us(fns, per_call=1):
 
 def force_path(tr, path):
     """Put an eager h1 tracker on ``path``, with the caches that path
-    reads: the Hessian for "gram", the row derivatives for the other
-    two."""
+    reads: the Hessian, and no A x and no rows, for "gram"; A x and the
+    row values and derivatives for the other two."""
     smooth = tr.problem
     tr.product, tr.gram = path != "scatter", path == "gram"
     if tr.gram:
-        tr.G, tr.row_g = smooth.hessian(), None
+        tr.G = smooth.hessian()
+        tr.u = tr.row_v = tr.row_g = None
     else:
-        tr.row_g = smooth.row_link(tr.u, slice(None))[1]
+        tr.u = smooth.A.matvec(tr.x)
+        tr.row_v, tr.row_g = smooth.row_link(tr.u, slice(None))
 
 
 def update_pair(tr, j):

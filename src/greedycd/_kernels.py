@@ -1,9 +1,9 @@
 """Inner-loop kernels shared by the heap, the trackers, and sparse updates.
 
-The heap key update and the graph move are plain Python loops over flat
-numpy arrays: each step depends on the one before (a sift walks one path
-of the heap), or touches too few entries (about a dozen edges per graph
-move) for a numpy call to pay off.  The heap itself is built by one sort
+The heap key update and the CSR Hessian row are plain Python loops over
+flat numpy arrays: each step depends on the one before (a sift walks one
+path of the heap), or touches too few entries (about a dozen per graph
+row) for a numpy call to pay off.  The heap itself is built by one sort
 (``IndexedMaxHeap``), not here.  The sparse column update is one numpy
 expression over a CSC slice.  The row scatter of A^T dg into the
 gradient is two of scipy's compiled sparse kernels
@@ -13,28 +13,22 @@ over the rows, so its sums are bit-identical to that loop's; see
 ``csr_matvec`` (``transpose_product``), shared by ``SparseMatrix.rmatvec``
 and the tracker update that rebuilds the gradient whole.
 
-The graph move reads every scalar through ``ndarray.item()``, which gives
+The Hessian row reads every scalar through ``ndarray.item()``, which gives
 a Python int or float.  Indexing (``x[j]``) boxes a numpy scalar instead,
-and numpy-scalar arithmetic pays numpy's dispatch on every operation.  Both
-are the same IEEE double operations in the same order, so the results are
-bit-identical; on the median node of ``two_moons`` n=2000 (degree 6) one
-move takes 3.7-4.0 us against 7.5-13.7 us for the numpy-scalar loop of
-``tests/helpers.py`` (least of 200-300 repeats of 10 calls, shared 2-vCPU
-Xeon; ``tools/kernel_times.py`` times the move).  Numpy slices over the
-incident edges, with the two running sums kept in edge order, stay
-bit-identical too but took 5.9-6.4 us when measured: a dozen slices, gathers and vector expressions at a few
-hundred ns each cost more than six edges of Python-float arithmetic.  For
-the same reason the move rescores the entries it changes itself when the
-tracker hands it its keys and scores (the ``scan`` backend on a smooth
-problem): it writes |g| and w |g| from the Python floats it already holds,
-where the tracker's ``_rescore`` would spend 6-9 numpy calls on seven or
-so entries.
+and numpy-scalar arithmetic pays numpy's dispatch on every operation.
+Both are the same IEEE double operations in the same order, so the
+results are bit-identical (``tests/helpers.py`` holds the numpy-scalar
+loop); ``tools/kernel_times.py`` times the row.  For the same reason the
+row rescores the entries it changes itself when the tracker hands it its
+keys and scores (the ``scan`` backend on a smooth problem), from the
+Python floats it already holds, where the tracker's ``_rescore`` would
+spend several numpy calls on a few entries.
 
 The compiled kernels take int64 index arrays and float64 value arrays and
 check neither the dtypes nor any index bound, so their arrays come from a
-``SparseMatrix``, whose arrays are read-only after construction.  The graph
-move reads the Hessian's scipy CSR arrays through ``.item()``, whatever
-their index dtype.
+``SparseMatrix``, whose arrays are read-only after construction.  The
+Hessian row reads scipy CSR arrays through ``.item()``, whatever their
+index dtype.
 """
 
 import numpy as np
@@ -148,58 +142,23 @@ def transpose_product(col_indptr, col_rows, col_vals, y, out):
                             col_vals, y, out)
 
 
-def graph_coord_update(i, new_xi, x, indptr, indices, data, grad, q, b,
-                       keys=None, scores=None, weights=None):
-    """Move x[i] to new_xi on a pairwise-quadratic graph objective.
+def graph_coord_update(i, dx, indptr, indices, data, grad, keys=None,
+                       scores=None, weights=None):
+    """grad += dx * H[i], for the CSR arrays ``indptr``/``indices``/``data``
+    of a symmetric H: one pass over row i, its diagonal entry included.
 
-    ``indptr``/``indices``/``data`` are the CSR arrays of the objective's
-    Hessian, whose row i holds the diagonal entry and -w_ij for each
-    neighbour j.  Moving x[i] by dx moves each neighbour's gradient entry
-    by -w_ij * dx, one column of the Hessian; the move skips the diagonal
-    entry, recomputes grad[i] outright from its incident edges, and returns
-    the objective change computed from the touched terms only (node term
-    q/2 x^2 - b x plus the incident edge energies).
-
-    With ``keys`` given, the move also rescores the d + 1 entries it
-    changes: keys[j] = |grad_j| for i and each neighbour j, and with
-    ``weights`` given, scores[j] = |grad_j| * weights[j] too (``gsl``;
-    under ``gs`` the keys are the scores).  Each new gradient entry is a
-    Python float here already, so its key and score cost two float
-    operations and a store or two.  Gathering, taking |.|, weighting and
-    storing the same seven or so entries by numpy calls (the tracker's
-    ``_rescore``) cost more: on the median node of ``two_moons`` n=2000 a
-    whole ``gs`` update took 1.8 us more than a lean one that way, and
-    0.4 us more this way (2.6 and 1.2 us under ``gsl``; least of 300
-    repeats, shared 2-vCPU Xeon; ``tools/kernel_times.py`` prints the
-    difference).  They are the same IEEE operations as
-    ``GradScorer.compute``'s, so the keys and scores are its bits.
+    With ``keys`` given, it also rescores the entries it changes:
+    keys[j] = |grad_j| for every column j of row i, and with ``weights``
+    given, scores[j] = |grad_j| * weights[j] too (``gsl``; under ``gs``
+    the keys are the scores).  Each new gradient entry is a Python float
+    here already, so its key and score cost two float operations and a
+    store or two, the same IEEE operations as ``GradScorer.compute``'s.
     """
-    old = x.item(i)
-    x[i] = new_xi
-    dx = new_xi - old
-    qi = q.item(i)
-    bi = b.item(i)
-    dobj = 0.5 * qi * (new_xi * new_xi - old * old) - bi * dx
-    s = qi * new_xi - bi
     for k in range(indptr.item(i), indptr.item(i + 1)):
         j = indices.item(k)
-        if j == i:
-            continue
-        xj = x.item(j)
-        wk = -data.item(k)
-        a_new = new_xi - xj
-        a_old = old - xj
-        dobj += 0.5 * wk * (a_new * a_new - a_old * a_old)
-        s += wk * a_new
-        gj = grad.item(j) - wk * dx
+        gj = grad.item(j) + data.item(k) * dx
         grad[j] = gj
         if keys is not None:
             keys[j] = ag = abs(gj)
             if weights is not None:
                 scores[j] = ag * weights.item(j)
-    grad[i] = s
-    if keys is not None:
-        keys[i] = ag = abs(s)
-        if weights is not None:
-            scores[i] = ag * weights.item(i)
-    return dobj

@@ -212,7 +212,7 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     first run builds, and the problem keeps it read-only for every later
     run and tracker (``problems.KeptConstants``): the step curvatures with
     their Python floats (``SmoothProblem.curvature``), the ``gsl`` weights,
-    the Lipschitz CDF, the Gram path's Hessian, the ``nns`` index and a
+    the Lipschitz CDF, least squares' dense Hessian, the ``nns`` index and a
     composite problem's full prox pass per curvature
     (``CompositeProblem.full_pass``).
     """

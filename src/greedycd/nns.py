@@ -100,10 +100,9 @@ class BallTreeIndex:
         return g - 0.5 * self.sqnorms[idx]
 
     def select(self, tracker):
-        """The pick for an h1 tracker's current iterate; ``peek()`` of a
+        """The pick at a tracker's current iterate; ``peek()`` of a
         tracker on the "nns" backend.  The row weights are the row
-        derivatives at A x, computed from x: a tracker on the Gram path
-        keeps no A x."""
+        derivatives at A x, computed from x: an h2 tracker keeps no A x."""
         p = tracker.problem
         q = p.row_link(p.A.matvec(tracker.x), slice(None))[1]
         return self.query(q, tracker.gradient)

@@ -213,9 +213,17 @@ class LeastSquaresProblem(SmoothProblem):
         r = self.A.matvec(x) - self.b
         return 2.0 * self.scale * self.A.rmatvec(r) + self.l2_reg * x
 
+    def value_and_grad(self, x):
+        """(f(x), grad f(x)) from one A x: the sum of ``row_link``'s row
+        values and A^T of its row derivatives, as the h1 tracker's rebuild
+        sums them."""
+        v, d = self.row_link(self.A.matvec(x), slice(None))
+        return (float(v.sum() + 0.5 * self.l2_reg * x @ x),
+                self.A.rmatvec(d) + self.l2_reg * x)
+
     def hessian(self):
         """Dense Hessian 2*scale*A^T A + l2_reg*I, built once and kept
-        read-only (one copy, shared with the tracker's Gram path).  One
+        read-only (one copy, shared with every h2 tracker on it).  One
         compiled sparse-dense product, A^T times A held dense: entry (i, j)
         sums the products A_ki A_kj in row order k, whichever side of the
         diagonal it is on, so H equals its transpose.  On ``sparse_ls``

@@ -2,137 +2,68 @@
 
 A tracker owns the iterate x and keeps the full gradient of the smooth
 objective exact (up to float drift) after every coordinate update, paying
-only for the entries that can change:
+only for the entries that can change.  ``make_tracker`` picks one of two
+ways, once per problem:
 
-* h1 ("linear composition" objectives, f(x) = sum_j phi_j(a_j^T x) + node
-  terms) renews the gradient in one of three ways, chosen once per
-  problem at build time.  Off the Gram path (below) it caches A x and the
-  per-row link values and derivatives: an update moves the <= c entries
-  of A x at one column's rows (``_kernels.col_axpy``, which hands them
-  back) and computes their row values and derivatives from that one
-  gather and one residual (the problem's ``row_link``).  The row scatter
-  pushes the changed row derivatives back through those rows into the
-  gradient, gathering <= c*r entries (``col_gather`` of the column),
-  adds the l2 term's change lam * delta at i and rescores the columns it
-  hit.  One compiled product rebuilds A^T grad_link whole for nnz
-  entries, straight into the gradient, which then takes lam x unless
-  lam = 0 (so an l2_reg = 0 gradient is the product's bits), and every
-  coordinate is rescored.
-  The product is taken when the mean gather, sum_rows r_i^2 / n, exceeds
-  nnz / KAPPA (``takes_product``), so an update pays about min(c*r, nnz).
-  Where the product is taken on a quadratic with n <= m (``takes_gram``),
-  the Gram path is the whole update: moving x_i by delta moves the
-  gradient by delta * H[:, i], n entries of the Hessian (as in the
-  paper's pairwise class h2, which includes quadratics), added with two
-  numpy calls into a buffer the tracker owns, and the objective by
-  delta * g_i + delta^2 H_ii / 2 (H_ii holds l2_reg), read off the
-  gradient before the move.  It moves no A x and no row values, so
-  between rebuilds it keeps neither (``u``, ``row_v`` and ``row_g`` are
-  None); each build and refresh computes them, and the objective, from x
-  before it drops them.  The guard keeps the n x n matrix no larger than
-  A held dense.
-  The counters mean the same on every path: ``touched_rows`` counts the
-  column's rows and ``touched_grads`` the column's gather.  The product
-  and Gram paths rescore as whole vectors (``_rescore(None)``): no index
-  gathers and no fancy stores, and the new scores are installed as at a
-  build (``_install``).
+* h1 renews the gradient through A, for f(x) = sum_j phi_j(a_j^T x) +
+  l2/2 ||x||^2.  It caches A x and the row values and derivatives; an
+  update moves the <= c entries of A x at one column's rows
+  (``_kernels.col_axpy``) and recomputes their rows (``row_link``).  The
+  gradient then takes the changed row derivatives by a row scatter that
+  gathers <= c*r entries (``col_gather``) and rescores the columns hit,
+  or, when the mean gather exceeds nnz / KAPPA (``takes_product``), by
+  one compiled product A^T grad_link whole, after which every coordinate
+  is rescored as whole vectors.  So an update pays about min(c*r, nnz).
+* h2 adds one Hessian row, for a quadratic that keeps its Hessian H: a
+  graph's CSR ``H``, or least squares' kept dense ``hessian()`` where h1
+  would take the product and n <= m (H no larger than A held dense).
+  Moving x_i by delta adds delta * H[i] (H is symmetric) to the gradient,
+  and delta g_i + delta^2 H_ii / 2, from g_i before the move, to f.  A
+  dense row is two numpy calls and a whole-vector rescore; a CSR row is
+  one loop (``_kernels.graph_coord_update``), which on ``scan`` for a
+  smooth problem also writes the keys and ``gs``/``gsl`` scores it
+  changes, the bits ``_rescore`` would store.
 
-* h2 (pairwise graph objectives): keeps the gradient alone.  Moving x_i
-  by dx moves each neighbour's entry by -w_ij dx, one column of the
-  sparse Hessian, which the problem stores as CSR (``H``, the graph's one
-  stored form); a coordinate update reads row i of it, adds that to the
-  <= d neighbour entries and recomputes grad[i] from its incident edges.
-  On ``scan``, a smooth problem's move (``_kernels.graph_coord_update``)
-  also writes the keys and ``gs``/``gsl`` scores of those d + 1 entries
-  from the Python floats it computes them in, the bits ``_rescore`` would
-  store; the heap backend and a composite problem's prox keys still take
-  ``_rescore``.  The path is fixed when the scores are built.
+Scores (|grad|, |grad|/sqrt(L) or a composite problem's prox scores) are
+recomputed for the coordinates an update touches, or as whole vectors
+(``_rescore(None)``, then ``_install``).  A prox score over every
+coordinate is the problem's kept ``ProxPass`` per step curvature
+(``CompositeProblem.full_pass``), and over a subset its ``at``; both give
+``prox_steps``' bits.  ``peek()`` answers from one of three backends,
+which rank equal scores alike (smallest index) and so take the same path:
 
-On top of the gradient sits an optional score (|grad| for greedy selection,
-|grad|/sqrt(L) for its Lipschitz-weighted variant, or proximal-candidate
-scores for composite problems), recomputed only for touched coordinates.
-A prox score over every coordinate is one ``ProxPass``, which the
-composite problem keeps per step curvature, L_i or L, named by a flag
-(``CompositeProblem.full_pass(per_coord)``): the safe curvature, L/2, the
-thresholds lam/L and the term kinds (any box?) are computed once per
-problem and curvature, and each pass computes d and V alone (no
-subgradient) into buffers it owns, reading the kept term values g(x)
-(``term_vals``) instead of computing lam |x|.  The scatter path rescores
-a subset with the kept pass's ``at``, a one-off pass at those
-coordinates under the same safe curvature.  Both share their arithmetic
-with ``prox_steps`` and give its bits.  On ``lasso-prox`` (50 x 500)
-the pass over all n takes 11.5 us in its 14 ufunc calls, against
-13.2 us when it also took lam |x|, |z| and sign(y) t in 18, and a
-``gs-q`` update 28.3 against 32.5 us (``tools/kernel_times.py``,
-probe-scaled, shared 2-vCPU Xeon); with the h1 update's single gather
-of its column's A x entries (above), the benchmark's ``greedy_iter_us``
-there went from a median of 40.1 to 33.8 us over 10 alternated pairs.
-``peek()`` answers from one of three backends, which rank identical score
-values with the same tie rule (smallest index) and so give identical
-iterate sequences:
-
-* "scan" (default): a flat array, one vectorised store per update, and
-  ``ndarray.argmax``, remembered until the scores change (``np.argmax``
-  adds about 1.2 us of Python-level dispatch in numpy 2.4, at n = 2000).
-* "heap": an IndexedMaxHeap, built by one sort at every build, refresh
-  and whole-vector rescore (``_install``), so a product or Gram update
-  sifts nothing; a rescore of the touched coordinates updates each key by
-  an interpreted O(log n) sift, and a peek is O(1).  It ties scan only at
-  about n = 2e5 on a chain (tools/chain_backends.py).
-* "nns": no scores; a brute-force nearest-neighbour search over the
-  normalised columns of A (``nns.BallTreeIndex``, one dense product per
-  query) answers ``gsl`` from the row derivatives, which it computes from
-  A x.  The problem keeps the index (``"nns-index"``), built by the first
-  tracker that asks for it, for every later tracker, run and refresh.
-  The index alone decides which problems it serves: an h1 problem with
+* "scan" (default): a flat array and ``ndarray.argmax``, remembered until
+  the scores change.
+* "heap": an IndexedMaxHeap, rebuilt by one sort at every build and
+  whole-vector rescore, updated by an O(log n) sift per touched key.
+* "nns": no scores; the problem's kept ``nns.BallTreeIndex`` answers
+  ``gsl`` from the row derivatives at A x, for a problem with a matrix A,
   l2_reg = 0, every L_i > 0 and no composite terms.
 
-The tracker also owns the stopping test.  It keeps one array ``keys``, the
-residual entries whose maximum the test reads: |grad_i| on a smooth
-problem, and |d_i| on a composite one, d being the prox steps under the
-run's step curvature, L_i or L (``step_per_coord``).  A key changes only
-where x or the gradient does, so the update that rescores the touched
-coordinates rewrites their keys too.  Where the score computes the keys
-anyway, it hands them back: for ``gs`` the keys are the score array
-itself, for ``gsl`` they are |grad| before weighting, and for the prox
-scores "r" and "q" under the step curvature they come from the same prox
-pass.
-Otherwise the tracker computes them over the coordinates the update
-rescores, with the problem's kept ``ProxPass`` under the step curvature
-(over all n, or ``at`` a subset).
-``grad_inf_norm()`` then reads the test off the top score (keys that are
-the scores) or takes the key at ``keys.argmax()``: one pass over n floats,
-but it makes no |grad| over all n entries and no prox pass of its own (and
-``ndarray.max`` would add about 0.8 us of Python-level dispatch).  An
-iteration of ``gs``, ``gsl``, a prox rule or a random rule on ``scan``
-enters no numpy function written in Python (tests/test_descent.py checks
-it).
+The tracker owns the stopping test: ``keys`` holds |grad_i| on a smooth
+problem and |d_i| on a composite one, d the prox steps under the run's
+step curvature (``step_per_coord``).  A key changes only where x or the
+gradient does, so the rescore rewrites it; where the score computes it
+anyway (``gs``; |grad| before ``gsl``'s weights; the prox scores under
+the step curvature) it is handed back.  ``grad_inf_norm()`` reads the top
+score or ``keys.argmax()``.  An iteration of ``gs``, ``gsl``, a prox rule
+or a random rule on ``scan`` enters no numpy function written in Python.
 
-A rule that never reads the gradient (uniform, cyclic and Lipschitz
-sampling) gets a lean tracker (``lean=True``): it keeps no scores and no
-keys.  On h1 it keeps A x, the row derivatives and values and the
-objective, and skips the row scatter into the gradient, so an update
-costs O(c) and reports ``touched_grads == 0``; it keeps no ``gradient``
-array either, and computes one entry from column i in O(c)
-(``grad_coord``) or all of it with one A^T product (``full_gradient``).
-The h2 update maintains the gradient in O(d) anyway, so a lean h2
-tracker keeps it.  ``grad_inf_norm()`` on a lean tracker rebuilds the keys
-from the full gradient, which the driver asks for once per epoch.
+A rule that never reads the gradient gets a lean tracker (``lean=True``):
+no scores and no keys.  A lean h1 tracker skips the row scatter and keeps
+no gradient, computing one entry from column i (``grad_coord``) or all of
+it by one product (``full_gradient``); a lean h2 tracker, which
+``make_tracker`` builds only on graphs, keeps its gradient and rescores
+nothing.  ``grad_inf_norm()`` then rebuilds the keys from the full
+gradient, which ``run`` asks for once per epoch.
 
-The tracker owns the objective too.  ``objective()`` is F at x: the smooth
-objective, plus on a composite problem the terms' sum, kept as one running
-sum.  Every update adds its change, with the moved coordinate's term change
-(``last_obj_delta``, which ``run``'s descent certificate reads).  On a
-composite problem the tracker keeps the term values g_i(x_i) too
-(``term_vals``, n floats), rebuilt with the caches and rewritten at the
-moved coordinate before the rescore; the term change and the full prox
-pass read them.  The
-tracker refuses a starting point that is not finite or at which a term is
-infinite, and an update that would move a coordinate out of its box,
-before it changes any state.
-
-Caches, the objective included, are rebuilt from scratch every
-``refresh_every`` updates (default 10000) to bound float drift.
+``objective()`` is F: the smooth part plus, on a composite problem, the
+terms' sum (``term_vals``, rewritten at the moved coordinate).  Every
+update adds its change (``last_obj_delta``, which ``run``'s descent
+certificate reads).  The tracker refuses a start that is not finite or
+where a term is infinite, and a move out of a coordinate's box, before it
+changes any state.  Every ``refresh_every`` updates (default 10000) the
+caches and the objective are rebuilt from x to bound float drift.
 """
 
 import math
@@ -144,7 +75,7 @@ import numpy as np
 from . import _kernels
 from .linalg import IndexedMaxHeap
 from .nns import BallTreeIndex
-from .problems import BOX, term_value
+from .problems import BOX, GraphQuadraticProblem, term_value
 
 BACKENDS = ("scan", "heap", "nns")
 
@@ -174,29 +105,20 @@ def takes_product(A):
     return A.mean_gather * KAPPA > A.nnz
 
 
-def takes_gram(problem):
-    """Whether an h1 tracker that takes the product renews its gradient by
-    one column of the Hessian instead: the smooth problem is quadratic
-    and n <= m, so the n x n Gram matrix is no larger than A held dense."""
-    m, n = problem.A.shape
-    return problem.is_quadratic and n <= m
-
-
 @dataclass
 class UpdateStats:
     """Exact work counters for one coordinate update.
 
-    touched_rows: h1: the rows of the updated column, also on the Gram
-        path, which moves none of them; h2: the incident edges.
+    touched_rows: h1: the rows of the updated column.  h2: the
+        off-diagonal entries of Hessian row i the update moves, n - 1 on
+        a dense row and the degree on a CSR one.
     touched_grads: h1: the entries of A the row scatter into the gradient
         gathers for this column (<= c*r), also when the update renewed
-        the gradient by the full product or by a Gram column instead; 0
-        on a lean tracker.  h2: the differential updates of neighbour
-        gradient entries (<= d).  The updated coordinate's own recompute
-        is not counted.
+        the gradient by the full product instead; 0 on a lean tracker.
+        h2: the same entries as ``touched_rows``.
     heap_ops: heap keys set (0 for backend "scan"): the coordinates
-        rescored, n after a full product or a Gram column, which rebuild
-        the heap by one sort.
+        rescored, n after a full product or a dense Hessian row, which
+        rebuild the heap by one sort.
     """
     touched_rows: int
     touched_grads: int
@@ -475,17 +397,11 @@ class H1Tracker(_TrackerBase):
         self.u = A.matvec(self.x)
         lam = p.l2_reg
         self.product = not self.lean and takes_product(A)
-        self.gram = self.product and takes_gram(p)
         self.row_v, self.row_g = p.row_link(self.u, slice(None))
         self.gradient = (None if self.lean
                          else A.rmatvec(self.row_g) + lam * self.x)
         self._col = np.empty(self.n)
         self._obj = float(self.row_v.sum() + 0.5 * lam * self.x @ self.x)
-        if self.gram:
-            # the Gram path moves neither A x nor the rows between
-            # rebuilds, so a stale read fails
-            self.G = p.hessian()
-            self.u = self.row_v = self.row_g = None
 
     def grad_coord(self, i):
         if not self.lean:
@@ -509,47 +425,37 @@ class H1Tracker(_TrackerBase):
         old_xi, new_xi, dterm = self._move(i, delta)
         A, g, lam = self.A, self.gradient, self.problem.l2_reg
         a, b = A.col_indptr.item(i), A.col_indptr.item(i + 1)
+        rows = A.col_rows[a:b]
         delta = float(delta)
         self.x[i] = new_xi
+        ur = _kernels.col_axpy(a, b, A.col_rows, A.col_vals, delta, self.u)
+        new_v, new_g = self.problem.row_link(ur, rows)
+        dobj = float(np.add.reduce(new_v - self.row_v[rows]))
+        dobj += 0.5 * lam * (new_xi * new_xi - old_xi * old_xi)
+        self.row_v[rows] = new_v
         touched_grads = heap_ops = 0
-        if self.gram:
-            # f moves by delta g_i + delta^2 H_ii / 2 (H_ii holds l2_reg)
-            # and the gradient by delta * H[:, i], read as row i of the
-            # symmetric H; A x and the rows are not kept
-            dobj = delta * g.item(i) + 0.5 * delta * delta * self.G.item(i, i)
-            np.multiply(self.G[i], delta, out=self._col)
-            np.add(g, self._col, out=g)
+        if self.product or self.lean:
+            self.row_g[rows] = new_g
         else:
-            rows = A.col_rows[a:b]
-            ur = _kernels.col_axpy(a, b, A.col_rows, A.col_vals, delta, self.u)
-            new_v, new_g = self.problem.row_link(ur, rows)
-            dobj = float(np.add.reduce(new_v - self.row_v[rows]))
-            dobj += 0.5 * lam * (new_xi * new_xi - old_xi * old_xi)
-            self.row_v[rows] = new_v
-            if self.product or self.lean:
-                self.row_g[rows] = new_g
-            else:
-                dg = new_g - self.row_g[rows]
-                self.row_g[rows] = new_g
-                cols, touched_grads = _kernels.scatter_row_deltas(
-                    rows, dg, A.row_indptr, A.row_cols, A.row_vals, g)
-                # the l2 term moves grad_i alone, by lam * delta
-                g[i] = g.item(i) + lam * delta
-                if a == b:
-                    # an empty column hits no row, but x[i] itself moved
-                    cols = np.array([i], dtype=np.int64)
-                heap_ops = self._rescore(cols)
-            if self.product:
-                # the refresh's own product, straight into the gradient,
-                # then lam x through the tracker's buffer where lam != 0
-                _kernels.transpose_product(A.col_indptr, A.col_rows,
-                                           A.col_vals, self.row_g, g)
-                if lam != 0.0:
-                    np.multiply(self.x, lam, out=self._col)
-                    np.add(g, self._col, out=g)
+            dg = new_g - self.row_g[rows]
+            self.row_g[rows] = new_g
+            cols, touched_grads = _kernels.scatter_row_deltas(
+                rows, dg, A.row_indptr, A.row_cols, A.row_vals, g)
+            # the l2 term moves grad_i alone, by lam * delta
+            g[i] = g.item(i) + lam * delta
+            if a == b:
+                # an empty column hits no row, but x[i] itself moved
+                cols = np.array([i], dtype=np.int64)
+            heap_ops = self._rescore(cols)
         if self.product:
-            # the counter reports the entries the scatter would have
-            # gathered
+            # the refresh's own product, straight into the gradient, then
+            # lam x through the tracker's buffer where lam != 0; the
+            # counter reports the entries the scatter would have gathered
+            _kernels.transpose_product(A.col_indptr, A.col_rows, A.col_vals,
+                                       self.row_g, g)
+            if lam != 0.0:
+                np.multiply(self.x, lam, out=self._col)
+                np.add(g, self._col, out=g)
             heap_ops = self._rescore(None)
             touched_grads = A.col_gather.item(i)
         self._finish_update(dobj, dterm)
@@ -557,17 +463,26 @@ class H1Tracker(_TrackerBase):
 
 
 class H2Tracker(_TrackerBase):
-    """Tracker for pairwise graph-structured quadratics."""
+    """Tracker for quadratics that keep their Hessian H: a graph's CSR
+    ``H``, or least squares' kept dense ``hessian()``.  Moving x_i by
+    delta adds delta * H[i] (H is symmetric) to the gradient and
+    delta g_i + delta^2 H_ii / 2 to f."""
 
     def _rebuild_caches(self):
-        self._obj, self.gradient = self.problem.value_and_grad(self.x)
+        p = self.problem
+        H = self.H = (p.H if isinstance(p, GraphQuadraticProblem)
+                      else p.hessian())
+        self.dense = isinstance(H, np.ndarray)
+        self._diag = H.diagonal()
+        self._col = np.empty(self.n) if self.dense else None
+        self._obj, self.gradient = p.value_and_grad(self.x)
 
     def _init_scores(self):
         super()._init_scores()
-        # on scan, the move itself rewrites the keys and |grad| scores of
-        # the entries it changes; the heap and a composite problem's prox
-        # keys take ``_rescore``, and a lean tracker keeps neither
-        fused = (self.backend == "scan" and not self.lean
+        # on scan, the CSR move itself rewrites the keys and |grad| scores
+        # of the entries it changes; the heap and a composite problem's
+        # prox keys take ``_rescore``, and a lean tracker keeps neither
+        fused = (not self.dense and self.backend == "scan" and not self.lean
                  and self.composite is None
                  and (self.scorer is None
                       or isinstance(self.scorer, GradScorer)))
@@ -582,27 +497,38 @@ class H2Tracker(_TrackerBase):
     def apply_update(self, i, delta):
         """x[i] += delta; refresh every cache entry that can change."""
         _, new_xi, dterm = self._move(i, delta)
-        p = self.problem
-        H = p.H
-        dobj = _kernels.graph_coord_update(
-            i, float(new_xi), self.x, H.indptr, H.indices, H.data,
-            self.gradient, p.node_quad, p.node_lin, self._move_keys,
-            self._scores, self._move_weights)
-        start, stop = H.indptr.item(i), H.indptr.item(i + 1)
+        H, g = self.H, self.gradient
+        delta = float(delta)
+        dobj = delta * g.item(i) + 0.5 * delta * delta * self._diag.item(i)
+        self.x[i] = new_xi
         heap_ops = 0
-        if self._move_keys is not None:
-            self._top = None
-        elif not self.lean:
-            # rekey and rescore row i of H: i and its neighbours
-            heap_ops = self._rescore(H.indices[start:stop])
+        if self.dense:
+            np.multiply(H[i], delta, out=self._col)
+            np.add(g, self._col, out=g)
+            moved = self.n - 1
+            if not self.lean:
+                heap_ops = self._rescore(None)
+        else:
+            start, stop = H.indptr.item(i), H.indptr.item(i + 1)
+            _kernels.graph_coord_update(
+                i, delta, H.indptr, H.indices, H.data, g, self._move_keys,
+                self._scores, self._move_weights)
+            # the row holds i's own diagonal entry besides the others
+            moved = stop - start - 1
+            if self._move_keys is not None:
+                self._top = None
+            elif not self.lean:
+                heap_ops = self._rescore(H.indices[start:stop])
         self._finish_update(dobj, dterm)
-        # the row holds i's own diagonal entry besides its edges
-        return UpdateStats(stop - start - 1, stop - start - 1, heap_ops)
+        return UpdateStats(moved, moved, heap_ops)
 
 
 def make_tracker(problem, x0, scorer=None, backend="scan",
                  refresh_every=10000, lean=False, step_per_coord=None):
-    """Build the tracker matching the problem's structure (h1 or h2).
+    """Build the tracker matching the problem's structure: h2 on a graph,
+    and on an eager least-squares problem whose h1 update would take the
+    product and whose n x n Hessian is no larger than A held dense
+    (n <= m); h1 on every other problem with a matrix A.
 
     ``backend`` is "scan", "heap" or "nns" (see the module docstring).
     ``lean`` asks for a tracker without scores or keys, for rules that
@@ -614,6 +540,9 @@ def make_tracker(problem, x0, scorer=None, backend="scan",
     kind = getattr(smooth, "tracker_kind", None)
     if kind not in ("h1", "h2"):
         raise ValueError(f"no tracker for problem type {type(smooth).__name__}")
+    if (kind == "h1" and not lean and smooth.is_quadratic
+            and takes_product(smooth.A) and smooth.n <= smooth.A.shape[0]):
+        kind = "h2"
     cls = H1Tracker if kind == "h1" else H2Tracker
     return cls(problem, x0, scorer, backend, refresh_every, lean,
                step_per_coord)

@@ -78,30 +78,20 @@ def scatter_rows_loop(A, rows, dg, target):
     return sorted(hit), count
 
 
-def graph_move_loop(i, new_xi, x, indptr, indices, data, grad, q, b):
+def hessian_row_loop(i, dx, indptr, indices, data, grad):
     """The loop ``_kernels.graph_coord_update`` must equal bit for bit,
-    written with numpy-scalar indexing and in-place adds: move x[i] to
-    new_xi, walk row i of the CSR Hessian, skipping its diagonal, add
-    -w * dx to each neighbour's gradient entry (w = -H_ij), recompute
-    grad[i], and return the objective change."""
-    old = x[i]
-    x[i] = new_xi
-    dx = new_xi - old
-    dobj = 0.5 * q[i] * (new_xi * new_xi - old * old) - b[i] * dx
-    s = q[i] * new_xi - b[i]
+    written with numpy-scalar indexing and in-place adds: grad[j] +=
+    H_ij * dx over row i of the CSR Hessian, its diagonal included."""
     for k in range(indptr[i], indptr[i + 1]):
-        j = indices[k]
-        if j == i:
-            continue
-        w = -data[k]
-        xj = x[j]
-        a_new = new_xi - xj
-        a_old = old - xj
-        dobj += 0.5 * w * (a_new * a_new - a_old * a_old)
-        s += w * a_new
-        grad[j] -= w * dx
-    grad[i] = s
-    return dobj
+        grad[indices[k]] += data[k] * dx
+
+
+def tracker_path(tr):
+    """The update path an eager tracker takes: the h1 row scatter or full
+    product, or the h2 Hessian row, dense or CSR."""
+    if hasattr(tr, "H"):
+        return "h2-dense" if tr.dense else "h2-csr"
+    return "h1-product" if tr.product else "h1-scatter"
 
 
 def random_spd(rng, n, lam_lo=0.3, lam_hi=2.0):

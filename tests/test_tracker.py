@@ -1,11 +1,11 @@
 """Tracker tests.
 
 One property test (``TestTrackerOracle``) holds the trackers' central
-invariant on each update path (the h1 row scatter, full product and Gram
-column, and the h2 graph move): after the build, after every update and
+invariant on each update path (the h1 row scatter and full product, and
+the h2 Hessian row, dense or CSR): after the build, after every update and
 after a final refresh, each piece of state (A x and the row derivatives,
-which the Gram path does not keep, the gradient, the objective and its
-last change, the term values, the keys, the scores and the pick) equals a
+which h1 alone keeps, the gradient, the objective and its last change,
+the term values, the keys, the scores and the pick) equals a
 fresh dense recompute from x (``DenseRecompute``), and each update's work
 counters equal what the problem's structure implies.  One generator
 draws the problem, terms, rule, backend, step curvature and refresh
@@ -32,10 +32,10 @@ from greedycd.problems import (BOX, BoxTerm, CompositeProblem,
                                ProxPass, ZeroTerm, safe_curvature)
 from greedycd.rules import RULE_NAMES, ProxWorkRule, make_rule
 from greedycd.tracker import (GradScorer, H1Tracker, H2Tracker, ProxScorer,
-                              _TrackerBase, make_tracker, takes_gram,
-                              takes_product)
-from helpers import (EXTREME_FLOATS, draw_triplet_matrix, graph_move_loop,
-                     random_sparse, scan_argmax, scatter_rows_loop)
+                              _TrackerBase, make_tracker, takes_product)
+from helpers import (EXTREME_FLOATS, draw_triplet_matrix, hessian_row_loop,
+                     random_sparse, scan_argmax, scatter_rows_loop,
+                     tracker_path)
 
 
 def assert_tracker_matches(tr, problem, rtol=1e-9):
@@ -248,9 +248,9 @@ class TestGraphMoveKernel:
                 MOVE_VALUES, min_size=size, max_size=size), label=label),
                 dtype=np.float64)
 
-        x, grad = floats(n, "x"), floats(n, "grad")
+        grad = floats(n, "grad")
         i = data.draw(st.integers(0, n - 1), label="i")
-        new_xi = data.draw(MOVE_VALUES, label="new_xi")
+        dx = data.draw(MOVE_VALUES, label="dx")
         # the move may also rescore what it changes: keys alone (no
         # scorer, or gs), or keys and weighted scores (gsl)
         rescore = data.draw(st.sampled_from(["none", "keys", "weighted"]),
@@ -258,39 +258,41 @@ class TestGraphMoveKernel:
         keys, scores = floats(n, "keys"), floats(n, "scores")
         weights = np.array(data.draw(st.lists(
             EXTREME_WEIGHTS, min_size=n, max_size=n), label="weights"))
-        want = [x.copy(), grad.copy(), keys.copy(), scores.copy()]
+        want = [grad.copy(), keys.copy(), scores.copy()]
         # the extremes overflow to inf and nan; both sides must agree anyway
         with np.errstate(all="ignore"):
-            want_dobj = graph_move_loop(
-                i, new_xi, want[0], H.indptr, H.indices, H.data, want[1],
-                p.node_quad, p.node_lin)
+            hessian_row_loop(i, dx, H.indptr, H.indices, H.data, want[0])
             # row i of H: i and its neighbours
             moved = H.indices[H.indptr[i]:H.indptr[i + 1]]
             args = {}
             if rescore != "none":
                 args["keys"] = keys
-                want[2][moved] = np.abs(want[1][moved])
+                want[1][moved] = np.abs(want[0][moved])
             if rescore == "weighted":
                 args.update(scores=scores, weights=weights)
-                want[3][moved] = want[2][moved] * weights[moved]
-        dobj = _kernels.graph_coord_update(
-            i, new_xi, x, H.indptr, H.indices, H.data, grad, p.node_quad,
-            p.node_lin, **args)
-        assert type(dobj) is float
-        assert (np.array([dobj]).view(np.int64)
-                == np.array([want_dobj]).view(np.int64)).all()
-        for got, exp in zip((x, grad, keys, scores), want):
+                want[2][moved] = want[1][moved] * weights[moved]
+        assert _kernels.graph_coord_update(
+            i, dx, H.indptr, H.indices, H.data, grad, **args) is None
+        for got, exp in zip((grad, keys, scores), want):
             assert np.array_equal(got.view(np.int64), exp.view(np.int64))
 
 
 class TestH2Tracker:
-    def test_a_long_walk_without_refresh_keeps_the_gradient(self):
-        # each move adds -w_ij * dx to the neighbours' entries; 1e5 random
-        # moves with no refresh must not let those sums drift
+    @pytest.mark.parametrize("form, moves", [("csr", 10**5), ("dense", 10**4)])
+    def test_a_long_walk_without_refresh_keeps_the_gradient(self, form,
+                                                            moves):
+        # each move adds delta * H[i] to the gradient and delta g_i +
+        # delta^2 H_ii / 2 to f; random moves with no refresh must not let
+        # those sums drift
         rng = np.random.default_rng(11)
-        p = random_bounded_degree_graph(rng, 300, dmax=8)
-        tr = H2Tracker(p, np.zeros(p.n), lean=True, refresh_every=10**6)
-        moves = 10**5
+        if form == "csr":
+            p = random_bounded_degree_graph(rng, 300, dmax=8)
+            tr = H2Tracker(p, np.zeros(p.n), lean=True, refresh_every=10**6)
+        else:
+            p = gen_experiment("dense_overdet_ls", m=300, n=60,
+                               seed=0).problem
+            tr = make_tracker(p, np.zeros(p.n), refresh_every=10**6)
+        assert tracker_path(tr) == f"h2-{form}"
         for i, delta in zip(rng.integers(p.n, size=moves).tolist(),
                             rng.standard_normal(moves).tolist()):
             tr.apply_update(i, delta)
@@ -298,6 +300,8 @@ class TestH2Tracker:
         full = p.full_grad(tr.x)
         drift = np.abs(tr.gradient - full).max() / np.abs(full).max()
         assert drift <= 1e-12
+        f = p.eval(tr.x)
+        assert abs(tr.objective() - f) <= 1e-12 * max(1.0, abs(f))
 
     def test_chain_counts(self):
         p = GraphQuadraticProblem(3, [[0, 1], [1, 2]], [1.0, 1.0],
@@ -361,16 +365,16 @@ class TestEagerGraphTracker:
                 assert tr.peek() == int(np.argmax(ws * keys))
 
 
-class TestGramPath:
-    """The third way an eager h1 update renews its gradient: on a
-    least-squares problem whose matrix takes the product and has n <= m,
-    grad += delta * H[:, i], one column of the Hessian.  The tracker keeps
-    A x and the row values for the objective, and no row derivatives."""
+class TestDenseHessianRow:
+    """Where least squares takes the h2 update: on an eager problem whose
+    h1 update would take the product and whose n <= m, grad += delta *
+    H[i], one row of the kept dense Hessian.  The tracker keeps no A x and
+    no rows."""
 
     @pytest.mark.parametrize("case", ["ls", "composite", "logistic", "wide",
-                                      "scatter", "lean"])
-    def test_the_gram_path_is_taken_exactly_where_it_pays(self, case):
-        # eager, quadratic, on the product and n <= m: the Gram path, alone
+                                      "scatter", "lean", "graph"])
+    def test_h2_is_taken_exactly_where_a_dense_row_pays(self, case):
+        # eager, quadratic, on the product and n <= m, or a graph: h2
         rng = np.random.default_rng(18)
         m, n = (4, 6) if case == "wide" else (8, 6)
         A, _ = random_sparse(rng, m, n, density=0.6)
@@ -380,6 +384,8 @@ class TestGramPath:
         if case == "logistic":
             smooth = LogisticProblem(A, np.where(rng.random(m) < 0.5, -1.0,
                                                  1.0))
+        elif case == "graph":
+            smooth = random_bounded_degree_graph(rng, n, dmax=3)
         else:
             smooth = LeastSquaresProblem(A, rng.standard_normal(m),
                                          l2_reg=0.3)
@@ -388,29 +394,34 @@ class TestGramPath:
         lean = case == "lean"
         tr = make_tracker(problem, np.zeros(n),
                           None if lean else GradScorer(), lean=lean)
-        gram = case in ("ls", "composite")
-        assert tr.product == (case not in ("scatter", "lean"))
-        assert takes_gram(smooth) == (case != "logistic" and n <= m)
-        assert tr.gram == gram
-        assert (tr.row_g is None) == gram
-        assert (tr.gradient is None) == lean
+        path = {"ls": "h2-dense", "composite": "h2-dense", "graph": "h2-csr",
+                "scatter": "h1-scatter"}.get(case, "h1-product")
+        if lean:
+            assert isinstance(tr, H1Tracker) and tr.gradient is None
+        else:
+            assert tracker_path(tr) == path
+        if path == "h2-dense":
+            assert tr.H is smooth.hessian()
+            assert not hasattr(tr, "u")
         tr.apply_update(2, 0.5)
         tr.refresh()
-        assert tr.gram == gram
+        if not lean:
+            assert tracker_path(tr) == path
 
-    def test_gram_path_update_makes_no_product_and_no_row_derivative(
+    def test_dense_update_makes_no_product_and_no_row_derivative(
             self, monkeypatch):
         rng = np.random.default_rng(19)
         A, dense = random_sparse(rng, 10, 5, density=0.7)
         p = LeastSquaresProblem(A, rng.standard_normal(10), l2_reg=0.1)
         tr = make_tracker(p, np.zeros(5), GradScorer())
-        assert tr.gram
+        assert tracker_path(tr) == "h2-dense"
 
         def refused(*args, **kwargs):
-            raise AssertionError("the Gram path moves no A x, no row and "
-                                 "no A^T grad_link")
+            raise AssertionError("the dense Hessian row moves no A x, no "
+                                 "row and no A^T grad_link")
 
-        for name in ("transpose_product", "scatter_row_deltas", "col_axpy"):
+        for name in ("transpose_product", "scatter_row_deltas", "col_axpy",
+                     "graph_coord_update"):
             monkeypatch.setattr(_kernels, name, refused)
         monkeypatch.setattr(LeastSquaresProblem, "row_link", refused)
         for i in (0, 3, 3, 1):
@@ -470,9 +481,9 @@ def bits(v):
     return np.float64(v).tobytes()
 
 
-# the update paths: the h1 row scatter, full product and Gram column, and
-# the h2 graph move
-PATHS = ("h1-scatter", "h1-product", "h1-gram", "h2")
+# the update paths: the h1 row scatter and full product, and the h2
+# Hessian row, dense (least squares) or CSR (a graph)
+PATHS = ("h1-scatter", "h1-product", "h2-dense", "h2-csr")
 
 
 def nns_serves(problem):
@@ -483,14 +494,15 @@ def nns_serves(problem):
 
 
 def draw_smooth(data, path, grid, zero):
-    """A smooth problem whose tracker takes ``path`` when eager.  The h1
+    """A smooth problem whose tracker takes ``path`` when eager.  The
     matrices are drawn on the path's side of KAPPA: long sparse rows for
     the scatter, dense-ish ones for the product and, for least squares,
-    n > m there and n <= m on the Gram path.  Zero columns or isolated
-    nodes give L_i = 0.  On the ``grid`` every number is a multiple of
-    1/2 and every graph weight a power of two, so sums are exact and ties
-    frequent; with ``zero`` as well, b or the node terms are 0."""
-    if path == "h2":
+    n > m there and n <= m on the dense Hessian row.  Zero columns or
+    isolated nodes give L_i = 0.  On the ``grid`` every number is a
+    multiple of 1/2 and every graph weight a power of two, so sums are
+    exact and ties frequent; with ``zero`` as well, b or the node terms
+    are 0."""
+    if path == "h2-csr":
         n = data.draw(st.integers(1, 8), label="n")
         if not grid:
             return draw_graph(data, n, st.floats(0.0, 2.0),
@@ -509,9 +521,9 @@ def draw_smooth(data, path, grid, zero):
             n, np.array(edges, dtype=np.int64).reshape(-1, 2),
             powers(len(edges), -1, 1), node_quad=powers(n, -1, 0),
             node_lin=lin)
-    logistic = path != "h1-gram" and data.draw(st.booleans(),
-                                               label="logistic")
-    if path == "h1-gram":
+    logistic = path != "h2-dense" and data.draw(st.booleans(),
+                                                label="logistic")
+    if path == "h2-dense":
         n = data.draw(st.integers(1, 6), label="n")
         m = data.draw(st.integers(n, 8), label="m")
     else:
@@ -567,8 +579,11 @@ class DenseRecompute:
 
     def stats(self, tr, i):
         """(touched_rows, touched_grads, heap_ops) of an update of i."""
-        if self.smooth.tracker_kind == "h2":
-            d = int(self.degree[i])
+        if isinstance(tr, H2Tracker):
+            # the off-diagonal entries of row i, all n - 1 of a dense row;
+            # the heap rekeys the whole row
+            d = (tr.n - 1 if self.smooth.tracker_kind == "h1"
+                 else int(self.degree[i]))
             return d, d, 0 if tr.heap is None else d + 1
         hit = self.nz[:, i]
         rows, gather = int(hit.sum()), int(self.nz[hit].sum())
@@ -576,8 +591,8 @@ class DenseRecompute:
             return rows, 0, 0
         if tr.heap is None:
             return rows, gather, 0
-        # the product and Gram paths rekey all n, the scatter the columns
-        # it hits, or i alone from an empty column
+        # the product rekeys all n, the scatter the columns it hits, or i
+        # alone from an empty column
         return rows, gather, (tr.n if tr.product
                               else max(int(self.nz[hit].any(axis=0).sum()),
                                        1))
@@ -592,10 +607,7 @@ class DenseRecompute:
             u = self.dense @ x
             row_g = s.row_link(u, slice(None))[1]
             grad = self.dense.T @ row_g + s.l2_reg * x
-            if tr.gram:
-                # the Gram path moves neither A x nor the rows
-                assert tr.u is tr.row_v is tr.row_g is None
-            else:
+            if isinstance(tr, H1Tracker):
                 assert np.all(np.abs(tr.u - u) <= 1e-12 * self.u_size)
                 assert np.all(np.abs(tr.row_g - row_g)
                               <= 1e-12 * self.u_size)
@@ -614,9 +626,10 @@ class DenseRecompute:
         assert bits(tr.grad_inf_norm()) == bits(keys.max())
         if tr.lean:
             assert tr.keys is None
-            if getattr(twin, "gram", False):
-                # the eager twin takes f's change from its gradient entry
-                # and H_ii, the lean tracker from the rows
+            if type(twin) is not type(tr):
+                # the eager twin on a dense Hessian row takes f's change
+                # from its gradient entry and H_ii, the lean h1 tracker
+                # from the rows
                 assert (abs(twin.objective() - p.eval(x))
                         <= 1e-12 * self.obj_size)
                 assert (abs(tr.last_obj_delta - twin.last_obj_delta)
@@ -723,18 +736,13 @@ class TestTrackerOracle:
             assert tr.step_per_coord == (
                 getattr(tr.scorer, "per_coord", False) if step is None
                 else step)
-        if path == "h2":
-            assert isinstance(tr, H2Tracker)
+        if path != "h2-csr":
+            assert takes_product(smooth.A) == (path != "h1-scatter")
+        if lean and path != "h2-csr":
+            # a lean tracker over a matrix keeps A x and the rows alone
+            assert isinstance(tr, H1Tracker) and not tr.product
         else:
-            product, gram = path != "h1-scatter", path == "h1-gram"
-            assert isinstance(tr, H1Tracker)
-            assert (takes_product(smooth.A), takes_gram(smooth)) == (
-                product, gram)
-            assert (tr.product, tr.gram) == (product and not lean,
-                                             gram and not lean)
-            assert (tr.row_g is None) == tr.gram
-            if tr.gram:
-                assert tr.G is smooth.hessian()
+            assert tracker_path(tr) == path
         oracle = DenseRecompute(problem)
         oracle.check(tr, twin)
         for _ in range(data.draw(st.integers(0, 8), label="moves")):
@@ -830,8 +838,8 @@ class TestProxResidualKeys:
 
     def check_update_passes(self, monkeypatch, A, dense, product):
         """One update of coordinate 2 under every case: the passes cover
-        the columns its rows touch on the scatter path, all n on the
-        product path."""
+        the columns its rows touch on the scatter path, all n on a
+        whole-vector one (``product``)."""
         m, n = dense.shape
         rng = np.random.default_rng(15)
         comp = CompositeProblem(LeastSquaresProblem(A, rng.standard_normal(m)),
@@ -841,7 +849,8 @@ class TestProxResidualKeys:
         for rule, step_per_coord, per_update in self.CASES:
             tr = make_tracker(comp, np.zeros(n), make_rule(rule).scorer(comp),
                               step_per_coord=step_per_coord)
-            assert tr.keys is not None and tr.product == product
+            assert tr.keys is not None
+            assert (tracker_path(tr) != "h1-scatter") == product
             passes.clear()
             tr.apply_update(2, 0.5)
             assert passes == [(n if product else len(touched), False)
@@ -849,7 +858,8 @@ class TestProxResidualKeys:
 
     def test_keys_share_the_score_call_only_under_the_same_curvature(
             self, monkeypatch):
-        # on the product path, where each pass covers all n
+        # on a dense Hessian row (the product and n <= m), where each
+        # pass covers all n
         rng = np.random.default_rng(15)
         A, dense = random_sparse(rng, 8, 6)
         assert takes_product(A)
@@ -958,7 +968,7 @@ class TestProductPathGradient:
         scorer = (ProxScorer(problem, False, "q") if composite
                   else GradScorer())
         tr = make_tracker(problem, rng.uniform(-1.0, 1.0, 14), scorer)
-        assert tr.product and not tr.gram
+        assert tracker_path(tr) == "h1-product"
         expected = np.empty(14)
         for _ in range(30):
             tr.apply_update(int(rng.integers(14)), float(rng.normal()))
@@ -1138,15 +1148,16 @@ class TestBackendEquivalence:
 
     @pytest.mark.parametrize("path", PATHS)
     def test_a_whole_vector_rescore_sifts_nothing(self, monkeypatch, path):
-        # the product and Gram paths rebuild the heap by one sort; the
-        # scatter path and the graph move sift each key they rescore
+        # the product and the dense Hessian row rebuild the heap by one
+        # sort; the scatter and the CSR Hessian row sift each key they
+        # rescore
         rng = np.random.default_rng(21)
-        if path == "h2":
+        if path == "h2-csr":
             p = random_bounded_degree_graph(rng, 40, dmax=4)
         else:
             m, n, density = {"h1-scatter": (60, 40, 0.03),
                              "h1-product": (6, 12, 0.6),
-                             "h1-gram": (10, 5, 0.7)}[path]
+                             "h2-dense": (10, 5, 0.7)}[path]
             p = LeastSquaresProblem(random_sparse(rng, m, n, density)[0],
                                     rng.standard_normal(m))
         # builds and sifts
@@ -1157,8 +1168,8 @@ class TestBackendEquivalence:
                 real(self, *args)
             monkeypatch.setattr(IndexedMaxHeap, name, counted)
         tr = make_tracker(p, np.zeros(p.n), GradScorer(), backend="heap")
-        whole = getattr(tr, "product", False)
-        assert whole == (path in ("h1-product", "h1-gram"))
+        assert tracker_path(tr) == path
+        whole = path in ("h1-product", "h2-dense")
         for _ in range(12):
             before = list(calls.values())
             stats = tr.apply_update(tr.peek(), 0.25)
@@ -1212,12 +1223,7 @@ class TestBackendEquivalence:
             make_tracker(ls, np.zeros(4), backend="nns", lean=True)
 
     def test_make_tracker_dispatch(self):
-        rng = np.random.default_rng(9)
-        A, _ = random_sparse(rng, 6, 4)
-        ls = LeastSquaresProblem(A, rng.standard_normal(6))
-        assert isinstance(make_tracker(ls, np.zeros(4)), H1Tracker)
-        comp = CompositeProblem(ls, L1Term(1.0))
-        assert isinstance(make_tracker(comp, np.zeros(4)), H1Tracker)
+        # ``TestDenseHessianRow`` holds where least squares goes
         g = GraphQuadraticProblem(3, [[0, 1]], [1.0], node_quad=[1, 1, 1])
         assert isinstance(make_tracker(g, np.zeros(3)), H2Tracker)
         with pytest.raises(ValueError):

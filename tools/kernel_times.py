@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""Time the three ways an h1 tracker renews its gradient, the row scatter
-of A^T dg into it, one full compiled product and one Gram column, and one
-graph coordinate move.
+"""Time the ways a tracker renews its gradient on a matrix A, the h1 row
+scatter of A^T dg into it, the h1 full compiled product and the h2 dense
+Hessian row, and one CSR Hessian row of a graph.
 
     python3 tools/kernel_times.py
 
@@ -10,26 +10,28 @@ For each (family, m, n) in ``SIZES``, builds the experiment with
 
 * ``gather_frac``: the mean number of entries one update's row scatter
   gathers (``A.mean_gather``, sum_rows r_i^2 / n) over nnz, and ``path``,
-  the update the tracker takes there (``tracker.takes_product``: the
-  product when gather_frac exceeds 1 / ``tracker.KAPPA``; then the Gram
-  column when ``tracker.takes_gram`` holds, a quadratic with n <= m);
-* ``n2``, the entries of the n x n Gram matrix, next to ``m * n``, the
-  entries of A held dense, and ``nnz``: the Gram path reads n of them per
-  update where the product reads nnz, and the guard n <= m keeps its
+  the update the tracker ``make_tracker`` builds takes there: the
+  product when gather_frac exceeds 1 / ``tracker.KAPPA``
+  (``tracker.takes_product``), and "gram", the h2 tracker's dense Hessian
+  row, where that product would be taken on a quadratic with n <= m;
+* ``n2``, the entries of the n x n Hessian, next to ``m * n``, the
+  entries of A held dense, and ``nnz``: the Hessian row reads n of them
+  per update where the product reads nnz, and the guard n <= m keeps its
   matrix no larger than A held dense;
 * two kernel calls: ``_kernels.scatter_row_deltas`` for the median column,
   the column whose rows hold the median number of stored entries
   (``touched``), and ``A.rmatvec(y)``, the full product;
-* three whole updates, ``H1Tracker.apply_update`` of that column under
-  ``gsl`` scores on the smooth part, with the tracker forced onto each
-  path whatever the matrix (``scatter_update_us``, ``product_update_us``,
-  ``gram_update_us``), whatever the rule picks; the Gram update is timed
-  only up to n = ``GRAM_MAX_N`` (null above it), since its matrix takes
-  8 n^2 bytes;
+* three whole updates of that column under ``gsl`` scores on the smooth
+  part, whatever the rule picks and whatever the matrix:
+  ``H1Tracker.apply_update`` with the tracker forced onto the scatter or
+  the product (``scatter_update_us``, ``product_update_us``), and
+  ``H2Tracker.apply_update`` on the dense Hessian (``gram_update_us``),
+  timed only up to n = ``GRAM_MAX_N`` (null above it), since its matrix
+  takes 8 n^2 bytes;
 * on a composite family, the same updates under ``gs-q`` scores on the
   composite problem (``gsq_scatter_update_us``, ``gsq_product_update_us``,
-  ``gsq_gram_update_us``), where the product and Gram paths rescore all
-  n coordinates by one full-vector prox pass and the scatter path only
+  ``gsq_gram_update_us``), where the product and the Hessian row rescore
+  all n coordinates by one full-vector prox pass and the scatter only
   the columns the update reaches.
 
 The ``crossover`` entry reads KAPPA off the ``gsl`` updates: the largest
@@ -39,8 +41,8 @@ the product update is, so 1 / KAPPA should lie between them
 updates of the composite sizes.
 
 On ``two_moons`` with ``GRAPH_N`` nodes (seed ``SEED``) it also times one
-``_kernels.graph_coord_update``, the whole per-edge work of an H2 update,
-for the node of median degree, on the state of a fresh tracker
+``_kernels.graph_coord_update``, the CSR Hessian row of an h2 update, for
+the node of median degree, on the state of a fresh tracker
 (``graph_move_us``), and one whole ``H2Tracker.apply_update`` of that node
 on a lean tracker (``lean_update_us``, what a random rule pays) and on
 ``scan`` trackers under ``gs`` and ``gsl`` scores (``gs_update_us``,
@@ -116,7 +118,7 @@ from workloads import WORKLOADS, rule_seed  # noqa: E402
 from greedycd import _kernels, descent, harness  # noqa: E402
 from greedycd.rules import make_rule  # noqa: E402
 from greedycd.tracker import (KAPPA, H1Tracker, H2Tracker,  # noqa: E402
-                              takes_gram, takes_product)
+                              make_tracker)
 
 PATHS = ("scatter", "product", "gram")
 
@@ -174,20 +176,6 @@ def scaled_us(fns, per_call=1):
                     if label in best else None) for label in fns}
 
 
-def force_path(tr, path):
-    """Put an eager h1 tracker on ``path``, with the caches that path
-    reads: the Hessian, and no A x and no rows, for "gram"; A x and the
-    row values and derivatives for the other two."""
-    smooth = tr.problem
-    tr.product, tr.gram = path != "scatter", path == "gram"
-    if tr.gram:
-        tr.G = smooth.hessian()
-        tr.u = tr.row_v = tr.row_g = None
-    else:
-        tr.u = smooth.A.matvec(tr.x)
-        tr.row_v, tr.row_g = smooth.row_link(tr.u, slice(None))
-
-
 def update_pair(tr, j):
     """Two calls, an update of coordinate j and its undoing."""
     def pair():
@@ -198,12 +186,15 @@ def update_pair(tr, j):
 
 def update_fn(problem, j, path, rule="gsl"):
     """An ``apply_update`` pair of column j on ``path``, under ``rule``'s
-    scores; None for the Gram path above ``GRAM_MAX_N``."""
+    scores: an h2 tracker for "gram" (None above ``GRAM_MAX_N``), else an
+    h1 tracker put on the scatter or the product."""
     if path == "gram" and problem.n > GRAM_MAX_N:
         return None
-    tr = H1Tracker(problem, np.zeros(problem.n),
-                   make_rule(rule).scorer(problem), refresh_every=10**9)
-    force_path(tr, path)
+    cls = H2Tracker if path == "gram" else H1Tracker
+    tr = cls(problem, np.zeros(problem.n), make_rule(rule).scorer(problem),
+             refresh_every=10**9)
+    if path != "gram":
+        tr.product = path == "product"
     return update_pair(tr, j)
 
 
@@ -226,9 +217,9 @@ def measure(family, m, n):
             rows, dg, A.row_indptr, A.row_cols, A.row_vals, target),
         "rmatvec_us": lambda: A.rmatvec(y)})
     smooth = getattr(exp.problem, "smooth", exp.problem)
-    path = "scatter"
-    if takes_product(A):
-        path = "gram" if takes_gram(smooth) else "product"
+    tr = make_tracker(smooth, np.zeros(n))
+    path = ("gram" if isinstance(tr, H2Tracker)
+            else "product" if tr.product else "scatter")
     out = {"family": family, "m": m, "n": n, "nnz": A.nnz, "n2": n * n,
            "gather_frac": round(A.mean_gather / A.nnz, 4), "path": path,
            "touched": int(A.col_gather[j]), **kernels,
@@ -270,12 +261,10 @@ def measure_graph_move():
     # the move runs twice per timed call, to 0.5 and back, so it is timed
     # in the units of the update pairs
     moves = {"graph_move_us": lambda: (
-        _kernels.graph_coord_update(i, 0.5, tr.x, H.indptr, H.indices,
-                                    H.data, tr.gradient, p.node_quad,
-                                    p.node_lin),
-        _kernels.graph_coord_update(i, 0.0, tr.x, H.indptr, H.indices,
-                                    H.data, tr.gradient, p.node_quad,
-                                    p.node_lin))}
+        _kernels.graph_coord_update(i, 0.5, H.indptr, H.indices, H.data,
+                                    tr.gradient),
+        _kernels.graph_coord_update(i, -0.5, H.indptr, H.indices, H.data,
+                                    tr.gradient))}
     for label, name in (("lean", "uniform"), ("gs", "gs"), ("gsl", "gsl")):
         rule = make_rule(name)
         moves[f"{label}_update_us"] = update_pair(
@@ -308,7 +297,7 @@ def measure_prox():
                                        tr.term_vals)}))
     updates = {"lean_update_us": update_pair(lean, j)}
     for label, t in trackers.items():
-        assert t.product and not t.gram
+        assert t.product
         updates[f"{label}_update_us"] = update_pair(t, j)
     out.update(scaled_us(updates, per_call=2))
     return out

@@ -44,9 +44,10 @@ or to the fold then gets its own verdict, even where no trace reaches it.
 Two cases, ``sparse_ls`` 2000^2 ``gsl`` and ``l1_underdet_ls`` 500 x 5000
 ``gs-q``, run on matrices whose updates renew A^T grad by the row scatter;
 every workload matrix is dense enough for the full product
-(``tracker.takes_product``), which a least-squares problem with n <= m
-replaces by one column of its Hessian (``tracker.takes_gram``).  The ``MIXED`` cases run the prox-scored rules
-on that product path under mixed terms (``mixed_terms``: zero, l1 and
+(``tracker.takes_product``), which an eager least-squares problem with
+n <= m replaces by one row of its dense Hessian (the h2 tracker).  The
+``MIXED`` cases run the prox-scored rules on that product path under
+mixed terms (``mixed_terms``: zero, l1 and
 boxes with finite, half-infinite and infinite ends), so the full-vector
 prox pass's soft-threshold off the l1 terms and its clamp are compared as
 well as its l1 arithmetic.

@@ -84,10 +84,12 @@ def col_axpy(start, end, rows, vals, delta, y):
     returns the moved entries of y, in the column's row order.
 
     The rows of a column are distinct, so one gather, one add and one
-    store suffice, the bits of ``y[r] += delta * v``.  The moved entries
-    are handed back, so the h1 update computes its row values and
-    derivatives from them (``row_link``) instead of gathering u at the
-    column's rows again.
+    store suffice, the bits of ``y[r] += delta * v``.  The h1 update moves
+    least squares' row derivatives 2s (A x - b) by it directly, with
+    2s delta; on logistic it moves A x, and the moved entries are handed
+    back so that update computes the rows' values and derivatives from
+    them (``row_link``) instead of gathering A x at the column's rows
+    again.
     """
     r = rows[start:end]
     y[r] = moved = y[r] + delta * vals[start:end]

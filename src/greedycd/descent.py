@@ -207,13 +207,14 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     A run's fixed cost, everything before its first iteration, is part of
     the benchmark's ``*_iter_us`` (perfbench's ``fastest_ns`` adds the time
     outside the loop), which a short budget spreads over few iterations.
-    So a run pays only for what x0 changes: A x0, the gradient, the first
-    scores and the term values.  What depends on the problem alone its
-    first run builds, and the problem keeps it read-only for every later
-    run and tracker (``problems.KeptConstants``): the step curvatures with
-    their Python floats (``SmoothProblem.curvature``), the ``gsl`` weights,
-    the Lipschitz CDF, least squares' dense Hessian, the ``nns`` index and a
-    composite problem's full prox pass per curvature
+    So a run pays only for what x0 changes: one A x0, from which the
+    tracker builds the objective, its row derivatives and the gradient,
+    the first scores and the term values.  What depends on the problem
+    alone its first run builds, and the problem keeps it read-only for
+    every later run and tracker (``problems.KeptConstants``): the step
+    curvatures with their Python floats (``SmoothProblem.curvature``), the
+    ``gsl`` weights, the Lipschitz CDF, least squares' dense Hessian, the
+    ``nns`` index and a composite problem's full prox pass per curvature
     (``CompositeProblem.full_pass``).
     """
     composite = problem if isinstance(problem, CompositeProblem) else None

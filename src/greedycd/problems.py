@@ -4,8 +4,9 @@ Smooth problems expose the pieces coordinate descent needs: per-coordinate
 Lipschitz constants L_i (from curvature along each axis), the objective and
 its full gradient; a run reads gradient entries off its tracker.  The two
 "linear composition" classes (least squares, logistic) additionally expose
-the per-row link values and derivatives (``row_link``) so the incremental
-tracker can maintain A x, the row sum and its gradient A^T phi'(A x).
+the per-row link values and derivatives (``row_link``), from which the
+incremental tracker builds the row sum and its gradient A^T phi'(A x)
+(and on logistic renews them at the rows an update moves).
 Composite problems add a separable term g_i per coordinate, one of
 lam*|x_i|, a box indicator, or zero, together with proximal steps, the
 model decrease V_i, and minimal subgradients.  Constructors reject NaN and

@@ -6,14 +6,21 @@ only for the entries that can change.  ``make_tracker`` picks one of two
 ways, once per problem:
 
 * h1 renews the gradient through A, for f(x) = sum_j phi_j(a_j^T x) +
-  l2/2 ||x||^2.  It caches A x and the row values and derivatives; an
-  update moves the <= c entries of A x at one column's rows
-  (``_kernels.col_axpy``) and recomputes their rows (``row_link``).  The
-  gradient then takes the changed row derivatives by a row scatter that
-  gathers <= c*r entries (``col_gather``) and rescores the columns hit,
-  or, when the mean gather exceeds nnz / KAPPA (``takes_product``), by
-  one compiled product A^T grad_link whole, after which every coordinate
-  is rescored as whole vectors.  So an update pays about min(c*r, nnz).
+  l2/2 ||x||^2.  It keeps the row derivatives ``row_g``, and an update
+  moves the <= c of them at one column's rows.  Least squares keeps
+  nothing else: ``row_g`` = 2s (A x - b) moves by 2s delta times the
+  column (``_kernels.col_axpy``), and f by delta g_i + delta^2 H_ii / 2,
+  from g_i before the move and H_ii = L_i (l2 included).  Logistic, whose
+  Hessian moves with x, keeps A x (``u``, which exact steps read) and the
+  row values ``row_v``: it moves u at the column's rows and recomputes
+  their rows (``row_link``), and f by the change of their values.  The
+  gradient then takes the change of the row derivatives by a row scatter
+  that gathers <= c*r entries (``col_gather``) and rescores the columns
+  hit, or, when the mean gather exceeds nnz / KAPPA (``takes_product``),
+  by one compiled product A^T grad_link whole, after which every
+  coordinate is rescored as whole vectors.  So an update pays about
+  min(c*r, nnz).  The build and every refresh rebuild ``row_g`` and f
+  from one A x through ``row_link``.
 * h2 adds one Hessian row, for a quadratic that keeps its Hessian H: a
   graph's CSR ``H``, or least squares' kept dense ``hessian()`` where h1
   would take the product and n <= m (H no larger than A held dense).
@@ -51,8 +58,9 @@ or a random rule on ``scan`` enters no numpy function written in Python.
 
 A rule that never reads the gradient gets a lean tracker (``lean=True``):
 no scores and no keys.  A lean h1 tracker skips the row scatter and keeps
-no gradient, computing one entry from column i (``grad_coord``) or all of
-it by one product (``full_gradient``); a lean h2 tracker, which
+no gradient, computing one entry from column i (``grad_coord``, whose g_i
+a least-squares update then reuses) or all of it by one product
+(``full_gradient``); a lean h2 tracker, which
 ``make_tracker`` builds only on graphs, keeps its gradient and rescores
 nothing.  ``grad_inf_norm()`` then rebuilds the keys from the full
 gradient, which ``run`` asks for once per epoch.
@@ -109,7 +117,8 @@ def takes_product(A):
 class UpdateStats:
     """Exact work counters for one coordinate update.
 
-    touched_rows: h1: the rows of the updated column.  h2: the
+    touched_rows: h1: the rows of the updated column, whose row
+        derivatives (and on logistic A x and row values) move.  h2: the
         off-diagonal entries of Hessian row i the update moves, n - 1 on
         a dense row and the degree on a CSR one.
     touched_grads: h1: the entries of A the row scatter into the gradient
@@ -394,22 +403,28 @@ class H1Tracker(_TrackerBase):
     def _rebuild_caches(self):
         p = self.problem
         A = self.A = p.A
-        self.u = A.matvec(self.x)
         lam = p.l2_reg
         self.product = not self.lean and takes_product(A)
-        self.row_v, self.row_g = p.row_link(self.u, slice(None))
+        u = A.matvec(self.x)
+        row_v, self.row_g = p.row_link(u, slice(None))
+        # least squares keeps only row_g = 2 s (A x - b): its update takes
+        # f's change from g_i and H_ii, so it needs no A x and no row values
+        self.u, self.row_v = (None, None) if p.is_quadratic else (u, row_v)
+        # (i, g_i) of the last lean ``grad_coord``, until x moves
+        self._read = (-1, 0.0)
         self.gradient = (None if self.lean
                          else A.rmatvec(self.row_g) + lam * self.x)
         self._col = np.empty(self.n)
-        self._obj = float(self.row_v.sum() + 0.5 * lam * self.x @ self.x)
+        self._obj = float(row_v.sum() + 0.5 * lam * self.x @ self.x)
 
     def grad_coord(self, i):
         if not self.lean:
             return self.gradient.item(i)
         A = self.A
         a, b = A.col_indptr.item(i), A.col_indptr.item(i + 1)
-        return float(A.col_vals[a:b] @ self.row_g[A.col_rows[a:b]]
-                     + self.problem.l2_reg * self.x.item(i))
+        self._read = (i, float(A.col_vals[a:b] @ self.row_g[A.col_rows[a:b]]
+                               + self.problem.l2_reg * self.x.item(i)))
+        return self._read[1]
 
     def full_gradient(self):
         if not self.lean:
@@ -423,22 +438,33 @@ class H1Tracker(_TrackerBase):
     def apply_update(self, i, delta):
         """x[i] += delta; refresh every cache entry that can change."""
         old_xi, new_xi, dterm = self._move(i, delta)
-        A, g, lam = self.A, self.gradient, self.problem.l2_reg
+        p, A, g, lam = self.problem, self.A, self.gradient, self.problem.l2_reg
         a, b = A.col_indptr.item(i), A.col_indptr.item(i + 1)
         rows = A.col_rows[a:b]
         delta = float(delta)
-        self.x[i] = new_xi
-        ur = _kernels.col_axpy(a, b, A.col_rows, A.col_vals, delta, self.u)
-        new_v, new_g = self.problem.row_link(ur, rows)
-        dobj = float(np.add.reduce(new_v - self.row_v[rows]))
-        dobj += 0.5 * lam * (new_xi * new_xi - old_xi * old_xi)
-        self.row_v[rows] = new_v
-        touched_grads = heap_ops = 0
-        if self.product or self.lean:
-            self.row_g[rows] = new_g
+        scatter = not (self.product or self.lean)
+        if self.u is None:
+            # least squares: f moves by delta g_i + delta^2 H_ii / 2, from
+            # g_i before the move (a lean run has just read it) and
+            # H_ii = L_i, and row_g by 2 s delta times column i
+            gi = self._read[1] if self._read[0] == i else self.grad_coord(i)
+            self._read = (-1, 0.0)
+            dobj = delta * gi + 0.5 * delta * delta * p.L_per_coord.item(i)
+            step = 2.0 * p.scale * delta
+            _kernels.col_axpy(a, b, A.col_rows, A.col_vals, step, self.row_g)
+            dg = step * A.col_vals[a:b] if scatter else None
         else:
-            dg = new_g - self.row_g[rows]
+            ur = _kernels.col_axpy(a, b, A.col_rows, A.col_vals, delta,
+                                   self.u)
+            new_v, new_g = p.row_link(ur, rows)
+            dobj = float(np.add.reduce(new_v - self.row_v[rows]))
+            dobj += 0.5 * lam * (new_xi * new_xi - old_xi * old_xi)
+            self.row_v[rows] = new_v
+            dg = new_g - self.row_g[rows] if scatter else None
             self.row_g[rows] = new_g
+        self.x[i] = new_xi
+        touched_grads = heap_ops = 0
+        if scatter:
             cols, touched_grads = _kernels.scatter_row_deltas(
                 rows, dg, A.row_indptr, A.row_cols, A.row_vals, g)
             # the l2 term moves grad_i alone, by lam * delta

@@ -3,8 +3,9 @@
 One property test (``TestTrackerOracle``) holds the trackers' central
 invariant on each update path (the h1 row scatter and full product, and
 the h2 Hessian row, dense or CSR): after the build, after every update and
-after a final refresh, each piece of state (A x and the row derivatives,
-which h1 alone keeps, the gradient, the objective and its last change,
+after a final refresh, each piece of state (the row derivatives, which
+h1 alone keeps, and A x, which it keeps on logistic only, the gradient,
+the objective and its last change,
 the term values, the keys, the scores and the pick) equals a
 fresh dense recompute from x (``DenseRecompute``), and each update's work
 counters equal what the problem's structure implies.  One generator
@@ -278,27 +279,38 @@ class TestGraphMoveKernel:
 
 
 class TestH2Tracker:
-    @pytest.mark.parametrize("form, moves", [("csr", 10**5), ("dense", 10**4)])
+    @pytest.mark.parametrize("form, moves", [
+        ("csr", 10**5), ("dense", 10**4), ("lean", 10**5),
+        ("product", 10**5)])
     def test_a_long_walk_without_refresh_keeps_the_gradient(self, form,
                                                             moves):
         # each move adds delta * H[i] to the gradient and delta g_i +
-        # delta^2 H_ii / 2 to f; random moves with no refresh must not let
-        # those sums drift
+        # delta^2 H_ii / 2 to f, on the h2 Hessian row and the h1
+        # least-squares column alike; random moves with no refresh must
+        # not let those sums drift
         rng = np.random.default_rng(11)
         if form == "csr":
             p = random_bounded_degree_graph(rng, 300, dmax=8)
             tr = H2Tracker(p, np.zeros(p.n), lean=True, refresh_every=10**6)
         else:
-            p = gen_experiment("dense_overdet_ls", m=300, n=60,
-                               seed=0).problem
-            tr = make_tracker(p, np.zeros(p.n), refresh_every=10**6)
-        assert tracker_path(tr) == f"h2-{form}"
+            family, m, n = {"dense": ("dense_overdet_ls", 300, 60),
+                            "lean": ("sparse_ls", 200, 200),
+                            "product": ("l1_underdet_ls", 50, 500)}[form]
+            p = gen_experiment(family, m=m, n=n, seed=0).problem
+            p = getattr(p, "smooth", p)
+            tr = make_tracker(p, np.zeros(p.n), lean=form == "lean",
+                              refresh_every=10**6)
+        if form == "lean":
+            assert isinstance(tr, H1Tracker) and tr.lean
+        else:
+            assert tracker_path(tr) == {"csr": "h2-csr", "dense": "h2-dense",
+                                        "product": "h1-product"}[form]
         for i, delta in zip(rng.integers(p.n, size=moves).tolist(),
                             rng.standard_normal(moves).tolist()):
             tr.apply_update(i, delta)
         assert tr._updates == moves
         full = p.full_grad(tr.x)
-        drift = np.abs(tr.gradient - full).max() / np.abs(full).max()
+        drift = np.abs(tr.full_gradient() - full).max() / np.abs(full).max()
         assert drift <= 1e-12
         f = p.eval(tr.x)
         assert abs(tr.objective() - f) <= 1e-12 * max(1.0, abs(f))
@@ -408,26 +420,52 @@ class TestDenseHessianRow:
         if not lean:
             assert tracker_path(tr) == path
 
-    def test_dense_update_makes_no_product_and_no_row_derivative(
-            self, monkeypatch):
+    @pytest.mark.parametrize("path", ["h2-dense", "lean", "h1-scatter",
+                                      "h1-product"])
+    def test_least_squares_update_links_no_row(self, monkeypatch, path):
+        # between refreshes a least-squares update takes f's change from
+        # g_i and H_ii, so it calls no row_link: the dense Hessian row
+        # moves no row at all, an h1 update moves row_g by one column and
+        # renews the gradient one way, and a lean one not at all
         rng = np.random.default_rng(19)
-        A, dense = random_sparse(rng, 10, 5, density=0.7)
-        p = LeastSquaresProblem(A, rng.standard_normal(10), l2_reg=0.1)
-        tr = make_tracker(p, np.zeros(5), GradScorer())
-        assert tracker_path(tr) == "h2-dense"
+        m, n, density = {"h2-dense": (10, 5, 0.7),
+                         "h1-scatter": (120, 60, 0.02)}.get(path,
+                                                            (6, 12, 0.6))
+        A, dense = random_sparse(rng, m, n, density=density)
+        p = LeastSquaresProblem(A, rng.standard_normal(m), l2_reg=0.3,
+                                scale=0.75)
+        lean = path == "lean"
+        tr = make_tracker(p, rng.uniform(-1.0, 1.0, n),
+                          None if lean else GradScorer(), lean=lean)
+        if lean:
+            assert isinstance(tr, H1Tracker) and tr.lean
+        else:
+            assert tracker_path(tr) == path
+        if isinstance(tr, H1Tracker):
+            assert tr.u is None and tr.row_v is None
 
         def refused(*args, **kwargs):
-            raise AssertionError("the dense Hessian row moves no A x, no "
-                                 "row and no A^T grad_link")
+            raise AssertionError(f"a least-squares {path} update makes "
+                                 "no such call")
 
-        for name in ("transpose_product", "scatter_row_deltas", "col_axpy",
-                     "graph_coord_update"):
+        for name in {"h2-dense": ("transpose_product", "scatter_row_deltas",
+                                  "col_axpy"),
+                     "h1-scatter": ("transpose_product",)}.get(
+                         path, ("scatter_row_deltas",)):
             monkeypatch.setattr(_kernels, name, refused)
+        monkeypatch.setattr(_kernels, "graph_coord_update", refused)
         monkeypatch.setattr(LeastSquaresProblem, "row_link", refused)
-        for i in (0, 3, 3, 1):
+        if lean:
+            # the update takes the g_i its run has just read, and pays for
+            # no second column dot
+            monkeypatch.setattr(tr, "grad_coord", refused)
+        for i in (0, 3, 3, 1, n - 1):
+            if lean:
+                H1Tracker.grad_coord(tr, i)
             tr.apply_update(i, 0.25)
-        assert np.allclose(tr.gradient, dense.T @ (dense @ tr.x - p.b)
-                           + 0.1 * tr.x, rtol=1e-12, atol=1e-12)
+        r = dense @ tr.x - p.b
+        assert np.allclose(tr.full_gradient(), 1.5 * dense.T @ r + 0.3 * tr.x,
+                           rtol=1e-12, atol=1e-12)
         assert np.isclose(tr.objective(), p.eval(tr.x), rtol=1e-12)
 
 
@@ -608,7 +646,11 @@ class DenseRecompute:
             row_g = s.row_link(u, slice(None))[1]
             grad = self.dense.T @ row_g + s.l2_reg * x
             if isinstance(tr, H1Tracker):
-                assert np.all(np.abs(tr.u - u) <= 1e-12 * self.u_size)
+                # least squares keeps the row derivatives alone
+                if s.is_quadratic:
+                    assert tr.u is None and tr.row_v is None
+                else:
+                    assert np.all(np.abs(tr.u - u) <= 1e-12 * self.u_size)
                 assert np.all(np.abs(tr.row_g - row_g)
                               <= 1e-12 * self.u_size)
         else:
@@ -626,10 +668,11 @@ class DenseRecompute:
         assert bits(tr.grad_inf_norm()) == bits(keys.max())
         if tr.lean:
             assert tr.keys is None
-            if type(twin) is not type(tr):
-                # the eager twin on a dense Hessian row takes f's change
-                # from its gradient entry and H_ii, the lean h1 tracker
-                # from the rows
+            if isinstance(s, LeastSquaresProblem):
+                # f's change on least squares is delta g_i + delta^2 H_ii
+                # / 2, g_i the eager twin's tracked entry and the lean
+                # tracker's column dot; a lean logistic or graph tracker
+                # takes it as its twin does
                 assert (abs(twin.objective() - p.eval(x))
                         <= 1e-12 * self.obj_size)
                 assert (abs(tr.last_obj_delta - twin.last_obj_delta)

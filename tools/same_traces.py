@@ -53,9 +53,10 @@ prox pass's soft-threshold off the l1 terms and its clamp are compared as
 well as its l1 arithmetic.
 
 Prints one line per experiment and per case and a final count for each; a
-case that is not bit-identical also gets its largest relative difference
-and the number of iterations whose picked coordinate differs.  Exits 1 on
-any difference.
+case that is not bit-identical also gets its largest relative difference,
+the number of iterations whose picked coordinate differs and the trace
+columns (and ``final_x``) that are not bit-identical.  Exits 1 on any
+difference.
 """
 
 import argparse
@@ -146,6 +147,10 @@ NEAR = (
     ("logistic", "sparse_logistic", 120, 80, 1.0, "mi", 60, 10000, "auto"),
     ("lasso", "l1_underdet_ls", 50, 500, 1.0, "mi", 60, 10000, "auto"),
 )
+
+# the compared trace columns, in the order ``dump`` stores them
+COLUMNS = ("k", "objective", "coord", "step", "resid_inf", "touched_rows",
+           "touched_grads", "heap_ops")
 
 # (family, m, n, lam) of the acceptance test c11, run there on seeds 0-9
 C11 = (
@@ -252,9 +257,7 @@ def dump(src, path):
                             backend=backend, refresh_every=every)
         # as lists, so a checkout whose columns are arrays compares equal
         # to one whose columns are lists
-        columns = tuple(list(getattr(trace, name)) for name in (
-            "k", "objective", "coord", "step", "resid_inf", "touched_rows",
-            "touched_grads", "heap_ops"))
+        columns = tuple(list(getattr(trace, name)) for name in COLUMNS)
         out[name] = (columns, trace.final_x)
     with open(path, "wb") as fh:
         pickle.dump((exps, out), fh)
@@ -269,18 +272,28 @@ def rel_diff(a, b):
     return float((np.abs(a - b) / np.maximum(1.0, np.abs(a))).max(initial=0))
 
 
+def differing(cols, x, bcols, bx):
+    """The names of the trace columns, and "final_x", that are not
+    bit-identical."""
+    names = [name for name, a, b in zip(COLUMNS, cols, bcols)
+             if np.asarray(a).tobytes() != np.asarray(b).tobytes()]
+    return names + ([] if x.tobytes() == bx.tobytes() else ["final_x"])
+
+
 def compare(cols, x, bcols, bx, loose):
-    """('same', 0), or ('close', largest objective or final_x difference)
-    for a case allowed to differ within 1e-12 (``loose``), or ('DIFFERS',
-    that difference)."""
-    if cols == bcols and x.tobytes() == bx.tobytes():
-        return "same", 0.0
+    """('same', 0, []), or ('close', largest objective or final_x
+    difference, the names ``differing`` gives) for a case allowed to differ
+    within 1e-12 (``loose``), or ('DIFFERS', that difference, those
+    names)."""
+    names = differing(cols, x, bcols, bx)
+    if not names:
+        return "same", 0.0, names
     k, objective, coord, _, _, rows, _, heap_ops = cols
     diff = max(rel_diff(bcols[1], objective), rel_diff(bx, x))
     if (loose and (k, coord, rows, heap_ops)
             == (bcols[0], bcols[2], bcols[5], bcols[7]) and diff <= 1e-12):
-        return "close", diff
-    return "DIFFERS", diff
+        return "close", diff, names
+    return "DIFFERS", diff, names
 
 
 def run_tree(root, path):
@@ -322,12 +335,13 @@ def main(argv=None):
     for name, (cols, x) in here.items():
         bcols, bx = base[name]
         loose = name in near or not make_rule(rule_of[name]).reads_gradient
-        verdict, diff = compare(cols, x, bcols, bx, loose)
+        verdict, diff, names = compare(cols, x, bcols, bx, loose)
         verdicts.append(verdict)
         picks = sum(a != b for a, b in zip(cols[2], bcols[2]))
         print(f"{verdict}  {name}  ({len(cols[0]) - 1} iterations"
               + (")" if verdict == "same" else
-                 f", largest {diff:.2e}, {picks} picks changed)"))
+                 f", largest {diff:.2e}, {picks} picks changed; differs in "
+                 f"{', '.join(names)})"))
     print(f"{verdicts.count('same')} of {len(here)} cases bit-identical, "
           f"{verdicts.count('close')} within 1e-12, "
           f"{verdicts.count('DIFFERS')} differ")

@@ -191,12 +191,15 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     tests after every update without a pass over all n.  A rule that never
     reads it (``rule.reads_gradient`` false: uniform, cyclic, lipschitz)
     pays only for its column, as the cost model of random selection says:
-    its tracker is lean (no keys, no scores, and on h1 no row scatter into
-    A^T grad, ``touched_grads == 0``), and it tests for convergence once
-    per epoch: at x0, after every n updates and after the last one, each
-    time from one rebuilt full gradient (one prox pass over all n for
-    composite problems).  A trace row between two tests repeats the last
-    measured ``resid_inf``, so such a run stops on an epoch boundary.
+    its tracker is lean, with no keys and no scores.  On h1 it makes no
+    row scatter into A^T grad (``touched_grads == 0``); least squares with
+    n^2 <= nnz instead moves by its kept Hessian row, no longer than the
+    mean column (``touched_rows == touched_grads == n - 1``).  It tests
+    for convergence once per epoch: at x0, after every n updates and after
+    the last one, each time from one rebuilt full gradient (one prox pass
+    over all n for composite problems).  A trace row between two tests
+    repeats the last measured ``resid_inf``, so such a run stops on an
+    epoch boundary.
 
     The tracker also owns the objective, F = f + sum_i g_i on a composite
     problem, and refuses an x0 that is not finite or infeasible for the

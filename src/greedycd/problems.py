@@ -26,6 +26,7 @@ The arrays they derive from, ``L_per_coord`` and the term arrays
 cannot come about silently: a write raises.
 """
 
+import math
 import weakref
 from typing import NamedTuple
 
@@ -36,6 +37,12 @@ from scipy.special import expit
 from .linalg import SparseMatrix, column_sq_norms
 
 ZERO, ABS, BOX = 0, 1, 2
+
+# a prox step d = prox(x - g/L) - x overflows to +-inf once |g| > L * 1.8e308,
+# at |g| of order 1 on a subnormal L, but only past 1.8e158 on an L above
+# this; ``ProxPass`` and ``coord_step`` give such a step V = -inf, where
+# g d + (L/2) d^2 is NaN, on the coordinates whose L is below it
+TINY_CURVATURE = 1e-150
 
 
 class ZeroTerm:
@@ -639,16 +646,28 @@ class CompositeProblem(KeptConstants):
         term = self.terms[i]
         z = prox_coordinate(term, L_i, x_i - g_i / L_i)
         d = z - x_i
+        if L_i < TINY_CURVATURE and abs(d) == math.inf:
+            # the model decrease of an infinite step (see ``ProxPass``)
+            return d, -math.inf
         V = (g_i * d + 0.5 * L_i * d * d + term_value(term, z)
              - term_value(term, x_i))
         return d, V
+
+
+# ``ProxPass.at`` computes up to this many coordinates on Python floats
+# and more by a one-off pass at its indices: on ``lasso-prox`` (50 x 500)
+# the floats cost about 1.3 + 0.8 k us for k coordinates and the pass
+# 12-14 us whatever k (``timeit``, shared 2-vCPU Xeon), even at k = 14
+AT_LOOP_MAX = 12
 
 
 class ProxPass:
     """d and V of ``CompositeProblem.prox_steps`` over a fixed set of
     coordinates (``idx``, or every one) under one curvature L, already
     safe (``safe_curvature``) and given over every coordinate (n floats):
-    the one place the prox formula is written.
+    the one place the prox formula is written over arrays (``at`` and
+    ``CompositeProblem.coord_step`` repeat it on Python floats, bit for
+    bit).
 
     What depends on the terms and the curvature alone is computed once,
     here: the curvature at idx, L/2 and the l1 thresholds lam/L, each as an
@@ -692,12 +711,20 @@ class ProxPass:
                 self.box = np.flatnonzero(box)
                 self.lo = composite.p1[at][box]
                 self.hi = composite.p2[at][box]
+        # where L is tiny (subnormal, say) an ordinary gradient takes the
+        # step d to +-inf, and V = g d + (L/2) d^2 is then -inf + inf, or
+        # 0 * inf where L/2 underflows to 0 (L = 5e-324): NaN, whose true
+        # value is -inf.  Such coordinates depend on L alone, so they are
+        # found here and patched after a call, as the boxes are clamped
+        tiny = np.flatnonzero(self.L < TINY_CURVATURE)
+        self.tiny = tiny if tiny.shape[0] else None
         if idx is None:
             # a pass over every coordinate may be kept, by the problem it
             # refers to (weakly, so that no cycle outlives the problem); a
             # subset's pass is one call's, and marking costs 0.4 us an array
             self._comp = weakref.ref(composite)
-            for name in ("L", "half", "thr", "zero", "box", "lo", "hi"):
+            for name in ("L", "half", "thr", "zero", "box", "lo", "hi",
+                         "tiny"):
                 if getattr(self, name, None) is not None:
                     read_only(getattr(self, name))
         # the six roles of the formula in four buffers: z takes a's once a
@@ -734,15 +761,48 @@ class ProxPass:
         np.multiply(self.lam, t, out=y)
         np.add(a, y, out=v)
         np.subtract(v, gx, out=z)
+        if self.tiny is not None:
+            k = self.tiny
+            z[k] = np.where(np.isinf(d[k]), -np.inf, z[k])
         return d, z
 
     def at(self, idx, x, grad, gx):
         """(d, V) at the coordinates idx, from a pass over every coordinate
-        of a problem that is still alive: a one-off pass at idx under this
-        pass's curvature, given x, grad and the term values gx over every
-        coordinate.  The bits are this pass's entries idx, and no
-        subgradient is computed."""
-        return ProxPass(self._comp(), self.L, idx)(x[idx], grad[idx], gx[idx])
+        of a problem that is still alive, given x, grad and the term values
+        gx over every coordinate.  The bits are this pass's entries idx,
+        and no subgradient is computed.
+
+        Up to ``AT_LOOP_MAX`` coordinates are computed on Python floats
+        from this pass's constants, the same IEEE operations in the same
+        order as a call's (``np.maximum(a, 0)`` keeps a NaN and gives +0
+        for a = -0, ``np.clip`` is ``prox_coordinate``'s clamp), where a
+        pass built at idx would pay for its construction and 14 ufunc
+        calls on a few entries; more take a one-off pass at idx."""
+        if idx.shape[0] > AT_LOOP_MAX:
+            return ProxPass(self._comp(), self.L, idx)(x[idx], grad[idx],
+                                                       gx[idx])
+        terms = self._comp().terms
+        L, half, thr, lam = self.L, self.half, self.thr, self.lam
+        ds, Vs = [], []
+        for j in idx.tolist():
+            xj, gj = x.item(j), grad.item(j)
+            Lj = L.item(j)
+            y = xj - gj / Lj
+            a = abs(y) - thr.item(j)
+            t = a if a > 0.0 or a != a else 0.0     # np.maximum(a, +0)
+            term = terms[j]
+            if term.kind == BOX:
+                z = term.p1 if y <= term.p1 else y
+                z = term.p2 if z >= term.p2 else z
+            else:
+                z = math.copysign(t, y)
+            d = z - xj
+            V = gj * d + half.item(j) * d * d + lam.item(j) * t - gx.item(j)
+            if Lj < TINY_CURVATURE and abs(d) == math.inf:
+                V = -math.inf
+            ds.append(d)
+            Vs.append(V)
+        return np.array(ds), np.array(Vs)
 
 
 def quadratic_problem(H, b):

@@ -22,8 +22,10 @@ ways, once per problem:
   min(c*r, nnz).  The build and every refresh rebuild ``row_g`` and f
   from one A x through ``row_link``.
 * h2 adds one Hessian row, for a quadratic that keeps its Hessian H: a
-  graph's CSR ``H``, or least squares' kept dense ``hessian()`` where h1
-  would take the product and n <= m (H no larger than A held dense).
+  graph's CSR ``H``, or least squares' kept dense ``hessian()``
+  (``takes_hessian_row``): eager where h1 would take the product and
+  n <= m (H no larger than A held dense), lean where n^2 <= nnz (the row
+  no longer than the mean column, H no larger than A stored).
   Moving x_i by delta adds delta * H[i] (H is symmetric) to the gradient,
   and delta g_i + delta^2 H_ii / 2, from g_i before the move, to f.  A
   dense row is two numpy calls and a whole-vector rescore; a CSR row is
@@ -60,10 +62,11 @@ A rule that never reads the gradient gets a lean tracker (``lean=True``):
 no scores and no keys.  A lean h1 tracker skips the row scatter and keeps
 no gradient, computing one entry from column i (``grad_coord``, whose g_i
 a least-squares update then reuses) or all of it by one product
-(``full_gradient``); a lean h2 tracker, which
-``make_tracker`` builds only on graphs, keeps its gradient and rescores
-nothing.  ``grad_inf_norm()`` then rebuilds the keys from the full
-gradient, which ``run`` asks for once per epoch.
+(``full_gradient``).  A lean h2 tracker, on a graph or on least squares
+with n^2 <= nnz, keeps its gradient, which its Hessian row moves at no
+more than a column's cost, and rescores nothing.  ``grad_inf_norm()``
+then rebuilds the keys from the full gradient, which ``run`` asks for
+once per epoch.
 
 ``objective()`` is F: the smooth part plus, on a composite problem, the
 terms' sum (``term_vals``, rewritten at the moved coordinate).  Every
@@ -113,6 +116,22 @@ def takes_product(A):
     return A.mean_gather * KAPPA > A.nnz
 
 
+def takes_hessian_row(problem, lean):
+    """Whether ``make_tracker`` moves the smooth problem with a matrix A by
+    a row of its kept dense Hessian (h2) instead of through A (h1): only
+    least squares, which keeps that Hessian.  Eager, where the h1 update
+    would take the product and n <= m (the n x n Hessian no larger than A
+    held dense); lean, where n^2 <= nnz, so the row is no longer than the
+    mean column (a random update still pays O(c)) and the Hessian holds no
+    more entries than A stores."""
+    if not problem.is_quadratic:
+        return False
+    A, n = problem.A, problem.n
+    if lean:
+        return n * n <= A.nnz
+    return takes_product(A) and n <= A.shape[0]
+
+
 @dataclass
 class UpdateStats:
     """Exact work counters for one coordinate update.
@@ -124,7 +143,8 @@ class UpdateStats:
     touched_grads: h1: the entries of A the row scatter into the gradient
         gathers for this column (<= c*r), also when the update renewed
         the gradient by the full product instead; 0 on a lean tracker.
-        h2: the same entries as ``touched_rows``.
+        h2, lean or not: the same entries as ``touched_rows``, so a lean
+        least-squares tracker with n^2 <= nnz counts n - 1 in both.
     heap_ops: heap keys set (0 for backend "scan"): the coordinates
         rescored, n after a full product or a dense Hessian row, which
         rebuild the heap by one sort.
@@ -552,9 +572,9 @@ class H2Tracker(_TrackerBase):
 def make_tracker(problem, x0, scorer=None, backend="scan",
                  refresh_every=10000, lean=False, step_per_coord=None):
     """Build the tracker matching the problem's structure: h2 on a graph,
-    and on an eager least-squares problem whose h1 update would take the
-    product and whose n x n Hessian is no larger than A held dense
-    (n <= m); h1 on every other problem with a matrix A.
+    and on least squares where ``takes_hessian_row`` says its dense
+    Hessian row pays (eager: the h1 update would take the product and
+    n <= m; lean: n^2 <= nnz); h1 on every other problem with a matrix A.
 
     ``backend`` is "scan", "heap" or "nns" (see the module docstring).
     ``lean`` asks for a tracker without scores or keys, for rules that
@@ -566,8 +586,7 @@ def make_tracker(problem, x0, scorer=None, backend="scan",
     kind = getattr(smooth, "tracker_kind", None)
     if kind not in ("h1", "h2"):
         raise ValueError(f"no tracker for problem type {type(smooth).__name__}")
-    if (kind == "h1" and not lean and smooth.is_quadratic
-            and takes_product(smooth.A) and smooth.n <= smooth.A.shape[0]):
+    if kind == "h1" and takes_hessian_row(smooth, lean):
         kind = "h2"
     cls = H1Tracker if kind == "h1" else H2Tracker
     return cls(problem, x0, scorer, backend, refresh_every, lean,

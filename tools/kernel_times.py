@@ -1,7 +1,8 @@
 #!/usr/bin/env python3
 """Time the ways a tracker renews its gradient on a matrix A, the h1 row
 scatter of A^T dg into it, the h1 full compiled product and the h2 dense
-Hessian row, and one CSR Hessian row of a graph.
+Hessian row, the two ways a lean tracker moves, and one CSR Hessian row
+of a graph.
 
     python3 tools/kernel_times.py
 
@@ -28,6 +29,13 @@ For each (family, m, n) in ``SIZES``, builds the experiment with
   ``H2Tracker.apply_update`` on the dense Hessian (``gram_update_us``),
   timed only up to n = ``GRAM_MAX_N`` (null above it), since its matrix
   takes 8 n^2 bytes;
+* two lean iterations' tracker work on that column, a ``grad_coord``
+  read and an ``apply_update``, as a random rule pays it: through the
+  column on a lean ``H1Tracker`` (``lean_column_update_us``) and by the
+  dense Hessian row on a lean ``H2Tracker`` (``lean_row_update_us``, up to
+  ``GRAM_MAX_N`` as above), and ``lean_path``, the one ``make_tracker``
+  builds ("row" where n^2 <= nnz, ``tracker.takes_hessian_row``, else
+  "column");
 * on a composite family, the same updates under ``gs-q`` scores on the
   composite problem (``gsq_scatter_update_us``, ``gsq_product_update_us``,
   ``gsq_gram_update_us``), where the product and the Hessian row rescore
@@ -88,8 +96,8 @@ probe.  Each figure is the least scaled batch, divided by ``NUMBER`` (an
 update pair, +d then -d, counts as two calls).  Prints one JSON line:
 {"kappa", "sizes": [{family, m, n, nnz, n2, gather_frac, path, touched,
 scatter_us, rmatvec_us, ratio, scatter_update_us, product_update_us,
-gram_update_us[, gsq_scatter_update_us, gsq_product_update_us,
-gsq_gram_update_us]}],
+gram_update_us, lean_path, lean_column_update_us, lean_row_update_us[,
+gsq_scatter_update_us, gsq_product_update_us, gsq_gram_update_us]}],
 "crossover" and "gsq_crossover": {scatter_wins_to, product_wins_from,
 kappa_between}, "graph_move": {family, n, node, degree, graph_move_us,
 lean_update_us, gs_update_us, gsl_update_us, gs_scoring_us,
@@ -198,6 +206,22 @@ def update_fn(problem, j, path, rule="gsl"):
     return update_pair(tr, j)
 
 
+def lean_fn(problem, j, cls):
+    """A lean ``cls`` tracker's pair of random-rule iterations on column
+    j: each reads g_j, which the update then reuses, and moves x_j (None
+    for the dense Hessian row above ``GRAM_MAX_N``)."""
+    if cls is H2Tracker and problem.n > GRAM_MAX_N:
+        return None
+    tr = cls(problem, np.zeros(problem.n), lean=True, refresh_every=10**9)
+
+    def pair():
+        tr.grad_coord(j)
+        tr.apply_update(j, 1e-3)
+        tr.grad_coord(j)
+        tr.apply_update(j, -1e-3)
+    return pair
+
+
 def median_column(A):
     """The column whose rows hold the median number of stored entries."""
     return int(np.argsort(A.col_gather, kind="stable")[A.shape[1] // 2])
@@ -224,8 +248,12 @@ def measure(family, m, n):
            "gather_frac": round(A.mean_gather / A.nnz, 4), "path": path,
            "touched": int(A.col_gather[j]), **kernels,
            "ratio": round(kernels["scatter_us"] / kernels["rmatvec_us"], 2)}
+    lean = make_tracker(smooth, np.zeros(n), lean=True)
+    out["lean_path"] = "row" if isinstance(lean, H2Tracker) else "column"
     updates = {f"{path}_update_us": update_fn(smooth, j, path)
                for path in PATHS}
+    updates.update(lean_column_update_us=lean_fn(smooth, j, H1Tracker),
+                   lean_row_update_us=lean_fn(smooth, j, H2Tracker))
     if smooth is not exp.problem:
         updates.update({f"gsq_{path}_update_us": update_fn(
             exp.problem, j, path, "gs-q") for path in PATHS})

@@ -9,15 +9,18 @@ that checkout's ``src`` first on the path), then compares every pair of
 traces.  A rule that reads the gradient must give bit-identical trace
 columns (every column ``RunTrace.same_path`` compares) and ``final_x``.  A
 rule that does not (``reads_gradient`` false in this checkout: uniform,
-cyclic, lipschitz) runs on a lean tracker that reads each gradient entry
-off its column, tests for convergence once per epoch and counts no A^T grad
-entries, so its ``step``, ``resid_inf`` and ``touched_grads`` may differ;
-it must pick the same coordinates with the same ``touched_rows`` and
-``heap_ops``, and its objectives and ``final_x`` must agree within 1e-12
-relative to max(1, |value|).  The same limits hold for the ``NEAR`` cases,
-exact steps on smooth problems and maximum improvement, whose steps a
-checkout may compute from the tracker's gradient or A x where another
-recomputes them from x; the largest difference of each is printed.
+cyclic, lipschitz) runs on a lean tracker that tests for convergence
+once per epoch.  Over a matrix it reads each gradient entry off its column
+and counts no A^T grad entries, except on least squares with n^2 <= nnz,
+where it moves by its dense Hessian row and counts n - 1 in both
+``touched_rows`` and ``touched_grads``.  So its ``step``, ``resid_inf``,
+``touched_rows`` and ``touched_grads`` may differ; it must pick the same
+coordinates with the same ``heap_ops``, and its objectives and
+``final_x`` must agree within 1e-12 relative to max(1, |value|).  The
+same limits hold for the ``NEAR`` cases, exact steps on smooth problems
+and maximum improvement, whose steps a checkout may compute from the
+tracker's gradient or A x where another recomputes them from x; the
+largest difference of each is printed.
 
 The cases are every rule, stream and instance that the benchmark's
 workloads run (``perfbench/workloads.py``, seed 0), each rule on both the
@@ -280,18 +283,18 @@ def differing(cols, x, bcols, bx):
     return names + ([] if x.tobytes() == bx.tobytes() else ["final_x"])
 
 
-def compare(cols, x, bcols, bx, loose):
+def compare(cols, x, bcols, bx, loose, lean):
     """('same', 0, []), or ('close', largest objective or final_x
     difference, the names ``differing`` gives) for a case allowed to differ
-    within 1e-12 (``loose``), or ('DIFFERS', that difference, those
-    names)."""
+    within 1e-12 (``loose``; a ``lean`` one may also count other
+    ``touched_rows``), or ('DIFFERS', that difference, those names)."""
     names = differing(cols, x, bcols, bx)
     if not names:
         return "same", 0.0, names
     k, objective, coord, _, _, rows, _, heap_ops = cols
     diff = max(rel_diff(bcols[1], objective), rel_diff(bx, x))
-    if (loose and (k, coord, rows, heap_ops)
-            == (bcols[0], bcols[2], bcols[5], bcols[7]) and diff <= 1e-12):
+    if (loose and (k, coord, heap_ops) == (bcols[0], bcols[2], bcols[7])
+            and (lean or rows == bcols[5]) and diff <= 1e-12):
         return "close", diff, names
     return "DIFFERS", diff, names
 
@@ -334,8 +337,9 @@ def main(argv=None):
     verdicts = []
     for name, (cols, x) in here.items():
         bcols, bx = base[name]
-        loose = name in near or not make_rule(rule_of[name]).reads_gradient
-        verdict, diff, names = compare(cols, x, bcols, bx, loose)
+        lean = not make_rule(rule_of[name]).reads_gradient
+        verdict, diff, names = compare(cols, x, bcols, bx,
+                                       lean or name in near, lean)
         verdicts.append(verdict)
         picks = sum(a != b for a, b in zip(cols[2], bcols[2]))
         print(f"{verdict}  {name}  ({len(cols[0]) - 1} iterations"

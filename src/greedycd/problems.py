@@ -38,10 +38,10 @@ from .linalg import SparseMatrix, column_sq_norms
 
 ZERO, ABS, BOX = 0, 1, 2
 
-# a prox step d = prox(x - g/L) - x overflows to +-inf once |g| > L * 1.8e308,
-# at |g| of order 1 on a subnormal L, but only past 1.8e158 on an L above
-# this; ``ProxPass`` and ``coord_step`` give such a step V = -inf, where
-# g d + (L/2) d^2 is NaN, on the coordinates whose L is below it
+# y = x - g/L overflows to +-inf once |g| > L * 1.8e308, at |g| of order 1
+# on a subnormal L, but only past 1.8e158 on an L above this; on the
+# coordinates whose L is below it ``prox_step`` computes V without the NaN
+# the formula gives there, and ``ProxPass`` takes V from ``prox_step``
 TINY_CURVATURE = 1e-150
 
 
@@ -146,6 +146,27 @@ def prox_coordinate(term, L, y):
         return m if y > 0 else -m if y < 0 else 0.0 * m
     z = term.p1 if y <= term.p1 else y
     return term.p2 if z >= term.p2 else z
+
+
+def prox_step(term, L, x, g, gx):
+    """(d, V) of one coordinate on Python floats, for a curvature L > 0 and
+    the term value gx = term(x): d = prox(x - g/L) - x and the model
+    decrease V = g d + (L/2) d^2 + term(x + d) - gx, the bits of a
+    ``ProxPass`` entry.
+
+    Where L is tiny (below ``TINY_CURVATURE``) an ordinary g takes x - g/L
+    to +-inf, and the formula's NaN is replaced: an infinite d gets
+    V = -inf (not -inf + inf, or 0 * inf where L/2 underflows to 0), and a
+    finite one, which a box may clamp from an infinite x - g/L, takes
+    d (g + (L/2) d) + term(x + d) - gx, which no finite d, g and gx make
+    NaN (g d + (L/2) d^2 can be -inf + inf, and lam |x - g/L| 0 * inf)."""
+    z = prox_coordinate(term, L, x - g / L)
+    d = z - x
+    if L < TINY_CURVATURE:
+        if abs(d) == math.inf:
+            return d, -math.inf
+        return d, d * (g + 0.5 * L * d) + term_value(term, z) - gx
+    return d, g * d + 0.5 * L * d * d + term_value(term, z) - gx
 
 
 class SmoothProblem(KeptConstants):
@@ -644,30 +665,15 @@ class CompositeProblem(KeptConstants):
         V = g_i d + (L_i/2) d^2 + term_i(x_i + d) - term_i(x_i) <= 0.  With
         L_i = H_ii under a quadratic smooth part, d is the exact step."""
         term = self.terms[i]
-        z = prox_coordinate(term, L_i, x_i - g_i / L_i)
-        d = z - x_i
-        if L_i < TINY_CURVATURE and abs(d) == math.inf:
-            # the model decrease of an infinite step (see ``ProxPass``)
-            return d, -math.inf
-        V = (g_i * d + 0.5 * L_i * d * d + term_value(term, z)
-             - term_value(term, x_i))
-        return d, V
-
-
-# ``ProxPass.at`` computes up to this many coordinates on Python floats
-# and more by a one-off pass at its indices: on ``lasso-prox`` (50 x 500)
-# the floats cost about 1.3 + 0.8 k us for k coordinates and the pass
-# 12-14 us whatever k (``timeit``, shared 2-vCPU Xeon), even at k = 14
-AT_LOOP_MAX = 12
+        return prox_step(term, L_i, x_i, g_i, term_value(term, x_i))
 
 
 class ProxPass:
     """d and V of ``CompositeProblem.prox_steps`` over a fixed set of
     coordinates (``idx``, or every one) under one curvature L, already
     safe (``safe_curvature``) and given over every coordinate (n floats):
-    the one place the prox formula is written over arrays (``at`` and
-    ``CompositeProblem.coord_step`` repeat it on Python floats, bit for
-    bit).
+    the one place the prox formula is written over arrays (``prox_step``
+    writes it on Python floats, bit for bit).
 
     What depends on the terms and the curvature alone is computed once,
     here: the curvature at idx, L/2 and the l1 thresholds lam/L, each as an
@@ -711,20 +717,23 @@ class ProxPass:
                 self.box = np.flatnonzero(box)
                 self.lo = composite.p1[at][box]
                 self.hi = composite.p2[at][box]
-        # where L is tiny (subnormal, say) an ordinary gradient takes the
-        # step d to +-inf, and V = g d + (L/2) d^2 is then -inf + inf, or
-        # 0 * inf where L/2 underflows to 0 (L = 5e-324): NaN, whose true
-        # value is -inf.  Such coordinates depend on L alone, so they are
-        # found here and patched after a call, as the boxes are clamped
+        # where L is tiny (subnormal, say) an ordinary gradient takes y to
+        # +-inf, and the formula's V can be NaN (``prox_step``).  Such
+        # coordinates depend on L alone, so they are found here, as
+        # (position, term) pairs, and take their V from ``prox_step`` after
+        # a call, as the boxes are clamped
         tiny = np.flatnonzero(self.L < TINY_CURVATURE)
-        self.tiny = tiny if tiny.shape[0] else None
+        self.tiny = None
+        if tiny.shape[0]:
+            where = tiny if idx is None else np.asarray(idx)[tiny]
+            self.tiny = tuple(zip(tiny.tolist(),
+                                  [composite.terms[j] for j in where.tolist()]))
         if idx is None:
             # a pass over every coordinate may be kept, by the problem it
             # refers to (weakly, so that no cycle outlives the problem); a
             # subset's pass is one call's, and marking costs 0.4 us an array
             self._comp = weakref.ref(composite)
-            for name in ("L", "half", "thr", "zero", "box", "lo", "hi",
-                         "tiny"):
+            for name in ("L", "half", "thr", "zero", "box", "lo", "hi"):
                 if getattr(self, name, None) is not None:
                     read_only(getattr(self, name))
         # the six roles of the formula in four buffers: z takes a's once a
@@ -762,47 +771,20 @@ class ProxPass:
         np.add(a, y, out=v)
         np.subtract(v, gx, out=z)
         if self.tiny is not None:
-            k = self.tiny
-            z[k] = np.where(np.isinf(d[k]), -np.inf, z[k])
+            for k, term in self.tiny:
+                z[k] = prox_step(term, self.L.item(k), x.item(k),
+                                 grad.item(k), gx.item(k))[1]
         return d, z
 
     def at(self, idx, x, grad, gx):
         """(d, V) at the coordinates idx, from a pass over every coordinate
-        of a problem that is still alive, given x, grad and the term values
-        gx over every coordinate.  The bits are this pass's entries idx,
-        and no subgradient is computed.
-
-        Up to ``AT_LOOP_MAX`` coordinates are computed on Python floats
-        from this pass's constants, the same IEEE operations in the same
-        order as a call's (``np.maximum(a, 0)`` keeps a NaN and gives +0
-        for a = -0, ``np.clip`` is ``prox_coordinate``'s clamp), where a
-        pass built at idx would pay for its construction and 14 ufunc
-        calls on a few entries; more take a one-off pass at idx."""
-        if idx.shape[0] > AT_LOOP_MAX:
-            return ProxPass(self._comp(), self.L, idx)(x[idx], grad[idx],
-                                                       gx[idx])
-        terms = self._comp().terms
-        L, half, thr, lam = self.L, self.half, self.thr, self.lam
-        ds, Vs = [], []
-        for j in idx.tolist():
-            xj, gj = x.item(j), grad.item(j)
-            Lj = L.item(j)
-            y = xj - gj / Lj
-            a = abs(y) - thr.item(j)
-            t = a if a > 0.0 or a != a else 0.0     # np.maximum(a, +0)
-            term = terms[j]
-            if term.kind == BOX:
-                z = term.p1 if y <= term.p1 else y
-                z = term.p2 if z >= term.p2 else z
-            else:
-                z = math.copysign(t, y)
-            d = z - xj
-            V = gj * d + half.item(j) * d * d + lam.item(j) * t - gx.item(j)
-            if Lj < TINY_CURVATURE and abs(d) == math.inf:
-                V = -math.inf
-            ds.append(d)
-            Vs.append(V)
-        return np.array(ds), np.array(Vs)
+        of a problem that is still alive: a one-off pass at idx under this
+        pass's curvature, given x, grad and the term values gx over every
+        coordinate.  The bits are this pass's entries idx, and no
+        subgradient is computed.  Its callers in the benchmark's runs, the
+        row scatter's rescores, pass hundreds of indices, where the one-off
+        constants are a small share of the call."""
+        return ProxPass(self._comp(), self.L, idx)(x[idx], grad[idx], gx[idx])
 
 
 def quadratic_problem(H, b):

@@ -27,7 +27,7 @@ from greedycd.descent import STEP_MODES, TRACE_COLUMNS, _resolve_step, run
 from greedycd.harness import gen_experiment
 from greedycd.linalg import IndexedMaxHeap, SparseMatrix
 from greedycd.nns import BallTreeIndex
-from greedycd.problems import (AT_LOOP_MAX, BOX, TINY_CURVATURE, ZERO,
+from greedycd.problems import (ABS, BOX, TINY_CURVATURE, ZERO,
                                BoxTerm, CompositeProblem,
                                GraphQuadraticProblem, L1Term,
                                LeastSquaresProblem, LogisticProblem,
@@ -729,10 +729,15 @@ class DenseRecompute:
             assert (tr.scores.tobytes()
                     == scorer.compute(tr, every)[0].tobytes())
             if getattr(scorer, "mode", None) == "q":
-                # an infinite step (under a tiny L_i) scores +inf, not NaN
-                d = p.prox_steps(x, g, s.curvature(scorer.per_coord).L)[0]
+                # an infinite step (under a tiny L_i) scores +inf, and no
+                # score is NaN, also where a box clamps an infinite step,
+                # except on an l1 term under a tiny L_i (inf - inf)
+                L = np.broadcast_to(s.curvature(scorer.per_coord).L, (s.n,))
+                d = p.prox_steps(x, g, L)[0]
                 event(f"q: infinite steps {bool(np.isinf(d).any())}")
                 assert np.all(tr.scores[np.isinf(d)] == np.inf)
+                known = (p.gkind == ABS) & (L < TINY_CURVATURE)
+                assert not np.isnan(tr.scores[~known]).any()
             assert tr.peek() == scan_argmax(tr.scores)
             # |grad| and |eta| move by at most the gradient's error
             w = getattr(scorer, "w", None)
@@ -877,7 +882,8 @@ class TestTrackerOracle:
         # node 0 is isolated, with a subnormal L_0 and a linear term, so
         # its prox step overflows to +inf wherever its term lets it (a
         # zero term or a box open above), and the recompute's check holds
-        # its "q" score to +inf there
+        # its "q" score to +inf there; a bounded box clamps the step, and
+        # its score is finite
         n = data.draw(st.integers(1, 6), label="n")
         pairs = [(a, c) for a in range(1, n) for c in range(a + 1, n)]
         edges = data.draw(st.lists(st.sampled_from(pairs), unique=True)
@@ -905,6 +911,10 @@ class TestTrackerOracle:
                                     or terms[0].p2 == np.inf)
         if overflow:
             assert tr.scores[0] == np.inf
+        clamped = (L_0 == tiny and terms[0].kind == BOX
+                   and terms[0].p2 < np.inf)
+        if clamped:
+            assert np.isfinite(tr.scores[0])
         for i in data.draw(st.lists(st.integers(0, n - 1), max_size=4),
                            label="moves"):
             t = terms[i]
@@ -946,29 +956,17 @@ class TestTrackedObjective:
 
 def count_prox_passes(monkeypatch):
     """Record the length of every prox pass (``ProxPass.__call__``, which
-    ``prox_steps`` and the tracker's full-vector rescore both go through,
-    and ``ProxPass.at``, the subset rescore's, counted once where it makes
-    a one-off pass) and whether it ran inside ``grad_inf_norm``: a list of
-    (length, in the stopping test) pairs."""
+    ``prox_steps``, the tracker's full-vector rescore and the one-off pass
+    of ``ProxPass.at`` all go through) and whether it ran inside
+    ``grad_inf_norm``: a list of (length, in the stopping test) pairs."""
     passes = []
     testing = []
-    inside_at = []
     prox = ProxPass.__call__
-    at = ProxPass.at
     residual = _TrackerBase.grad_inf_norm
 
     def counted(self, x, grad, gx):
-        if not inside_at:
-            passes.append((len(x), bool(testing)))
+        passes.append((len(x), bool(testing)))
         return prox(self, x, grad, gx)
-
-    def counted_at(self, idx, x, grad, gx):
-        passes.append((len(idx), bool(testing)))
-        inside_at.append(1)
-        try:
-            return at(self, idx, x, grad, gx)
-        finally:
-            inside_at.pop()
 
     def tested(self):
         testing.append(1)
@@ -978,7 +976,6 @@ def count_prox_passes(monkeypatch):
             testing.pop()
 
     monkeypatch.setattr(ProxPass, "__call__", counted)
-    monkeypatch.setattr(ProxPass, "at", counted_at)
     monkeypatch.setattr(_TrackerBase, "grad_inf_norm", tested)
     return passes
 
@@ -1179,9 +1176,6 @@ class TestFullProxPass:
             L = np.array(data.draw(st.lists(curvature, min_size=n,
                                             max_size=n), label="L"))
         every = np.arange(n)
-        # more indices than ``at`` computes on Python floats: a one-off
-        # pass at them
-        many = np.repeat(every, AT_LOOP_MAX // n + 1)
         L_safe = np.broadcast_to(safe_curvature(L), (n,))
         with np.errstate(all="ignore"):  # extreme values overflow
             gx = comp.g_values(x)
@@ -1190,7 +1184,7 @@ class TestFullProxPass:
             kept = ProxPass(comp, L_safe)
             pd, pV = kept(x, g, gx)
             subsets = [kept.at(idx, x, g, gx) + (idx,)
-                       for idx in (every, many)]
+                       for idx in (every, np.repeat(every[::-1], 2))]
             dc, Vc, _ = comp.prox_steps(
                 x, g, comp.smooth.curvature(per_coord).L, every)
             # the scorer's full call and its call over every index against
@@ -1205,9 +1199,13 @@ class TestFullProxPass:
             assert same_entries(sd, d[idx]) and same_entries(sV, V[idx])
         # an infinite step, on a tiny L, decreases the model without bound:
         # V = -inf and the "q" score +inf, where g d + (L/2) d^2 is NaN
-        tiny = np.isinf(d) & (L_safe < TINY_CURVATURE)
-        event(f"infinite steps on a tiny L: {bool(tiny.any())}")
-        assert np.all(V[tiny] == -np.inf)
+        tiny = L_safe < TINY_CURVATURE
+        event(f"infinite steps on a tiny L: {bool(np.isinf(d[tiny]).any())}")
+        assert np.all(V[tiny & np.isinf(d)] == -np.inf)
+        # and V is not NaN there, also where a box clamps an infinite
+        # x - g/L (lam |y| would be 0 * inf), except on an l1 term, whose
+        # threshold lam/L overflows too
+        assert not np.isnan(V[tiny & (comp.gkind != ABS)]).any()
         for full, part, ref in scored:
             for a, b, c in zip(full, part, ref):
                 assert a.tobytes() == b.tobytes() == c.tobytes()
@@ -1228,7 +1226,7 @@ class TestFullProxPass:
         g = smooth.full_grad(x)
         gx = comp.g_values(x)
         full = comp.full_pass(True)
-        assert full.tiny.tolist() == [3]
+        assert [k for k, _ in full.tiny] == [3]
         with np.errstate(all="ignore"):
             d, V = full(x, g, gx)
             assert (d[3], V[3]) == (np.inf, -np.inf)
@@ -1240,6 +1238,14 @@ class TestFullProxPass:
         assert tr.peek() == 3 and tr.scores[3] == np.inf
         # an ordinary curvature patches nothing
         assert comp.full_pass(False).tiny is None
+        # a box clamps the infinite x - g/L to its bound, d = 1, and V is
+        # the finite g d = -1, where lam |x - g/L| would be 0 * inf
+        boxed = CompositeProblem(smooth, [ZeroTerm()] * 3 + [BoxTerm(-1, 1)]
+                                 + [ZeroTerm()] * 2)
+        with np.errstate(all="ignore"):
+            d, V = boxed.full_pass(True)(x, g, gx)
+            assert (d[3], V[3]) == (1.0, -1.0)
+            assert boxed.coord_step(3, 0.0, g.item(3), L_3) == (1.0, -1.0)
 
     def test_a_move_out_of_the_box_is_refused_and_changes_nothing(self):
         ls = LeastSquaresProblem(np.eye(3), np.ones(3))

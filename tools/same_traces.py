@@ -13,10 +13,12 @@ cyclic, lipschitz) runs on a lean tracker that tests for convergence
 once per epoch.  Over a matrix it reads each gradient entry off its column
 and counts no A^T grad entries, except on least squares with n^2 <= nnz,
 where it moves by its dense Hessian row and counts n - 1 in both
-``touched_rows`` and ``touched_grads``.  So its ``step``, ``resid_inf``,
-``touched_rows`` and ``touched_grads`` may differ; it must pick the same
-coordinates with the same ``heap_ops``, and its objectives and
-``final_x`` must agree within 1e-12 relative to max(1, |value|).  The
+``touched_rows`` and ``touched_grads``.  So its ``step``, ``resid_inf``
+and ``touched_grads`` may differ, and its ``touched_rows`` where either
+checkout's lean tracker takes that row (``tracker.takes_hessian_row``);
+it must pick the same coordinates with the same ``heap_ops``, and its
+objectives and ``final_x`` must agree within 1e-12 relative to
+max(1, |value|).  The
 same limits hold for the ``NEAR`` cases, exact steps on smooth problems
 and maximum improvement, whose steps a checkout may compute from the
 tracker's gradient or A x where another recomputes them from x; the
@@ -235,10 +237,11 @@ def experiment_bytes(exp):
 def dump(src, path):
     """Generate every experiment and run every case with the greedycd found
     under ``src``; pickle ({experiment key: experiment_bytes}, {case name:
-    (trace columns, final_x)}) to ``path``."""
+    (trace columns, final_x, whether a lean tracker on the case's problem
+    takes the dense Hessian row)}) to ``path``."""
     sys.path.insert(0, src)
     import greedycd
-    from greedycd import descent, harness
+    from greedycd import descent, harness, tracker
 
     if not os.path.abspath(greedycd.__file__).startswith(os.path.abspath(src)):
         raise SystemExit(f"imported greedycd from {greedycd.__file__}")
@@ -249,6 +252,9 @@ def dump(src, path):
         exp = harness.gen_experiment(family, m=m, n=n, lam=lam, seed=seed)
         exps[key] = experiment_bytes(exp)
         problems[key] = exp.problem
+    # a checkout without ``takes_hessian_row`` moves every lean tracker over
+    # a matrix through its column
+    takes_row = getattr(tracker, "takes_hessian_row", None)
     out = {}
     for (name, family, m, n, lam, j, rule, budget, seed, backend, every,
          step, mixed) in cases():
@@ -261,7 +267,10 @@ def dump(src, path):
         # as lists, so a checkout whose columns are arrays compares equal
         # to one whose columns are lists
         columns = tuple(list(getattr(trace, name)) for name in COLUMNS)
-        out[name] = (columns, trace.final_x)
+        smooth = getattr(problem, "smooth", problem)
+        row = (takes_row is not None and smooth.tracker_kind == "h1"
+               and takes_row(smooth, True))
+        out[name] = (columns, trace.final_x, row)
     with open(path, "wb") as fh:
         pickle.dump((exps, out), fh)
 
@@ -283,10 +292,11 @@ def differing(cols, x, bcols, bx):
     return names + ([] if x.tobytes() == bx.tobytes() else ["final_x"])
 
 
-def compare(cols, x, bcols, bx, loose, lean):
+def compare(cols, x, bcols, bx, loose, row):
     """('same', 0, []), or ('close', largest objective or final_x
     difference, the names ``differing`` gives) for a case allowed to differ
-    within 1e-12 (``loose``; a ``lean`` one may also count other
+    within 1e-12 (``loose``; a lean one whose tracker takes the dense
+    Hessian row in either checkout, ``row``, may also count other
     ``touched_rows``), or ('DIFFERS', that difference, those names)."""
     names = differing(cols, x, bcols, bx)
     if not names:
@@ -294,7 +304,7 @@ def compare(cols, x, bcols, bx, loose, lean):
     k, objective, coord, _, _, rows, _, heap_ops = cols
     diff = max(rel_diff(bcols[1], objective), rel_diff(bx, x))
     if (loose and (k, coord, heap_ops) == (bcols[0], bcols[2], bcols[7])
-            and (lean or rows == bcols[5]) and diff <= 1e-12):
+            and (row or rows == bcols[5]) and diff <= 1e-12):
         return "close", diff, names
     return "DIFFERS", diff, names
 
@@ -335,11 +345,12 @@ def main(argv=None):
     near = {extra_name(c[0], c[5], c[8], backend)
             for c in NEAR for backend in ("heap", "scan")}
     verdicts = []
-    for name, (cols, x) in here.items():
-        bcols, bx = base[name]
+    for name, (cols, x, row) in here.items():
+        bcols, bx, brow = base[name]
         lean = not make_rule(rule_of[name]).reads_gradient
         verdict, diff, names = compare(cols, x, bcols, bx,
-                                       lean or name in near, lean)
+                                       lean or name in near,
+                                       lean and (row or brow))
         verdicts.append(verdict)
         picks = sum(a != b for a, b in zip(cols[2], bcols[2]))
         print(f"{verdict}  {name}  ({len(cols[0]) - 1} iterations"

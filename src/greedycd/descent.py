@@ -190,11 +190,11 @@ def run(problem, rule, *, step="auto", x0=None, max_iters=None, tol=1e-8,
     coordinates each update touches, so every rule that reads the gradient
     tests after every update without a pass over all n.  A rule that never
     reads it (``rule.reads_gradient`` false: uniform, cyclic, lipschitz)
-    pays only for its column, as the cost model of random selection says:
-    its tracker is lean, with no keys and no scores.  On h1 it makes no
-    row scatter into A^T grad (``touched_grads == 0``); least squares with
-    n^2 <= nnz instead moves by its kept Hessian row, no longer than the
-    mean column (``touched_rows == touched_grads == n - 1``).  It tests
+    pays only for its move, as the cost model of random selection says:
+    its tracker is lean, with no keys and no scores, and moves as a
+    greedy rule's tracker on the same problem does.  On h1 it makes no
+    row scatter into A^T grad (``touched_grads == 0``); on h2 it adds the
+    Hessian row (``touched_rows == touched_grads``).  It tests
     for convergence once per epoch: at x0, after every n updates and after
     the last one, each time from one rebuilt full gradient (one prox pass
     over all n for composite problems).  A trace row between two tests

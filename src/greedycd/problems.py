@@ -40,8 +40,8 @@ ZERO, ABS, BOX = 0, 1, 2
 
 # y = x - g/L overflows to +-inf once |g| > L * 1.8e308, at |g| of order 1
 # on a subnormal L, but only past 1.8e158 on an L above this; on the
-# coordinates whose L is below it ``prox_step`` computes V without the NaN
-# the formula gives there, and ``ProxPass`` takes V from ``prox_step``
+# coordinates whose L is below it ``prox_step`` computes d and V without
+# the NaN the formula gives there, and ``ProxPass`` takes both from it
 TINY_CURVATURE = 1e-150
 
 
@@ -155,11 +155,21 @@ def prox_step(term, L, x, g, gx):
     ``ProxPass`` entry.
 
     Where L is tiny (below ``TINY_CURVATURE``) an ordinary g takes x - g/L
-    to +-inf, and the formula's NaN is replaced: an infinite d gets
-    V = -inf (not -inf + inf, or 0 * inf where L/2 underflows to 0), and a
-    finite one, which a box may clamp from an infinite x - g/L, takes
+    to +-inf, and the formula's NaN is replaced.  An l1 term, whose
+    threshold lam/L overflows too (|y| - lam/L would be inf - inf),
+    soft-thresholds w = x L - g by lam and divides by L, and takes V at
+    the minimiser, where g + L d = -lam sign(w), as a sum of two terms
+    that are not positive: -(L/2) d^2 - |x| (lam - sign(x) c), c being w
+    clipped to [-lam, lam].  On any other term an infinite d gets
+    V = -inf (not -inf + inf, or 0 * inf where L/2 underflows to 0), and
+    a finite one, which a box may clamp from an infinite x - g/L, takes
     d (g + (L/2) d) + term(x + d) - gx, which no finite d, g and gx make
     NaN (g d + (L/2) d^2 can be -inf + inf, and lam |x - g/L| 0 * inf)."""
+    if term.kind == ABS and 0 < L < TINY_CURVATURE:
+        w = x * L - g
+        d = prox_coordinate(term, 1.0, w) / L - x
+        c = math.copysign(1.0, x) * min(max(w, -term.p1), term.p1)
+        return d, -0.5 * (L * d * d) - abs(x) * (term.p1 - c)
     z = prox_coordinate(term, L, x - g / L)
     d = z - x
     if L < TINY_CURVATURE:
@@ -255,12 +265,11 @@ class LeastSquaresProblem(SmoothProblem):
         read-only (one copy, shared with every h2 tracker on it).  One
         compiled sparse-dense product, A^T times A held dense: entry (i, j)
         sums the products A_ki A_kj in row order k, whichever side of the
-        diagonal it is on, so H equals its transpose.  On ``sparse_ls``
-        200^2 it takes 0.8 ms against 2.7 ms for the sparse product A^T A.
-        A dense BLAS product takes 0.2 ms there but runs on OpenBLAS's
-        threads, which spin for about 50 ms after the call and slow the
-        code that runs next on a 2-vCPU machine (perfbench's manifest
-        round trip, by a fifth).  Intended for small n."""
+        diagonal it is on, so H equals its transpose.  It is faster than
+        the sparse product A^T A.  A dense BLAS product would be faster
+        still, but runs on OpenBLAS's threads, which keep spinning after
+        the call and slow the code that runs next on a machine with few
+        cores.  Intended for small n."""
         def build():
             H = self.A.to_scipy_csc().T @ self.A.to_dense()
             H *= 2.0 * self.scale
@@ -686,20 +695,10 @@ class ProxPass:
     returned: no caller may keep d or V past the next call.  A pass over
     every coordinate can then be kept per problem and curvature
     (``CompositeProblem.full_pass``) and shared by every tracker on it;
-    its constants are read-only.  On ``lasso-prox`` (50 x 500) a pass
-    over all n took 11.5 us against 13.2 us for the 18 calls that also
-    took lam |x|, |z| and sign(y) t (``tools/kernel_times.py``,
-    probe-scaled, medians of four alternated runs per checkout, shared
-    2-vCPU Xeon).  Its buffers are four arrays with their views made
-    once, and only two of the 14 calls write into one of their own
-    operands, where seven did: numpy 2.4 takes about 0.9 us for such a
-    call on a one-element array against 0.45 us into another buffer
-    (``timeit``), which a subset of one coordinate, the rescore of an
-    identity-like column, paid seven times.  Against the seven in-place
-    calls over views made per call, a pass over all n of ``lasso-prox``
-    takes 8.6-9.2 us instead of 10.8-10.9 us, and over one coordinate
-    8.4-8.6 us instead of 13.1-14.1 us (probe-scaled, both alternated in
-    one process).
+    its constants are read-only.  Its buffers are four arrays with their
+    views made once, and only two of the 14 calls write into one of their
+    own operands, since numpy is slower at such a call on a short array
+    than at one into another buffer.
     """
 
     def __init__(self, composite, L, idx=None):
@@ -718,9 +717,9 @@ class ProxPass:
                 self.lo = composite.p1[at][box]
                 self.hi = composite.p2[at][box]
         # where L is tiny (subnormal, say) an ordinary gradient takes y to
-        # +-inf, and the formula's V can be NaN (``prox_step``).  Such
-        # coordinates depend on L alone, so they are found here, as
-        # (position, term) pairs, and take their V from ``prox_step`` after
+        # +-inf, and the formula's d and V can be NaN (``prox_step``).
+        # Such coordinates depend on L alone, so they are found here, as
+        # (position, term) pairs, and take d and V from ``prox_step`` after
         # a call, as the boxes are clamped
         tiny = np.flatnonzero(self.L < TINY_CURVATURE)
         self.tiny = None
@@ -772,8 +771,8 @@ class ProxPass:
         np.subtract(v, gx, out=z)
         if self.tiny is not None:
             for k, term in self.tiny:
-                z[k] = prox_step(term, self.L.item(k), x.item(k),
-                                 grad.item(k), gx.item(k))[1]
+                d[k], z[k] = prox_step(term, self.L.item(k), x.item(k),
+                                       grad.item(k), gx.item(k))
         return d, z
 
     def at(self, idx, x, grad, gx):

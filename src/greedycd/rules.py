@@ -16,12 +16,11 @@ tracker and test for convergence once per epoch.
 Randomness: numpy's PCG64 (``default_rng``).  Discrete sampling uses the
 inverse CDF — a single uniform draw looked up in the cumulative probability
 vector — so a rule consumes exactly one draw per iteration.  The draws are
-taken from the generator DRAW_BLOCK at a time (``uniform_draws``): on
-numpy 2.4, ``rng.random(k).tolist()`` gives the k floats that k calls of
+taken from the generator DRAW_BLOCK at a time (``uniform_draws``):
+``rng.random(k).tolist()`` gives the k floats that k calls of
 ``rng.random()`` give, bit for bit, so the picks are the same, while one
-``Generator.random()`` call costs 0.85-1.05 us, more than the rest of a
-pick, and a draw from a block about 0.1 us (``timeit``, shared 2-vCPU
-Xeon).
+``Generator.random()`` call costs more than the rest of a pick and a draw
+from a block a small fraction of it.
 """
 
 import numpy as np

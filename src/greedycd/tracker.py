@@ -22,10 +22,9 @@ ways, once per problem:
   min(c*r, nnz).  The build and every refresh rebuild ``row_g`` and f
   from one A x through ``row_link``.
 * h2 adds one Hessian row, for a quadratic that keeps its Hessian H: a
-  graph's CSR ``H``, or least squares' kept dense ``hessian()``
-  (``takes_hessian_row``): eager where h1 would take the product and
-  n <= m (H no larger than A held dense), lean where n^2 <= nnz (the row
-  no longer than the mean column, H no larger than A stored).
+  graph's CSR ``H``, or least squares' kept dense ``hessian()`` where h1
+  would take the product and n <= m (``takes_hessian_row``: H no larger
+  than A held dense), for every rule alike.
   Moving x_i by delta adds delta * H[i] (H is symmetric) to the gradient,
   and delta g_i + delta^2 H_ii / 2, from g_i before the move, to f.  A
   dense row is two numpy calls and a whole-vector rescore; a CSR row is
@@ -58,15 +57,15 @@ the step curvature) it is handed back.  ``grad_inf_norm()`` reads the top
 score or ``keys.argmax()``.  An iteration of ``gs``, ``gsl``, a prox rule
 or a random rule on ``scan`` enters no numpy function written in Python.
 
-A rule that never reads the gradient gets a lean tracker (``lean=True``):
-no scores and no keys.  A lean h1 tracker skips the row scatter and keeps
-no gradient, computing one entry from column i (``grad_coord``, whose g_i
-a least-squares update then reuses) or all of it by one product
-(``full_gradient``).  A lean h2 tracker, on a graph or on least squares
-with n^2 <= nnz, keeps its gradient, which its Hessian row moves at no
-more than a column's cost, and rescores nothing.  ``grad_inf_norm()``
-then rebuilds the keys from the full gradient, which ``run`` asks for
-once per epoch.
+A rule that never reads the gradient gets a lean tracker (``lean=True``)
+of the same class: no scores and no keys.  A lean h1 tracker skips the
+row scatter and keeps no gradient, computing one entry from column i
+(``grad_coord``, whose g_i a least-squares update then reuses) or all of
+it by one product (``full_gradient``).  A lean h2 tracker keeps its
+gradient, which its Hessian row moves, and rescores nothing; a dense row
+reads n entries where a column holds nnz / n, in two numpy calls.
+``grad_inf_norm()`` then rebuilds the keys from the full gradient, which
+``run`` asks for once per epoch.
 
 ``objective()`` is F: the smooth part plus, on a composite problem, the
 terms' sum (``term_vals``, rewritten at the moved coordinate).  Every
@@ -116,20 +115,14 @@ def takes_product(A):
     return A.mean_gather * KAPPA > A.nnz
 
 
-def takes_hessian_row(problem, lean):
+def takes_hessian_row(problem):
     """Whether ``make_tracker`` moves the smooth problem with a matrix A by
     a row of its kept dense Hessian (h2) instead of through A (h1): only
-    least squares, which keeps that Hessian.  Eager, where the h1 update
-    would take the product and n <= m (the n x n Hessian no larger than A
-    held dense); lean, where n^2 <= nnz, so the row is no longer than the
-    mean column (a random update still pays O(c)) and the Hessian holds no
-    more entries than A stores."""
-    if not problem.is_quadratic:
-        return False
-    A, n = problem.A, problem.n
-    if lean:
-        return n * n <= A.nnz
-    return takes_product(A) and n <= A.shape[0]
+    least squares, which keeps that Hessian, where the h1 update would
+    take the product and n <= m (the n x n Hessian no larger than A held
+    dense).  It reads the problem alone, so every rule on it moves alike."""
+    return (problem.is_quadratic and takes_product(problem.A)
+            and problem.n <= problem.A.shape[0])
 
 
 @dataclass
@@ -143,8 +136,7 @@ class UpdateStats:
     touched_grads: h1: the entries of A the row scatter into the gradient
         gathers for this column (<= c*r), also when the update renewed
         the gradient by the full product instead; 0 on a lean tracker.
-        h2, lean or not: the same entries as ``touched_rows``, so a lean
-        least-squares tracker with n^2 <= nnz counts n - 1 in both.
+        h2, lean or not: the same entries as ``touched_rows``.
     heap_ops: heap keys set (0 for backend "scan"): the coordinates
         rescored, n after a full product or a dense Hessian row, which
         rebuild the heap by one sort.
@@ -571,10 +563,10 @@ class H2Tracker(_TrackerBase):
 
 def make_tracker(problem, x0, scorer=None, backend="scan",
                  refresh_every=10000, lean=False, step_per_coord=None):
-    """Build the tracker matching the problem's structure: h2 on a graph,
-    and on least squares where ``takes_hessian_row`` says its dense
-    Hessian row pays (eager: the h1 update would take the product and
-    n <= m; lean: n^2 <= nnz); h1 on every other problem with a matrix A.
+    """Build the tracker matching the problem's structure, whatever the
+    rule: h2 on a graph, and on least squares where ``takes_hessian_row``
+    says its dense Hessian row pays; h1 on every other problem with a
+    matrix A.
 
     ``backend`` is "scan", "heap" or "nns" (see the module docstring).
     ``lean`` asks for a tracker without scores or keys, for rules that
@@ -586,8 +578,6 @@ def make_tracker(problem, x0, scorer=None, backend="scan",
     kind = getattr(smooth, "tracker_kind", None)
     if kind not in ("h1", "h2"):
         raise ValueError(f"no tracker for problem type {type(smooth).__name__}")
-    if kind == "h1" and takes_hessian_row(smooth, lean):
-        kind = "h2"
-    cls = H1Tracker if kind == "h1" else H2Tracker
+    cls = H2Tracker if kind == "h2" or takes_hessian_row(smooth) else H1Tracker
     return cls(problem, x0, scorer, backend, refresh_every, lean,
                step_per_coord)

@@ -27,7 +27,7 @@ from greedycd.descent import STEP_MODES, TRACE_COLUMNS, _resolve_step, run
 from greedycd.harness import gen_experiment
 from greedycd.linalg import IndexedMaxHeap, SparseMatrix
 from greedycd.nns import BallTreeIndex
-from greedycd.problems import (ABS, BOX, TINY_CURVATURE, ZERO,
+from greedycd.problems import (BOX, TINY_CURVATURE, ZERO,
                                BoxTerm, CompositeProblem,
                                GraphQuadraticProblem, L1Term,
                                LeastSquaresProblem, LogisticProblem,
@@ -299,7 +299,7 @@ class TestH2Tracker:
             tr = H2Tracker(p, np.zeros(p.n), lean=True, refresh_every=10**6)
         else:
             family, m, n = {"dense": ("dense_overdet_ls", 300, 60),
-                            "lean": ("sparse_ls", 200, 200),
+                            "lean": ("l1_underdet_ls", 50, 500),
                             "lean-dense": ("dense_overdet_ls", 300, 60),
                             "product": ("l1_underdet_ls", 50, 500)}[form]
             p = gen_experiment(family, m=m, n=n, seed=0).problem
@@ -308,14 +308,12 @@ class TestH2Tracker:
                               lean=form.startswith("lean"),
                               refresh_every=10**6)
         assert tr.lean == (form in ("csr", "lean", "lean-dense"))
-        if form == "lean":
-            assert isinstance(tr, H1Tracker)
-        else:
-            # a lean least-squares tracker with n^2 <= nnz moves by the
-            # dense Hessian row, as the eager one does
-            assert tracker_path(tr) == {"csr": "h2-csr", "dense": "h2-dense",
-                                        "lean-dense": "h2-dense",
-                                        "product": "h1-product"}[form]
+        # a lean tracker moves as the eager one does: through the column
+        # where n > m, by the dense Hessian row where n <= m
+        assert tracker_path(tr) == {"csr": "h2-csr", "dense": "h2-dense",
+                                    "lean": "h1-scatter",
+                                    "lean-dense": "h2-dense",
+                                    "product": "h1-product"}[form]
         for i, delta in zip(rng.integers(p.n, size=moves).tolist(),
                             rng.standard_normal(moves).tolist()):
             tr.apply_update(i, delta)
@@ -395,9 +393,10 @@ class TestDenseHessianRow:
     no rows."""
 
     @pytest.mark.parametrize("case", ["ls", "composite", "logistic", "wide",
-                                      "scatter", "lean", "graph"])
+                                      "scatter", "graph"])
     def test_h2_is_taken_exactly_where_a_dense_row_pays(self, case):
-        # eager, quadratic, on the product and n <= m, or a graph: h2
+        # quadratic, on the product and n <= m, or a graph: h2, for a lean
+        # tracker as for an eager one
         rng = np.random.default_rng(18)
         m, n = (4, 6) if case == "wide" else (8, 6)
         A, _ = random_sparse(rng, m, n, density=0.6)
@@ -414,22 +413,18 @@ class TestDenseHessianRow:
                                          l2_reg=0.3)
         problem = (CompositeProblem(smooth, L1Term(0.2))
                    if case == "composite" else smooth)
-        lean = case == "lean"
-        tr = make_tracker(problem, np.zeros(n),
-                          None if lean else GradScorer(), lean=lean)
+        tr = make_tracker(problem, np.zeros(n), GradScorer())
+        lean = make_tracker(problem, np.zeros(n), lean=True)
         path = {"ls": "h2-dense", "composite": "h2-dense", "graph": "h2-csr",
                 "scatter": "h1-scatter"}.get(case, "h1-product")
-        if lean:
-            assert isinstance(tr, H1Tracker) and tr.gradient is None
-        else:
-            assert tracker_path(tr) == path
+        assert tracker_path(tr) == path
+        assert type(lean) is type(tr) and lean.lean
         if path == "h2-dense":
-            assert tr.H is smooth.hessian()
+            assert tr.H is lean.H is smooth.hessian()
             assert not hasattr(tr, "u")
         tr.apply_update(2, 0.5)
         tr.refresh()
-        if not lean:
-            assert tracker_path(tr) == path
+        assert tracker_path(tr) == path
 
     @pytest.mark.parametrize("path", ["h2-dense", "lean", "h1-scatter",
                                       "h1-product"])
@@ -484,10 +479,11 @@ class TestLeanTracker:
     """A lean tracker keeps no scores and no keys, and on h1 no gradient."""
 
     def test_lean_tracker_keeps_no_scores(self):
-        # the identity's Hessian row (n = 3) is longer than its mean column
-        # (nnz / n = 1), so a lean tracker moves through the column
-        p = LeastSquaresProblem(np.eye(3), np.ones(3))
-        assert not takes_hessian_row(p, True)
+        # a wide problem (n > m) keeps no Hessian, so a lean tracker moves
+        # through the column
+        p = LeastSquaresProblem(np.hstack([np.eye(2), np.ones((2, 1))]),
+                                np.ones(2))
+        assert not takes_hessian_row(p)
         with pytest.raises(ValueError, match="lean"):
             H1Tracker(p, np.zeros(3), GradScorer(), lean=True)
         tr = make_tracker(p, np.zeros(3), lean=True)
@@ -495,13 +491,13 @@ class TestLeanTracker:
         assert tr.lean and tr.gradient is None
         with pytest.raises(ValueError, match="without a score"):
             tr.peek()
-        # a tall dense one (n^2 = 9 <= nnz = 15) moves by its kept Hessian
-        # row and keeps the gradient, whose entries it reads, but still no
-        # scores and no keys
+        # a tall dense one (n <= m) moves by its kept Hessian row and keeps
+        # the gradient, whose entries it reads, but still no scores and no
+        # keys
         rng = np.random.default_rng(29)
         D = rng.uniform(1.0, 2.0, (5, 3))
         p = LeastSquaresProblem(D, rng.standard_normal(5), l2_reg=0.1)
-        assert takes_hessian_row(p, True)
+        assert takes_hessian_row(p)
         tr = make_tracker(p, np.zeros(3), lean=True)
         assert isinstance(tr, H2Tracker) and tr.lean and tr.dense
         assert tr.H is p.hessian()
@@ -523,6 +519,33 @@ class TestLeanTracker:
         assert tr.full_gradient() is tr.gradient
         with pytest.raises(ValueError, match="lean"):
             make_tracker(g, np.zeros(3), GradScorer(), lean=True)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_lean_and_eager_trackers_share_a_class(self, data):
+        # the problem alone picks the tracker: least squares on either
+        # side of the guard, logistic and graphs, smooth or composite
+        kind = data.draw(st.sampled_from(["ls", "logistic", "graph"]),
+                         label="kind")
+        n = data.draw(st.integers(1, 10), label="n")
+        if kind == "graph":
+            smooth = draw_graph(data, n, st.floats(0.0, 2.0),
+                                st.floats(0.0, 2.0))
+        else:
+            m = data.draw(st.integers(1, 10), label="m")
+            A = draw_triplet_matrix(data, m, n)
+            smooth = (LeastSquaresProblem(A, np.ones(m)) if kind == "ls"
+                      else LogisticProblem(A, np.ones(m)))
+        problem = (CompositeProblem(smooth, L1Term(0.5))
+                   if data.draw(st.booleans(), label="composite")
+                   else smooth)
+        eager = make_tracker(problem, np.zeros(n))
+        lean = make_tracker(problem, np.zeros(n), lean=True)
+        assert type(lean) is type(eager) and lean.lean and not eager.lean
+        row = kind == "graph" or takes_hessian_row(smooth)
+        assert isinstance(eager, H2Tracker) == row
+        if kind == "ls":
+            event(f"least squares: {type(eager).__name__}")
 
 
 def draw_term(data):
@@ -730,14 +753,16 @@ class DenseRecompute:
                     == scorer.compute(tr, every)[0].tobytes())
             if getattr(scorer, "mode", None) == "q":
                 # an infinite step (under a tiny L_i) scores +inf, and no
-                # score is NaN, also where a box clamps an infinite step,
-                # except on an l1 term under a tiny L_i (inf - inf)
+                # step, decrease or score is NaN, also where a box clamps an
+                # infinite step or an l1 threshold overflows
                 L = np.broadcast_to(s.curvature(scorer.per_coord).L, (s.n,))
-                d = p.prox_steps(x, g, L)[0]
+                d, V, _ = p.prox_steps(x, g, L)
                 event(f"q: infinite steps {bool(np.isinf(d).any())}")
                 assert np.all(tr.scores[np.isinf(d)] == np.inf)
-                known = (p.gkind == ABS) & (L < TINY_CURVATURE)
-                assert not np.isnan(tr.scores[~known]).any()
+                tiny = L < TINY_CURVATURE
+                assert not np.isnan(d[tiny]).any()
+                assert not np.isnan(V[tiny]).any()
+                assert not np.isnan(tr.scores).any()
             assert tr.peek() == scan_argmax(tr.scores)
             # |grad| and |eta| move by at most the gradient's error
             w = getattr(scorer, "w", None)
@@ -831,19 +856,11 @@ class TestTrackerOracle:
                 else step)
         if path != "h2-csr":
             assert takes_product(smooth.A) == (path != "h1-scatter")
-        if lean and path != "h2-csr":
-            # a lean tracker over a matrix moves through its column, or on
-            # least squares with n^2 <= nnz by its dense Hessian row
-            row = smooth.is_quadratic and n * n <= smooth.A.nnz
-            assert takes_hessian_row(smooth, True) == row
-            if path == "h2-dense":
-                event(f"lean {'h2-dense' if row else 'h1'}")
-            if row:
-                assert tracker_path(tr) == "h2-dense"
-            else:
-                assert isinstance(tr, H1Tracker) and not tr.product
-        else:
-            assert tracker_path(tr) == path
+        # a lean tracker takes its eager twin's class, which the problem
+        # alone picks
+        assert tracker_path(twin if lean else tr) == path
+        if lean:
+            assert type(tr) is type(twin)
         oracle = DenseRecompute(problem)
         oracle.check(tr, twin)
         for _ in range(data.draw(st.integers(0, 8), label="moves")):
@@ -1134,8 +1151,8 @@ class TestProductPathGradient:
 
 def same_entries(a, b):
     """a and b bit for bit, except that a NaN matches any NaN: numpy does
-    not give a NaN the same sign bit in arrays of different lengths (an
-    l1 step at a tiny L and a huge gradient is inf - inf)."""
+    not give a NaN the same sign bit in arrays of different lengths (a
+    step that overflows under an ordinary L has V = -inf + inf)."""
     nan = np.isnan(a)
     return (np.array_equal(nan, np.isnan(b))
             and a[~nan].tobytes() == b[~nan].tobytes())
@@ -1202,10 +1219,11 @@ class TestFullProxPass:
         tiny = L_safe < TINY_CURVATURE
         event(f"infinite steps on a tiny L: {bool(np.isinf(d[tiny]).any())}")
         assert np.all(V[tiny & np.isinf(d)] == -np.inf)
-        # and V is not NaN there, also where a box clamps an infinite
-        # x - g/L (lam |y| would be 0 * inf), except on an l1 term, whose
-        # threshold lam/L overflows too
-        assert not np.isnan(V[tiny & (comp.gkind != ABS)]).any()
+        # and neither d nor V is NaN there, also where a box clamps an
+        # infinite x - g/L (lam |y| would be 0 * inf) or an l1 threshold
+        # lam/L overflows with x - g/L (inf - inf)
+        assert not np.isnan(d[tiny]).any()
+        assert not np.isnan(V[tiny]).any()
         for full, part, ref in scored:
             for a, b, c in zip(full, part, ref):
                 assert a.tobytes() == b.tobytes() == c.tobytes()
@@ -1246,6 +1264,13 @@ class TestFullProxPass:
             d, V = boxed.full_pass(True)(x, g, gx)
             assert (d[3], V[3]) == (1.0, -1.0)
             assert boxed.coord_step(3, 0.0, g.item(3), L_3) == (1.0, -1.0)
+        # an l1 term soft-thresholds x L - g by lam, where |x - g/L| - lam/L
+        # would be inf - inf, so its step is +inf as well
+        l1 = CompositeProblem(smooth, L1Term(0.5))
+        with np.errstate(all="ignore"):
+            d, V = l1.full_pass(True)(x, g, gx)
+            assert (d[3], V[3]) == (np.inf, -np.inf)
+            assert l1.coord_step(3, 0.0, g.item(3), L_3) == (np.inf, -np.inf)
 
     def test_a_move_out_of_the_box_is_refused_and_changes_nothing(self):
         ls = LeastSquaresProblem(np.eye(3), np.ones(3))

@@ -11,10 +11,12 @@ For each (family, m, n) in ``SIZES``, builds the experiment with
 
 * ``gather_frac``: the mean number of entries one update's row scatter
   gathers (``A.mean_gather``, sum_rows r_i^2 / n) over nnz, and ``path``,
-  the update the tracker ``make_tracker`` builds takes there: the
-  product when gather_frac exceeds 1 / ``tracker.KAPPA``
+  the update the tracker ``make_tracker`` builds takes there, for every
+  rule: the product when gather_frac exceeds 1 / ``tracker.KAPPA``
   (``tracker.takes_product``), and "gram", the h2 tracker's dense Hessian
-  row, where that product would be taken on a quadratic with n <= m;
+  row, where that product would be taken on a quadratic with n <= m
+  (``tracker.takes_hessian_row``); a random rule's lean tracker moves
+  through the column on h1 and by the row on h2;
 * ``n2``, the entries of the n x n Hessian, next to ``m * n``, the
   entries of A held dense, and ``nnz``: the Hessian row reads n of them
   per update where the product reads nnz, and the guard n <= m keeps its
@@ -33,9 +35,7 @@ For each (family, m, n) in ``SIZES``, builds the experiment with
   read and an ``apply_update``, as a random rule pays it: through the
   column on a lean ``H1Tracker`` (``lean_column_update_us``) and by the
   dense Hessian row on a lean ``H2Tracker`` (``lean_row_update_us``, up to
-  ``GRAM_MAX_N`` as above), and ``lean_path``, the one ``make_tracker``
-  builds ("row" where n^2 <= nnz, ``tracker.takes_hessian_row``, else
-  "column");
+  ``GRAM_MAX_N`` as above);
 * on a composite family, the same updates under ``gs-q`` scores on the
   composite problem (``gsq_scatter_update_us``, ``gsq_product_update_us``,
   ``gsq_gram_update_us``), where the product and the Hessian row rescore
@@ -96,7 +96,7 @@ probe.  Each figure is the least scaled batch, divided by ``NUMBER`` (an
 update pair, +d then -d, counts as two calls).  Prints one JSON line:
 {"kappa", "sizes": [{family, m, n, nnz, n2, gather_frac, path, touched,
 scatter_us, rmatvec_us, ratio, scatter_update_us, product_update_us,
-gram_update_us, lean_path, lean_column_update_us, lean_row_update_us[,
+gram_update_us, lean_column_update_us, lean_row_update_us[,
 gsq_scatter_update_us, gsq_product_update_us, gsq_gram_update_us]}],
 "crossover" and "gsq_crossover": {scatter_wins_to, product_wins_from,
 kappa_between}, "graph_move": {family, n, node, degree, graph_move_us,
@@ -248,8 +248,6 @@ def measure(family, m, n):
            "gather_frac": round(A.mean_gather / A.nnz, 4), "path": path,
            "touched": int(A.col_gather[j]), **kernels,
            "ratio": round(kernels["scatter_us"] / kernels["rmatvec_us"], 2)}
-    lean = make_tracker(smooth, np.zeros(n), lean=True)
-    out["lean_path"] = "row" if isinstance(lean, H2Tracker) else "column"
     updates = {f"{path}_update_us": update_fn(smooth, j, path)
                for path in PATHS}
     updates.update(lean_column_update_us=lean_fn(smooth, j, H1Tracker),

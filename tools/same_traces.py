@@ -10,13 +10,13 @@ traces.  A rule that reads the gradient must give bit-identical trace
 columns (every column ``RunTrace.same_path`` compares) and ``final_x``.  A
 rule that does not (``reads_gradient`` false in this checkout: uniform,
 cyclic, lipschitz) runs on a lean tracker that tests for convergence
-once per epoch.  Over a matrix it reads each gradient entry off its column
-and counts no A^T grad entries, except on least squares with n^2 <= nnz,
-where it moves by its dense Hessian row and counts n - 1 in both
-``touched_rows`` and ``touched_grads``.  So its ``step``, ``resid_inf``
-and ``touched_grads`` may differ, and its ``touched_rows`` where either
-checkout's lean tracker takes that row (``tracker.takes_hessian_row``);
-it must pick the same coordinates with the same ``heap_ops``, and its
+once per epoch.  On h1 it reads each gradient entry off its column and
+counts no A^T grad entries; on least squares where the tracker takes the
+dense Hessian row (``tracker.takes_hessian_row``) it moves by that row
+and counts n - 1 in both ``touched_rows`` and ``touched_grads``.  So its
+``step``, ``resid_inf`` and ``touched_grads`` may differ, and its
+``touched_rows`` where either checkout's lean tracker takes that row; it
+must pick the same coordinates with the same ``heap_ops``, and its
 objectives and ``final_x`` must agree within 1e-12 relative to
 max(1, |value|).  The
 same limits hold for the ``NEAR`` cases, exact steps on smooth problems
@@ -65,6 +65,8 @@ difference.
 """
 
 import argparse
+import functools
+import inspect
 import os
 import pickle
 import subprocess
@@ -253,8 +255,12 @@ def dump(src, path):
         exps[key] = experiment_bytes(exp)
         problems[key] = exp.problem
     # a checkout without ``takes_hessian_row`` moves every lean tracker over
-    # a matrix through its column
+    # a matrix through its column, and one whose predicate also takes
+    # ``lean`` is asked for a lean tracker
     takes_row = getattr(tracker, "takes_hessian_row", None)
+    if (takes_row is not None
+            and len(inspect.signature(takes_row).parameters) == 2):
+        takes_row = functools.partial(takes_row, lean=True)
     out = {}
     for (name, family, m, n, lam, j, rule, budget, seed, backend, every,
          step, mixed) in cases():
@@ -269,7 +275,7 @@ def dump(src, path):
         columns = tuple(list(getattr(trace, name)) for name in COLUMNS)
         smooth = getattr(problem, "smooth", problem)
         row = (takes_row is not None and smooth.tracker_kind == "h1"
-               and takes_row(smooth, True))
+               and takes_row(smooth))
         out[name] = (columns, trace.final_x, row)
     with open(path, "wb") as fh:
         pickle.dump((exps, out), fh)
